@@ -11,6 +11,7 @@ import argparse
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -108,8 +109,13 @@ def _load_config(args) -> OptimConfig:
 
 
 def _threads(args) -> int:
-    if args.threads in (None, "auto"):
+    if args.threads is None:
         return 1
+    if args.threads == "auto":
+        # the CPUs this process may run on; sched_getaffinity is Linux-only
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
     return max(int(args.threads), 1)
 
 
@@ -393,7 +399,7 @@ def _cmd_verify(args):
 def _global_flags(p, suppress):
     d = argparse.SUPPRESS if suppress else None
     p.add_argument("--seed", type=int, default=d, help="RNG seed (u64)")
-    p.add_argument("--threads", default=d, help="worker count or 'auto'")
+    p.add_argument("--threads", default=d, help="worker count, or 'auto' for every available CPU")
     p.add_argument("--out", default=d, help="machine-output file (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default=d)
     p.add_argument("--config", default=d, help="JSON config file, version 1")

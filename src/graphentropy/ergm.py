@@ -16,20 +16,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize as sp_opt
 
+from ._kernel import CLAMP, density_gradient, free_energy_objective, project, spg_box
 from .errors import NoTransitionFound, NotConverged, SignPatternUnexpected, ValueOutOfRange
 from .graphon import (
-    CLAMP,
     DensityPair,
     Graphon,
     Motif,
-    constant_graphon,
-    motif_density,
     rate_derivative,
     rate_second_derivative,
     rate_value,
     resample,
 )
-from .optimize import OptimConfig, _make_problem, _proj, _spg_box
+from .optimize import OptimConfig
 
 
 @dataclass(frozen=True)
@@ -119,12 +117,8 @@ def psi_full(params: ErgmParams, config: OptimConfig | None = None,
         motif = Motif.triangle()
     b1, b2 = params.beta1, params.beta2
     m = config.m
-    dens_grad = _make_problem(motif, m)
-
-    def obj_grad(a):
-        t_val, d = dens_grad(a)
-        f = float(np.mean(rate_value(a))) - b1 * float(np.mean(a)) - b2 * t_val
-        return f, rate_derivative(a) - b1 - b2 * d
+    dens_grad = density_gradient(motif, m)
+    obj_grad = free_energy_objective(dens_grad, b1, b2)
 
     rng = np.random.default_rng(config.seed)
     starts = []
@@ -140,8 +134,8 @@ def psi_full(params: ErgmParams, config: OptimConfig | None = None,
 
     runs = []
     for a0 in starts:
-        a, f, _, pg = _spg_box(
-            _proj(a0), obj_grad, 0.3 * config.kkt_tol, config.max_inner_iterations
+        a, f, _, pg = spg_box(
+            project(a0), obj_grad, 0.3 * config.kkt_tol, config.max_inner_iterations
         )
         e_val = float(np.mean(a))
         t_val, _ = dens_grad(a)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernel
 from .errors import (
     AsymmetricMatrix,
     DisconnectedMotif,
@@ -28,8 +29,6 @@ from .errors import (
 )
 
 MAX_MOTIF_VERTICES = 6
-# Keeps I0' finite on the closed box; iterates live in [CLAMP, 1-CLAMP].
-CLAMP = 1e-12
 
 _SYMMETRY_TOL = 1e-12
 
@@ -60,11 +59,22 @@ class Motif:
         return len(self.edges)
 
     @property
+    def is_triangle(self) -> bool:
+        # the only simple graph on 3 vertices with 3 edges
+        return self.ell == 3 and self.k == 3
+
+    @property
+    def is_star(self) -> bool:
+        return self.ell >= 2 and self.edges == frozenset(
+            (1, j) for j in range(2, self.ell + 1)
+        )
+
+    @property
     def name(self) -> str:
-        if self == Motif.triangle():
+        if self.is_triangle:
             return "triangle"
-        if self.edges == Motif.star(self.ell - 1).edges and self.ell >= 2:
-            return f"star:{self.ell - 1}"
+        if self.is_star:
+            return f"star:{self.k}"
         return f"motif(ell={self.ell},k={self.k})"
 
     @classmethod
@@ -193,84 +203,19 @@ def bipodal_graphon(c, p11, p12, p22, m) -> Graphon:
     return Graphon(values=a)
 
 
-def snap_split(c, m):
-    """Grid-rounded value of a bipodal split point."""
-    return min(max(int(round(c * m)), 0), m) / m
-
-
 def edge_density(g: Graphon) -> float:
     return float(np.mean(g.values))
-
-
-_IDX = "abcdef"
-
-
-def _density_einsum(motif: Motif):
-    return ",".join(_IDX[i - 1] + _IDX[j - 1] for (i, j) in sorted(motif.edges))
-
-
-def _is_star(motif: Motif) -> bool:
-    return motif.ell >= 2 and motif.edges == frozenset(
-        (1, j) for j in range(2, motif.ell + 1)
-    )
-
-
-def _motif_density_einsum(a, m, motif: Motif) -> float:
-    val = np.einsum(_density_einsum(motif) + "->", *([a] * motif.k), optimize=True)
-    return float(val) / m ** motif.ell
 
 
 def motif_density(g: Graphon, motif: Motif) -> float:
     """Homomorphism density t(H, g), exact for step graphons.
 
-    Contracted with an optimized elimination order, so triangles cost O(m^3)
-    and k-stars O(m^2) rather than m^ell.
+    Triangles cost one matmul and k-stars O(m^2); other motifs are contracted
+    with an optimized elimination order rather than summed over m^ell terms.
     """
     if motif.ell > MAX_MOTIF_VERTICES:
         raise MotifTooLarge(f"ell={motif.ell} exceeds cap {MAX_MOTIF_VERTICES}")
-    if not motif.edges:
-        return 1.0
-    a = g.values
-    m = g.m
-    if motif == Motif.triangle():
-        return float(np.sum((a @ a) * a)) / m ** 3
-    if _is_star(motif):
-        r = np.mean(a, axis=1)
-        return float(np.mean(r ** motif.k))
-    return _motif_density_einsum(a, m, motif)
-
-
-def _pinned_field(a, m, ell, rest_edges, va, vb):
-    """Block field of the density with one edge factor removed and its endpoints
-    pinned to (block of x, block of y); divided by m^(ell-2)."""
-    ops, subs = [], []
-    covered = set()
-    for (i, j) in rest_edges:
-        subs.append(_IDX[i - 1] + _IDX[j - 1])
-        ops.append(a)
-        covered.update((i, j))
-    ones = np.ones(m)
-    for v in range(1, ell + 1):
-        if v not in covered and v not in (va, vb):
-            subs.append(_IDX[v - 1])
-            ops.append(ones)
-    for v in (va, vb):
-        if v not in covered:
-            subs.append(_IDX[v - 1])
-            ops.append(ones)
-    out = _IDX[va - 1] + _IDX[vb - 1]
-    f = np.einsum(",".join(subs) + "->" + out, *ops, optimize=True)
-    return f / m ** (ell - 2)
-
-
-def _motif_gradient_einsum(a, m, motif: Motif) -> np.ndarray:
-    d = np.zeros((m, m))
-    edges = sorted(motif.edges)
-    for e in edges:
-        rest = [x for x in edges if x != e]
-        f = _pinned_field(a, m, motif.ell, rest, e[0], e[1])
-        d += 0.5 * (f + f.T)
-    return d
+    return _kernel.density(g.values, motif)
 
 
 def motif_gradient(g: Graphon, motif: Motif) -> np.ndarray:
@@ -281,14 +226,7 @@ def motif_gradient(g: Graphon, motif: Motif) -> np.ndarray:
     """
     if motif.ell > MAX_MOTIF_VERTICES:
         raise MotifTooLarge(f"ell={motif.ell} exceeds cap {MAX_MOTIF_VERTICES}")
-    a = g.values
-    m = g.m
-    if motif == Motif.triangle():
-        return 3.0 * (a @ a) / m
-    if _is_star(motif):
-        rp = np.mean(a, axis=1) ** (motif.k - 1)
-        return 0.5 * motif.k * (rp[:, None] + rp[None, :])
-    return _motif_gradient_einsum(a, m, motif)
+    return _kernel.gradient(g.values, motif)
 
 
 def rate_value(u):
@@ -304,8 +242,7 @@ def rate_value(u):
 
 def rate_derivative(u):
     """I0'(u) = (1/2) ln(u / (1-u)), evaluated with the boundary clamp."""
-    a = np.clip(np.asarray(u, dtype=float), CLAMP, 1.0 - CLAMP)
-    out = 0.5 * (np.log(a) - np.log1p(-a))
+    out = _kernel.rate_derivative(np.asarray(u, dtype=float))
     return float(out) if out.ndim == 0 else out
 
 
@@ -318,10 +255,6 @@ def rate_second_derivative(u):
 def rate_function(g: Graphon) -> float:
     """I(g): block average of I0 over the graphon values."""
     return float(np.mean(rate_value(g.values)))
-
-
-def rate_gradient(g: Graphon) -> np.ndarray:
-    return rate_derivative(g.values)
 
 
 def graphon_distance(f: Graphon, g: Graphon, motifs) -> float:

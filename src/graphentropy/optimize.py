@@ -15,22 +15,26 @@ Erdos-Renyi curve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import optimize as sp_opt
-from scipy import stats as sp_stats
 
 from . import region
+from ._kernel import (
+    al_objective,
+    density_gradient,
+    project,
+    projected_gradient_norm,
+    spg_box,
+)
 from .errors import DegenerateFit, Infeasible, ValueOutOfRange
 from .graphon import (
-    CLAMP,
     DensityPair,
     Graphon,
     Motif,
     bipodal_graphon,
     constant_graphon,
-    motif_density,
     motif_gradient,
     rate_derivative,
     rate_function,
@@ -38,9 +42,6 @@ from .graphon import (
     rate_value,
     resample,
 )
-
-_BOX_LO = CLAMP
-_BOX_HI = 1.0 - CLAMP
 
 DEFAULT_ANSATZ = ("constant", "checkerboard", "upper_corner", "bipodal_random")
 
@@ -233,81 +234,7 @@ def estimate_multipliers(g: Graphon, motif: Motif | None = None) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Problem kernels
-
-
-def _make_problem(motif: Motif, m):
-    """Return dens_grad(A) -> (t, D) with fast paths for triangles and stars."""
-    if motif == Motif.triangle():
-
-        def dens_grad(a):
-            a2 = a @ a
-            return float(np.sum(a2 * a)) / m ** 3, 3.0 * a2 / m
-
-        return dens_grad
-    if motif.edges == frozenset((1, j) for j in range(2, motif.ell + 1)):
-        k = motif.k
-
-        def dens_grad(a):
-            r = np.mean(a, axis=1)
-            rp = r ** (k - 1)
-            d = 0.5 * k * (rp[:, None] + rp[None, :])
-            return float(np.mean(r ** k)), d
-
-        return dens_grad
-
-    def dens_grad(a):
-        g = Graphon(values=a.copy())
-        return motif_density(g, motif), motif_gradient(g, motif)
-
-    return dens_grad
-
-
-def _proj(a):
-    return np.clip(a, _BOX_LO, _BOX_HI)
-
-
-def _dot(x, y):
-    return float(np.mean(x * y))
-
-
-def _spg_box(a, obj_grad, tol, max_iter):
-    """Nonmonotone spectral projected gradient on the clamped box.
-
-    obj_grad(A) -> (f, G) with the mean-convention gradient; returns the final
-    iterate, value, gradient and projected-gradient sup norm.
-    """
-    f, g = obj_grad(a)
-    step = 1.0 / max(1.0, float(np.max(np.abs(g))))
-    hist = [f]
-    pg = float(np.max(np.abs(a - _proj(a - g))))
-    for _ in range(max_iter):
-        pg = float(np.max(np.abs(a - _proj(a - g))))
-        if pg <= tol:
-            break
-        d = _proj(a - step * g) - a
-        gd = _dot(g, d)
-        if gd >= -1e-18:
-            step = 1.0
-            d = _proj(a - step * g) - a
-            gd = _dot(g, d)
-            if gd >= -1e-18:
-                break
-        fref = max(hist[-10:])
-        alpha = 1.0
-        while True:
-            an = a + alpha * d
-            fn, gn = obj_grad(an)
-            if fn <= fref + 1e-4 * alpha * gd or alpha < 1e-12:
-                break
-            alpha *= 0.5
-        s = an - a
-        y = gn - g
-        sy = _dot(s, y)
-        step = min(max(_dot(s, s) / sy, 1e-8), 1e8) if sy > 1e-18 else 1.0
-        a, f, g = an, fn, gn
-        hist.append(f)
-    return a, f, g, pg
+# Augmented-Lagrangian solve
 
 
 def _ls_multipliers(a, d):
@@ -340,39 +267,22 @@ class _RunRecord:
 
 def _lagrangian_pg(a, d, lam):
     """Projected sup-norm of the Lagrangian gradient I0'(a) - lam1 - lam2 d."""
-    g = rate_derivative(a) - lam[0] - lam[1] * d
-    return float(np.max(np.abs(a - _proj(a - g))))
+    return projected_gradient_norm(a, rate_derivative(a) - lam[0] - lam[1] * d)
 
 
 def _solve_constrained(a0, target: DensityPair, motif: Motif, cfg: OptimConfig):
     m = cfg.m
-    dens_grad = _make_problem(motif, m)
+    dens_grad = density_gradient(motif, m)
     te, tt = target.e, target.t
     rho = cfg.penalty_initial
     best = {"s": -math.inf, "a": None}
-    a = _proj(np.array(a0, dtype=float))
+    a = project(np.array(a0, dtype=float))
     # seed the multipliers from the Euler-Lagrange fit at the start; for an
     # ansatz that is already the optimizer this makes it a fixed point of the
     # first inner solve instead of a point the penalty term drags away from
     _, d0 = dens_grad(a)
     fit0 = _ls_multipliers(a, d0)
     lam = fit0 if fit0 is not None else np.zeros(2)
-
-    def make_obj(lam, rho):
-        def obj_grad(a):
-            i_val = float(np.mean(rate_value(a)))
-            e_val = float(np.mean(a))
-            t_val, d = dens_grad(a)
-            c = np.array([e_val - te, t_val - tt])
-            lam_eff = lam - rho * c
-            f = i_val - float(lam @ c) + 0.5 * rho * float(c @ c)
-            g = rate_derivative(a) - lam_eff[0] - lam_eff[1] * d
-            if max(abs(c[0]), abs(c[1])) <= cfg.constraint_tol and -i_val > best["s"]:
-                best["s"] = -i_val
-                best["a"] = a.copy()
-            return f, g
-
-        return obj_grad
 
     # Multiplier updates: prefer the least-squares fit of the Euler-Lagrange
     # equations at the current iterate (stable even where the dual iteration
@@ -385,7 +295,8 @@ def _solve_constrained(a0, target: DensityPair, motif: Motif, cfg: OptimConfig):
     stall = 0
     for outer in range(cfg.max_outer_iterations):
         inner_tol = max(0.3 * cfg.kkt_tol, min(1e-2, 0.5 ** outer))
-        a, _, _, pg = _spg_box(a, make_obj(lam, rho), inner_tol, cfg.max_inner_iterations)
+        obj_grad = al_objective(dens_grad, te, tt, lam, rho, cfg.constraint_tol, best)
+        a, _, _, pg = spg_box(a, obj_grad, inner_tol, cfg.max_inner_iterations)
         e_val = float(np.mean(a))
         t_val, d = dens_grad(a)
         c = np.array([e_val - te, t_val - tt])
@@ -460,14 +371,14 @@ def _starts(target: DensityPair, motif: Motif, cfg: OptimConfig):
                 alpha = np.ones(m)
                 alpha[: m // 2] = -1.0
                 starts.append(
-                    ("checkerboard", _proj(e + sign * x * np.outer(alpha, alpha)))
+                    ("checkerboard", project(e + sign * x * np.outer(alpha, alpha)))
                 )
         elif name == "upper_corner":
             corner = closed_form_upper(e, m).values
             denom = e ** 1.5 - e ** k
             theta = (t - e ** k) / denom if abs(denom) > 1e-12 else 0.0
             theta = min(max(theta, 0.05), 1.0)
-            starts.append(("upper_corner", _proj(theta * corner + (1 - theta) * e)))
+            starts.append(("upper_corner", project(theta * corner + (1 - theta) * e)))
         elif name == "bipodal_random":
             c = rng.uniform(0.15, 0.85)
             p = rng.uniform(0.05, 0.95, size=3)
@@ -508,7 +419,7 @@ def maximize_entropy(target: DensityPair, motif: Motif | None = None,
                 f"target ({target.e},{target.t}) classified {cls.value} for the triangle model"
             )
     ceiling = -rate_value(target.e)
-    dens_grad = _make_problem(motif, config.m)
+    dens_grad = density_gradient(motif, config.m)
     multistart_values = []
     best = None  # (s, index, record)
     runs = []
@@ -597,17 +508,23 @@ class CreaseScanResult:
     bound_checks: dict | None
 
 
-def _power_fit(deltas, drops):
-    """log-log regression drop ~ C * delta^p."""
-    ld = np.log(np.asarray(deltas))
-    lr = np.log(np.asarray(drops))
-    fit = sp_stats.linregress(ld, lr)
-    return {
-        "exponent": float(fit.slope),
-        "exponent_stderr": float(fit.stderr),
-        "constant": float(math.exp(fit.intercept)),
-        "intercept_stderr": float(fit.intercept_stderr),
-    }
+def power_fit(xs, ys):
+    """Ordinary least-squares line log y = c0 + c1 log x, for a power law y ~ C x^p.
+
+    Returns (coef, cov): coef = [c0, c1] (so C = exp(c0), p = c1) and cov the
+    OLS covariance s^2 (X^T X)^-1 of coef, with s^2 = RSS / (n - 2); the
+    standard errors are the square roots of its diagonal.
+    """
+    lx = np.log(np.asarray(xs, dtype=float))
+    ly = np.log(np.asarray(ys, dtype=float))
+    n = len(lx)
+    if n < 3:
+        raise DegenerateFit(f"power fit needs at least 3 points, got {n}")
+    x = np.column_stack([np.ones(n), lx])
+    coef, *_ = np.linalg.lstsq(x, ly, rcond=None)
+    resid = ly - x @ coef
+    cov = float(resid @ resid) / (n - 2) * np.linalg.inv(x.T @ x)
+    return coef, cov
 
 
 def crease_scan(e, motif: Motif | None = None, deltas=None,
@@ -659,7 +576,13 @@ def crease_scan(e, motif: Motif | None = None, deltas=None,
     fit = None
     ok_below = [(p.delta, s0 - p.s) for p in below if p.s is not None and s0 - p.s > 0]
     if len(ok_below) >= 3:
-        fit = _power_fit([d for d, _ in ok_below], [r for _, r in ok_below])
+        coef, cov = power_fit([d for d, _ in ok_below], [r for _, r in ok_below])
+        fit = {
+            "exponent": float(coef[1]),
+            "exponent_stderr": math.sqrt(cov[1, 1]),
+            "constant": math.exp(coef[0]),
+            "intercept_stderr": math.sqrt(cov[0, 0]),
+        }
 
     bounds = None
     if motif == Motif.triangle():

@@ -16,7 +16,13 @@ import numpy as np
 from . import region
 from .errors import EmptyTable, Infeasible, ValueOutOfRange
 from .graphon import DensityPair, Graphon, Motif, constant_graphon
-from .optimize import CreaseScanResult, OptimConfig, crease_scan, maximize_entropy
+from .optimize import (
+    CreaseScanResult,
+    OptimConfig,
+    crease_scan,
+    maximize_entropy,
+    power_fit,
+)
 
 DEFAULT_OFFSETS = (1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2)
 
@@ -119,15 +125,7 @@ def _side_quotient(points, s0, delta_ref):
     pts = [(p.delta, s0 - p.s) for p in points if p.s is not None and s0 - p.s > 0]
     if len(pts) < 3:
         return None, None
-    ld = np.log([d for d, _ in pts])
-    lr = np.log([r for _, r in pts])
-    n = len(ld)
-    a = np.column_stack([np.ones(n), ld])
-    coef, res_ss, *_ = np.linalg.lstsq(a, lr, rcond=None)
-    resid = lr - a @ coef
-    dof = max(n - 2, 1)
-    s2 = float(resid @ resid) / dof
-    cov = s2 * np.linalg.inv(a.T @ a)
+    coef, cov = power_fit([d for d, _ in pts], [r for _, r in pts])
     x = np.array([1.0, math.log(delta_ref)])
     pred = float(x @ coef)
     se_log = math.sqrt(max(float(x @ cov @ x), 0.0))

@@ -1,6 +1,8 @@
 """Command-line interface tests (in-process via cli.run)."""
 
+import argparse
 import json
+import os
 
 import pytest
 
@@ -8,6 +10,7 @@ from graphentropy.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
     EXIT_USAGE,
+    _threads,
     run,
 )
 
@@ -15,6 +18,17 @@ from graphentropy.cli import (
 def _read_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def test_census_threads_auto_matches_one_thread(capsys):
+    assert run(["census", "--n", "5", "--threads", "1"]) == EXIT_OK
+    one = capsys.readouterr().out
+    assert one.startswith("n,edges,triangles,count\n")
+    assert run(["census", "--n", "5", "--threads", "auto"]) == EXIT_OK
+    assert capsys.readouterr().out == one
+    # auto means every CPU the process may run on, not a silent 1
+    auto = _threads(argparse.Namespace(threads="auto"))
+    assert auto == len(os.sched_getaffinity(0))
 
 
 def test_region_csv(tmp_path):

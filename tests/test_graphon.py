@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from graphentropy import errors
+from graphentropy import _kernel, errors
 from graphentropy.graphon import (
     DensityPair,
     Graphon,
@@ -29,7 +32,6 @@ from graphentropy.graphon import (
     write_graphon,
     write_motif,
 )
-from graphentropy.graphon import _motif_density_einsum, _motif_gradient_einsum
 
 
 def _random_graphon(rng, m):
@@ -48,6 +50,7 @@ def test_motif_shorthands():
     assert Motif.triangle().k == 3
     assert Motif.star(4).k == 4
     assert Motif.star(4).name == "star:4"
+    assert Motif.from_edges(1, []).name == "motif(ell=1,k=0)"
 
 
 def test_motif_validation():
@@ -92,10 +95,10 @@ def test_fast_paths_match_einsum():
         g = _random_graphon(rng, m)
         for motif in (Motif.triangle(), Motif.star(3), Motif.star(4), square):
             fast = motif_density(g, motif)
-            ref = _motif_density_einsum(g.values, m, motif)
+            ref = _kernel.einsum_density(g.values, m, motif)
             assert fast == pytest.approx(ref, rel=1e-12)
             gf = motif_gradient(g, motif)
-            gr = _motif_gradient_einsum(g.values, m, motif)
+            gr = _kernel.einsum_gradient(g.values, m, motif)
             assert np.allclose(gf, gr, atol=1e-12)
 
 
@@ -219,3 +222,170 @@ def test_motif_file_roundtrip(tmp_path):
 def test_graphon_text_full_precision():
     g = constant_graphon(1.0 / 3.0, 2)
     assert repr(1.0 / 3.0) in graphon_text(g)
+
+
+# ---------------------------------------------------------------------------
+# Solver kernels against a reference copy
+#
+# The functions below are the solver's density/gradient fast paths, its
+# augmented-Lagrangian and free-energy objectives and the rate function as
+# they were written before `_kernel` replaced them with fewer numpy calls.
+# The rewrite is meant to keep every bit, so triangle and star results must
+# be equal, not close.
+
+_REF_CLAMP = 1e-12
+
+
+def _ref_rate_value(u):
+    scalar = np.isscalar(u) or getattr(u, "ndim", 0) == 0
+    a = np.atleast_1d(np.asarray(u, dtype=float))
+    out = np.zeros_like(a)
+    inner = (a > 0.0) & (a < 1.0)
+    ai = a[inner]
+    out[inner] = 0.5 * (ai * np.log(ai) + (1.0 - ai) * np.log(1.0 - ai))
+    return float(out[0]) if scalar else out.reshape(np.shape(u))
+
+
+def _ref_rate_derivative(u):
+    a = np.clip(np.asarray(u, dtype=float), _REF_CLAMP, 1.0 - _REF_CLAMP)
+    out = 0.5 * (np.log(a) - np.log1p(-a))
+    return float(out) if out.ndim == 0 else out
+
+
+def _ref_make_problem(motif, m):
+    if motif == Motif.triangle():
+
+        def dens_grad(a):
+            a2 = a @ a
+            return float(np.sum(a2 * a)) / m ** 3, 3.0 * a2 / m
+
+        return dens_grad
+    assert motif.edges == frozenset((1, j) for j in range(2, motif.ell + 1))
+    k = motif.k
+
+    def dens_grad(a):
+        r = np.mean(a, axis=1)
+        rp = r ** (k - 1)
+        d = 0.5 * k * (rp[:, None] + rp[None, :])
+        return float(np.mean(r ** k)), d
+
+    return dens_grad
+
+
+def _ref_al_objective(dens_grad, te, tt, lam, rho, tol, best):
+    def obj_grad(a):
+        i_val = float(np.mean(_ref_rate_value(a)))
+        e_val = float(np.mean(a))
+        t_val, d = dens_grad(a)
+        c = np.array([e_val - te, t_val - tt])
+        lam_eff = lam - rho * c
+        f = i_val - float(lam @ c) + 0.5 * rho * float(c @ c)
+        g = _ref_rate_derivative(a) - lam_eff[0] - lam_eff[1] * d
+        if max(abs(c[0]), abs(c[1])) <= tol and -i_val > best["s"]:
+            best["s"] = -i_val
+            best["a"] = a.copy()
+        return f, g
+
+    return obj_grad
+
+
+def _ref_free_energy(dens_grad, b1, b2):
+    def obj_grad(a):
+        t_val, d = dens_grad(a)
+        f = float(np.mean(_ref_rate_value(a))) - b1 * float(np.mean(a)) - b2 * t_val
+        return f, _ref_rate_derivative(a) - b1 - b2 * d
+
+    return obj_grad
+
+
+_FAST_MOTIFS = [Motif.triangle()] + [Motif.star(k) for k in (1, 2, 3, 4)]
+_BOX = st.floats(_REF_CLAMP, 1.0 - _REF_CLAMP)
+
+
+@st.composite
+def _box_graphons(draw):
+    """Symmetric m x m matrices with entries in [CLAMP, 1-CLAMP], box ends included."""
+    m = draw(st.sampled_from([1, 2, 7, 16]))
+    r = draw(arrays(np.float64, (m, m), elements=_BOX))
+    return np.triu(r) + np.triu(r, 1).T
+
+
+_SETTINGS = settings(max_examples=60, deadline=None)
+
+
+@_SETTINGS
+@given(a=_box_graphons(), motif=st.sampled_from(_FAST_MOTIFS))
+def test_kernel_density_gradient_bit_equal_to_reference(a, motif):
+    m = a.shape[0]
+    t_ref, d_ref = _ref_make_problem(motif, m)(a)
+    t, d = _kernel.density_gradient(motif, m)(a)
+    assert t == t_ref and np.array_equal(d, d_ref)
+    g = Graphon(values=a.copy())
+    assert motif_density(g, motif) == t_ref
+    assert np.array_equal(motif_gradient(g, motif), d_ref)
+
+
+@_SETTINGS
+@given(a=_box_graphons())
+def test_kernel_c4_matches_matrix_powers(a):
+    # t(C4) = tr(A^4) / m^4 and its field is 4 A^3 / m^2
+    m = a.shape[0]
+    c4 = Motif.from_edges(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+    a3 = a @ a @ a
+    t_ref = float(np.sum(a3 * a)) / m ** 4
+    d_ref = 4.0 * a3 / m ** 2
+    t, d = _kernel.density_gradient(c4, m)(a)
+    assert t == pytest.approx(t_ref, rel=1e-13)
+    assert np.allclose(d, d_ref, rtol=1e-13, atol=0.0)
+
+
+# Scalars come from a seeded generator rather than from hypothesis floats,
+# which favour values such as 0, 1 and integers whose products round
+# exactly and so would hide a change in rounding.
+_SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+@_SETTINGS
+@given(
+    a=_box_graphons(),
+    motif=st.sampled_from(_FAST_MOTIFS),
+    seed=_SEEDS,
+    tol=st.sampled_from([1e-6, 2.0]),
+)
+def test_kernel_al_objective_bit_equal_to_reference(a, motif, seed, tol):
+    m = a.shape[0]
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(-50.0, 50.0, size=2)
+    rho = 10.0 ** float(rng.uniform(-2.0, 8.0))
+    te, tt = rng.uniform(0.0, 1.0, size=2).tolist()
+    best_ref = {"s": -math.inf, "a": None}
+    best = {"s": -math.inf, "a": None}
+    f_ref, g_ref = _ref_al_objective(
+        _ref_make_problem(motif, m), te, tt, lam, rho, tol, best_ref)(a)
+    f, g = _kernel.al_objective(
+        _kernel.density_gradient(motif, m), te, tt, lam, rho, tol, best)(a)
+    assert f == f_ref and np.array_equal(g, g_ref)
+    assert best["s"] == best_ref["s"]
+    assert (best["a"] is None) == (best_ref["a"] is None)
+    if best["a"] is not None:
+        assert np.array_equal(best["a"], best_ref["a"])
+
+
+@_SETTINGS
+@given(a=_box_graphons(), motif=st.sampled_from(_FAST_MOTIFS), seed=_SEEDS)
+def test_kernel_free_energy_bit_equal_to_reference(a, motif, seed):
+    m = a.shape[0]
+    b1, b2 = np.random.default_rng(seed).uniform(-20.0, 20.0, size=2).tolist()
+    f_ref, g_ref = _ref_free_energy(_ref_make_problem(motif, m), b1, b2)(a)
+    f, g = _kernel.free_energy_objective(_kernel.density_gradient(motif, m), b1, b2)(a)
+    assert f == f_ref and np.array_equal(g, g_ref)
+
+
+@_SETTINGS
+@given(a=_box_graphons(), shift=st.floats(-0.5, 0.5))
+def test_rate_derivative_and_projection_bit_equal_to_reference(a, shift):
+    # shifted entries leave the box, so the clamp is exercised
+    x = a + shift
+    assert np.array_equal(rate_derivative(x), _ref_rate_derivative(x))
+    assert rate_derivative(float(x[0, 0])) == _ref_rate_derivative(float(x[0, 0]))
+    assert np.array_equal(_kernel.project(x), np.clip(x, _REF_CLAMP, 1.0 - _REF_CLAMP))

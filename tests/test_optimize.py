@@ -16,9 +16,43 @@ from graphentropy.optimize import (
     estimate_multipliers,
     f_minus,
     maximize_entropy,
+    power_fit,
 )
 
 FAST = OptimConfig(m=8, multistart_count=2)
+
+
+# ---------------------------------------------------------------------------
+# Log-log fit
+
+
+def test_power_fit_recovers_exact_power_law():
+    xs = np.geomspace(1e-4, 3e-2, 6)
+    coef, cov = power_fit(xs, 0.37 * xs ** (2.0 / 3.0))
+    assert coef[1] == pytest.approx(2.0 / 3.0, rel=1e-12)
+    assert math.exp(coef[0]) == pytest.approx(0.37, rel=1e-12)
+    assert np.all(np.abs(cov) < 1e-20)
+
+
+def test_power_fit_standard_errors_match_closed_form():
+    # perturbed power law, so the residuals and standard errors are not zero
+    xs = np.geomspace(1e-4, 3e-2, 7)
+    noise = np.array([0.03, -0.02, 0.05, -0.04, 0.01, 0.02, -0.05])
+    ys = 1.3 * xs ** 0.5 * np.exp(noise)
+    coef, cov = power_fit(xs, ys)
+    lx, ly = np.log(xs), np.log(ys)
+    n = len(lx)
+    sxx = float(np.sum((lx - lx.mean()) ** 2))
+    slope = float(np.sum((lx - lx.mean()) * (ly - ly.mean()))) / sxx
+    intercept = float(ly.mean()) - slope * float(lx.mean())
+    s2 = float(np.sum((ly - intercept - slope * lx) ** 2)) / (n - 2)
+    assert coef[1] == pytest.approx(slope, rel=1e-12)
+    assert coef[0] == pytest.approx(intercept, rel=1e-12)
+    assert math.sqrt(cov[1, 1]) == pytest.approx(math.sqrt(s2 / sxx), rel=1e-12)
+    assert math.sqrt(cov[0, 0]) == pytest.approx(
+        math.sqrt(s2 * (1.0 / n + float(lx.mean()) ** 2 / sxx)), rel=1e-12)
+    with pytest.raises(errors.DegenerateFit):
+        power_fit(xs[:2], ys[:2])
 
 
 # ---------------------------------------------------------------------------
