@@ -155,13 +155,18 @@ def compare_to_variational(table: CensusTable, points, alpha, reference) -> dict
     return {"alpha": alpha, "n": table.n, "points": rows, "ridge": ridge}
 
 
+def census_csv(table: CensusTable) -> str:
+    """CSV text: rows (n, edges, triangles, count) ordered by (edges, triangles),
+    lines ended by \n; the output of `graphentropy census`."""
+    lines = ["n,edges,triangles,count"]
+    lines += [f"{table.n},{ec},{tc},{table.counts[(ec, tc)]}" for (ec, tc) in sorted(table.counts)]
+    return "\n".join(lines) + "\n"
+
+
 def write_census_csv(table: CensusTable, path):
-    """Persist as rows (n, edges, triangles, count) ordered by (edges, triangles)."""
+    """Persist census_csv(table) to path."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "edges", "triangles", "count"])
-        for (ec, tc) in sorted(table.counts):
-            w.writerow([table.n, ec, tc, table.counts[(ec, tc)]])
+        fh.write(census_csv(table))
 
 
 def read_census_csv(path) -> CensusTable:

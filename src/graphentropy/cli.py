@@ -37,7 +37,6 @@ from .graphon import (
     motif_density,
     motif_gradient,
     rate_value,
-    read_motif,
 )
 from .optimize import (
     OptimConfig,
@@ -84,12 +83,12 @@ def _emit_json(payload, out_path):
     _emit(json.dumps(_sanitize(payload), indent=2, sort_keys=True) + "\n", out_path)
 
 
-def _parse_motif(text) -> Motif:
-    if text == "triangle":
-        return Motif.triangle()
-    if text.startswith("star:"):
-        return Motif.star(int(text.split(":", 1)[1]))
-    return read_motif(text)
+def _emit_csv(header, rows, out_path):
+    """CSV with a header line and one line per row: repr for floats (so the
+    values round-trip and nan prints as nan), str for everything else."""
+    lines = [",".join(repr(v) if isinstance(v, float) else str(v) for v in row)
+             for row in [header, *rows]]
+    _emit("\n".join(lines) + "\n", out_path)
 
 
 def _load_config(args) -> OptimConfig:
@@ -139,7 +138,7 @@ def _entropy_payload(res):
 
 def _cmd_entropy(args):
     cfg = _load_config(args)
-    motif = _parse_motif(args.motif)
+    motif = Motif.parse(args.motif)
     res = maximize_entropy(DensityPair(e=args.e, t=args.t), motif, cfg)
     _emit_json(_entropy_payload(res), args.out)
     return EXIT_OK if res.converged else EXIT_NOT_CONVERGED
@@ -156,18 +155,13 @@ def _cmd_scan(args):
         e_grid=[float(x) for x in doc["e_grid"]],
         t_grid=[float(x) for x in doc["t_grid"]],
         relative=bool(doc.get("relative", True)),
-        motif=_parse_motif(doc.get("motif", "triangle")),
+        motif=Motif.parse(doc.get("motif", "triangle")),
         config=cfg,
     )
     table = phase_mod.phase_diagram_scan(spec)
-    buf = io.StringIO()
-    buf.write("e,t,s,beta1,beta2,converged,el_residual,status\n")
-    for r in table:
-        buf.write(
-            f"{r.e!r},{r.t!r},{r.s!r},{r.beta1!r},{r.beta2!r},"
-            f"{int(r.converged)},{r.el_residual!r},{r.status}\n"
-        )
-    _emit(buf.getvalue(), args.out)
+    _emit_csv(("e", "t", "s", "beta1", "beta2", "converged", "el_residual", "status"),
+              [(r.e, r.t, r.s, r.beta1, r.beta2, int(r.converged), r.el_residual, r.status)
+               for r in table], args.out)
     if args.svg:
         with open(args.svg, "w") as fh:
             fh.write(phase_mod.render_svg(table, "heatmap"))
@@ -176,9 +170,8 @@ def _cmd_scan(args):
 
 def _cmd_crease(args):
     cfg = _load_config(args)
-    motif = _parse_motif(args.motif)
-    e_values = [float(x) for x in args.e.split(",")]
-    verdicts = phase_mod.crease_report(e_values, motif, cfg)
+    motif = Motif.parse(args.motif)
+    verdicts = phase_mod.crease_report(args.e, motif, cfg)
     payload = []
     for v in verdicts:
         payload.append({
@@ -197,12 +190,8 @@ def _cmd_crease(args):
 
 
 def _cmd_region(args):
-    rows = region_mod.boundary_table(args.samples)
-    buf = io.StringIO()
-    buf.write("e,upper,er,envelope\n")
-    for e, up, er, env in rows:
-        buf.write(f"{e!r},{up!r},{er!r},{env!r}\n")
-    _emit(buf.getvalue(), args.out)
+    _emit_csv(("e", "upper", "er", "envelope"), region_mod.boundary_table(args.samples),
+              args.out)
     return EXIT_OK
 
 
@@ -210,11 +199,7 @@ def _cmd_ergm(args):
     cfg = _load_config(args)
     if args.curve:
         rows = ergm_mod.transition_curve(args.beta2_min, args.beta2_max, args.steps)
-        buf = io.StringIO()
-        buf.write("beta2,beta1_critical,u_low,u_high\n")
-        for b2, b1, ul, uh in rows:
-            buf.write(f"{b2!r},{b1!r},{ul!r},{uh!r}\n")
-        _emit(buf.getvalue(), args.out)
+        _emit_csv(("beta2", "beta1_critical", "u_low", "u_high"), rows, args.out)
         if args.svg:
             with open(args.svg, "w") as fh:
                 fh.write(phase_mod.render_svg(rows, "curves"))
@@ -228,23 +213,19 @@ def _cmd_ergm(args):
                     "points": report["points"]}, args.out)
         return EXIT_OK if not report["violations"] else EXIT_INVARIANT
     if args.grid:
-        vals = [float(x) for x in args.grid.split(",")]
-        if len(vals) != 6:
+        if len(args.grid) != 6:
             raise ValueOutOfRange("--grid needs b1lo,b1hi,n1,b2lo,b2hi,n2")
-        b1s = np.linspace(vals[0], vals[1], int(vals[2]))
-        b2s = np.linspace(vals[3], vals[4], int(vals[5]))
-        buf = io.StringIO()
-        buf.write("beta1,beta2,psi,e,t,degenerate\n")
-        for b1 in b1s:
-            for b2 in b2s:
+        b1lo, b1hi, n1, b2lo, b2hi, n2 = args.grid
+        rows = []
+        for b1 in np.linspace(b1lo, b1hi, int(n1)):
+            for b2 in np.linspace(b2lo, b2hi, int(n2)):
                 try:
                     r = ergm_mod.psi_full(ergm_mod.ErgmParams(float(b1), float(b2)), cfg)
                 except NotConverged as exc:
                     r = exc.result
                 d = r.maximizer_densities
-                buf.write(f"{float(b1)!r},{float(b2)!r},{r.psi!r},{d.e!r},{d.t!r},"
-                          f"{int(r.degenerate)}\n")
-        _emit(buf.getvalue(), args.out)
+                rows.append((float(b1), float(b2), r.psi, d.e, d.t, int(r.degenerate)))
+        _emit_csv(("beta1", "beta2", "psi", "e", "t", "degenerate"), rows, args.out)
         return EXIT_OK
     raise ValueOutOfRange("ergm needs one of --grid, --curve, --verify-thm5")
 
@@ -253,11 +234,7 @@ def _cmd_census(args):
     table = census_mod.enumerate_census(
         args.n, allow_large=args.allow_large, threads=_threads(args)
     )
-    buf = io.StringIO()
-    buf.write("n,edges,triangles,count\n")
-    for (ec, tc) in sorted(table.counts):
-        buf.write(f"{table.n},{ec},{tc},{table.counts[(ec, tc)]}\n")
-    _emit(buf.getvalue(), args.out)
+    _emit(census_mod.census_csv(table), args.out)
     return EXIT_OK
 
 
@@ -272,7 +249,10 @@ def _cmd_census_compare(args):
         for line in fh:
             if not line.strip():
                 continue
-            e, t = (float(x) for x in line.strip().split(",")[:2])
+            try:
+                e, t = (float(x) for x in line.strip().split(",")[:2])
+            except ValueError:
+                raise FormatError(f"bad points row {line.strip()!r}") from None
             points.append(DensityPair(e=e, t=t))
 
     def reference(p):
@@ -401,8 +381,16 @@ def _global_flags(p, suppress):
     p.add_argument("--seed", type=int, default=d, help="RNG seed (u64)")
     p.add_argument("--threads", default=d, help="worker count, or 'auto' for every available CPU")
     p.add_argument("--out", default=d, help="machine-output file (default stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default=d)
     p.add_argument("--config", default=d, help="JSON config file, version 1")
+
+
+def _floats(text):
+    """argparse type for a comma-separated list of floats."""
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"want comma-separated numbers, got {text!r}") from None
 
 
 def _build_parser():
@@ -430,7 +418,7 @@ def _build_parser():
     sp.set_defaults(handler=_cmd_scan)
 
     sp = sub.add_parser("crease", parents=[shared], help="one-sided analysis around t = e^k")
-    sp.add_argument("--e", required=True, help="comma-separated e values")
+    sp.add_argument("--e", type=_floats, required=True, help="comma-separated e values")
     sp.add_argument("--motif", default="triangle")
     sp.set_defaults(handler=_cmd_crease)
 
@@ -439,7 +427,7 @@ def _build_parser():
     sp.set_defaults(handler=_cmd_region)
 
     sp = sub.add_parser("ergm", parents=[shared], help="free energy and transition curve")
-    sp.add_argument("--grid", default=None, help="b1lo,b1hi,n1,b2lo,b2hi,n2")
+    sp.add_argument("--grid", type=_floats, default=None, help="b1lo,b1hi,n1,b2lo,b2hi,n2")
     sp.add_argument("--curve", action="store_true")
     sp.add_argument("--beta2-min", type=float, default=0.6)
     sp.add_argument("--beta2-max", type=float, default=2.0)

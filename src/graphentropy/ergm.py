@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize as sp_opt
 
 from ._kernel import CLAMP, density_gradient, free_energy_objective, project, spg_box
 from .errors import NoTransitionFound, NotConverged, SignPatternUnexpected, ValueOutOfRange
@@ -66,6 +65,8 @@ def _phi(u, beta1, beta2):
 
 def _scalar_maximizers(beta1, beta2, grid_points=10_000, tie_tol=1e-8):
     """All local maximizers of phi on [0,1] within tie_tol of the global max."""
+    from scipy import optimize as sp_opt  # not at module level: slower than the package import
+
     us = np.linspace(CLAMP, 1.0 - CLAMP, grid_points)
     ph = _phi(us, beta1, beta2)
     # local maxima on the grid, endpoints included
@@ -285,6 +286,8 @@ def slice_second_derivative_fd(t, h=None):
 
 def convexity_report(samples=400) -> ConvexityReport:
     """Locate the concave-to-convex change of s(1/2, t) on (0, 1/8)."""
+    from scipy import optimize as sp_opt  # not at module level: slower than the package import
+
     if samples < 100:
         raise ValueOutOfRange("need at least 100 samples")
     ts = np.linspace(1e-4, 0.125 - 1e-6, samples)

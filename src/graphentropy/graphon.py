@@ -114,14 +114,17 @@ class Motif:
 
     @classmethod
     def parse(cls, text):
-        """Parse 'triangle', 'edge' or 'star:k' shorthand."""
+        """Parse 'triangle', 'edge' or 'star:k'; any other text is the path of
+        a motif file (see read_motif)."""
         if text == "triangle":
             return cls.triangle()
         if text == "edge":
             return cls.edge()
         if text.startswith("star:"):
-            return cls.star(int(text.split(":", 1)[1]))
-        raise ValueOutOfRange(f"unknown motif shorthand {text!r}")
+            if not text[5:].isdecimal():
+                raise ValueOutOfRange(f"star needs a whole edge count, got {text!r}")
+            return cls.star(int(text[5:]))
+        return read_motif(text)
 
     def _connected(self):
         if self.ell == 1:
@@ -344,6 +347,9 @@ def read_motif(path) -> Motif:
         raise FormatError("bad vertex count in header") from exc
     edges = []
     for ln in lines[1:]:
-        i, j = ln.split()
-        edges.append((int(i), int(j)))
+        try:
+            i, j = (int(x) for x in ln.split())
+        except ValueError:
+            raise FormatError(f"bad motif edge row {ln!r}; want two vertex numbers") from None
+        edges.append((i, j))
     return Motif.from_edges(ell, edges)

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize as sp_opt
 
 from . import region
 from ._kernel import (
@@ -136,6 +135,8 @@ def _f_ratio(e, x):
 
 def f_minus(e, grid_points=100_000) -> CreaseBoundConstants:
     """Infimum of f(e, x) over x in [-e, 1-e], by grid scan plus local polish."""
+    from scipy import optimize as sp_opt  # not at module level: slower than the package import
+
     if not (0.0 < e < 1.0):
         raise ValueOutOfRange(f"e={e} outside (0,1)")
     xs = np.linspace(-e, 1.0 - e, grid_points)
@@ -218,23 +219,17 @@ def el_residual(g: Graphon, beta1, beta2, motif: Motif | None = None) -> ELResid
 
 
 def estimate_multipliers(g: Graphon, motif: Motif | None = None) -> dict:
-    """Least-squares (beta1, beta2) minimizing the Euler-Lagrange residual."""
+    """Least-squares (beta1, beta2) minimizing the Euler-Lagrange residual over
+    the interior blocks (boundary blocks carry box multipliers); the residual
+    norm is the sup over every block."""
     if motif is None:
         motif = Motif.triangle()
-    h = motif_gradient(g, motif)
-    hv = h.ravel()
-    if float(np.std(hv)) < 1e-10 * max(1.0, float(np.mean(np.abs(hv)))):
-        raise DegenerateFit("first-variation field is constant; beta2 unidentifiable")
-    y = rate_derivative(g.values).ravel()
-    x = np.column_stack([np.ones_like(hv), hv])
-    coef, *_ = np.linalg.lstsq(x, y, rcond=None)
+    coef = _ls_multipliers(g.values, motif_gradient(g, motif))
+    if coef is None:
+        raise DegenerateFit("too few interior blocks or a constant h field; beta2 unidentifiable")
     beta1, beta2 = float(coef[0]), float(coef[1])
     res = el_residual(g, beta1, beta2, motif)
     return {"beta1": beta1, "beta2": beta2, "residual_norm": res.sup_norm}
-
-
-# ---------------------------------------------------------------------------
-# Augmented-Lagrangian solve
 
 
 def _ls_multipliers(a, d):
@@ -252,6 +247,10 @@ def _ls_multipliers(a, d):
     if not np.all(np.isfinite(coef)):
         return None
     return coef
+
+
+# ---------------------------------------------------------------------------
+# Augmented-Lagrangian solve
 
 
 @dataclass
@@ -400,6 +399,25 @@ def _starts(target: DensityPair, motif: Motif, cfg: OptimConfig):
 # Public solver
 
 
+def _region_precheck(target: DensityPair, motif: Motif, tol) -> str:
+    """Raise Infeasible for a target outside the motif's proven region; else
+    return where it lies, for the message of a later Infeasible.  A k-star's
+    degree r(x) lies in [0, 1] with mean e, so e^k <= t (Jensen) <= e (r^k <= r).
+    """
+    e, t = target.e, target.t
+    if motif.is_triangle:
+        cls = region.classify(e, t, tol=tol)
+        if cls in (region.RegionClass.OUTSIDE_UPPER, region.RegionClass.BELOW_ENVELOPE):
+            raise Infeasible(f"target ({e},{t}) classified {cls.value} for the triangle model")
+        return f"; region class {cls.value}"
+    if motif.is_star:
+        k = motif.k
+        if not (e ** k - tol <= t <= e + tol):
+            raise Infeasible(f"target ({e},{t}) outside e^{k} <= t <= e for the {motif.name} model")
+        return f"; inside e^{k} <= t <= e"
+    return ""
+
+
 def maximize_entropy(target: DensityPair, motif: Motif | None = None,
                      config: OptimConfig | None = None) -> EntropyResult:
     """Maximize -I(g) subject to e(g) = target.e and t(H, g) = target.t.
@@ -412,12 +430,7 @@ def maximize_entropy(target: DensityPair, motif: Motif | None = None,
         motif = Motif.triangle()
     if config is None:
         config = OptimConfig()
-    if motif == Motif.triangle():
-        cls = region.classify(target.e, target.t, tol=config.constraint_tol)
-        if cls in (region.RegionClass.OUTSIDE_UPPER, region.RegionClass.BELOW_ENVELOPE):
-            raise Infeasible(
-                f"target ({target.e},{target.t}) classified {cls.value} for the triangle model"
-            )
+    region_note = _region_precheck(target, motif, config.constraint_tol)
     ceiling = -rate_value(target.e)
     dens_grad = density_gradient(motif, config.m)
     multistart_values = []
@@ -436,12 +449,9 @@ def maximize_entropy(target: DensityPair, motif: Motif | None = None,
     if best is None:
         min_viol = min(r.viol for r in runs)
         if min_viol > 10.0 * config.constraint_tol:
-            extra = ""
-            if motif == Motif.triangle():
-                extra = f"; region class {region.classify(target.e, target.t).value}"
             raise Infeasible(
                 f"no start reached constraint tolerance (best violation {min_viol:.3g})"
-                + extra
+                + region_note
             )
         # feasible region grazed but not entered within tolerance
         rec = min(runs, key=lambda r: r.viol)
@@ -483,7 +493,29 @@ def maximize_entropy(target: DensityPair, motif: Motif | None = None,
 
 
 # ---------------------------------------------------------------------------
-# Crease scan
+# Continuation march and crease scan
+
+DEFAULT_OFFSETS = (1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2)
+
+
+def continuation_march(e, ts, motif: Motif, config: OptimConfig) -> list:
+    """Solve at (e, t) for each t in turn, each warm-started from the last
+    solution (the first from the constant graphon at e).  One EntropyResult per
+    t, or None where t is outside [0, 1] or the solve raises Infeasible."""
+    results = []
+    warm = constant_graphon(e, config.m)
+    for t in ts:
+        res = None
+        if 0.0 <= t <= 1.0:
+            try:
+                res = maximize_entropy(DensityPair(e=e, t=t), motif,
+                                       replace(config, warm_start=warm))
+            except Infeasible:
+                pass
+        if res is not None:
+            warm = res.g_star
+        results.append(res)
+    return results
 
 
 @dataclass
@@ -527,6 +559,15 @@ def power_fit(xs, ys):
     return coef, cov
 
 
+def side_power_fit(points, s0):
+    """power_fit of the drops s0 - s > 0 against the offsets of one side's
+    CreasePoints; None when fewer than 3 points drop."""
+    pts = [(p.delta, s0 - p.s) for p in points if p.s is not None and s0 - p.s > 0]
+    if len(pts) < 3:
+        return None
+    return power_fit([d for d, _ in pts], [r for _, r in pts])
+
+
 def crease_scan(e, motif: Motif | None = None, deltas=None,
                 config: OptimConfig | None = None) -> CreaseScanResult:
     """One-sided behavior of s(e, t) around the curve t = e^k.
@@ -540,7 +581,7 @@ def crease_scan(e, motif: Motif | None = None, deltas=None,
     if config is None:
         config = OptimConfig()
     if deltas is None:
-        deltas = [1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2]
+        deltas = DEFAULT_OFFSETS
     if not (0.0 < e < 1.0):
         raise ValueOutOfRange(f"e={e} outside (0,1)")
     k = motif.k
@@ -548,35 +589,24 @@ def crease_scan(e, motif: Motif | None = None, deltas=None,
     s0 = -rate_value(e)
     deltas = sorted(float(d) for d in deltas)
 
-    def march(side):
-        points = []
-        warm = constant_graphon(e, config.m)
-        for d in deltas:
-            t = t0 - d if side == "below" else t0 + d
-            if not (0.0 <= t <= 1.0):
-                points.append(CreasePoint(d, t, None, "infeasible", None))
-                continue
-            cfg = replace(config, warm_start=warm)
-            try:
-                res = maximize_entropy(DensityPair(e=e, t=t), motif, cfg)
-            except Infeasible:
-                points.append(CreasePoint(d, t, None, "infeasible", None))
-                continue
-            status = "ok" if res.converged else "not_converged"
-            q = (s0 - res.s_value) / d
-            points.append(CreasePoint(d, t, res.s_value, status, q))
-            warm = res.g_star
-        return points
+    def march(sign):
+        ts = [t0 + sign * d for d in deltas]
+        return [
+            CreasePoint(d, t, None, "infeasible", None) if res is None
+            else CreasePoint(d, t, res.s_value, "ok" if res.converged else "not_converged",
+                             (s0 - res.s_value) / d)
+            for d, t, res in zip(deltas, ts, continuation_march(e, ts, motif, config))
+        ]
 
-    below = march("below")
-    above = march("above")
+    below = march(-1.0)
+    above = march(1.0)
     left_slopes = [p.quotient for p in below if p.s is not None]
     right_slopes = [p.quotient for p in above if p.s is not None]
 
     fit = None
-    ok_below = [(p.delta, s0 - p.s) for p in below if p.s is not None and s0 - p.s > 0]
-    if len(ok_below) >= 3:
-        coef, cov = power_fit([d for d, _ in ok_below], [r for _, r in ok_below])
+    below_fit = side_power_fit(below, s0)
+    if below_fit is not None:
+        coef, cov = below_fit
         fit = {
             "exponent": float(coef[1]),
             "exponent_stderr": math.sqrt(cov[1, 1]),

@@ -9,22 +9,20 @@ from one side, never jumped across.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import region
-from .errors import EmptyTable, Infeasible, ValueOutOfRange
-from .graphon import DensityPair, Graphon, Motif, constant_graphon
+from .errors import EmptyTable, ValueOutOfRange
+from .graphon import Graphon, Motif
 from .optimize import (
     CreaseScanResult,
     OptimConfig,
+    continuation_march,
     crease_scan,
-    maximize_entropy,
-    power_fit,
+    side_power_fit,
 )
-
-DEFAULT_OFFSETS = (1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2)
 
 
 @dataclass
@@ -34,7 +32,6 @@ class ScanSpec:
     relative: bool = True
     motif: Motif = field(default_factory=Motif.triangle)
     config: OptimConfig = field(default_factory=OptimConfig)
-    output_path: str | None = None
 
     def __post_init__(self):
         if not self.e_grid or not self.t_grid:
@@ -53,26 +50,14 @@ class ScanRow:
     status: str  # ok | infeasible | not_converged
 
 
-def _march(e, ts, motif, config):
-    """Solve along a t-sequence with warm-started continuation."""
-    rows = []
-    warm = constant_graphon(e, config.m)
-    for t in ts:
-        if not (0.0 <= t <= 1.0):
-            rows.append(ScanRow(e, t, math.nan, math.nan, math.nan, False, math.nan,
-                                "infeasible"))
-            continue
-        cfg = replace(config, warm_start=warm)
-        try:
-            res = maximize_entropy(DensityPair(e=e, t=t), motif, cfg)
-        except Infeasible:
-            rows.append(ScanRow(e, t, math.nan, math.nan, math.nan, False, math.nan,
-                                "infeasible"))
-            continue
-        rows.append(ScanRow(e, t, res.s_value, res.beta1, res.beta2, res.converged,
-                            res.el_residual_norm, "ok" if res.converged else "not_converged"))
-        warm = res.g_star
-    return rows
+def _scan_rows(e, ts, spec):
+    nan = math.nan
+    return [
+        ScanRow(e, t, nan, nan, nan, False, nan, "infeasible") if res is None
+        else ScanRow(e, t, res.s_value, res.beta1, res.beta2, res.converged,
+                     res.el_residual_norm, "ok" if res.converged else "not_converged")
+        for t, res in zip(ts, continuation_march(e, ts, spec.motif, spec.config))
+    ]
 
 
 def phase_diagram_scan(spec: ScanSpec) -> list:
@@ -87,23 +72,11 @@ def phase_diagram_scan(spec: ScanSpec) -> list:
         on = [t for t in ts if t == ridge]
         rows = []
         for t in on:
-            rows.extend(_march(e, [t], spec.motif, spec.config))
-        rows.extend(_march(e, below, spec.motif, spec.config))
-        rows.extend(_march(e, above, spec.motif, spec.config))
+            rows.extend(_scan_rows(e, [t], spec))
+        rows.extend(_scan_rows(e, below, spec))
+        rows.extend(_scan_rows(e, above, spec))
         table.extend(sorted(rows, key=lambda r: r.t))
-    if spec.output_path:
-        write_scan_csv(table, spec.output_path)
     return table
-
-
-def write_scan_csv(table, path):
-    with open(path, "w", newline="") as fh:
-        fh.write("e,t,s,beta1,beta2,converged,el_residual,status\n")
-        for r in table:
-            fh.write(
-                f"{r.e!r},{r.t!r},{r.s!r},{r.beta1!r},{r.beta2!r},"
-                f"{int(r.converged)},{r.el_residual!r},{r.status}\n"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -122,10 +95,10 @@ class CreaseVerdict:
 
 
 def _side_quotient(points, s0, delta_ref):
-    pts = [(p.delta, s0 - p.s) for p in points if p.s is not None and s0 - p.s > 0]
-    if len(pts) < 3:
+    fit = side_power_fit(points, s0)
+    if fit is None:
         return None, None
-    coef, cov = power_fit([d for d, _ in pts], [r for _, r in pts])
+    coef, cov = fit
     x = np.array([1.0, math.log(delta_ref)])
     pred = float(x @ coef)
     se_log = math.sqrt(max(float(x @ cov @ x), 0.0))
@@ -144,13 +117,11 @@ def crease_report(e_values, motif: Motif | None = None,
         motif = Motif.triangle()
     if config is None:
         config = OptimConfig()
-    if deltas is None:
-        deltas = list(DEFAULT_OFFSETS)
     out = []
     for e in e_values:
         scan = crease_scan(e, motif, deltas, config)
         s0 = scan.s_on_curve
-        dref = min(deltas)
+        dref = scan.below[0].delta  # the smallest offset
         ql, sel = _side_quotient(scan.below, s0, dref)
         qr, ser = _side_quotient(scan.above, s0, dref)
         one_sided = (ql is None) != (qr is None)
@@ -197,12 +168,15 @@ def _color(v):
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-def _svg_open():
-    return [
+def _svg(elements):
+    """The SVG document holding the given element lines, on a white page."""
+    return "\n".join([
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
-    ]
+        *elements,
+        "</svg>",
+    ])
 
 
 def _boundary_paths():
@@ -228,21 +202,16 @@ def render_svg(table, kind) -> str:
         smin = min(r.s for r in rows)
         smax = max(r.s for r in rows)
         rng = smax - smin or 1.0
-        parts = _svg_open()
+        parts = []
         for r in rows:
             c = _color((r.s - smin) / rng)
             parts.append(
                 f'<rect x="{_sx(r.e, 0, 1) - 3:.2f}" y="{_sy(r.t, 0, 1) - 3:.2f}" '
                 f'width="6" height="6" fill="{c}"/>'
             )
-        parts.extend(_boundary_paths())
-        parts.append("</svg>")
-        return "\n".join(parts)
+        return _svg(parts + _boundary_paths())
     if kind == "region":
-        parts = _svg_open()
-        parts.extend(_boundary_paths())
-        parts.append("</svg>")
-        return "\n".join(parts)
+        return _svg(_boundary_paths())
     if kind == "curves":
         rows = list(table)
         if not rows:
@@ -254,10 +223,7 @@ def render_svg(table, kind) -> str:
         pts = " ".join(
             f"{_sx(b1, x0, x1):.2f},{_sy(b2, y0, y1):.2f}" for b2, b1, *_ in rows
         )
-        parts = _svg_open()
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="black"/>')
-        parts.append("</svg>")
-        return "\n".join(parts)
+        return _svg([f'<polyline points="{pts}" fill="none" stroke="black"/>'])
     if kind == "graphon":
         if isinstance(table, Graphon):
             vals = table.values
@@ -267,7 +233,7 @@ def render_svg(table, kind) -> str:
             raise EmptyTable("empty graphon")
         m = vals.shape[0]
         cell = (min(_W, _H) - 2 * _PAD) / m
-        parts = _svg_open()
+        parts = []
         for i in range(m):
             for j in range(m):
                 v = min(max(float(vals[i, j]), 0.0), 1.0)
@@ -277,6 +243,5 @@ def render_svg(table, kind) -> str:
                     f'width="{cell:.2f}" height="{cell:.2f}" '
                     f'fill="#{shade:02x}{shade:02x}{shade:02x}"/>'
                 )
-        parts.append("</svg>")
-        return "\n".join(parts)
+        return _svg(parts)
     raise ValueOutOfRange(f"unknown render kind {kind!r}")

@@ -13,6 +13,7 @@ from graphentropy.census import (
     ridge_bins,
     write_census_csv,
 )
+from graphentropy.cli import run
 from graphentropy.graphon import DensityPair
 
 
@@ -104,6 +105,15 @@ def test_csv_roundtrip(tmp_path):
     rows = path.read_text().splitlines()[1:]
     keys = [tuple(int(x) for x in r.split(",")[1:3]) for r in rows]
     assert keys == sorted(keys)
+
+
+def test_csv_bytes_match_the_cli(tmp_path):
+    path = tmp_path / "census.csv"
+    cli_path = tmp_path / "cli.csv"
+    write_census_csv(enumerate_census(4), path)
+    assert run(["census", "--n", "4", "--out", str(cli_path)]) == 0
+    assert path.read_bytes() == cli_path.read_bytes()
+    assert b"\r" not in path.read_bytes()
 
 
 def test_csv_rejects_malformed(tmp_path):

@@ -3,6 +3,8 @@
 import argparse
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -67,6 +69,50 @@ def test_entropy_infeasible_exit_code(tmp_path):
     code = run(["entropy", "--e", "0.5", "--t", "0.05", "--motif", "star:4",
                 "--out", str(tmp_path / "x.json")])
     assert code == EXIT_INFEASIBLE
+
+
+def test_edge_motif_parses(tmp_path):
+    # the edge density is e itself, so t = 0.3 at e = 0.5 is rejected up front
+    code = run(["entropy", "--e", "0.5", "--t", "0.3", "--motif", "edge",
+                "--out", str(tmp_path / "x.json")])
+    assert code == EXIT_INFEASIBLE
+
+
+def _bad_points_file(tmp_path):
+    path = tmp_path / "points.csv"
+    path.write_text("e,t\n0.5,x\n")
+    return str(path)
+
+
+def _bad_motif_file(tmp_path):
+    path = tmp_path / "bad_motif.txt"
+    path.write_text("motif v1 ell=3\n1 2\n3\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["entropy", "--e", "0.5", "--t", "0.1", "--motif", "star:x"],
+    ["entropy", "--e", "0.5", "--t", "0.1", "--motif", _bad_motif_file],
+    ["crease", "--e", "0.5,abc"],
+    ["ergm", "--grid", "0,1,x,0,1,2"],
+    ["region", "--samples", "2", "--format", "json"],
+    ["census-compare", "--n", "3", "--alpha", "0.1", "--points", _bad_points_file],
+])
+def test_malformed_input_exits_usage(tmp_path, argv):
+    argv = [a(tmp_path) if callable(a) else a for a in argv]
+    assert run([*argv, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    import graphentropy
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(graphentropy.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "import sys, graphentropy.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_unknown_flag_rejected():

@@ -53,6 +53,26 @@ def test_motif_shorthands():
     assert Motif.from_edges(1, []).name == "motif(ell=1,k=0)"
 
 
+def test_motif_parse_reads_files_and_rejects_bad_counts(tmp_path):
+    path = tmp_path / "c4.txt"
+    path.write_text("motif v1 ell=4\n1 2\n2 3\n3 4\n1 4\n")
+    assert Motif.parse(str(path)) == read_motif(path)
+    with pytest.raises(errors.ValueOutOfRange):
+        Motif.parse("star:x")
+    with pytest.raises(errors.ValueOutOfRange):
+        Motif.parse("star:0")
+    with pytest.raises(FileNotFoundError):
+        Motif.parse(str(tmp_path / "missing.txt"))
+
+
+@pytest.mark.parametrize("row", ["1", "1 2 3", "1 x"])
+def test_read_motif_rejects_bad_rows(tmp_path, row):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"motif v1 ell=3\n1 2\n{row}\n")
+    with pytest.raises(errors.FormatError):
+        read_motif(path)
+
+
 def test_motif_validation():
     with pytest.raises(errors.LoopEdge):
         Motif.from_edges(2, [(1, 1)])

@@ -4,9 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from graphentropy import errors
-from graphentropy.graphon import DensityPair, Motif, constant_graphon, rate_value
+from graphentropy import errors, optimize
+from graphentropy.graphon import (
+    DensityPair,
+    Graphon,
+    Motif,
+    constant_graphon,
+    motif_density,
+    rate_value,
+)
 from graphentropy.optimize import (
     OptimConfig,
     closed_form_half,
@@ -115,6 +125,13 @@ def test_estimate_multipliers_degenerate_on_constant():
         estimate_multipliers(constant_graphon(0.5, 4))
 
 
+def test_estimate_multipliers_degenerate_without_interior_blocks():
+    # every block of the upper-boundary clique is 0 or 1: the Euler-Lagrange
+    # equation holds on none of them (they carry box multipliers)
+    with pytest.raises(errors.DegenerateFit):
+        estimate_multipliers(closed_form_upper(0.25, 8))
+
+
 # ---------------------------------------------------------------------------
 # Solver
 
@@ -156,6 +173,35 @@ def test_infeasible_region_pre_check():
 def test_star_below_jensen_floor_infeasible():
     with pytest.raises(errors.Infeasible):
         maximize_entropy(DensityPair(e=0.5, t=0.0525), Motif.star(4), FAST)
+
+
+@pytest.mark.parametrize("motif,e,t", [
+    (Motif.star(4), 0.5, 1.0 / 16.0 - 1e-3),  # below e^k (Jensen)
+    (Motif.star(2), 0.5, 0.6),  # above e (r^k <= r)
+])
+def test_star_region_rejected_before_any_start(monkeypatch, motif, e, t):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a start ran for a target outside the region")
+
+    monkeypatch.setattr(optimize, "_solve_constrained", no_solve)
+    with pytest.raises(errors.Infeasible):
+        maximize_entropy(DensityPair(e=e, t=t), motif, FAST)
+
+
+@st.composite
+def _unit_graphons(draw):
+    """Symmetric m x m matrices with entries in [0, 1], ends included."""
+    m = draw(st.integers(1, 8))
+    r = draw(arrays(np.float64, (m, m), elements=st.floats(0.0, 1.0)))
+    return Graphon(values=np.triu(r) + np.triu(r, 1).T)
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=_unit_graphons(), k=st.integers(1, 4))
+def test_star_precheck_accepts_every_graphon(g, k):
+    star = Motif.star(k)
+    target = DensityPair(e=float(np.mean(g.values)), t=motif_density(g, star))
+    optimize._region_precheck(target, star, FAST.constraint_tol)
 
 
 def test_star_above_floor_converges():

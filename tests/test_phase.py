@@ -6,7 +6,7 @@ import pytest
 
 from graphentropy import errors
 from graphentropy.graphon import Motif, bipodal_graphon, rate_value
-from graphentropy.optimize import OptimConfig
+from graphentropy.optimize import OptimConfig, crease_scan
 from graphentropy.phase import (
     ScanSpec,
     crease_report,
@@ -49,6 +49,21 @@ def test_scan_records_infeasible_rows():
 def test_scan_spec_validation():
     with pytest.raises(errors.ValueOutOfRange):
         ScanSpec(e_grid=[], t_grid=[0.0])
+
+
+def test_scan_and_crease_scan_share_the_march():
+    # both drivers march from the constant graphon at e away from the ridge,
+    # so they solve the same warm-started sequence and agree to the bit
+    scan = crease_scan(0.5, deltas=[1e-3, 1e-2], config=FAST)
+    table = phase_diagram_scan(ScanSpec(e_grid=[0.5], t_grid=[-1e-2, -1e-3, 1e-3, 1e-2],
+                                        relative=True, config=FAST))
+    by_t = {r.t: r for r in table}
+    points = scan.below + scan.above
+    assert len(points) == len(table) == 4
+    for p in points:
+        row = by_t[p.t]
+        assert p.status == row.status == "ok"
+        assert float(p.s).hex() == float(row.s).hex()
 
 
 def test_crease_report_detects_triangle_crease():
