@@ -89,13 +89,9 @@ def enumerate_census(n, allow_large=False, threads=1, chunk_bits=20) -> CensusTa
         edges, tris = _count_chunk(start, stop, triples)
         return np.bincount(edges * width + tris, minlength=acc.size)
 
-    if threads > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(work, ranges):
-                acc += part
-    else:
-        for rng in ranges:
-            acc += work(rng)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for part in pool.map(work, ranges):
+            acc += part
     counts = {}
     for flat in np.flatnonzero(acc):
         counts[(int(flat) // width, int(flat) % width)] = int(acc[flat])

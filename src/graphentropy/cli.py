@@ -91,31 +91,53 @@ def _emit_csv(header, rows, out_path):
     _emit("\n".join(lines) + "\n", out_path)
 
 
-def _load_config(args) -> OptimConfig:
-    base = {}
+# the optim keys a --config file or scan spec may set, with their least values
+OPTIM_MINIMUM = {"m": 1, "multistart_count": 0, "seed": 0}
+
+
+def _load_config(args, spec_optim=None) -> OptimConfig:
+    """OptimConfig from, in order: the defaults, the --config file's optim
+    table, the scan spec's optim table, --m, then --seed."""
+    layers = []
     if args.config:
         with open(args.config) as fh:
             doc = json.load(fh)
-        if doc.get("version") != 1:
-            raise FormatError(f"unsupported config version {doc.get('version')!r}")
-        base = dict(doc.get("optim", {}))
-    cfg = OptimConfig(**base)
-    if getattr(args, "m", None):
-        cfg = replace(cfg, m=args.m)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    return cfg
+        if not isinstance(doc, dict) or doc.get("version") != 1:
+            raise FormatError("config must be a JSON object with \"version\": 1")
+        layers.append(doc.get("optim", {}))
+    if spec_optim is not None:
+        layers.append(spec_optim)
+    flags = {"m": getattr(args, "m", None), "seed": args.seed}
+    layers.append({k: v for k, v in flags.items() if v is not None})
+    values = {}
+    for layer in layers:
+        if not isinstance(layer, dict):
+            raise FormatError(f"optim must be a JSON object, got {layer!r}")
+        unknown = sorted(set(layer) - set(OPTIM_MINIMUM))
+        if unknown:
+            raise FormatError(f"unknown optim keys {unknown}; accepted: {list(OPTIM_MINIMUM)}")
+        for key, value in layer.items():
+            low = OPTIM_MINIMUM[key]
+            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+                raise ValueOutOfRange(f"{key} must be an integer >= {low}, got {value!r}")
+        values.update(layer)
+    return OptimConfig(**values)
 
 
-def _threads(args) -> int:
-    if args.threads is None:
-        return 1
-    if args.threads == "auto":
-        # the CPUs this process may run on; sched_getaffinity is Linux-only
+def _thread_count(text):
+    """argparse type for --threads: a positive integer, or 'auto' for every
+    CPU this process may run on (sched_getaffinity is Linux-only)."""
+    if text == "auto":
         if hasattr(os, "sched_getaffinity"):
             return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
-    return max(int(args.threads), 1)
+    if not (text.isdigit() and int(text) > 0):
+        raise argparse.ArgumentTypeError(f"want a positive integer or 'auto', got {text!r}")
+    return int(text)
+
+
+def _threads(args) -> int:
+    return args.threads or 1
 
 
 def _entropy_payload(res):
@@ -147,10 +169,10 @@ def _cmd_entropy(args):
 def _cmd_scan(args):
     with open(args.spec) as fh:
         doc = json.load(fh)
-    cfg = _load_config(args)
-    if "optim" in doc:
-        cfg = replace(OptimConfig(**doc["optim"]),
-                      seed=cfg.seed if args.seed is not None else doc["optim"].get("seed", 0))
+    missing = [k for k in ("e_grid", "t_grid") if k not in doc]
+    if missing:
+        raise FormatError(f"scan spec lacks {', '.join(missing)}")
+    cfg = _load_config(args, doc.get("optim"))
     spec = phase_mod.ScanSpec(
         e_grid=[float(x) for x in doc["e_grid"]],
         t_grid=[float(x) for x in doc["t_grid"]],
@@ -379,7 +401,8 @@ def _cmd_verify(args):
 def _global_flags(p, suppress):
     d = argparse.SUPPRESS if suppress else None
     p.add_argument("--seed", type=int, default=d, help="RNG seed (u64)")
-    p.add_argument("--threads", default=d, help="worker count, or 'auto' for every available CPU")
+    p.add_argument("--threads", type=_thread_count, default=d,
+                   help="worker count, or 'auto' for every available CPU")
     p.add_argument("--out", default=d, help="machine-output file (default stdout)")
     p.add_argument("--config", default=d, help="JSON config file, version 1")
 

@@ -26,7 +26,7 @@ from .graphon import (
     rate_value,
     resample,
 )
-from .optimize import OptimConfig
+from .optimize import KKT_TOL, MAX_INNER_ITERATIONS, OptimConfig
 
 
 @dataclass(frozen=True)
@@ -135,9 +135,7 @@ def psi_full(params: ErgmParams, config: OptimConfig | None = None,
 
     runs = []
     for a0 in starts:
-        a, f, _, pg = spg_box(
-            project(a0), obj_grad, 0.3 * config.kkt_tol, config.max_inner_iterations
-        )
+        a, f, _, pg = spg_box(project(a0), obj_grad, 0.3 * KKT_TOL, MAX_INNER_ITERATIONS)
         e_val = float(np.mean(a))
         t_val, _ = dens_grad(a)
         runs.append((-f, e_val, t_val, pg, a))
@@ -157,7 +155,7 @@ def psi_full(params: ErgmParams, config: OptimConfig | None = None,
         degenerate=degenerate,
         secondary_densities=secondary,
     )
-    if pg > config.kkt_tol:
+    if pg > KKT_TOL:
         raise NotConverged(f"projected gradient {pg:.3g} above tolerance", result)
     return result
 

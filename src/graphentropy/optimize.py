@@ -20,13 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import region
-from ._kernel import (
-    al_objective,
-    density_gradient,
-    project,
-    projected_gradient_norm,
-    spg_box,
-)
+from ._kernel import al_objective, density_gradient, project, spg_box
 from .errors import DegenerateFit, Infeasible, ValueOutOfRange
 from .graphon import (
     DensityPair,
@@ -36,34 +30,27 @@ from .graphon import (
     constant_graphon,
     motif_gradient,
     rate_derivative,
-    rate_function,
     rate_second_derivative,
     rate_value,
     resample,
 )
 
-DEFAULT_ANSATZ = ("constant", "checkerboard", "upper_corner", "bipodal_random")
+# Solver constants: a feasible iterate is within CONSTRAINT_TOL of both target
+# densities, a converged one also has a projected gradient within KKT_TOL.
+CONSTRAINT_TOL = 1e-6
+KKT_TOL = 1e-5
+MAX_OUTER_ITERATIONS = 60
+MAX_INNER_ITERATIONS = 2000
+PENALTY_INITIAL = 10.0
+PENALTY_GROWTH = 4.0
 
 
 @dataclass(frozen=True)
 class OptimConfig:
     m: int = 16
     multistart_count: int = 12
-    max_outer_iterations: int = 60
-    max_inner_iterations: int = 2000
-    constraint_tol: float = 1e-6
-    kkt_tol: float = 1e-5
-    penalty_initial: float = 10.0
-    penalty_growth: float = 4.0
     seed: int = 0
-    ansatz_set: tuple = DEFAULT_ANSATZ
     warm_start: Graphon | None = None
-
-    def __post_init__(self):
-        if self.constraint_tol <= 0 or self.kkt_tol <= 0:
-            raise ValueOutOfRange("tolerances must be positive")
-        if self.penalty_growth <= 1:
-            raise ValueOutOfRange("penalty_growth must exceed 1")
 
 
 @dataclass
@@ -255,25 +242,18 @@ def _ls_multipliers(a, d):
 
 @dataclass
 class _RunRecord:
-    a_final: np.ndarray
     lam: np.ndarray
     viol: float
-    pg: float
     converged: bool
     best_s: float  # best -I over feasible iterates (-inf if none)
     best_a: np.ndarray | None
-
-
-def _lagrangian_pg(a, d, lam):
-    """Projected sup-norm of the Lagrangian gradient I0'(a) - lam1 - lam2 d."""
-    return projected_gradient_norm(a, rate_derivative(a) - lam[0] - lam[1] * d)
 
 
 def _solve_constrained(a0, target: DensityPair, motif: Motif, cfg: OptimConfig):
     m = cfg.m
     dens_grad = density_gradient(motif, m)
     te, tt = target.e, target.t
-    rho = cfg.penalty_initial
+    rho = PENALTY_INITIAL
     best = {"s": -math.inf, "a": None}
     a = project(np.array(a0, dtype=float))
     # seed the multipliers from the Euler-Lagrange fit at the start; for an
@@ -292,15 +272,15 @@ def _solve_constrained(a0, target: DensityPair, motif: Motif, cfg: OptimConfig):
     viol = math.inf
     prev_viol = math.inf
     stall = 0
-    for outer in range(cfg.max_outer_iterations):
-        inner_tol = max(0.3 * cfg.kkt_tol, min(1e-2, 0.5 ** outer))
-        obj_grad = al_objective(dens_grad, te, tt, lam, rho, cfg.constraint_tol, best)
-        a, _, _, pg = spg_box(a, obj_grad, inner_tol, cfg.max_inner_iterations)
+    for outer in range(MAX_OUTER_ITERATIONS):
+        inner_tol = max(0.3 * KKT_TOL, min(1e-2, 0.5 ** outer))
+        obj_grad = al_objective(dens_grad, te, tt, lam, rho, CONSTRAINT_TOL, best)
+        a, _, _, pg = spg_box(a, obj_grad, inner_tol, MAX_INNER_ITERATIONS)
         e_val = float(np.mean(a))
         t_val, d = dens_grad(a)
         c = np.array([e_val - te, t_val - tt])
         viol = float(np.max(np.abs(c)))
-        if viol <= cfg.constraint_tol and pg <= cfg.kkt_tol:
+        if viol <= CONSTRAINT_TOL and pg <= KKT_TOL:
             break
         fit = _ls_multipliers(a, d)
         if fit is not None:
@@ -314,33 +294,18 @@ def _solve_constrained(a0, target: DensityPair, motif: Motif, cfg: OptimConfig):
             if n > cap:
                 dl *= cap / n
             lam = lam + dl
-        if viol > 0.25 * prev_viol and viol > cfg.constraint_tol:
-            rho = min(rho * cfg.penalty_growth, 1e8)
+        if viol > 0.25 * prev_viol and viol > CONSTRAINT_TOL:
+            rho = min(rho * PENALTY_GROWTH, 1e8)
             stall += 1
         else:
             stall = 0
         if stall >= 8:  # violation no longer responding to the penalty
             break
         prev_viol = min(prev_viol, viol)
-    converged = viol <= cfg.constraint_tol and pg <= cfg.kkt_tol
-    # certify at the best feasible iterate: if the Euler-Lagrange fit there is
-    # projected-stationary, report that point even when the final AL iterate
-    # wandered off (this rescues exact ansatz starts in the convex stretch)
-    if not converged and best["a"] is not None:
-        ab = best["a"]
-        tb, db = dens_grad(ab)
-        violb = max(abs(float(np.mean(ab)) - te), abs(tb - tt))
-        fitb = _ls_multipliers(ab, db)
-        if fitb is not None and violb <= cfg.constraint_tol:
-            pgb = _lagrangian_pg(ab, db, fitb)
-            if pgb <= cfg.kkt_tol:
-                a, lam, viol, pg, converged = ab.copy(), fitb, violb, pgb, True
     return _RunRecord(
-        a_final=a,
         lam=lam,
         viol=viol,
-        pg=pg,
-        converged=converged,
+        converged=viol <= CONSTRAINT_TOL and pg <= KKT_TOL,
         best_s=best["s"],
         best_a=best["a"],
     )
@@ -350,7 +315,15 @@ def _solve_constrained(a0, target: DensityPair, motif: Motif, cfg: OptimConfig):
 # Start generation
 
 
+def _random_bipodal(rng, m):
+    c = rng.uniform(0.15, 0.85)
+    p = rng.uniform(0.05, 0.95, size=3)
+    return bipodal_graphon(c, p[0], p[1], p[2], m).values.copy()
+
+
 def _starts(target: DensityPair, motif: Motif, cfg: OptimConfig):
+    """Named starts: the warm start, the four ansatz starts (constant,
+    checkerboard, upper_corner, bipodal_random), then the random restarts."""
     m = cfg.m
     e, t = target.e, target.t
     k = motif.k
@@ -358,37 +331,23 @@ def _starts(target: DensityPair, motif: Motif, cfg: OptimConfig):
     starts = []
     if cfg.warm_start is not None:
         starts.append(("warm", resample(cfg.warm_start, m).values.copy()))
-    for name in cfg.ansatz_set:
-        if name == "constant":
-            starts.append(("constant", np.full((m, m), float(e))))
-        elif name == "checkerboard":
-            # rank-one bipodal perturbation of g_e; exact optimizer family at e=1/2
-            x = abs(e ** k - t) ** (1.0 / 3.0)
-            x = min(x, e - 0.01, 1.0 - e - 0.01)
-            if x > 0:
-                sign = -1.0 if t <= e ** k else 1.0
-                alpha = np.ones(m)
-                alpha[: m // 2] = -1.0
-                starts.append(
-                    ("checkerboard", project(e + sign * x * np.outer(alpha, alpha)))
-                )
-        elif name == "upper_corner":
-            corner = closed_form_upper(e, m).values
-            denom = e ** 1.5 - e ** k
-            theta = (t - e ** k) / denom if abs(denom) > 1e-12 else 0.0
-            theta = min(max(theta, 0.05), 1.0)
-            starts.append(("upper_corner", project(theta * corner + (1 - theta) * e)))
-        elif name == "bipodal_random":
-            c = rng.uniform(0.15, 0.85)
-            p = rng.uniform(0.05, 0.95, size=3)
-            starts.append(
-                ("bipodal_random", bipodal_graphon(c, p[0], p[1], p[2], m).values.copy())
-            )
+    starts.append(("constant", np.full((m, m), float(e))))
+    # rank-one bipodal perturbation of g_e; exact optimizer family at e=1/2
+    x = min(abs(e ** k - t) ** (1.0 / 3.0), e - 0.01, 1.0 - e - 0.01)
+    if x > 0:
+        sign = -1.0 if t <= e ** k else 1.0
+        alpha = np.ones(m)
+        alpha[: m // 2] = -1.0
+        starts.append(("checkerboard", project(e + sign * x * np.outer(alpha, alpha))))
+    corner = closed_form_upper(e, m).values
+    denom = e ** 1.5 - e ** k
+    theta = (t - e ** k) / denom if abs(denom) > 1e-12 else 0.0
+    theta = min(max(theta, 0.05), 1.0)
+    starts.append(("upper_corner", project(theta * corner + (1 - theta) * e)))
+    starts.append(("bipodal_random", _random_bipodal(rng, m)))
     for i in range(cfg.multistart_count):
         if i % 2 == 0:
-            c = rng.uniform(0.15, 0.85)
-            p = rng.uniform(0.05, 0.95, size=3)
-            starts.append((f"random{i}", bipodal_graphon(c, p[0], p[1], p[2], m).values.copy()))
+            starts.append((f"random{i}", _random_bipodal(rng, m)))
         else:
             r = rng.uniform(0.05, 0.95, size=(m, m))
             starts.append((f"random{i}", 0.5 * (r + r.T)))
@@ -422,54 +381,36 @@ def maximize_entropy(target: DensityPair, motif: Motif | None = None,
                      config: OptimConfig | None = None) -> EntropyResult:
     """Maximize -I(g) subject to e(g) = target.e and t(H, g) = target.t.
 
-    Runs every configured ansatz plus random restarts and returns the best
-    feasible iterate.  Raises Infeasible when every start misses the
-    constraint tolerance by more than 10x.
+    Runs the warm start, the ansatz starts and the random restarts, and
+    returns the best feasible iterate.  Raises Infeasible when no start
+    reaches an iterate within CONSTRAINT_TOL of the target.
     """
     if motif is None:
         motif = Motif.triangle()
     if config is None:
         config = OptimConfig()
-    region_note = _region_precheck(target, motif, config.constraint_tol)
+    region_note = _region_precheck(target, motif, CONSTRAINT_TOL)
     ceiling = -rate_value(target.e)
     dens_grad = density_gradient(motif, config.m)
     multistart_values = []
-    best = None  # (s, index, record)
-    runs = []
-    for idx, (_, a0) in enumerate(_starts(target, motif, config)):
+    best = None  # (s, record)
+    min_viol = math.inf
+    for _, a0 in _starts(target, motif, config):
         rec = _solve_constrained(a0, target, motif, config)
-        runs.append(rec)
+        min_viol = min(min_viol, rec.viol)
         multistart_values.append(rec.best_s)
         if rec.best_a is not None and (best is None or rec.best_s > best[0] + 1e-15):
-            best = (rec.best_s, idx, rec)
+            best = (rec.best_s, rec)
         # the constant graphon is the unconstrained-in-t maximizer at fixed e,
         # so nothing can beat the ceiling; stop once it is hit
         if rec.converged and rec.best_s >= ceiling - 1e-9:
             break
     if best is None:
-        min_viol = min(r.viol for r in runs)
-        if min_viol > 10.0 * config.constraint_tol:
-            raise Infeasible(
-                f"no start reached constraint tolerance (best violation {min_viol:.3g})"
-                + region_note
-            )
-        # feasible region grazed but not entered within tolerance
-        rec = min(runs, key=lambda r: r.viol)
-        g_star = Graphon(values=rec.a_final.copy())
-        e_val = float(np.mean(rec.a_final))
-        t_val, _ = dens_grad(rec.a_final)
-        return EntropyResult(
-            g_star=g_star,
-            s_value=-rate_function(g_star),
-            target=target,
-            achieved=DensityPair(e=min(max(e_val, 0.0), 1.0), t=min(max(t_val, 0.0), 1.0)),
-            beta1=float(rec.lam[0]),
-            beta2=float(rec.lam[1]),
-            el_residual_norm=el_residual(g_star, rec.lam[0], rec.lam[1], motif).sup_norm,
-            converged=False,
-            multistart_values=multistart_values,
+        raise Infeasible(
+            f"no start reached constraint tolerance (best violation {min_viol:.3g})"
+            + region_note
         )
-    _, _, rec = best
+    _, rec = best
     g_star = Graphon(values=rec.best_a.copy())
     e_val = float(np.mean(rec.best_a))
     t_val, _ = dens_grad(rec.best_a)

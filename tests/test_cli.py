@@ -1,6 +1,5 @@
 """Command-line interface tests (in-process via cli.run)."""
 
-import argparse
 import json
 import os
 import subprocess
@@ -12,9 +11,12 @@ from graphentropy.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
     EXIT_USAGE,
+    _build_parser,
+    _load_config,
     _threads,
     run,
 )
+from graphentropy.optimize import OptimConfig
 
 
 def _read_json(path):
@@ -29,7 +31,7 @@ def test_census_threads_auto_matches_one_thread(capsys):
     assert run(["census", "--n", "5", "--threads", "auto"]) == EXIT_OK
     assert capsys.readouterr().out == one
     # auto means every CPU the process may run on, not a silent 1
-    auto = _threads(argparse.Namespace(threads="auto"))
+    auto = _threads(_build_parser().parse_args(["census", "--n", "5", "--threads", "auto"]))
     assert auto == len(os.sched_getaffinity(0))
 
 
@@ -90,6 +92,23 @@ def _bad_motif_file(tmp_path):
     return str(path)
 
 
+def _json_file(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _spec(**optim):
+    return {"e_grid": [0.5], "t_grid": [0.0], "optim": {"m": 4, "multistart_count": 0, **optim}}
+
+
+def _config(**optim):
+    return {"version": 1, "optim": optim}
+
+
+ENTROPY = ["entropy", "--e", "0.5", "--t", "0.125"]
+
+
 @pytest.mark.parametrize("argv", [
     ["entropy", "--e", "0.5", "--t", "0.1", "--motif", "star:x"],
     ["entropy", "--e", "0.5", "--t", "0.1", "--motif", _bad_motif_file],
@@ -97,10 +116,37 @@ def _bad_motif_file(tmp_path):
     ["ergm", "--grid", "0,1,x,0,1,2"],
     ["region", "--samples", "2", "--format", "json"],
     ["census-compare", "--n", "3", "--alpha", "0.1", "--points", _bad_points_file],
+    ["scan", "--spec", lambda p: _json_file(p, "s.json", {"t_grid": [0.0]})],
+    ["scan", "--spec", lambda p: _json_file(p, "s.json", _spec(kkt_tol=1e-5))],
+    [*ENTROPY, "--config", lambda p: _json_file(p, "c.json", _config(ansatz_set=[]))],
+    [*ENTROPY, "--config", lambda p: _json_file(p, "c.json", _config(m=0))],
+    ["scan", "--spec", lambda p: _json_file(p, "s.json", _spec(m="16"))],
+    [*ENTROPY, "--config", lambda p: _json_file(p, "c.json", _config(multistart_count=-1))],
+    [*ENTROPY, "--config", lambda p: _json_file(p, "c.json", [])],
+    # a bad --config fails even where the spec's optim overrides the bad key
+    ["scan", "--spec", lambda p: _json_file(p, "s.json", _spec()),
+     "--config", lambda p: _json_file(p, "c.json", _config(m=-2))],
+    ["census", "--n", "3", "--threads", "x"],
+    ["census", "--n", "3", "--threads", "0"],
+    ["census", "--n", "3", "--threads", "-3"],
+    [*ENTROPY, "--seed", "-1"],
+    [*ENTROPY, "--m", "0"],
 ])
 def test_malformed_input_exits_usage(tmp_path, argv):
     argv = [a(tmp_path) if callable(a) else a for a in argv]
     assert run([*argv, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_layers_in_order(tmp_path):
+    args = _build_parser().parse_args(
+        ["scan", "--spec", "unused", "--seed", "5",
+         "--config", _json_file(tmp_path, "c.json", _config(m=4, multistart_count=3, seed=1))])
+    assert _load_config(args) == OptimConfig(m=4, multistart_count=3, seed=5)
+    cfg = _load_config(args, {"m": 8, "seed": 2})
+    assert cfg == OptimConfig(m=8, multistart_count=3, seed=5)
+    args = _build_parser().parse_args(["entropy", "--e", "0.5", "--t", "0.1", "--m", "6"])
+    assert _load_config(args) == OptimConfig(m=6)
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

@@ -14,7 +14,9 @@ from graphentropy.graphon import (
     Graphon,
     Motif,
     constant_graphon,
+    edge_density,
     motif_density,
+    rate_function,
     rate_value,
 )
 from graphentropy.optimize import (
@@ -159,8 +161,8 @@ def test_solution_never_beats_ceiling():
 
 def test_achieved_densities_within_tolerance():
     res = maximize_entropy(DensityPair(e=0.5, t=0.13), Motif.triangle(), FAST)
-    assert abs(res.achieved.e - 0.5) <= FAST.constraint_tol
-    assert abs(res.achieved.t - 0.13) <= FAST.constraint_tol
+    assert abs(res.achieved.e - 0.5) <= optimize.CONSTRAINT_TOL
+    assert abs(res.achieved.t - 0.13) <= optimize.CONSTRAINT_TOL
 
 
 def test_infeasible_region_pre_check():
@@ -189,19 +191,19 @@ def test_star_region_rejected_before_any_start(monkeypatch, motif, e, t):
 
 
 @st.composite
-def _unit_graphons(draw):
-    """Symmetric m x m matrices with entries in [0, 1], ends included."""
-    m = draw(st.integers(1, 8))
-    r = draw(arrays(np.float64, (m, m), elements=st.floats(0.0, 1.0)))
+def _step_graphons(draw, sizes, lo, hi):
+    """Symmetric m x m step graphons, m drawn from sizes, entries in [lo, hi]."""
+    m = draw(st.sampled_from(sizes))
+    r = draw(arrays(np.float64, (m, m), elements=st.floats(lo, hi)))
     return Graphon(values=np.triu(r) + np.triu(r, 1).T)
 
 
 @settings(max_examples=100, deadline=None)
-@given(g=_unit_graphons(), k=st.integers(1, 4))
+@given(g=_step_graphons(range(1, 9), 0.0, 1.0), k=st.integers(1, 4))
 def test_star_precheck_accepts_every_graphon(g, k):
     star = Motif.star(k)
     target = DensityPair(e=float(np.mean(g.values)), t=motif_density(g, star))
-    optimize._region_precheck(target, star, FAST.constraint_tol)
+    optimize._region_precheck(target, star, optimize.CONSTRAINT_TOL)
 
 
 def test_star_above_floor_converges():
@@ -212,18 +214,26 @@ def test_star_above_floor_converges():
 
 def test_warm_start_used():
     sol = closed_form_half(0.124)
-    cfg = OptimConfig(m=8, multistart_count=0, ansatz_set=(),
-                      warm_start=sol.graphon(8))
+    cfg = OptimConfig(m=8, multistart_count=0, warm_start=sol.graphon(8))
     res = maximize_entropy(DensityPair(e=0.5, t=0.124), Motif.triangle(), cfg)
     assert res.converged
-    assert res.s_value == pytest.approx(sol.s_value, abs=1e-8)
+    # the warm start runs first, and it is the exact optimizer
+    assert res.multistart_values[0] == pytest.approx(sol.s_value, abs=1e-8)
 
 
-def test_config_validation():
-    with pytest.raises(errors.ValueOutOfRange):
-        OptimConfig(constraint_tol=-1.0)
-    with pytest.raises(errors.ValueOutOfRange):
-        OptimConfig(penalty_growth=0.5)
+@settings(max_examples=20, deadline=None)
+@given(g=_step_graphons([1, 2, 4, 8], 0.05, 0.95))
+def test_value_is_a_lower_bound_at_a_known_feasible_point(g):
+    # g itself is feasible at its own densities, so the solver may not report
+    # less than -I(g); Jensen caps every graphon at -I0 of its edge density
+    tri = Motif.triangle()
+    target = DensityPair(e=edge_density(g), t=motif_density(g, tri))
+    cfg = OptimConfig(m=8, multistart_count=0, warm_start=g)
+    res = maximize_entropy(target, tri, cfg)
+    assert -rate_function(g) - 1e-12 <= res.s_value <= -rate_value(res.achieved.e) + 1e-12
+    assert res.s_value == pytest.approx(-rate_function(res.g_star), abs=1e-12)
+    assert abs(res.achieved.e - target.e) <= optimize.CONSTRAINT_TOL
+    assert abs(res.achieved.t - target.t) <= optimize.CONSTRAINT_TOL
 
 
 # ---------------------------------------------------------------------------
