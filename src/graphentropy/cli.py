@@ -8,20 +8,18 @@ converged, 5 internal invariant violation.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from . import census as census_mod
 from . import ergm as ergm_mod
+from . import invariants
 from . import phase as phase_mod
 from . import region as region_mod
-from . import spectral as spectral_mod
 from .errors import (
     FormatError,
     GraphEntropyError,
@@ -30,21 +28,8 @@ from .errors import (
     NotConverged,
     ValueOutOfRange,
 )
-from .graphon import (
-    DensityPair,
-    Graphon,
-    Motif,
-    motif_density,
-    motif_gradient,
-    rate_value,
-)
-from .optimize import (
-    OptimConfig,
-    closed_form_half,
-    el_residual,
-    estimate_multipliers,
-    maximize_entropy,
-)
+from .graphon import DensityPair, Motif
+from .optimize import OptimConfig, maximize_entropy
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -140,6 +125,22 @@ def _threads(args) -> int:
     return args.threads or 1
 
 
+def _reject_solver_flags(args):
+    """region and census run no solver: a --config or --seed there is an error,
+    not a flag to ignore."""
+    given = [f"--{name}" for name in ("config", "seed") if getattr(args, name) is not None]
+    if given:
+        raise ValueOutOfRange(f"{args.command} takes no {' or '.join(given)}")
+
+
+def _numbers(doc, key):
+    """The list of numbers under `key` of a scan spec."""
+    try:
+        return [float(x) for x in doc[key]]
+    except (TypeError, ValueError):
+        raise FormatError(f"{key} must be a list of numbers, got {doc[key]!r}") from None
+
+
 def _entropy_payload(res):
     return {
         "s": res.s_value,
@@ -174,8 +175,8 @@ def _cmd_scan(args):
         raise FormatError(f"scan spec lacks {', '.join(missing)}")
     cfg = _load_config(args, doc.get("optim"))
     spec = phase_mod.ScanSpec(
-        e_grid=[float(x) for x in doc["e_grid"]],
-        t_grid=[float(x) for x in doc["t_grid"]],
+        e_grid=_numbers(doc, "e_grid"),
+        t_grid=_numbers(doc, "t_grid"),
         relative=bool(doc.get("relative", True)),
         motif=Motif.parse(doc.get("motif", "triangle")),
         config=cfg,
@@ -212,6 +213,7 @@ def _cmd_crease(args):
 
 
 def _cmd_region(args):
+    _reject_solver_flags(args)
     _emit_csv(("e", "upper", "er", "envelope"), region_mod.boundary_table(args.samples),
               args.out)
     return EXIT_OK
@@ -227,9 +229,7 @@ def _cmd_ergm(args):
                 fh.write(phase_mod.render_svg(rows, "curves"))
         return EXIT_OK
     if args.verify_thm5:
-        grid = [ergm_mod.ErgmParams(b1, b2)
-                for b1 in np.linspace(-3, 3, 7) for b2 in np.linspace(-3, 3, 7)]
-        report = ergm_mod.verify_t_le_e_cubed(grid, cfg)
+        report = ergm_mod.verify_t_le_e_cubed(ergm_mod.THEOREM5_GRID, cfg)
         _emit_json({"max_excess": report["max_excess"],
                     "violations": report["violations"],
                     "points": report["points"]}, args.out)
@@ -253,6 +253,7 @@ def _cmd_ergm(args):
 
 
 def _cmd_census(args):
+    _reject_solver_flags(args)
     table = census_mod.enumerate_census(
         args.n, allow_large=args.allow_large, threads=_threads(args)
     )
@@ -291,106 +292,26 @@ def _cmd_census_compare(args):
 def _cmd_verify(args):
     cfg = _load_config(args)
     rng = np.random.default_rng(cfg.seed)
-    checks = []
-
-    def check(name, fn):
+    # verify's sample counts; the acceptance suite runs the same checks with more
+    checks = (
+        (invariants.trace_inequality, rng, 200),
+        (invariants.gradient_checks, rng, 10),
+        (invariants.closed_form_agreement,),
+        (invariants.region_geometry,),
+        (invariants.census_hand_enumeration,),
+        (invariants.convexity_derivative_paths, 200),
+        (invariants.er_curve_ceiling, OptimConfig(m=8, multistart_count=2, seed=cfg.seed)),
+    )
+    lines, all_ok = [], True
+    for check, *check_args in checks:
         try:
-            ok = bool(fn())
-            detail = ""
+            ok, detail = check(*check_args)
         except Exception as exc:  # a failing invariant must not abort the suite
-            ok, detail = False, f" ({exc})"
-        checks.append((name, ok, detail))
-
-    def trace_inequality():
-        for _ in range(200):
-            m = int(rng.integers(2, 17))
-            r = rng.uniform(-1, 1, size=(m, m))
-            if not spectral_mod.verify_trace_inequality(0.5 * (r + r.T))["holds"]:
-                return False
-        v = rng.uniform(-1, 1, size=8)
-        rep = spectral_mod.verify_trace_inequality(np.outer(v, v))
-        return rep["rank_one"] and rep["gap"] < 1e-10
-
-    def gradient_checks():
-        for motif in (Motif.triangle(), Motif.star(4)):
-            for _ in range(10):
-                m = 6
-                r = rng.uniform(0.1, 0.9, size=(m, m))
-                a = 0.5 * (r + r.T)
-                g = Graphon(values=a)
-                d = motif_gradient(g, motif)
-                i, j = int(rng.integers(m)), int(rng.integers(m))
-                h = 1e-6
-                ap = a.copy(); am = a.copy()
-                if i == j:
-                    ap[i, j] += h; am[i, j] -= h
-                    scale = 1.0
-                else:
-                    ap[i, j] += h; ap[j, i] += h
-                    am[i, j] -= h; am[j, i] -= h
-                    scale = 2.0
-                fd = (motif_density(Graphon(values=ap), motif)
-                      - motif_density(Graphon(values=am), motif)) / (2 * h)
-                exact = scale * d[i, j] / m ** 2
-                if abs(fd - exact) > 1e-6 * max(1.0, abs(exact)):
-                    return False
-        return True
-
-    def closed_forms():
-        for eps in (0.05, 0.1, 0.2, 0.4):
-            sol = closed_form_half(0.125 - eps ** 3)
-            g = sol.graphon(16)
-            if el_residual(g, sol.beta1, sol.beta2).sup_norm > 1e-10:
-                return False
-            fit = estimate_multipliers(g)
-            if abs(fit["beta1"] - sol.beta1) > 1e-6 or abs(fit["beta2"] - sol.beta2) > 1e-6:
-                return False
-        return True
-
-    def region_geometry():
-        if region_mod.classify(0.7, 0.2) is not region_mod.RegionClass.BELOW_ENVELOPE:
-            return False
-        for e in (0.2, 0.5, 0.8):
-            if not (region_mod.lower_envelope(e) <= region_mod.er_curve(e)
-                    <= region_mod.upper_boundary(e)):
-                return False
-        return abs(region_mod.touch_point(1) - 0.5) < 1e-15
-
-    def census_hand():
-        t3 = census_mod.enumerate_census(3)
-        return t3.counts == {(0, 0): 1, (1, 0): 3, (2, 0): 3, (3, 1): 1}
-
-    def convexity_paths():
-        for t in (0.02, 0.05, 0.09, 0.12):
-            ex = float(ergm_mod.slice_second_derivative(t))
-            fd = ergm_mod.slice_second_derivative_fd(t)
-            if abs(ex - fd) > 1e-4 * max(1.0, abs(ex)):
-                return False
-        rep = ergm_mod.convexity_report(200)
-        return 0.0 < rep.c1 <= rep.c2 < 0.125
-
-    def er_ceiling():
-        small = replace(cfg, m=8, multistart_count=2)
-        for e in (0.3, 0.5, 0.7):
-            res = maximize_entropy(DensityPair(e=e, t=e ** 3), Motif.triangle(), small)
-            if abs(res.s_value + float(rate_value(e))) > 1e-6:
-                return False
-        return True
-
-    check("trace_inequality", trace_inequality)
-    check("gradient_checks", gradient_checks)
-    check("closed_form_agreement", closed_forms)
-    check("region_geometry", region_geometry)
-    check("census_hand_enumeration", census_hand)
-    check("convexity_derivative_paths", convexity_paths)
-    check("er_curve_ceiling", er_ceiling)
-
-    buf = io.StringIO()
-    for name, ok, detail in checks:
-        buf.write(f"{'PASS' if ok else 'FAIL'} {name}{detail}\n")
-    all_ok = all(ok for _, ok, _ in checks)
-    buf.write(f"{'PASS' if all_ok else 'FAIL'} overall\n")
-    _emit(buf.getvalue(), args.out)
+            ok, detail = False, exc
+        all_ok &= bool(ok)
+        lines.append(f"PASS {check.__name__}\n" if ok else f"FAIL {check.__name__} ({detail})\n")
+    lines.append(f"{'PASS' if all_ok else 'FAIL'} overall\n")
+    _emit("".join(lines), args.out)
     return EXIT_OK if all_ok else EXIT_INVARIANT
 
 

@@ -160,6 +160,12 @@ def psi_full(params: ErgmParams, config: OptimConfig | None = None,
     return result
 
 
+# the grid on which `ergm --verify-thm5` and the acceptance suite check t <= e^3:
+# 7 x 7 points of [-3, 3]^2
+THEOREM5_GRID = tuple(ErgmParams(float(b1), float(b2))
+                      for b1 in np.linspace(-3, 3, 7) for b2 in np.linspace(-3, 3, 7))
+
+
 def verify_t_le_e_cubed(grid, config: OptimConfig | None = None) -> dict:
     """Check t(maximizer) <= e(maximizer)^3 + 1e-6 across a parameter grid."""
     if config is None:

@@ -7,8 +7,10 @@ import sys
 
 import pytest
 
+from graphentropy import invariants
 from graphentropy.cli import (
     EXIT_INFEASIBLE,
+    EXIT_INVARIANT,
     EXIT_OK,
     EXIT_USAGE,
     _build_parser,
@@ -131,6 +133,13 @@ ENTROPY = ["entropy", "--e", "0.5", "--t", "0.125"]
     ["census", "--n", "3", "--threads", "-3"],
     [*ENTROPY, "--seed", "-1"],
     [*ENTROPY, "--m", "0"],
+    # region and census run no solver, so they take no --config or --seed
+    ["region", "--samples", "3", "--config", "/nonexistent.json", "--seed", "-5"],
+    ["region", "--samples", "3", "--seed", "1"],
+    ["census", "--n", "3", "--config", lambda p: _json_file(p, "c.json", _config(m=4))],
+    ["--seed", "1", "census", "--n", "3"],
+    ["scan", "--spec", lambda p: _json_file(p, "s.json", {"e_grid": ["x"], "t_grid": [0.0]})],
+    ["scan", "--spec", lambda p: _json_file(p, "s.json", {"e_grid": [0.5], "t_grid": 0.0})],
 ])
 def test_malformed_input_exits_usage(tmp_path, argv):
     argv = [a(tmp_path) if callable(a) else a for a in argv]
@@ -253,6 +262,29 @@ def test_verify_passes(tmp_path):
     text = out.read_text()
     assert "PASS overall" in text
     assert "FAIL" not in text
+
+
+def test_verify_reports_failing_checks_and_runs_the_rest(tmp_path, monkeypatch):
+    def gradient_checks(rng, samples):
+        return False, "max relative error 1.0e+00"
+
+    def region_geometry():
+        raise ArithmeticError("boundary out of order")
+
+    monkeypatch.setattr(invariants, "gradient_checks", gradient_checks)
+    monkeypatch.setattr(invariants, "region_geometry", region_geometry)
+    out = tmp_path / "verify.txt"
+    assert run(["verify", "--seed", "1", "--out", str(out)]) == EXIT_INVARIANT
+    assert out.read_text().splitlines() == [
+        "PASS trace_inequality",
+        "FAIL gradient_checks (max relative error 1.0e+00)",
+        "PASS closed_form_agreement",
+        "FAIL region_geometry (boundary out of order)",
+        "PASS census_hand_enumeration",
+        "PASS convexity_derivative_paths",
+        "PASS er_curve_ceiling",
+        "FAIL overall",
+    ]
 
 
 def test_json_nan_becomes_null(tmp_path):

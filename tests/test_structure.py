@@ -36,3 +36,32 @@ def test_cli_optim_keys_are_the_config_fields():
             fields = {stmt.target.id for stmt in node.body if isinstance(stmt, ast.AnnAssign)}
     assert fields
     assert keys == fields - {"warm_start"}
+
+
+def _function(tree, name):
+    return next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def _invariants_named(nodes):
+    return {node.attr for node in nodes if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "invariants"}
+
+
+def test_verify_runs_checks_it_does_not_define():
+    # every check body lives in graphentropy.invariants, none in the CLI
+    verify = _function(_tree("cli"), "_cmd_verify")
+    nested = [node.lineno for node in ast.walk(verify) if node is not verify
+              and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+    assert nested == []
+    assert _invariants_named(ast.walk(verify)) == {
+        node.name for node in _tree("invariants").body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+
+
+def test_acceptance_suite_calls_every_verify_check():
+    verify = _function(_tree("cli"), "_cmd_verify")
+    suite = pathlib.Path(__file__).with_name("test_acceptance.py")
+    calls = [node.func for node in ast.walk(ast.parse(suite.read_text()))
+             if isinstance(node, ast.Call)]
+    assert _invariants_named(ast.walk(verify)) <= _invariants_named(calls)
