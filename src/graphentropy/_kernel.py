@@ -28,8 +28,6 @@ one random input in seven, and that changes the iteration paths.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 # Keeps I0' finite on the closed box; iterates live in [CLAMP, 1-CLAMP].
@@ -231,13 +229,12 @@ def spg_box(a, obj_grad, tol, max_iter):
     """Nonmonotone spectral projected gradient on the clamped box.
 
     obj_grad(A) -> (f, G) with the mean-convention gradient; returns the final
-    iterate, value, gradient and the projected-gradient sup norm measured at
-    the start of the last iteration (inf when max_iter is 0).
+    iterate, value, gradient and the projected-gradient sup norm at that
+    iterate.
     """
     f, g = obj_grad(a)
     step = 1.0 / max(1.0, float(np.abs(g).max()))
     hist = [f]
-    pg = math.inf
     for _ in range(max_iter):
         pg = projected_gradient_norm(a, g)
         if pg <= tol:
@@ -264,4 +261,6 @@ def spg_box(a, obj_grad, tol, max_iter):
         step = min(max(_dot(s, s) / sy, 1e-8), 1e8) if sy > 1e-18 else 1.0
         a, f, g = an, fn, gn
         hist.append(f)
+    else:  # out of iterations: measure the norm at the iterate returned
+        pg = projected_gradient_norm(a, g)
     return a, f, g, pg

@@ -12,6 +12,7 @@ import json
 import math
 import os
 import sys
+import traceback
 
 import numpy as np
 
@@ -170,6 +171,8 @@ def _cmd_entropy(args):
 def _cmd_scan(args):
     with open(args.spec) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise FormatError(f"scan spec must be a JSON object, got {doc!r}")
     missing = [k for k in ("e_grid", "t_grid") if k not in doc]
     if missing:
         raise FormatError(f"scan spec lacks {', '.join(missing)}")
@@ -307,6 +310,8 @@ def _cmd_verify(args):
         try:
             ok, detail = check(*check_args)
         except Exception as exc:  # a failing invariant must not abort the suite
+            print(f"{check.__name__} raised:", file=sys.stderr)
+            traceback.print_exc()
             ok, detail = False, exc
         all_ok &= bool(ok)
         lines.append(f"PASS {check.__name__}\n" if ok else f"FAIL {check.__name__} ({detail})\n")

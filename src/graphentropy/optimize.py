@@ -43,6 +43,10 @@ MAX_OUTER_ITERATIONS = 60
 MAX_INNER_ITERATIONS = 2000
 PENALTY_INITIAL = 10.0
 PENALTY_GROWTH = 4.0
+# The multipliers come from the Euler-Lagrange fit, so the penalty only has to
+# make each subproblem locally convex; a larger one makes the inner SPG solves
+# ill-conditioned enough to exhaust MAX_INNER_ITERATIONS without converging.
+PENALTY_MAX = 1e3
 
 
 @dataclass(frozen=True)
@@ -267,7 +271,7 @@ def _solve_constrained(a0, target: DensityPair, motif: Motif, cfg: OptimConfig):
     # equations at the current iterate (stable even where the dual iteration
     # is ill-behaved, e.g. the convex stretch of s(1/2, t)); fall back to the
     # Hestenes-Powell update when the fit is degenerate.  The penalty grows
-    # only while the violation stagnates and is capped.
+    # only while the violation stagnates, up to PENALTY_MAX.
     pg = math.inf
     viol = math.inf
     prev_viol = math.inf
@@ -295,7 +299,7 @@ def _solve_constrained(a0, target: DensityPair, motif: Motif, cfg: OptimConfig):
                 dl *= cap / n
             lam = lam + dl
         if viol > 0.25 * prev_viol and viol > CONSTRAINT_TOL:
-            rho = min(rho * PENALTY_GROWTH, 1e8)
+            rho = min(rho * PENALTY_GROWTH, PENALTY_MAX)
             stall += 1
         else:
             stall = 0

@@ -140,6 +140,7 @@ ENTROPY = ["entropy", "--e", "0.5", "--t", "0.125"]
     ["--seed", "1", "census", "--n", "3"],
     ["scan", "--spec", lambda p: _json_file(p, "s.json", {"e_grid": ["x"], "t_grid": [0.0]})],
     ["scan", "--spec", lambda p: _json_file(p, "s.json", {"e_grid": [0.5], "t_grid": 0.0})],
+    ["scan", "--spec", lambda p: _json_file(p, "s.json", 5)],
 ])
 def test_malformed_input_exits_usage(tmp_path, argv):
     argv = [a(tmp_path) if callable(a) else a for a in argv]
@@ -264,7 +265,7 @@ def test_verify_passes(tmp_path):
     assert "FAIL" not in text
 
 
-def test_verify_reports_failing_checks_and_runs_the_rest(tmp_path, monkeypatch):
+def test_verify_reports_failing_checks_and_runs_the_rest(tmp_path, monkeypatch, capsys):
     def gradient_checks(rng, samples):
         return False, "max relative error 1.0e+00"
 
@@ -285,6 +286,12 @@ def test_verify_reports_failing_checks_and_runs_the_rest(tmp_path, monkeypatch):
         "PASS er_curve_ceiling",
         "FAIL overall",
     ]
+    # the raised exception is named, with its traceback, on stderr only
+    err = capsys.readouterr().err
+    assert "region_geometry raised:" in err
+    assert "Traceback" in err
+    assert "ArithmeticError: boundary out of order" in err
+    assert "gradient_checks" not in err
 
 
 def test_json_nan_becomes_null(tmp_path):

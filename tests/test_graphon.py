@@ -409,3 +409,31 @@ def test_rate_derivative_and_projection_bit_equal_to_reference(a, shift):
     assert np.array_equal(rate_derivative(x), _ref_rate_derivative(x))
     assert rate_derivative(float(x[0, 0])) == _ref_rate_derivative(float(x[0, 0]))
     assert np.array_equal(_kernel.project(x), np.clip(x, _REF_CLAMP, 1.0 - _REF_CLAMP))
+
+
+def _box_quadratic(m=4):
+    """f(A) = mean(w (A - C)^2) / 2 with C partly outside the box, so SPG
+    projects and does not converge in a few steps."""
+    rng = np.random.default_rng(3)
+    c = rng.uniform(-0.5, 1.5, size=(m, m))
+    w = rng.uniform(0.5, 5.0, size=(m, m))
+    c, w = 0.5 * (c + c.T), 0.5 * (w + w.T)
+
+    def obj_grad(a):
+        r = a - c
+        return 0.5 * float(np.mean(w * r * r)), w * r
+
+    return np.full((m, m), 0.5), obj_grad
+
+
+@pytest.mark.parametrize("max_iter", [0, 1, 2, 3])
+def test_spg_box_norm_is_measured_at_the_returned_iterate(max_iter):
+    a0, obj_grad = _box_quadratic()
+    a, f, g, pg = _kernel.spg_box(a0, obj_grad, 0.0, max_iter)
+    f_a, g_a = obj_grad(a)
+    assert f == f_a and np.array_equal(g, g_a)
+    assert pg == _kernel.projected_gradient_norm(a, g)
+    if max_iter == 0:
+        assert np.array_equal(a, a0)
+    else:
+        assert not np.array_equal(a, a0)

@@ -30,6 +30,7 @@ from graphentropy.optimize import (
     maximize_entropy,
     power_fit,
 )
+from graphentropy.phase import ScanSpec, phase_diagram_scan
 
 FAST = OptimConfig(m=8, multistart_count=2)
 
@@ -248,3 +249,55 @@ def test_crease_scan_quotients_split():
     # the lower branch drops much faster than the upper branch
     assert min(scan.left_slopes) > 2.0 * max(scan.right_slopes)
     assert scan.bound_checks["all_hold"]
+
+
+# ---------------------------------------------------------------------------
+# Penalty ceiling
+
+
+def _ridge_scan(e):
+    """The criterion-13 scan at e: t = e^3 and e^3 -/+ 1e-3, m = 8, 2 multistarts."""
+    spec = ScanSpec(e_grid=[e], t_grid=[0.0, -1e-3, 1e-3], relative=True,
+                    config=OptimConfig(m=8, multistart_count=2, seed=0))
+    return phase_diagram_scan(spec)
+
+
+def test_penalty_stays_under_its_ceiling_across_the_ridge(monkeypatch):
+    # with no ceiling the penalty reached 655,360 on this scan, its inner solves
+    # ran out of MAX_INNER_ITERATIONS, and the scan took 34,445 evaluations
+    seen = {"rho": [], "evals": 0}
+    al_objective = optimize.al_objective
+
+    def counted(dens_grad, te, tt, lam, rho, tol, best):
+        seen["rho"].append(rho)
+        obj_grad = al_objective(dens_grad, te, tt, lam, rho, tol, best)
+
+        def wrapped(a):
+            seen["evals"] += 1
+            return obj_grad(a)
+
+        return wrapped
+
+    monkeypatch.setattr(optimize, "al_objective", counted)
+    rows = _ridge_scan(0.5)
+    assert [r.status for r in rows] == ["ok"] * 3
+    assert max(seen["rho"]) <= optimize.PENALTY_MAX
+    assert seen["evals"] <= 10_000
+
+
+# s of the three rows (t ascending) of each criterion-13 scan before the
+# penalty had a ceiling, at commit 7fa2956
+RIDGE_SCAN_S_UNCAPPED = {
+    0.3: (0.2933535226368611, 0.3054322837351939, 0.30291462890560233),
+    0.5: (0.3365058335046282, 0.34657359027997264, 0.3452417384027532),
+    0.7: (0.2933535226368611, 0.30543215102744675, 0.3043292068039136),
+}
+
+
+@pytest.mark.parametrize("e", sorted(RIDGE_SCAN_S_UNCAPPED))
+def test_penalty_ceiling_keeps_ridge_scan_values(e):
+    # a ceiling set too low (3e2) loses about 1e-2 at e = 0.7
+    rows = _ridge_scan(e)
+    assert [r.status for r in rows] == ["ok"] * 3
+    for row, s_uncapped in zip(rows, RIDGE_SCAN_S_UNCAPPED[e]):
+        assert row.s >= s_uncapped - 1e-5
