@@ -7,7 +7,8 @@ and gradient into one call that shares the intermediate (A^2 or the degrees);
 `al_objective` (the augmented-Lagrangian subproblem of the entropy solver)
 and `free_energy_objective` (the ERGM free energy) are built on it, and
 `spg_box` is the projected-gradient loop both minimize with.  Matrices follow
-the gradient convention of `graphon`.
+the gradient convention of `graphon`.  The two scalar searches the rest of
+the package needs, `minimize_bounded` and `bisect`, live here too.
 
 At the sizes the solvers use (m = 8..32) one numpy call costs more than the
 arithmetic behind it, so the objectives avoid calls without changing a bit
@@ -27,6 +28,8 @@ one random input in seven, and that changes the iteration paths.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -264,3 +267,102 @@ def spg_box(a, obj_grad, tol, max_iter):
     else:  # out of iterations: measure the norm at the iterate returned
         pg = projected_gradient_norm(a, g)
     return a, f, g, pg
+
+
+# ---------------------------------------------------------------------------
+# Scalar searches
+
+
+def minimize_bounded(f, lo, hi, xatol):
+    """Minimize f on [lo, hi] by Brent's bounded method; returns (x, f(x)).
+
+    Brent, "Algorithms for Minimization without Derivatives" (1973), as
+    `fminbound` has it in scipy (BSD licence): golden-section steps, with a
+    parabolic step through the three best points whenever it falls inside
+    the bracket and shrinks fast enough.  The arithmetic follows scipy's
+    `_minimize_scalar_bounded` operation by operation, so the result is
+    bit-identical to `scipy.optimize.minimize_scalar(method="bounded")`.
+    Stops when the bracket is within about xatol of the best point, or after
+    500 evaluations of f.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = f(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the three best points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * _sign(xm - xf)
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+
+        x = xf + _sign(rat) * max(abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+    return xf, fx
+
+
+def _sign(x):
+    """sign(x) + (x == 0): the step direction of `minimize_bounded`, 1 at 0."""
+    return -1.0 if x < 0 else 1.0
+
+
+def bisect(below, lo, hi, tol):
+    """Halve [lo, hi] until hi - lo <= tol, keeping below(lo) true and below(hi)
+    false; returns the final (lo, hi).  The caller checks the ends."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi

@@ -241,6 +241,8 @@ def _cmd_ergm(args):
         if len(args.grid) != 6:
             raise ValueOutOfRange("--grid needs b1lo,b1hi,n1,b2lo,b2hi,n2")
         b1lo, b1hi, n1, b2lo, b2hi, n2 = args.grid
+        if not all(n.is_integer() and n >= 1 for n in (n1, n2)):
+            raise ValueOutOfRange(f"--grid counts must be positive integers, got {n1}, {n2}")
         rows = []
         for b1 in np.linspace(b1lo, b1hi, int(n1)):
             for b2 in np.linspace(b2lo, b2hi, int(n2)):

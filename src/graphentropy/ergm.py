@@ -15,7 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernel import CLAMP, density_gradient, free_energy_objective, project, spg_box
+from ._kernel import (
+    CLAMP,
+    bisect,
+    density_gradient,
+    free_energy_objective,
+    minimize_bounded,
+    project,
+    spg_box,
+)
 from .errors import NoTransitionFound, NotConverged, SignPatternUnexpected, ValueOutOfRange
 from .graphon import (
     DensityPair,
@@ -65,8 +73,6 @@ def _phi(u, beta1, beta2):
 
 def _scalar_maximizers(beta1, beta2, grid_points=10_000, tie_tol=1e-8):
     """All local maximizers of phi on [0,1] within tie_tol of the global max."""
-    from scipy import optimize as sp_opt  # not at module level: slower than the package import
-
     us = np.linspace(CLAMP, 1.0 - CLAMP, grid_points)
     ph = _phi(us, beta1, beta2)
     # local maxima on the grid, endpoints included
@@ -78,13 +84,8 @@ def _scalar_maximizers(beta1, beta2, grid_points=10_000, tie_tol=1e-8):
     for i in np.flatnonzero(inner):
         lo = us[max(i - 1, 0)]
         hi = us[min(i + 1, grid_points - 1)]
-        res = sp_opt.minimize_scalar(
-            lambda u: -_phi(u, beta1, beta2),
-            bounds=(lo, hi),
-            method="bounded",
-            options={"xatol": 1e-12},
-        )
-        cands.append((float(res.x), float(-res.fun)))
+        u, f = minimize_bounded(lambda u: -_phi(u, beta1, beta2), lo, hi, 1e-12)
+        cands.append((float(u), float(-f)))
     best = max(v for _, v in cands)
     tied = sorted(u for u, v in cands if v >= best - tie_tol)
     # dedupe near-identical roots from adjacent grid cells
@@ -210,8 +211,10 @@ def find_transition(beta2, beta1_bracket=(-20.0, 20.0), tol=1e-13) -> tuple:
     u_low < 2/3 < u_high.  A bracket whose maximizers do not straddle 2/3
     therefore holds no jump.
     """
-    if beta2 <= -0.5:
+    if not (math.isfinite(beta2) and beta2 > -0.5):
         raise ValueOutOfRange(f"beta2={beta2} outside the treated regime (> -1/2)")
+    if not all(math.isfinite(b1) for b1 in beta1_bracket):
+        raise ValueOutOfRange(f"beta1 bracket {beta1_bracket} must be finite")
 
     def top(b1):
         # strict global argmax; ties resolved by magnitude so the bisection
@@ -222,12 +225,7 @@ def find_transition(beta2, beta1_bracket=(-20.0, 20.0), tol=1e-13) -> tuple:
     lo, hi = beta1_bracket
     if not top(lo) < 2.0 / 3.0 <= top(hi):
         raise NoTransitionFound(f"maximizer does not cross 2/3 on the bracket at beta2={beta2}")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if top(mid) < 2.0 / 3.0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = bisect(lambda b1: top(b1) < 2.0 / 3.0, lo, hi, tol)
     b1c = 0.5 * (lo + hi)
     u_low, u_high = top(lo), top(hi)
     if u_high - u_low <= 1e-3:
@@ -246,7 +244,9 @@ def transition_curve(beta2_min, beta2_max, steps) -> list:
     """
     if steps < 2:
         raise ValueOutOfRange("steps must be >= 2")
-    if beta2_min <= -0.5:
+    if not (math.isfinite(beta2_min) and math.isfinite(beta2_max)):
+        raise ValueOutOfRange(f"beta2 range [{beta2_min}, {beta2_max}] must be finite")
+    if min(beta2_min, beta2_max) <= -0.5:
         raise ValueOutOfRange("beta2 range must stay above -1/2")
     rows = []
     for beta2 in np.linspace(beta2_min, beta2_max, steps):
@@ -290,8 +290,6 @@ def slice_second_derivative_fd(t, h=None):
 
 def convexity_report(samples=400) -> ConvexityReport:
     """Locate the concave-to-convex change of s(1/2, t) on (0, 1/8)."""
-    from scipy import optimize as sp_opt  # not at module level: slower than the package import
-
     if samples < 100:
         raise ValueOutOfRange("need at least 100 samples")
     ts = np.linspace(1e-4, 0.125 - 1e-6, samples)
@@ -303,10 +301,8 @@ def convexity_report(samples=400) -> ConvexityReport:
             f"expected a single concave-to-convex change, got {len(changes)} crossings"
         )
     i = int(changes[0])
-    root = float(
-        sp_opt.brentq(lambda t: float(slice_second_derivative(t)), ts[i], ts[i + 1],
-                      xtol=1e-14)
-    )
+    lo, hi = bisect(lambda t: slice_second_derivative(t) < 0.0, ts[i], ts[i + 1], 1e-14)
+    root = float(0.5 * (lo + hi))
     return ConvexityReport(
         c1=root,
         c2=root,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import region
-from ._kernel import al_objective, density_gradient, project, spg_box
+from ._kernel import al_objective, density_gradient, minimize_bounded, project, spg_box
 from .errors import DegenerateFit, Infeasible, ValueOutOfRange
 from .graphon import (
     DensityPair,
@@ -126,8 +126,6 @@ def _f_ratio(e, x):
 
 def f_minus(e, grid_points=100_000) -> CreaseBoundConstants:
     """Infimum of f(e, x) over x in [-e, 1-e], by grid scan plus local polish."""
-    from scipy import optimize as sp_opt  # not at module level: slower than the package import
-
     if not (0.0 < e < 1.0):
         raise ValueOutOfRange(f"e={e} outside (0,1)")
     xs = np.linspace(-e, 1.0 - e, grid_points)
@@ -135,14 +133,9 @@ def f_minus(e, grid_points=100_000) -> CreaseBoundConstants:
     i = int(np.argmin(fs))
     lo = xs[max(i - 1, 0)]
     hi = xs[min(i + 1, grid_points - 1)]
-    res = sp_opt.minimize_scalar(
-        lambda x: float(_f_ratio(e, np.array([x]))[0]),
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": 1e-10},
-    )
-    fm = min(float(fs[i]), float(res.fun))
-    xmin = float(res.x) if res.fun <= fs[i] else float(xs[i])
+    x, fx = minimize_bounded(lambda x: float(_f_ratio(e, np.array([x]))[0]), lo, hi, 1e-10)
+    fm = min(float(fs[i]), fx)
+    xmin = float(x) if fx <= fs[i] else float(xs[i])
     return CreaseBoundConstants(
         e=e,
         f_minus=fm,

@@ -141,6 +141,11 @@ ENTROPY = ["entropy", "--e", "0.5", "--t", "0.125"]
     ["scan", "--spec", lambda p: _json_file(p, "s.json", {"e_grid": ["x"], "t_grid": [0.0]})],
     ["scan", "--spec", lambda p: _json_file(p, "s.json", {"e_grid": [0.5], "t_grid": 0.0})],
     ["scan", "--spec", lambda p: _json_file(p, "s.json", 5)],
+    # --grid counts are positive integers
+    ["ergm", "--grid=0,1,-1,0,1,2"],
+    ["ergm", "--grid", "0,1,nan,0,1,2"],
+    ["ergm", "--grid", "0,1,2.5,0,1,2"],
+    ["ergm", "--curve", "--beta2-min", "nan"],
 ])
 def test_malformed_input_exits_usage(tmp_path, argv):
     argv = [a(tmp_path) if callable(a) else a for a in argv]
@@ -159,16 +164,23 @@ def test_config_layers_in_order(tmp_path):
     assert _load_config(args) == OptimConfig(m=6)
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
+def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
+    # and the commands that run the package's scalar searches load no scipy at all
     import graphentropy
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(graphentropy.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    code = "import sys, graphentropy.cli; print('scipy.optimize' in sys.modules)"
+    code = f"""
+import sys, graphentropy.cli as cli
+print('scipy.optimize' in sys.modules)
+print(cli.run(["--out", {str(tmp_path / "v")!r}, "verify", "--seed", "1"]),
+      cli.run(["--out", {str(tmp_path / "c")!r}, "ergm", "--curve", "--steps", "2"]))
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines() == ["False", f"{EXIT_OK} {EXIT_OK}", "[]"]
 
 
 def test_unknown_flag_rejected():

@@ -133,7 +133,19 @@ def test_transition_curve_domain_guard():
     with pytest.raises(errors.ValueOutOfRange):
         transition_curve(-1.0, 1.0, 3)
     with pytest.raises(errors.ValueOutOfRange):
+        transition_curve(1.0, -1.0, 3)
+    with pytest.raises(errors.ValueOutOfRange):
         find_transition(-0.6)
+    # nan compares false with -1/2, so non-finite values need their own guard
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(errors.ValueOutOfRange):
+            find_transition(bad)
+        with pytest.raises(errors.ValueOutOfRange):
+            find_transition(1.0, beta1_bracket=(-20.0, bad))
+        with pytest.raises(errors.ValueOutOfRange):
+            transition_curve(bad, 1.0, 3)
+        with pytest.raises(errors.ValueOutOfRange):
+            transition_curve(0.6, bad, 3)
 
 
 def test_convexity_report_sign_change():

@@ -24,6 +24,21 @@ def test_no_module_imports_a_private_name_of_another():
     assert offenders == []
 
 
+def test_no_module_imports_scipy():
+    # the package runs on numpy alone; _kernel has the scalar searches
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=path.name)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            offenders += [f"{path.name}: {n}" for n in names if n.split(".")[0] == "scipy"]
+    assert offenders == []
+
+
 def test_cli_optim_keys_are_the_config_fields():
     keys = None
     for node in _tree("cli").body:
