@@ -126,10 +126,10 @@ def _threads(args) -> int:
     return args.threads or 1
 
 
-def _reject_solver_flags(args):
-    """region and census run no solver: a --config or --seed there is an error,
-    not a flag to ignore."""
-    given = [f"--{name}" for name in ("config", "seed") if getattr(args, name) is not None]
+def _reject_flags(args, *names):
+    """A flag the command has no use for is an error, not a flag to ignore:
+    region and census run no solver, and region runs no worker pool either."""
+    given = [f"--{name}" for name in names if getattr(args, name) is not None]
     if given:
         raise ValueOutOfRange(f"{args.command} takes no {' or '.join(given)}")
 
@@ -216,7 +216,7 @@ def _cmd_crease(args):
 
 
 def _cmd_region(args):
-    _reject_solver_flags(args)
+    _reject_flags(args, "config", "seed", "threads")
     _emit_csv(("e", "upper", "er", "envelope"), region_mod.boundary_table(args.samples),
               args.out)
     return EXIT_OK
@@ -258,7 +258,7 @@ def _cmd_ergm(args):
 
 
 def _cmd_census(args):
-    _reject_solver_flags(args)
+    _reject_flags(args, "config", "seed")
     table = census_mod.enumerate_census(
         args.n, allow_large=args.allow_large, threads=_threads(args)
     )

@@ -146,6 +146,9 @@ ENTROPY = ["entropy", "--e", "0.5", "--t", "0.125"]
     ["ergm", "--grid", "0,1,nan,0,1,2"],
     ["ergm", "--grid", "0,1,2.5,0,1,2"],
     ["ergm", "--curve", "--beta2-min", "nan"],
+    # region runs no worker pool either
+    ["region", "--samples", "3", "--threads", "4"],
+    ["--threads", "2", "region", "--samples", "3"],
 ])
 def test_malformed_input_exits_usage(tmp_path, argv):
     argv = [a(tmp_path) if callable(a) else a for a in argv]

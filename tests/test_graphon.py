@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -323,10 +323,11 @@ _BOX = st.floats(_REF_CLAMP, 1.0 - _REF_CLAMP)
 
 
 @st.composite
-def _box_graphons(draw):
-    """Symmetric m x m matrices with entries in [CLAMP, 1-CLAMP], box ends included."""
+def _box_graphons(draw, elements=_BOX):
+    """Symmetric m x m matrices with entries drawn from elements, by default
+    [CLAMP, 1-CLAMP] with the box ends included."""
     m = draw(st.sampled_from([1, 2, 7, 16]))
-    r = draw(arrays(np.float64, (m, m), elements=_BOX))
+    r = draw(arrays(np.float64, (m, m), elements=elements))
     return np.triu(r) + np.triu(r, 1).T
 
 
@@ -437,3 +438,29 @@ def test_spg_box_norm_is_measured_at_the_returned_iterate(max_iter):
         assert np.array_equal(a, a0)
     else:
         assert not np.array_equal(a, a0)
+
+
+# B cycles through -12, -3, 0, 3, 8 along the anti-diagonals; an unscaled
+# SPG runs out of 2000 steps on it and stops at pg 5e-3.
+_FACE_FIELD = np.array([-12.0, -3.0, 0.0, 3.0, 8.0])[np.add.outer(range(16), range(16)) % 5]
+
+
+@settings(max_examples=100, deadline=None)
+@given(b=_box_graphons(st.floats(-12.0, 8.0)))
+@example(b=_FACE_FIELD)
+def test_spg_box_solves_the_separable_entropy_problem(b):
+    # f(A) = mean(I0(A) - B A) is minimized entrywise by I0'(a) = B, that is
+    # a = sigmoid(2B): within 4e-11 of the lower face at B = -12.  B stops at
+    # 8 on the upper side.  Near a = 1 one ulp of a moves I0'(a) by
+    # I0''(a) * 1.1e-16: 5e-10 at B = 8, but 1.2e-6 at B = 12, where the double
+    # just past the optimum can have pg of that size.
+    evals = [0]
+
+    def obj_grad(a):
+        evals[0] += 1
+        return float(np.mean(rate_value(a) - b * a)), rate_derivative(a) - b
+
+    a, _, _, pg = _kernel.spg_box(np.full(b.shape, 0.5), obj_grad, 1e-8, 2000)
+    assert pg <= 1e-8
+    assert evals[0] <= 200
+    np.testing.assert_allclose(a, 1.0 / (1.0 + np.exp(-2.0 * b)), rtol=0.0, atol=2e-8)

@@ -1,5 +1,6 @@
 """Constrained entropy solver and closed-form tests."""
 
+import contextlib
 import math
 
 import numpy as np
@@ -222,15 +223,16 @@ def test_warm_start_used():
     assert res.multistart_values[0] == pytest.approx(sol.s_value, abs=1e-8)
 
 
+@pytest.mark.parametrize("motif", [Motif.triangle(), Motif.star(2), Motif.star(3)],
+                         ids=["triangle", "star2", "star3"])
 @settings(max_examples=20, deadline=None)
 @given(g=_step_graphons([1, 2, 4, 8], 0.05, 0.95))
-def test_value_is_a_lower_bound_at_a_known_feasible_point(g):
+def test_value_is_a_lower_bound_at_a_known_feasible_point(motif, g):
     # g itself is feasible at its own densities, so the solver may not report
     # less than -I(g); Jensen caps every graphon at -I0 of its edge density
-    tri = Motif.triangle()
-    target = DensityPair(e=edge_density(g), t=motif_density(g, tri))
+    target = DensityPair(e=edge_density(g), t=motif_density(g, motif))
     cfg = OptimConfig(m=8, multistart_count=0, warm_start=g)
-    res = maximize_entropy(target, tri, cfg)
+    res = maximize_entropy(target, motif, cfg)
     assert -rate_function(g) - 1e-12 <= res.s_value <= -rate_value(res.achieved.e) + 1e-12
     assert res.s_value == pytest.approx(-rate_function(res.g_star), abs=1e-12)
     assert abs(res.achieved.e - target.e) <= optimize.CONSTRAINT_TOL
@@ -249,6 +251,55 @@ def test_crease_scan_quotients_split():
     # the lower branch drops much faster than the upper branch
     assert min(scan.left_slopes) > 2.0 * max(scan.right_slopes)
     assert scan.bound_checks["all_hold"]
+
+
+# ---------------------------------------------------------------------------
+# Inner solves on the upper boundary
+
+
+def _count_inner_solves(monkeypatch):
+    """Record the objective evaluations of each inner SPG solve, in order."""
+    evals, per_solve = [0], []
+    al_objective, spg_box = optimize.al_objective, optimize.spg_box
+
+    def counted_objective(*args):
+        obj_grad = al_objective(*args)
+
+        def wrapped(a):
+            evals[0] += 1
+            return obj_grad(a)
+
+        return wrapped
+
+    def counted_spg(*args):
+        before = evals[0]
+        out = spg_box(*args)
+        per_solve.append(evals[0] - before)
+        return out
+
+    monkeypatch.setattr(optimize, "al_objective", counted_objective)
+    monkeypatch.setattr(optimize, "spg_box", counted_spg)
+    return per_solve
+
+
+@pytest.mark.parametrize("e,t,unscaled_evals", [
+    (0.25, 0.125 - 1e-9, 13_094),
+    (0.5, 0.5 ** 1.5 - 1e-9, 6_638),
+])
+def test_upper_boundary_inner_solves_stop_short_of_the_step_limit(monkeypatch, e, t,
+                                                                   unscaled_evals):
+    # the optimizer is the clique, 1 on [0, sqrt(e))^2 and 0 elsewhere.  An
+    # unscaled SPG runs 8 of these inner solves out of MAX_INNER_ITERATIONS,
+    # and the two solves take unscaled_evals evaluations
+    per_solve = _count_inner_solves(monkeypatch)
+    cfg = OptimConfig(m=16, multistart_count=4, seed=0)
+    # sqrt(1/2) * 16 is no integer, so the grid solver finds no feasible
+    # iterate at e = 1/2
+    with contextlib.suppress(errors.Infeasible):
+        maximize_entropy(DensityPair(e=e, t=t), Motif.triangle(), cfg)
+    # a solve makes one evaluation and then at least one per iteration
+    assert max(per_solve) <= optimize.MAX_INNER_ITERATIONS
+    assert sum(per_solve) <= unscaled_evals / 4
 
 
 # ---------------------------------------------------------------------------
