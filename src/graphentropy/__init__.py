@@ -43,18 +43,23 @@ from .graphon import (
 )
 from .optimize import (
     BipodalSolution,
-    CreaseScanResult,
     EntropyResult,
     OptimConfig,
     closed_form_half,
     closed_form_upper,
-    crease_scan,
     el_residual,
     estimate_multipliers,
     f_minus,
     maximize_entropy,
 )
-from .phase import ScanSpec, crease_report, phase_diagram_scan, render_svg
+from .phase import (
+    CreaseScanResult,
+    ScanSpec,
+    crease_report,
+    crease_scan,
+    phase_diagram_scan,
+    render_svg,
+)
 from .region import RegionClass, classify, er_curve, lower_envelope, upper_boundary
 from .spectral import (
     SpectralReport,

@@ -98,14 +98,18 @@ def enumerate_census(n, allow_large=False, threads=1, chunk_bits=20) -> CensusTa
     return CensusTable(n=n, counts=counts)
 
 
+def _check_alpha(alpha):
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueOutOfRange(f"alpha must be finite and positive, got {alpha}")
+
+
 def empirical_entropy(table: CensusTable, e, t, alpha) -> float:
     """ln(count of graphs with densities within alpha of (e, t)) / n^2.
 
     Densities are edge_count/C(n,2) and triangle_count/C(n,3); an empty
     window yields the -inf sentinel.
     """
-    if alpha <= 0:
-        raise ValueOutOfRange("alpha must be positive")
+    _check_alpha(alpha)
     n = table.n
     ne = table.edge_slots
     nt = table.triangle_slots
@@ -135,7 +139,9 @@ def compare_to_variational(table: CensusTable, points, alpha, reference) -> dict
     reference maps a DensityPair-like (e, t) to the variational s value; rows
     are (e, t, s_empirical, s_variational, gap).  Also reports, per edge
     count, the distance of the maximal triangle bin from e^3 * C(n,3).
+    Rejects an alpha that is not finite and positive before any point.
     """
+    _check_alpha(alpha)
     nt = table.triangle_slots
     ne = table.edge_slots
     rows = []

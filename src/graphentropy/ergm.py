@@ -53,7 +53,6 @@ class FreeEnergyResult:
     maximizer: Graphon
     maximizer_densities: DensityPair
     degenerate: bool
-    secondary_densities: DensityPair | None
 
 
 @dataclass
@@ -142,19 +141,14 @@ def psi_full(params: ErgmParams, config: OptimConfig | None = None,
         runs.append((-f, e_val, t_val, pg, a))
     runs.sort(key=lambda r: -r[0])
     psi, e_val, t_val, pg, a = runs[0]
-    degenerate = False
-    secondary = None
-    for psi2, e2, t2, _, _ in runs[1:]:
-        if psi - psi2 <= 1e-7 and max(abs(e2 - e_val), abs(t2 - t_val)) > 1e-3:
-            degenerate = True
-            secondary = DensityPair(e=e2, t=t2)
-            break
+    # degenerate: another run ties psi at other densities
+    degenerate = any(psi - psi2 <= 1e-7 and max(abs(e2 - e_val), abs(t2 - t_val)) > 1e-3
+                     for psi2, e2, t2, _, _ in runs[1:])
     result = FreeEnergyResult(
         psi=psi,
         maximizer=Graphon(values=a.copy()),
         maximizer_densities=DensityPair(e=e_val, t=t_val),
         degenerate=degenerate,
-        secondary_densities=secondary,
     )
     if pg > KKT_TOL:
         raise NotConverged(f"projected gradient {pg:.3g} above tolerance", result)

@@ -17,19 +17,20 @@ class EmptyMatrix(GraphEntropyError):
     pass
 
 
-class LoopEdge(GraphEntropyError):
+# the motif errors are invalid input, so each is a ValueOutOfRange
+class LoopEdge(ValueOutOfRange):
     pass
 
 
-class DuplicateEdge(GraphEntropyError):
+class DuplicateEdge(ValueOutOfRange):
     pass
 
 
-class MotifTooLarge(GraphEntropyError):
+class MotifTooLarge(ValueOutOfRange):
     pass
 
 
-class DisconnectedMotif(GraphEntropyError):
+class DisconnectedMotif(ValueOutOfRange):
     pass
 
 
@@ -43,10 +44,6 @@ class EdgeDensityMismatch(GraphEntropyError):
 
 class Infeasible(GraphEntropyError):
     """No optimization start reached the constraint tolerance."""
-
-    def __init__(self, message, result=None):
-        super().__init__(message)
-        self.result = result
 
 
 class NotConverged(GraphEntropyError):

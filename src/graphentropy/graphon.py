@@ -79,6 +79,8 @@ class Motif:
 
     @classmethod
     def from_edges(cls, ell, edges):
+        if ell < 1:
+            raise ValueOutOfRange(f"ell={ell}: a motif needs at least one vertex")
         seen = set()
         norm = []
         for (i, j) in edges:

@@ -64,7 +64,7 @@ def closed_form_agreement():
     for eps in (0.05, 0.1, 0.2, 0.4):
         sol = closed_form_half(0.125 - eps ** 3)
         g = sol.graphon(16)
-        residuals.append(el_residual(g, sol.beta1, sol.beta2).sup_norm)
+        residuals.append(el_residual(g, sol.beta1, sol.beta2))
         fit = estimate_multipliers(g)
         misfits += [abs(fit["beta1"] - sol.beta1), abs(fit["beta2"] - sol.beta2)]
     ok = all(x <= 1e-10 for x in residuals) and all(x <= 1e-6 for x in misfits)

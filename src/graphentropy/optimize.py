@@ -1,10 +1,11 @@
 """Constrained entropy maximization over step graphons.
 
-The core solver maximizes -I(g) subject to e(g) = e and t(H, g) = t by an
+The solver maximizes -I(g) subject to e(g) = e and t(H, g) = t by an
 augmented-Lagrangian outer loop with a spectral projected-gradient inner loop
 on the symmetric box [CLAMP, 1-CLAMP]^(m x m).  Closed forms for the e = 1/2
-family and the upper boundary, Euler-Lagrange residuals, multiplier fits and
-the crease scans live alongside it.
+family and the upper boundary, f_-(e), Euler-Lagrange residuals and multiplier
+fits live alongside it.  The marches off the t = e^k ridge that drive the
+solver are in `phase`.
 
 The reported entropy value is always -I of an explicitly feasible iterate, so
 it is a rigorous lower bound for the true value; the ceiling -I0(e) (constant
@@ -15,7 +16,7 @@ Erdos-Renyi curve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +28,6 @@ from .graphon import (
     Graphon,
     Motif,
     bipodal_graphon,
-    constant_graphon,
     motif_gradient,
     rate_derivative,
     rate_second_derivative,
@@ -71,24 +71,15 @@ class EntropyResult:
 
 
 @dataclass
-class ELResidualField:
-    residuals: np.ndarray
-    h_field: np.ndarray
-    sup_norm: float
-
-
-@dataclass
 class BipodalSolution:
     epsilon: float
-    c_eigenvalue: float
     s_value: float
     beta1: float
     beta2: float
     beta_finite: bool
 
     def graphon(self, m) -> Graphon:
-        if self.epsilon == 0.0:
-            return constant_graphon(0.5, m)
+        # at epsilon = 0 every block is 1/2: the constant graphon
         return bipodal_graphon(
             0.5, 0.5 - self.epsilon, 0.5 + self.epsilon, 0.5 - self.epsilon, m
         )
@@ -100,7 +91,6 @@ class CreaseBoundConstants:
     f_minus: float
     linear_constant_below: float
     linear_constant_above: float
-    power_constant: float
     x_argmin: float
 
 
@@ -141,7 +131,6 @@ def f_minus(e, grid_points=100_000) -> CreaseBoundConstants:
         f_minus=fm,
         linear_constant_below=fm / e,
         linear_constant_above=fm / (3.0 * e + 1.0),
-        power_constant=fm,
         x_argmin=xmin,
     )
 
@@ -161,7 +150,6 @@ def closed_form_half(t) -> BipodalSolution:
     if eps < tiny or eps > 0.5 - tiny:
         return BipodalSolution(
             epsilon=eps,
-            c_eigenvalue=-eps,
             s_value=s_val,
             beta1=math.inf,
             beta2=-math.inf,
@@ -170,7 +158,6 @@ def closed_form_half(t) -> BipodalSolution:
     beta2 = -math.log((0.5 + eps) / (0.5 - eps)) / (6.0 * eps ** 2)
     return BipodalSolution(
         epsilon=eps,
-        c_eigenvalue=-eps,
         s_value=s_val,
         beta1=-0.75 * beta2,
         beta2=beta2,
@@ -192,14 +179,16 @@ def closed_form_upper(e, m) -> Graphon:
 # Euler-Lagrange residuals and multiplier estimation
 
 
-def el_residual(g: Graphon, beta1, beta2, motif: Motif | None = None) -> ELResidualField:
-    """Field -I0'(g) + beta1 + beta2 * h on the blocks; h is the first-variation
-    field of t(H, g) (3 * int g g for triangles)."""
+def _sup_residual(a, h, beta1, beta2) -> float:
+    return float(np.max(np.abs(-rate_derivative(a) + beta1 + beta2 * h)))
+
+
+def el_residual(g: Graphon, beta1, beta2, motif: Motif | None = None) -> float:
+    """Sup over the blocks of the field -I0'(g) + beta1 + beta2 * h; h is the
+    first-variation field of t(H, g) (3 * int g g for triangles)."""
     if motif is None:
         motif = Motif.triangle()
-    h = motif_gradient(g, motif)
-    res = -rate_derivative(g.values) + beta1 + beta2 * h
-    return ELResidualField(residuals=res, h_field=h, sup_norm=float(np.max(np.abs(res))))
+    return _sup_residual(g.values, motif_gradient(g, motif), beta1, beta2)
 
 
 def estimate_multipliers(g: Graphon, motif: Motif | None = None) -> dict:
@@ -208,12 +197,13 @@ def estimate_multipliers(g: Graphon, motif: Motif | None = None) -> dict:
     norm is the sup over every block."""
     if motif is None:
         motif = Motif.triangle()
-    coef = _ls_multipliers(g.values, motif_gradient(g, motif))
+    h = motif_gradient(g, motif)
+    coef = _ls_multipliers(g.values, h)
     if coef is None:
         raise DegenerateFit("too few interior blocks or a constant h field; beta2 unidentifiable")
     beta1, beta2 = float(coef[0]), float(coef[1])
-    res = el_residual(g, beta1, beta2, motif)
-    return {"beta1": beta1, "beta2": beta2, "residual_norm": res.sup_norm}
+    return {"beta1": beta1, "beta2": beta2,
+            "residual_norm": _sup_residual(g.values, h, beta1, beta2)}
 
 
 def _ls_multipliers(a, d):
@@ -408,177 +398,20 @@ def maximize_entropy(target: DensityPair, motif: Motif | None = None,
             + region_note
         )
     _, rec = best
-    g_star = Graphon(values=rec.best_a.copy())
-    e_val = float(np.mean(rec.best_a))
-    t_val, _ = dens_grad(rec.best_a)
-    beta1, beta2 = float(rec.lam[0]), float(rec.lam[1])
-    try:
-        fit = estimate_multipliers(g_star, motif)
-        el_norm = fit["residual_norm"]
-    except DegenerateFit:
-        el_norm = el_residual(g_star, beta1, beta2, motif).sup_norm
+    a = rec.best_a
+    t_val, h = dens_grad(a)
+    # the residual of the multiplier fit at the iterate, or of the run's own
+    # multipliers where that fit is degenerate
+    fit = _ls_multipliers(a, h)
+    lam = rec.lam if fit is None else fit
     return EntropyResult(
-        g_star=g_star,
+        g_star=Graphon(values=a.copy()),
         s_value=float(best[0]),
         target=target,
-        achieved=DensityPair(e=e_val, t=t_val),
-        beta1=beta1,
-        beta2=beta2,
-        el_residual_norm=el_norm,
+        achieved=DensityPair(e=float(np.mean(a)), t=t_val),
+        beta1=float(rec.lam[0]),
+        beta2=float(rec.lam[1]),
+        el_residual_norm=_sup_residual(a, h, float(lam[0]), float(lam[1])),
         converged=rec.converged,
         multistart_values=multistart_values,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Continuation march and crease scan
-
-DEFAULT_OFFSETS = (1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2)
-
-
-def continuation_march(e, ts, motif: Motif, config: OptimConfig) -> list:
-    """Solve at (e, t) for each t in turn, each warm-started from the last
-    solution (the first from the constant graphon at e).  One EntropyResult per
-    t, or None where t is outside [0, 1] or the solve raises Infeasible."""
-    results = []
-    warm = constant_graphon(e, config.m)
-    for t in ts:
-        res = None
-        if 0.0 <= t <= 1.0:
-            try:
-                res = maximize_entropy(DensityPair(e=e, t=t), motif,
-                                       replace(config, warm_start=warm))
-            except Infeasible:
-                pass
-        if res is not None:
-            warm = res.g_star
-        results.append(res)
-    return results
-
-
-@dataclass
-class CreasePoint:
-    delta: float
-    t: float
-    s: float | None
-    status: str  # ok | infeasible | not_converged
-    quotient: float | None
-
-
-@dataclass
-class CreaseScanResult:
-    e: float
-    motif: Motif
-    s_on_curve: float
-    below: list
-    above: list
-    left_slopes: list
-    right_slopes: list
-    left_exponent_fit: dict | None
-    bound_checks: dict | None
-
-
-def power_fit(xs, ys):
-    """Ordinary least-squares line log y = c0 + c1 log x, for a power law y ~ C x^p.
-
-    Returns (coef, cov): coef = [c0, c1] (so C = exp(c0), p = c1) and cov the
-    OLS covariance s^2 (X^T X)^-1 of coef, with s^2 = RSS / (n - 2); the
-    standard errors are the square roots of its diagonal.
-    """
-    lx = np.log(np.asarray(xs, dtype=float))
-    ly = np.log(np.asarray(ys, dtype=float))
-    n = len(lx)
-    if n < 3:
-        raise DegenerateFit(f"power fit needs at least 3 points, got {n}")
-    x = np.column_stack([np.ones(n), lx])
-    coef, *_ = np.linalg.lstsq(x, ly, rcond=None)
-    resid = ly - x @ coef
-    cov = float(resid @ resid) / (n - 2) * np.linalg.inv(x.T @ x)
-    return coef, cov
-
-
-def side_power_fit(points, s0):
-    """power_fit of the drops s0 - s > 0 against the offsets of one side's
-    CreasePoints; None when fewer than 3 points drop."""
-    pts = [(p.delta, s0 - p.s) for p in points if p.s is not None and s0 - p.s > 0]
-    if len(pts) < 3:
-        return None
-    return power_fit([d for d, _ in pts], [r for _, r in pts])
-
-
-def crease_scan(e, motif: Motif | None = None, deltas=None,
-                config: OptimConfig | None = None) -> CreaseScanResult:
-    """One-sided behavior of s(e, t) around the curve t = e^k.
-
-    Marches away from the curve on each side with warm-started continuation and
-    reports difference quotients, a log-log exponent fit for the lower branch,
-    and the f_-(e) lower-bound checks (triangle motif only).
-    """
-    if motif is None:
-        motif = Motif.triangle()
-    if config is None:
-        config = OptimConfig()
-    if deltas is None:
-        deltas = DEFAULT_OFFSETS
-    if not (0.0 < e < 1.0):
-        raise ValueOutOfRange(f"e={e} outside (0,1)")
-    k = motif.k
-    t0 = e ** k
-    s0 = -rate_value(e)
-    deltas = sorted(float(d) for d in deltas)
-
-    def march(sign):
-        ts = [t0 + sign * d for d in deltas]
-        return [
-            CreasePoint(d, t, None, "infeasible", None) if res is None
-            else CreasePoint(d, t, res.s_value, "ok" if res.converged else "not_converged",
-                             (s0 - res.s_value) / d)
-            for d, t, res in zip(deltas, ts, continuation_march(e, ts, motif, config))
-        ]
-
-    below = march(-1.0)
-    above = march(1.0)
-    left_slopes = [p.quotient for p in below if p.s is not None]
-    right_slopes = [p.quotient for p in above if p.s is not None]
-
-    fit = None
-    below_fit = side_power_fit(below, s0)
-    if below_fit is not None:
-        coef, cov = below_fit
-        fit = {
-            "exponent": float(coef[1]),
-            "exponent_stderr": math.sqrt(cov[1, 1]),
-            "constant": math.exp(coef[0]),
-            "intercept_stderr": math.sqrt(cov[0, 0]),
-        }
-
-    bounds = None
-    if motif == Motif.triangle():
-        fm = f_minus(e)
-        checks_below = [
-            (p.delta, (s0 - p.s) + 1e-6 >= fm.power_constant * p.delta ** (2.0 / 3.0)
-             and (s0 - p.s) + 1e-6 >= fm.linear_constant_below * p.delta)
-            for p in below if p.s is not None
-        ]
-        checks_above = [
-            (p.delta, (s0 - p.s) + 1e-6 >= fm.linear_constant_above * p.delta)
-            for p in above if p.s is not None
-        ]
-        bounds = {
-            "f_minus": fm,
-            "below": checks_below,
-            "above": checks_above,
-            "all_hold": all(b for _, b in checks_below + checks_above),
-        }
-
-    return CreaseScanResult(
-        e=e,
-        motif=motif,
-        s_on_curve=float(s0),
-        below=below,
-        above=above,
-        left_slopes=left_slopes,
-        right_slopes=right_slopes,
-        left_exponent_fit=fit,
-        bound_checks=bounds,
     )

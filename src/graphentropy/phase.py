@@ -1,28 +1,54 @@
-"""Experiment drivers: phase-diagram scans, crease reports and SVG figures.
+"""Experiment drivers: phase-diagram scans, crease scans and reports, SVG figures.
 
 These assemble the solver, region geometry and closed forms into the headline
-reproductions.  Scans march away from the t = e^k ridge on each side with
-warm-started continuation so the crease is always approached by refinement
-from one side, never jumped across.
+reproductions.  Every march starts here, in `continuation_march`: scans march
+away from the t = e^k ridge on each side with warm-started continuation so the
+crease is always approached by refinement from one side, never jumped across.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import region
-from .errors import EmptyTable, ValueOutOfRange
-from .graphon import Graphon, Motif
-from .optimize import (
-    CreaseScanResult,
-    OptimConfig,
-    continuation_march,
-    crease_scan,
-    side_power_fit,
-)
+from .errors import DegenerateFit, EmptyTable, Infeasible, ValueOutOfRange
+from .graphon import DensityPair, Graphon, Motif, constant_graphon, rate_value
+from .optimize import OptimConfig, f_minus, maximize_entropy
+
+# ---------------------------------------------------------------------------
+# Marches off the ridge
+
+DEFAULT_OFFSETS = (1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2)
+
+
+def continuation_march(e, ts, motif: Motif, config: OptimConfig) -> list:
+    """Solve at (e, t) for each t in turn, each warm-started from the last
+    solution (the first from the constant graphon at e).  One EntropyResult per
+    t, or None where t is outside [0, 1] or the solve raises Infeasible."""
+    results = []
+    warm = constant_graphon(e, config.m)
+    for t in ts:
+        res = None
+        if 0.0 <= t <= 1.0:
+            try:
+                res = maximize_entropy(DensityPair(e=e, t=t), motif,
+                                       replace(config, warm_start=warm))
+            except Infeasible:
+                pass
+        if res is not None:
+            warm = res.g_star
+        results.append(res)
+    return results
+
+
+def _status(res) -> str:
+    """The status of one continuation_march result."""
+    if res is None:
+        return "infeasible"
+    return "ok" if res.converged else "not_converged"
 
 
 @dataclass
@@ -53,9 +79,9 @@ class ScanRow:
 def _scan_rows(e, ts, spec):
     nan = math.nan
     return [
-        ScanRow(e, t, nan, nan, nan, False, nan, "infeasible") if res is None
+        ScanRow(e, t, nan, nan, nan, False, nan, _status(res)) if res is None
         else ScanRow(e, t, res.s_value, res.beta1, res.beta2, res.converged,
-                     res.el_residual_norm, "ok" if res.converged else "not_converged")
+                     res.el_residual_norm, _status(res))
         for t, res in zip(ts, continuation_march(e, ts, spec.motif, spec.config))
     ]
 
@@ -80,7 +106,131 @@ def phase_diagram_scan(spec: ScanSpec) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Crease reports
+# Crease scans and reports
+
+
+@dataclass
+class CreasePoint:
+    delta: float
+    t: float
+    s: float | None
+    status: str  # ok | infeasible | not_converged
+    quotient: float | None
+
+
+@dataclass
+class CreaseScanResult:
+    e: float
+    s_on_curve: float
+    below: list
+    above: list
+    below_fit: tuple | None  # side_power_fit of each side: (coef, cov)
+    above_fit: tuple | None
+    left_exponent_fit: dict | None
+    bound_checks: dict | None
+
+
+def power_fit(xs, ys):
+    """Ordinary least-squares line log y = c0 + c1 log x, for a power law y ~ C x^p.
+
+    Returns (coef, cov): coef = [c0, c1] (so C = exp(c0), p = c1) and cov the
+    OLS covariance s^2 (X^T X)^-1 of coef, with s^2 = RSS / (n - 2); the
+    standard errors are the square roots of its diagonal.
+    """
+    lx = np.log(np.asarray(xs, dtype=float))
+    ly = np.log(np.asarray(ys, dtype=float))
+    n = len(lx)
+    if n < 3:
+        raise DegenerateFit(f"power fit needs at least 3 points, got {n}")
+    x = np.column_stack([np.ones(n), lx])
+    coef, *_ = np.linalg.lstsq(x, ly, rcond=None)
+    resid = ly - x @ coef
+    cov = float(resid @ resid) / (n - 2) * np.linalg.inv(x.T @ x)
+    return coef, cov
+
+
+def side_power_fit(points, s0):
+    """power_fit of the drops s0 - s > 0 against the offsets of one side's
+    CreasePoints; None when fewer than 3 points drop."""
+    pts = [(p.delta, s0 - p.s) for p in points if p.s is not None and s0 - p.s > 0]
+    if len(pts) < 3:
+        return None
+    return power_fit([d for d, _ in pts], [r for _, r in pts])
+
+
+def crease_scan(e, motif: Motif | None = None, deltas=None,
+                config: OptimConfig | None = None) -> CreaseScanResult:
+    """One-sided behavior of s(e, t) around the curve t = e^k.
+
+    Marches away from the curve on each side with warm-started continuation and
+    reports difference quotients, the power fit of each side's drop, a log-log
+    exponent fit for the lower branch, and the f_-(e) lower-bound checks
+    (triangle motif only).
+    """
+    if motif is None:
+        motif = Motif.triangle()
+    if config is None:
+        config = OptimConfig()
+    if deltas is None:
+        deltas = DEFAULT_OFFSETS
+    if not (0.0 < e < 1.0):
+        raise ValueOutOfRange(f"e={e} outside (0,1)")
+    t0 = e ** motif.k
+    s0 = -rate_value(e)
+    deltas = sorted(float(d) for d in deltas)
+
+    def march(sign):
+        ts = [t0 + sign * d for d in deltas]
+        return [
+            CreasePoint(d, t, None, _status(res), None) if res is None
+            else CreasePoint(d, t, res.s_value, _status(res), (s0 - res.s_value) / d)
+            for d, t, res in zip(deltas, ts, continuation_march(e, ts, motif, config))
+        ]
+
+    below = march(-1.0)
+    above = march(1.0)
+    below_fit = side_power_fit(below, s0)
+    above_fit = side_power_fit(above, s0)
+
+    fit = None
+    if below_fit is not None:
+        coef, cov = below_fit
+        fit = {
+            "exponent": float(coef[1]),
+            "exponent_stderr": math.sqrt(cov[1, 1]),
+            "constant": math.exp(coef[0]),
+            "intercept_stderr": math.sqrt(cov[0, 0]),
+        }
+
+    bounds = None
+    if motif == Motif.triangle():
+        fm = f_minus(e)
+        checks_below = [
+            (p.delta, (s0 - p.s) + 1e-6 >= fm.f_minus * p.delta ** (2.0 / 3.0)
+             and (s0 - p.s) + 1e-6 >= fm.linear_constant_below * p.delta)
+            for p in below if p.s is not None
+        ]
+        checks_above = [
+            (p.delta, (s0 - p.s) + 1e-6 >= fm.linear_constant_above * p.delta)
+            for p in above if p.s is not None
+        ]
+        bounds = {
+            "f_minus": fm,
+            "below": checks_below,
+            "above": checks_above,
+            "all_hold": all(b for _, b in checks_below + checks_above),
+        }
+
+    return CreaseScanResult(
+        e=e,
+        s_on_curve=float(s0),
+        below=below,
+        above=above,
+        below_fit=below_fit,
+        above_fit=above_fit,
+        left_exponent_fit=fit,
+        bound_checks=bounds,
+    )
 
 
 @dataclass
@@ -94,8 +244,9 @@ class CreaseVerdict:
     one_sided: bool
 
 
-def _side_quotient(points, s0, delta_ref):
-    fit = side_power_fit(points, s0)
+def _side_quotient(fit, delta_ref):
+    """The quotient (s0 - s) / delta_ref of one side's power fit at delta_ref,
+    and its regression standard error; (None, None) without a fit."""
     if fit is None:
         return None, None
     coef, cov = fit
@@ -120,10 +271,9 @@ def crease_report(e_values, motif: Motif | None = None,
     out = []
     for e in e_values:
         scan = crease_scan(e, motif, deltas, config)
-        s0 = scan.s_on_curve
         dref = scan.below[0].delta  # the smallest offset
-        ql, sel = _side_quotient(scan.below, s0, dref)
-        qr, ser = _side_quotient(scan.above, s0, dref)
+        ql, sel = _side_quotient(scan.below_fit, dref)
+        qr, ser = _side_quotient(scan.above_fit, dref)
         one_sided = (ql is None) != (qr is None)
         if ql is not None and qr is not None:
             sigma = math.sqrt(sel ** 2 + ser ** 2)

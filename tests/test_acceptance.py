@@ -26,11 +26,10 @@ from graphentropy.optimize import (
     OptimConfig,
     closed_form_half,
     closed_form_upper,
-    crease_scan,
     f_minus,
     maximize_entropy,
 )
-from graphentropy.phase import crease_report
+from graphentropy.phase import crease_report, crease_scan
 from graphentropy.spectral import delta_t_decomposition, triangle_delta_direct
 
 ACCEPT_CFG = OptimConfig(m=16, multistart_count=4)

@@ -67,6 +67,16 @@ def test_empirical_entropy_examples():
         empirical_entropy(t3, 0.5, 0.5, 0.0)
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.0, -1.0])
+def test_alpha_must_be_finite_and_positive(alpha):
+    t3 = enumerate_census(3)
+    with pytest.raises(errors.ValueOutOfRange):
+        empirical_entropy(t3, 0.5, 0.5, alpha)
+    # rejected before any point, so also with none
+    with pytest.raises(errors.ValueOutOfRange):
+        compare_to_variational(t3, [], alpha, lambda p: 0.0)
+
+
 def test_empirical_entropy_monotone_in_alpha():
     t5 = enumerate_census(5)
     vals = [empirical_entropy(t5, 0.5, 0.1, a) for a in (0.05, 0.1, 0.2, 0.5)]

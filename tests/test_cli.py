@@ -94,6 +94,14 @@ def _bad_motif_file(tmp_path):
     return str(path)
 
 
+def _text_file(name, text):
+    def make(tmp_path):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+    return make
+
+
 def _json_file(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -149,6 +157,15 @@ ENTROPY = ["entropy", "--e", "0.5", "--t", "0.125"]
     # region runs no worker pool either
     ["region", "--samples", "3", "--threads", "4"],
     ["--threads", "2", "region", "--samples", "3"],
+    # a motif file naming an invalid motif is invalid input too
+    *[["entropy", "--e", "0.5", "--t", "0.1", "--motif", _text_file("motif.txt", text)]
+      for text in ("motif v1 ell=0\n", "motif v1 ell=-2\n",
+                   "motif v1 ell=7\n" + "".join(f"1 {j}\n" for j in range(2, 8)),
+                   "motif v1 ell=2\n1 1\n", "motif v1 ell=2\n1 2\n2 1\n",
+                   "motif v1 ell=4\n1 2\n3 4\n")],
+    # alpha is finite and positive, whether or not the points file has a point
+    *[["census-compare", "--n", "3", "--alpha", alpha, "--points", _text_file("p.csv", text)]
+      for alpha in ("nan", "inf", "0", "-1") for text in ("e,t\n", "e,t\n0.5,0.1\n")],
 ])
 def test_malformed_input_exits_usage(tmp_path, argv):
     argv = [a(tmp_path) if callable(a) else a for a in argv]

@@ -24,14 +24,12 @@ from graphentropy.optimize import (
     OptimConfig,
     closed_form_half,
     closed_form_upper,
-    crease_scan,
     el_residual,
     estimate_multipliers,
     f_minus,
     maximize_entropy,
-    power_fit,
 )
-from graphentropy.phase import ScanSpec, phase_diagram_scan
+from graphentropy.phase import ScanSpec, crease_scan, phase_diagram_scan, power_fit
 
 FAST = OptimConfig(m=8, multistart_count=2)
 
@@ -114,7 +112,7 @@ def test_el_residual_vanishes_on_bipodal_family():
     for eps in (0.05, 0.1, 0.2, 0.4):
         sol = closed_form_half(0.125 - eps ** 3)
         g = sol.graphon(8)
-        assert el_residual(g, sol.beta1, sol.beta2).sup_norm < 1e-10
+        assert el_residual(g, sol.beta1, sol.beta2) < 1e-10
 
 
 def test_estimate_multipliers_recovers_betas():
@@ -246,10 +244,12 @@ def test_value_is_a_lower_bound_at_a_known_feasible_point(motif, g):
 def test_crease_scan_quotients_split():
     scan = crease_scan(0.5, Motif.triangle(), deltas=[1e-3, 3e-3, 1e-2], config=FAST)
     assert scan.s_on_curve == pytest.approx(-rate_value(0.5), abs=1e-15)
-    assert len(scan.left_slopes) == 3
-    assert len(scan.right_slopes) == 3
+    left = [p.quotient for p in scan.below if p.s is not None]
+    right = [p.quotient for p in scan.above if p.s is not None]
+    assert len(left) == 3
+    assert len(right) == 3
     # the lower branch drops much faster than the upper branch
-    assert min(scan.left_slopes) > 2.0 * max(scan.right_slopes)
+    assert min(left) > 2.0 * max(right)
     assert scan.bound_checks["all_hold"]
 
 

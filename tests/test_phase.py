@@ -4,12 +4,13 @@ import math
 
 import pytest
 
-from graphentropy import errors
+from graphentropy import errors, phase
 from graphentropy.graphon import Motif, bipodal_graphon, rate_value
-from graphentropy.optimize import OptimConfig, crease_scan
+from graphentropy.optimize import OptimConfig
 from graphentropy.phase import (
     ScanSpec,
     crease_report,
+    crease_scan,
     phase_diagram_scan,
     render_svg,
 )
@@ -74,6 +75,21 @@ def test_crease_report_detects_triangle_crease():
     assert not v.one_sided
     assert v.left_quotient > v.right_quotient
     assert v.separation_sigma > 5.0
+
+
+def test_crease_report_fits_each_side_once(monkeypatch):
+    # the scan keeps both sides' power fits and the report reads them back
+    calls = []
+    fit = phase.power_fit
+
+    def counted_fit(xs, ys):
+        calls.append(len(xs))
+        return fit(xs, ys)
+
+    monkeypatch.setattr(phase, "power_fit", counted_fit)
+    verdict, = crease_report([0.5], Motif.triangle(), FAST, deltas=[1e-3, 3e-3, 1e-2])
+    assert len(calls) == 2
+    assert verdict.left_quotient is not None and verdict.right_quotient is not None
 
 
 def test_svg_renders_deterministically():

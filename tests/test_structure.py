@@ -80,3 +80,34 @@ def test_acceptance_suite_calls_every_verify_check():
     calls = [node.func for node in ast.walk(ast.parse(suite.read_text()))
              if isinstance(node, ast.Call)]
     assert _invariants_named(ast.walk(verify)) <= _invariants_named(calls)
+
+
+def _defines(tree, name):
+    return any(isinstance(node, ast.FunctionDef) and node.name == name
+               for node in ast.walk(tree))
+
+
+def _calls(tree, name):
+    return any(isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Name) and node.func.id == name
+        or isinstance(node.func, ast.Attribute) and node.func.attr == name)
+        for node in ast.walk(tree))
+
+
+def test_every_march_starts_in_phase():
+    # continuation_march is defined and called only in phase, and the solver
+    # module knows nothing of its drivers
+    modules = {path.stem: ast.parse(path.read_text(), filename=path.name)
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert [name for name, tree in modules.items()
+            if _defines(tree, "continuation_march")] == ["phase"]
+    assert [name for name, tree in modules.items()
+            if _calls(tree, "continuation_march")] == ["phase"]
+    imported = []
+    for node in ast.walk(modules["optimize"]):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            imported += [module] + [f"{module}.{alias.name}" for alias in node.names]
+    assert [name for name in imported if name.split(".")[-1] == "phase"] == []
