@@ -60,7 +60,14 @@ from .phase import (
     phase_diagram_scan,
     render_svg,
 )
-from .region import RegionClass, classify, er_curve, lower_envelope, upper_boundary
+from .region import (
+    RegionClass,
+    classify,
+    er_curve,
+    lower_boundary,
+    lower_envelope,
+    upper_boundary,
+)
 from .spectral import (
     SpectralReport,
     delta_t_decomposition,

@@ -118,8 +118,7 @@ def psi_full(params: ErgmParams, config: OptimConfig | None = None,
         motif = Motif.triangle()
     b1, b2 = params.beta1, params.beta2
     m = config.m
-    dens_grad = density_gradient(motif, m)
-    obj_grad = free_energy_objective(dens_grad, b1, b2)
+    objective = free_energy_objective(density_gradient(motif, m), b1, b2)
 
     rng = np.random.default_rng(config.seed)
     starts = []
@@ -135,10 +134,9 @@ def psi_full(params: ErgmParams, config: OptimConfig | None = None,
 
     runs = []
     for a0 in starts:
-        a, f, _, pg = spg_box(project(a0), obj_grad, 0.3 * KKT_TOL, MAX_INNER_ITERATIONS)
-        e_val = float(np.mean(a))
-        t_val, _ = dens_grad(a)
-        runs.append((-f, e_val, t_val, pg, a))
+        a, f, _, pg = spg_box(project(a0), objective, 0.3 * KKT_TOL, MAX_INNER_ITERATIONS)
+        # a is the last iterate the objective valued
+        runs.append((-f, objective.e, objective.t, pg, a))
     runs.sort(key=lambda r: -r[0])
     psi, e_val, t_val, pg, a = runs[0]
     # degenerate: another run ties psi at other densities

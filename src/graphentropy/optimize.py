@@ -210,12 +210,16 @@ def _ls_multipliers(a, d):
     """Least-squares (lam1, lam2) solving I0'(a) = lam1 + lam2 * d over the
     interior blocks; None when too few interior blocks or d is constant."""
     interior = (a > 1e-6) & (a < 1.0 - 1e-6)
-    if np.sum(interior) < 3:
+    hv = d[interior]
+    n = hv.size
+    if n < 3:
         return None
-    hv = d[interior].ravel()
-    if float(np.std(hv)) < 1e-8 * max(1.0, float(np.mean(np.abs(hv)))):
+    # np.std and np.mean written out, with numpy's order of operations
+    dev = hv - float(hv.sum()) / n
+    std = math.sqrt(float((dev * dev).sum()) / n)
+    if std < 1e-8 * max(1.0, float(np.abs(hv).sum()) / n):
         return None
-    y = rate_derivative(a[interior]).ravel()
+    y = rate_derivative(a[interior])
     x = np.column_stack([np.ones_like(hv), hv])
     coef, *_ = np.linalg.lstsq(x, y, rcond=None)
     if not np.all(np.isfinite(coef)):
@@ -238,7 +242,7 @@ class _RunRecord:
 
 def _solve_constrained(a0, target: DensityPair, motif: Motif, cfg: OptimConfig):
     m = cfg.m
-    dens_grad = density_gradient(motif, m)
+    dens = density_gradient(motif, m)
     te, tt = target.e, target.t
     rho = PENALTY_INITIAL
     best = {"s": -math.inf, "a": None}
@@ -246,8 +250,8 @@ def _solve_constrained(a0, target: DensityPair, motif: Motif, cfg: OptimConfig):
     # seed the multipliers from the Euler-Lagrange fit at the start; for an
     # ansatz that is already the optimizer this makes it a fixed point of the
     # first inner solve instead of a point the penalty term drags away from
-    _, d0 = dens_grad(a)
-    fit0 = _ls_multipliers(a, d0)
+    _, field0 = dens(a)
+    fit0 = _ls_multipliers(a, field0())
     lam = fit0 if fit0 is not None else np.zeros(2)
 
     # Multiplier updates: prefer the least-squares fit of the Euler-Lagrange
@@ -261,11 +265,11 @@ def _solve_constrained(a0, target: DensityPair, motif: Motif, cfg: OptimConfig):
     stall = 0
     for outer in range(MAX_OUTER_ITERATIONS):
         inner_tol = max(0.3 * KKT_TOL, min(1e-2, 0.5 ** outer))
-        obj_grad = al_objective(dens_grad, te, tt, lam, rho, CONSTRAINT_TOL, best)
-        a, _, _, pg = spg_box(a, obj_grad, inner_tol, MAX_INNER_ITERATIONS)
-        e_val = float(np.mean(a))
-        t_val, d = dens_grad(a)
-        c = np.array([e_val - te, t_val - tt])
+        objective = al_objective(dens, te, tt, lam, rho, CONSTRAINT_TOL, best)
+        a, _, _, pg = spg_box(a, objective, inner_tol, MAX_INNER_ITERATIONS)
+        # a is the last iterate the objective valued, and its field d is built
+        d = objective.d
+        c = np.array([objective.e - te, objective.t - tt])
         viol = float(np.max(np.abs(c)))
         if viol <= CONSTRAINT_TOL and pg <= KKT_TOL:
             break
@@ -353,7 +357,8 @@ def _region_precheck(target: DensityPair, motif: Motif, tol) -> str:
     e, t = target.e, target.t
     if motif.is_triangle:
         cls = region.classify(e, t, tol=tol)
-        if cls in (region.RegionClass.OUTSIDE_UPPER, region.RegionClass.BELOW_ENVELOPE):
+        if cls in (region.RegionClass.OUTSIDE_UPPER, region.RegionClass.BELOW_ENVELOPE,
+                   region.RegionClass.BELOW_LOWER):
             raise Infeasible(f"target ({e},{t}) classified {cls.value} for the triangle model")
         return f"; region class {cls.value}"
     if motif.is_star:
@@ -378,7 +383,7 @@ def maximize_entropy(target: DensityPair, motif: Motif | None = None,
         config = OptimConfig()
     region_note = _region_precheck(target, motif, CONSTRAINT_TOL)
     ceiling = -rate_value(target.e)
-    dens_grad = density_gradient(motif, config.m)
+    dens = density_gradient(motif, config.m)
     multistart_values = []
     best = None  # (s, record)
     min_viol = math.inf
@@ -399,7 +404,8 @@ def maximize_entropy(target: DensityPair, motif: Motif | None = None,
         )
     _, rec = best
     a = rec.best_a
-    t_val, h = dens_grad(a)
+    t_val, field = dens(a)
+    h = field()
     # the residual of the multiplier fit at the iterate, or of the run's own
     # multipliers where that fit is degenerate
     fit = _ls_multipliers(a, h)

@@ -7,6 +7,7 @@ import pytest
 
 from graphentropy import errors
 from graphentropy.ergm import (
+    THEOREM5_GRID,
     ErgmParams,
     convexity_report,
     find_transition,
@@ -21,6 +22,20 @@ from graphentropy.graphon import rate_value
 from graphentropy.optimize import OptimConfig, closed_form_upper
 
 FAST = OptimConfig(m=8, multistart_count=4)
+
+# psi and the maximizer's (e, t) of psi_full at THEOREM5_GRID[30], (b1, b2) =
+# (1, -1), with FAST, recorded at commit d15f377, where every line-search
+# trial built its gradient and the densities were taken again after each
+# start; every bit must be reproduced.
+PSI_FULL_AT_D15F377 = ("0x1.74951e36fdbd0p-1", "0x1.18d861857b880p-1", "0x1.5200e8b6da3dfp-3")
+
+
+def test_psi_full_bit_identical_to_recorded_values():
+    params = THEOREM5_GRID[30]
+    assert (params.beta1, params.beta2) == (1.0, -1.0)
+    res = psi_full(params, FAST)
+    got = (res.psi, res.maximizer_densities.e, res.maximizer_densities.t)
+    assert [float(x).hex() for x in got] == [float.fromhex(h).hex() for h in PSI_FULL_AT_D15F377]
 
 
 def test_params_must_be_finite():

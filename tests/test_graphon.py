@@ -339,8 +339,8 @@ _SETTINGS = settings(max_examples=60, deadline=None)
 def test_kernel_density_gradient_bit_equal_to_reference(a, motif):
     m = a.shape[0]
     t_ref, d_ref = _ref_make_problem(motif, m)(a)
-    t, d = _kernel.density_gradient(motif, m)(a)
-    assert t == t_ref and np.array_equal(d, d_ref)
+    t, field = _kernel.density_gradient(motif, m)(a)
+    assert t == t_ref and np.array_equal(field(), d_ref)
     g = Graphon(values=a.copy())
     assert motif_density(g, motif) == t_ref
     assert np.array_equal(motif_gradient(g, motif), d_ref)
@@ -355,9 +355,9 @@ def test_kernel_c4_matches_matrix_powers(a):
     a3 = a @ a @ a
     t_ref = float(np.sum(a3 * a)) / m ** 4
     d_ref = 4.0 * a3 / m ** 2
-    t, d = _kernel.density_gradient(c4, m)(a)
+    t, field = _kernel.density_gradient(c4, m)(a)
     assert t == pytest.approx(t_ref, rel=1e-13)
-    assert np.allclose(d, d_ref, rtol=1e-13, atol=0.0)
+    assert np.allclose(field(), d_ref, rtol=1e-13, atol=0.0)
 
 
 # Scalars come from a seeded generator rather than from hypothesis floats,
@@ -383,8 +383,12 @@ def test_kernel_al_objective_bit_equal_to_reference(a, motif, seed, tol):
     best = {"s": -math.inf, "a": None}
     f_ref, g_ref = _ref_al_objective(
         _ref_make_problem(motif, m), te, tt, lam, rho, tol, best_ref)(a)
-    f, g = _kernel.al_objective(
-        _kernel.density_gradient(motif, m), te, tt, lam, rho, tol, best)(a)
+    objective = _kernel.al_objective(
+        _kernel.density_gradient(motif, m), te, tt, lam, rho, tol, best)
+    f = objective.value(a)
+    # the record is kept by the value part alone
+    assert best["s"] == best_ref["s"]
+    g = objective.gradient()
     assert f == f_ref and np.array_equal(g, g_ref)
     assert best["s"] == best_ref["s"]
     assert (best["a"] is None) == (best_ref["a"] is None)
@@ -398,8 +402,9 @@ def test_kernel_free_energy_bit_equal_to_reference(a, motif, seed):
     m = a.shape[0]
     b1, b2 = np.random.default_rng(seed).uniform(-20.0, 20.0, size=2).tolist()
     f_ref, g_ref = _ref_free_energy(_ref_make_problem(motif, m), b1, b2)(a)
-    f, g = _kernel.free_energy_objective(_kernel.density_gradient(motif, m), b1, b2)(a)
-    assert f == f_ref and np.array_equal(g, g_ref)
+    objective = _kernel.free_energy_objective(_kernel.density_gradient(motif, m), b1, b2)
+    f = objective.value(a)
+    assert f == f_ref and np.array_equal(objective.gradient(), g_ref)
 
 
 @_SETTINGS
@@ -412,6 +417,24 @@ def test_rate_derivative_and_projection_bit_equal_to_reference(a, shift):
     assert np.array_equal(_kernel.project(x), np.clip(x, _REF_CLAMP, 1.0 - _REF_CLAMP))
 
 
+class _Counted:
+    """An spg_box objective from value(A) -> f and gradient(A) -> G; counts
+    the values and the gradients built, and builds G at the last A valued."""
+
+    def __init__(self, value, gradient):
+        self._value, self._gradient = value, gradient
+        self.values = self.gradients = 0
+
+    def value(self, a):
+        self.values += 1
+        self._a = a
+        return self._value(a)
+
+    def gradient(self):
+        self.gradients += 1
+        return self._gradient(self._a)
+
+
 def _box_quadratic(m=4):
     """f(A) = mean(w (A - C)^2) / 2 with C partly outside the box, so SPG
     projects and does not converge in a few steps."""
@@ -419,20 +442,17 @@ def _box_quadratic(m=4):
     c = rng.uniform(-0.5, 1.5, size=(m, m))
     w = rng.uniform(0.5, 5.0, size=(m, m))
     c, w = 0.5 * (c + c.T), 0.5 * (w + w.T)
-
-    def obj_grad(a):
-        r = a - c
-        return 0.5 * float(np.mean(w * r * r)), w * r
-
-    return np.full((m, m), 0.5), obj_grad
+    objective = _Counted(lambda a: 0.5 * float(np.mean(w * (a - c) * (a - c))),
+                         lambda a: w * (a - c))
+    return np.full((m, m), 0.5), objective
 
 
 @pytest.mark.parametrize("max_iter", [0, 1, 2, 3])
 def test_spg_box_norm_is_measured_at_the_returned_iterate(max_iter):
-    a0, obj_grad = _box_quadratic()
-    a, f, g, pg = _kernel.spg_box(a0, obj_grad, 0.0, max_iter)
-    f_a, g_a = obj_grad(a)
-    assert f == f_a and np.array_equal(g, g_a)
+    a0, objective = _box_quadratic()
+    a, f, g, pg = _kernel.spg_box(a0, objective, 0.0, max_iter)
+    f_a = objective.value(a)
+    assert f == f_a and np.array_equal(g, objective.gradient())
     assert pg == _kernel.projected_gradient_norm(a, g)
     if max_iter == 0:
         assert np.array_equal(a, a0)
@@ -445,22 +465,79 @@ def test_spg_box_norm_is_measured_at_the_returned_iterate(max_iter):
 _FACE_FIELD = np.array([-12.0, -3.0, 0.0, 3.0, 8.0])[np.add.outer(range(16), range(16)) % 5]
 
 
+def _separable(b):
+    """f(A) = mean(I0(A) - B A), minimized entrywise by I0'(a) = B, that is
+    a = sigmoid(2B)."""
+    return _Counted(lambda a: float(np.mean(rate_value(a) - b * a)),
+                    lambda a: rate_derivative(a) - b)
+
+
 @settings(max_examples=100, deadline=None)
 @given(b=_box_graphons(st.floats(-12.0, 8.0)))
 @example(b=_FACE_FIELD)
 def test_spg_box_solves_the_separable_entropy_problem(b):
-    # f(A) = mean(I0(A) - B A) is minimized entrywise by I0'(a) = B, that is
-    # a = sigmoid(2B): within 4e-11 of the lower face at B = -12.  B stops at
+    # a = sigmoid(2B) is within 4e-11 of the lower face at B = -12.  B stops at
     # 8 on the upper side.  Near a = 1 one ulp of a moves I0'(a) by
     # I0''(a) * 1.1e-16: 5e-10 at B = 8, but 1.2e-6 at B = 12, where the double
     # just past the optimum can have pg of that size.
-    evals = [0]
+    objective = _separable(b)
+    a, _, _, pg = _kernel.spg_box(np.full(b.shape, 0.5), objective, 1e-8, 2000)
+    assert pg <= 1e-8
+    assert objective.values <= 200
+    np.testing.assert_allclose(a, 1.0 / (1.0 + np.exp(-2.0 * b)), rtol=0.0, atol=2e-8)
+
+
+def _ref_spg_box(a, obj_grad, tol, max_iter):
+    """spg_box as it was when every trial built (f, G) at once; returns the
+    final iterate and the numbers of evaluations and accepted steps."""
+    f, g = obj_grad(a)
+    evals, steps = 1, 0
+    step = 1.0 / max(1.0, float(np.abs(g).max()))
+    hist = [f]
+    for _ in range(max_iter):
+        if _kernel.projected_gradient_norm(a, g) <= tol:
+            break
+        w = _kernel._step_scale(a)
+        d = _kernel.project(a - _kernel._entry_steps(w, step) * g) - a
+        gd = _kernel._dot(g, d)
+        if gd >= 0.0:
+            step = 1.0
+            d = _kernel.project(a - _kernel._entry_steps(w, step) * g) - a
+            gd = _kernel._dot(g, d)
+            if gd >= 0.0:
+                break
+        fref = max(hist[-10:])
+        alpha = 1.0
+        while True:
+            an = a + alpha * d
+            fn, gn = obj_grad(an)
+            evals += 1
+            if fn <= fref + 1e-4 * alpha * gd or alpha < 1e-12:
+                break
+            alpha *= 0.5
+        s, y = an - a, gn - g
+        sy = _kernel._dot(s, y)
+        step = min(max(_kernel._dot(s, s / w) / sy, 1e-8), 1e8) if sy > 1e-18 else 1.0
+        a, f, g = an, fn, gn
+        steps += 1
+        hist.append(f)
+    return a, evals, steps
+
+
+@settings(max_examples=100, deadline=None)
+@given(b=_box_graphons(st.floats(-12.0, 8.0)))
+@example(b=_FACE_FIELD)
+def test_spg_box_builds_the_gradient_only_at_accepted_steps(b):
+    # the same iterates and values as the loop that built G at every trial,
+    # with one G at the start and one per accepted step
+    objective = _separable(b)
+    a, _, _, _ = _kernel.spg_box(np.full(b.shape, 0.5), objective, 1e-8, 2000)
+    eager = _separable(b)
 
     def obj_grad(a):
-        evals[0] += 1
-        return float(np.mean(rate_value(a) - b * a)), rate_derivative(a) - b
+        return eager.value(a), eager.gradient()
 
-    a, _, _, pg = _kernel.spg_box(np.full(b.shape, 0.5), obj_grad, 1e-8, 2000)
-    assert pg <= 1e-8
-    assert evals[0] <= 200
-    np.testing.assert_allclose(a, 1.0 / (1.0 + np.exp(-2.0 * b)), rtol=0.0, atol=2e-8)
+    a_ref, evals, steps = _ref_spg_box(np.full(b.shape, 0.5), obj_grad, 1e-8, 2000)
+    assert np.array_equal(a, a_ref)
+    assert objective.values == evals
+    assert objective.gradients == steps + 1

@@ -263,13 +263,15 @@ def _count_inner_solves(monkeypatch):
     al_objective, spg_box = optimize.al_objective, optimize.spg_box
 
     def counted_objective(*args):
-        obj_grad = al_objective(*args)
+        objective = al_objective(*args)
+        value = objective.value
 
-        def wrapped(a):
+        def counted_value(a):
             evals[0] += 1
-            return obj_grad(a)
+            return value(a)
 
-        return wrapped
+        objective.value = counted_value
+        return objective
 
     def counted_spg(*args):
         before = evals[0]
@@ -319,15 +321,17 @@ def test_penalty_stays_under_its_ceiling_across_the_ridge(monkeypatch):
     seen = {"rho": [], "evals": 0}
     al_objective = optimize.al_objective
 
-    def counted(dens_grad, te, tt, lam, rho, tol, best):
+    def counted(dens, te, tt, lam, rho, tol, best):
         seen["rho"].append(rho)
-        obj_grad = al_objective(dens_grad, te, tt, lam, rho, tol, best)
+        objective = al_objective(dens, te, tt, lam, rho, tol, best)
+        value = objective.value
 
-        def wrapped(a):
+        def counted_value(a):
             seen["evals"] += 1
-            return obj_grad(a)
+            return value(a)
 
-        return wrapped
+        objective.value = counted_value
+        return objective
 
     monkeypatch.setattr(optimize, "al_objective", counted)
     rows = _ridge_scan(0.5)
@@ -352,3 +356,40 @@ def test_penalty_ceiling_keeps_ridge_scan_values(e):
     assert [r.status for r in rows] == ["ok"] * 3
     for row, s_uncapped in zip(rows, RIDGE_SCAN_S_UNCAPPED[e]):
         assert row.s >= s_uncapped - 1e-5
+
+
+# ---------------------------------------------------------------------------
+# Bit identity
+
+# (s_value, beta1, beta2, el_residual_norm) and multistart_values of
+# maximize_entropy with m = 16 and 4 starts, recorded at commit d15f377, where
+# every line-search trial built its gradient; the solver must reproduce every
+# bit.
+MAXIMIZE_AT_D15F377 = {
+    (0.5, 0.124, "triangle"): (
+        ("0x1.5894fc37432c5p-2", "0x1.445f410f5af02p+2", "-0x1.b07f0169ce94fp+2",
+         "0x1.0000000000000p-48"),
+        ("-inf", "0x1.5894fc37432c5p-2", "-inf", "-inf", "-inf", "-inf", "-inf", "-inf")),
+    (0.3, 0.04, "triangle"): (
+        ("0x1.195f1874e58f8p-2", "-0x1.251e3d8e6acaap+0", "0x1.1f253adf1e852p+1",
+         "0x1.7cbed1b858000p-15"),
+        ("-inf", "0x1.dc95b0280950cp-3", "0x1.182099f851252p-2", "0x1.176e1b71f09bdp-2",
+         "-inf", "-inf", "0x1.19463e18c99f2p-2", "0x1.195f1874e58f8p-2")),
+    (0.5, 0.0725, "star:4"): (
+        ("0x1.586815f63f454p-2", "-0x1.fb54581aafff5p-2", "0x1.e2c0a49238f8ep-1",
+         "0x1.849b13264c400p-10"),
+        ("-inf", "-inf", "0x1.53a343144f1d8p-2", "-inf", "0x1.52e6cc96af144p-2",
+         "0x1.586815f63f454p-2", "0x1.55c574851615cp-2", "0x1.578a42e56cabbp-2")),
+}
+
+
+@pytest.mark.parametrize("key", sorted(MAXIMIZE_AT_D15F377))
+def test_maximize_entropy_bit_identical_to_recorded_values(key):
+    e, t, motif = key
+    res = maximize_entropy(DensityPair(e=e, t=t), Motif.parse(motif),
+                           OptimConfig(m=16, multistart_count=4, seed=0))
+    scalars, starts = MAXIMIZE_AT_D15F377[key]
+    got = (res.s_value, res.beta1, res.beta2, res.el_residual_norm)
+    assert [float(x).hex() for x in got] == [float.fromhex(h).hex() for h in scalars]
+    assert [float(x).hex() for x in res.multistart_values] == [
+        float.fromhex(h).hex() for h in starts]

@@ -1,13 +1,18 @@
 """Feasible-region geometry tests."""
 
+import math
+
+import numpy as np
 import pytest
 
-from graphentropy import errors
+from graphentropy import errors, optimize
+from graphentropy.graphon import DensityPair, Motif
 from graphentropy.region import (
     RegionClass,
     boundary_table,
     classify,
     er_curve,
+    lower_boundary,
     lower_envelope,
     touch_point,
     upper_boundary,
@@ -27,6 +32,33 @@ def test_boundary_ordering():
     for i in range(1, 100):
         e = i / 100
         assert lower_envelope(e) <= er_curve(e) <= upper_boundary(e) + 1e-15
+        assert lower_envelope(e) - 1e-15 <= lower_boundary(e) <= er_curve(e)
+
+
+def _partite_triangle_density(e):
+    """(edge, triangle) densities of the complete (k+1)-partite graphon with k
+    parts of size c and one of size 1 - kc <= c, c chosen to give density e."""
+    k = math.floor(1.0 / (1.0 - e))
+    c = (k + math.sqrt(k * (k - (k + 1) * e))) / (k * (k + 1))
+    p = np.diag(np.array([c] * k + [1.0 - k * c]))
+    w = 1.0 - np.eye(k + 1)
+    pw = p @ w
+    return float(np.sum(p @ w @ p)), float(np.trace(pw @ pw @ pw))
+
+
+@pytest.mark.parametrize("e", [0.55, 0.6, 0.7, 0.85, 0.95])
+def test_lower_boundary_is_the_partite_triangle_density(e):
+    e_graphon, t_graphon = _partite_triangle_density(e)
+    assert e_graphon == pytest.approx(e, abs=1e-12)
+    assert lower_boundary(e) == pytest.approx(t_graphon, abs=1e-12)
+
+
+def test_lower_boundary_touches_the_envelope():
+    assert lower_boundary(0.0) == lower_boundary(0.3) == lower_boundary(0.5) == 0.0
+    assert lower_boundary(1.0) == 1.0
+    for k in range(1, 20):
+        e = k / (k + 1)
+        assert lower_boundary(e) == pytest.approx(e * (2.0 * e - 1.0), abs=1e-15)
 
 
 def test_classification():
@@ -35,6 +67,9 @@ def test_classification():
     assert classify(0.5, 0.1) is RegionClass.BELOW_ER
     assert classify(0.5, 0.4) is RegionClass.OUTSIDE_UPPER
     assert classify(0.7, 0.2) is RegionClass.BELOW_ENVELOPE
+    # above the envelope 0.28 and below g3(0.7) = 0.28709...
+    assert classify(0.7, 0.285) is RegionClass.BELOW_LOWER
+    assert classify(0.7, 0.3) is RegionClass.BELOW_ER
     assert classify(0.0, 0.0) is RegionClass.ON_ER
     assert classify(1.0, 1.0) is RegionClass.ON_ER
 
@@ -60,3 +95,20 @@ def test_boundary_table():
     assert rows[-1] == (1.0, 1.0, 1.0, 1.0)
     with pytest.raises(errors.ValueOutOfRange):
         boundary_table(1)
+
+
+def test_solver_rejects_the_strip_below_the_lower_boundary(monkeypatch):
+    # no start is run for a target below g3 by more than CONSTRAINT_TOL; one
+    # on g3 is not rejected by the region
+    def no_solve(*args):
+        raise AssertionError("a start was solved")
+
+    monkeypatch.setattr(optimize, "_solve_constrained", no_solve)
+    cfg = optimize.OptimConfig(m=8, multistart_count=0)
+    with pytest.raises(errors.Infeasible, match="BelowLower"):
+        optimize.maximize_entropy(DensityPair(e=0.7, t=0.285), Motif.triangle(), cfg)
+    g3 = lower_boundary(0.7)
+    with pytest.raises(errors.Infeasible, match="BelowLower"):
+        optimize.maximize_entropy(DensityPair(e=0.7, t=g3 - 2e-6), Motif.triangle(), cfg)
+    with pytest.raises(AssertionError, match="a start was solved"):
+        optimize.maximize_entropy(DensityPair(e=0.7, t=g3 - 5e-7), Motif.triangle(), cfg)

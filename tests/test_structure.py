@@ -111,3 +111,34 @@ def test_every_march_starts_in_phase():
             module = node.module or ""
             imported += [module] + [f"{module}.{alias.name}" for alias in node.names]
     assert [name for name in imported if name.split(".")[-1] == "phase"] == []
+
+
+def _call_name(node):
+    if isinstance(node, ast.Call):
+        func = node.func
+        return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    return None
+
+
+def test_every_spg_box_objective_comes_from_the_kernel():
+    # spg_box minimizes only the kernel's two objectives, so one evaluation
+    # protocol (value, then the gradient at accepted steps) serves every solve
+    makers = {"al_objective", "free_energy_objective"}
+    calls, offenders = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=path.name)
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            built = {target.id for node in ast.walk(func) if isinstance(node, ast.Assign)
+                     and _call_name(node.value) in makers
+                     for target in node.targets if isinstance(target, ast.Name)}
+            for node in ast.walk(func):
+                if _call_name(node) == "spg_box":
+                    arg = node.args[1] if len(node.args) > 1 else None
+                    calls.append(f"{path.stem}.{func.name}")
+                    if not (isinstance(arg, ast.Name) and arg.id in built
+                            or _call_name(arg) in makers):
+                        offenders.append(f"{path.stem}.{func.name}:{node.lineno}")
+    assert {"ergm.psi_full", "optimize._solve_constrained"} <= set(calls)
+    assert offenders == []
