@@ -22,7 +22,6 @@ from .errors import (
     GraphEntropyError,
     Infeasible,
     NoTransitionFound,
-    NotConverged,
     TooLarge,
 )
 from .graphon import (

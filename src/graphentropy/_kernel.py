@@ -2,12 +2,14 @@
 
 Each motif's density and first-variation field is computed here once: a
 matmul for the triangle, row degrees for the k-stars and an einsum
-contraction for any other motif.  `density_gradient` returns a motif's
-density at once and its field on demand, from the intermediate both share
-(A^2 or the degrees); `al_objective` (the augmented-Lagrangian subproblem of
-the entropy solver) and `free_energy_objective` (the ERGM free energy) are
-built on it, and `spg_box` is the projected-gradient loop both minimize
-with.  Each objective comes in two parts: a value part that computes f with
+contraction for any other motif.  `density_gradient` is the one place that
+chooses among them; it returns a motif's density at once and its field on
+demand, from the intermediate both share (A^2 or the degrees).
+`graphon.motif_density` and `motif_gradient` call it as the solvers do, so
+every caller gets the same bits.  `al_objective` (the augmented-Lagrangian
+subproblem of the entropy solver) and `free_energy_objective` (the ERGM
+free energy) are built on it, and `spg_box` is the projected-gradient loop
+both minimize with.  Each objective comes in two parts: a value part that computes f with
 the densities and keeps the intermediates, and a gradient part that builds
 G = I0'(A) - lam_eff (1, D) from them.  `spg_box` values every line-search
 trial but builds G only at the steps it accepts, so the 53% of trials it
@@ -126,28 +128,11 @@ def einsum_gradient(a, m, motif) -> np.ndarray:
     return d
 
 
-def density(a, motif) -> float:
-    m = a.shape[0]
-    if motif.is_triangle:
-        return _triangle_density(a, a @ a, m)
-    if motif.is_star:
-        return _star_density(_degrees(a, m), motif.k, m)
-    return einsum_density(a, m, motif)
-
-
-def gradient(a, motif) -> np.ndarray:
-    m = a.shape[0]
-    if motif.is_triangle:
-        return _triangle_gradient(a @ a, m)
-    if motif.is_star:
-        return _star_gradient(_degrees(a, m), motif.k)
-    return einsum_gradient(a, m, motif)
-
-
 def density_gradient(motif, m):
     """Return dens(A) -> (t, field) for m x m matrices, dispatched on the motif
     once: t(H, A) at once, and field() -> D, its first-variation field, built
-    on demand from the intermediate both share (A^2 or the degrees)."""
+    on demand from the intermediate both share (A^2 or the degrees).  The
+    only reader of `Motif.is_triangle` and `Motif.is_star` in this module."""
     if motif.is_triangle:
 
         def dens(a):

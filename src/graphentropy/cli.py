@@ -2,7 +2,7 @@
 
 Machine-readable results go to stdout or --out; diagnostics go to stderr.
 Exit codes: 0 success, 2 invalid arguments, 3 infeasible target, 4 not
-converged, 5 internal invariant violation.
+converged (only from `entropy`), 5 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .errors import (
     GraphEntropyError,
     Infeasible,
     NoTransitionFound,
-    NotConverged,
     ValueOutOfRange,
 )
 from .graphon import DensityPair, Motif
@@ -246,10 +245,7 @@ def _cmd_ergm(args):
         rows = []
         for b1 in np.linspace(b1lo, b1hi, int(n1)):
             for b2 in np.linspace(b2lo, b2hi, int(n2)):
-                try:
-                    r = ergm_mod.psi_full(ergm_mod.ErgmParams(float(b1), float(b2)), cfg)
-                except NotConverged as exc:
-                    r = exc.result
+                r = ergm_mod.psi_full(ergm_mod.ErgmParams(float(b1), float(b2)), cfg)
                 d = r.maximizer_densities
                 rows.append((float(b1), float(b2), r.psi, d.e, d.t, int(r.degenerate)))
         _emit_csv(("beta1", "beta2", "psi", "e", "t", "degenerate"), rows, args.out)
@@ -414,9 +410,6 @@ def run(argv=None) -> int:
     except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except NotConverged as exc:
-        print(f"not converged: {exc}", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
     except NoTransitionFound as exc:
         print(f"no transition: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -46,14 +46,6 @@ class Infeasible(GraphEntropyError):
     """No optimization start reached the constraint tolerance."""
 
 
-class NotConverged(GraphEntropyError):
-    """Feasible point found but the KKT tolerance was not met."""
-
-    def __init__(self, message, result=None):
-        super().__init__(message)
-        self.result = result
-
-
 class DegenerateFit(GraphEntropyError):
     pass
 

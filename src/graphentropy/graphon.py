@@ -13,6 +13,7 @@ equals the continuum functional-derivative density averaged over each block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -49,10 +50,31 @@ class Graphon:
 
 @dataclass(frozen=True)
 class Motif:
-    """Small simple connected graph H whose density constrains the optimization."""
+    """Small simple connected graph H whose density constrains the optimization.
+
+    Every Motif that exists can be evaluated: construction checks that it has
+    1 to MAX_MOTIF_VERTICES vertices, that each edge is a pair of whole
+    numbers (i, j) with 1 <= i < j <= ell, and that it is connected, and
+    stores the edges as a frozenset.  `from_edges` also accepts edges in either order and rejects
+    loops and repeated edges by name.
+    """
 
     ell: int
     edges: frozenset  # frozenset of (i, j) with 1 <= i < j <= ell
+
+    def __post_init__(self):
+        object.__setattr__(self, "edges", frozenset(self.edges))
+        ell = self.ell
+        if ell < 1:
+            raise ValueOutOfRange(f"ell={ell}: a motif needs at least one vertex")
+        if ell > MAX_MOTIF_VERTICES:
+            raise MotifTooLarge(f"ell={ell} exceeds cap {MAX_MOTIF_VERTICES}")
+        for e in self.edges:
+            if not (isinstance(e, tuple) and len(e) == 2
+                    and all(isinstance(v, Integral) for v in e) and 1 <= e[0] < e[1] <= ell):
+                raise ValueOutOfRange(f"edge {e} is not (i, j) with 1 <= i < j <= {ell}")
+        if not self._connected():
+            raise DisconnectedMotif("motif must be connected")
 
     @property
     def k(self) -> int:
@@ -81,24 +103,7 @@ class Motif:
     def from_edges(cls, ell, edges):
         if ell < 1:
             raise ValueOutOfRange(f"ell={ell}: a motif needs at least one vertex")
-        seen = set()
-        norm = []
-        for (i, j) in edges:
-            if i == j:
-                raise LoopEdge(f"loop at vertex {i}")
-            if not (1 <= i <= ell and 1 <= j <= ell):
-                raise ValueOutOfRange(f"edge ({i},{j}) outside 1..{ell}")
-            e = (min(i, j), max(i, j))
-            if e in seen:
-                raise DuplicateEdge(f"duplicate edge {e}")
-            seen.add(e)
-            norm.append(e)
-        if ell > MAX_MOTIF_VERTICES:
-            raise MotifTooLarge(f"ell={ell} exceeds cap {MAX_MOTIF_VERTICES}")
-        motif = cls(ell=ell, edges=frozenset(norm))
-        if not motif._connected():
-            raise DisconnectedMotif("motif must be connected")
-        return motif
+        return cls(ell=ell, edges=_edge_set(ell, edges))
 
     @classmethod
     def edge(cls):
@@ -175,9 +180,12 @@ def constant_graphon(a, m=1) -> Graphon:
     return Graphon(values=np.full((m, m), float(a)))
 
 
-def embed_graph(n, edges) -> Graphon:
-    """0-1 graphon of a labeled simple graph on n vertices (1-based edges)."""
-    a = np.zeros((n, n))
+def _edge_set(n, edges) -> frozenset:
+    """The edges of a simple graph on vertices 1..n, each as (min, max).
+
+    Checks the edges in input order and raises on the first loop (LoopEdge),
+    endpoint outside 1..n (ValueOutOfRange) or repeated edge (DuplicateEdge).
+    """
     seen = set()
     for (i, j) in edges:
         if i == j:
@@ -188,6 +196,13 @@ def embed_graph(n, edges) -> Graphon:
         if e in seen:
             raise DuplicateEdge(f"duplicate edge {e}")
         seen.add(e)
+    return frozenset(seen)
+
+
+def embed_graph(n, edges) -> Graphon:
+    """0-1 graphon of a labeled simple graph on n vertices (1-based edges)."""
+    a = np.zeros((n, n))
+    for (i, j) in _edge_set(n, edges):
         a[i - 1, j - 1] = a[j - 1, i - 1] = 1.0
     return Graphon(values=a)
 
@@ -216,11 +231,10 @@ def motif_density(g: Graphon, motif: Motif) -> float:
     """Homomorphism density t(H, g), exact for step graphons.
 
     Triangles cost one matmul and k-stars O(m^2); other motifs are contracted
-    with an optimized elimination order rather than summed over m^ell terms.
+    with an optimized elimination order rather than summed over m^ell terms;
+    `_kernel.density_gradient` chooses the kernel.
     """
-    if motif.ell > MAX_MOTIF_VERTICES:
-        raise MotifTooLarge(f"ell={motif.ell} exceeds cap {MAX_MOTIF_VERTICES}")
-    return _kernel.density(g.values, motif)
+    return _kernel.density_gradient(motif, g.m)(g.values)[0]
 
 
 def motif_gradient(g: Graphon, motif: Motif) -> np.ndarray:
@@ -229,9 +243,7 @@ def motif_gradient(g: Graphon, motif: Motif) -> np.ndarray:
     On a constant graphon with the triangle this is the matrix 3 e^2; in
     general it is the block average of the continuum field h(x, y).
     """
-    if motif.ell > MAX_MOTIF_VERTICES:
-        raise MotifTooLarge(f"ell={motif.ell} exceeds cap {MAX_MOTIF_VERTICES}")
-    return _kernel.gradient(g.values, motif)
+    return _kernel.density_gradient(motif, g.m)(g.values)[1]()
 
 
 def rate_value(u):

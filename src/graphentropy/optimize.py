@@ -114,15 +114,20 @@ def _f_ratio(e, x):
     return out
 
 
-def f_minus(e, grid_points=100_000) -> CreaseBoundConstants:
-    """Infimum of f(e, x) over x in [-e, 1-e], by grid scan plus local polish."""
+# f_minus scans f(e, x) on this many points of [-e, 1-e] before polishing
+F_MINUS_GRID_POINTS = 100_000
+
+
+def f_minus(e) -> CreaseBoundConstants:
+    """Infimum of f(e, x) over x in [-e, 1-e], by a scan of F_MINUS_GRID_POINTS
+    points plus a bounded Brent polish around the best one."""
     if not (0.0 < e < 1.0):
         raise ValueOutOfRange(f"e={e} outside (0,1)")
-    xs = np.linspace(-e, 1.0 - e, grid_points)
+    xs = np.linspace(-e, 1.0 - e, F_MINUS_GRID_POINTS)
     fs = _f_ratio(e, xs)
     i = int(np.argmin(fs))
     lo = xs[max(i - 1, 0)]
-    hi = xs[min(i + 1, grid_points - 1)]
+    hi = xs[min(i + 1, F_MINUS_GRID_POINTS - 1)]
     x, fx = minimize_bounded(lambda x: float(_f_ratio(e, np.array([x]))[0]), lo, hi, 1e-10)
     fm = min(float(fs[i]), fx)
     xmin = float(x) if fx <= fs[i] else float(xs[i])
@@ -240,9 +245,9 @@ class _RunRecord:
     best_a: np.ndarray | None
 
 
-def _solve_constrained(a0, target: DensityPair, motif: Motif, cfg: OptimConfig):
-    m = cfg.m
-    dens = density_gradient(motif, m)
+def _solve_constrained(a0, target: DensityPair, dens):
+    """One augmented-Lagrangian run from a0; dens is the motif's
+    `density_gradient` at the resolution of a0."""
     te, tt = target.e, target.t
     rho = PENALTY_INITIAL
     best = {"s": -math.inf, "a": None}
@@ -388,7 +393,7 @@ def maximize_entropy(target: DensityPair, motif: Motif | None = None,
     best = None  # (s, record)
     min_viol = math.inf
     for _, a0 in _starts(target, motif, config):
-        rec = _solve_constrained(a0, target, motif, config)
+        rec = _solve_constrained(a0, target, dens)
         min_viol = min(min_viol, rec.viol)
         multistart_values.append(rec.best_s)
         if rec.best_a is not None and (best is None or rec.best_s > best[0] + 1e-15):

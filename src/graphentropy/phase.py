@@ -165,7 +165,8 @@ def crease_scan(e, motif: Motif | None = None, deltas=None,
     Marches away from the curve on each side with warm-started continuation and
     reports difference quotients, the power fit of each side's drop, a log-log
     exponent fit for the lower branch, and the f_-(e) lower-bound checks
-    (triangle motif only).
+    (triangle motif only).  The offsets (DEFAULT_OFFSETS when None) must be
+    finite and positive, and there must be at least one.
     """
     if motif is None:
         motif = Motif.triangle()
@@ -175,9 +176,11 @@ def crease_scan(e, motif: Motif | None = None, deltas=None,
         deltas = DEFAULT_OFFSETS
     if not (0.0 < e < 1.0):
         raise ValueOutOfRange(f"e={e} outside (0,1)")
+    deltas = sorted(float(d) for d in deltas)
+    if not deltas or not all(math.isfinite(d) and d > 0.0 for d in deltas):
+        raise ValueOutOfRange(f"offsets {deltas} must be finite, positive and at least one")
     t0 = e ** motif.k
     s0 = -rate_value(e)
-    deltas = sorted(float(d) for d in deltas)
 
     def march(sign):
         ts = [t0 + sign * d for d in deltas]

@@ -67,6 +67,10 @@ def test_psi_full_zero_field():
     assert res.psi == pytest.approx(val + 0.0 * e + 0.0 * t, abs=1e-10)
 
 
+def test_psi_full_reports_convergence_as_data():
+    assert psi_full(ErgmParams(0.0, 0.0), FAST).converged is True
+
+
 def test_psi_full_constant_maximizer_for_positive_beta2():
     res = psi_full(ErgmParams(0.3, 0.8), FAST)
     spread = float(np.ptp(res.maximizer.values))

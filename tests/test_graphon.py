@@ -80,6 +80,42 @@ def test_motif_validation():
         Motif.from_edges(2, [(1, 2), (2, 1)])
     with pytest.raises(errors.DisconnectedMotif):
         Motif.from_edges(4, [(1, 2), (3, 4)])
+    # the edge checks come before the vertex cap, in input order
+    with pytest.raises(errors.LoopEdge):
+        Motif.from_edges(7, [(1, 2), (3, 3)])
+    with pytest.raises(errors.MotifTooLarge):
+        Motif.from_edges(7, [(i + 1, i) for i in range(1, 7)])
+
+
+@pytest.mark.parametrize("ell, edges, error", [
+    (7, {(i, i + 1) for i in range(1, 7)}, errors.MotifTooLarge),
+    (4, {(1, 2), (3, 4)}, errors.DisconnectedMotif),
+    (3, {(2, 1), (2, 3)}, errors.ValueOutOfRange),
+    (3, {(1, 2), (2, 4)}, errors.ValueOutOfRange),
+    (3, {(1.0, 2.0), (2.0, 3.0)}, errors.ValueOutOfRange),
+    (0, set(), errors.ValueOutOfRange),
+])
+def test_a_directly_built_motif_validates_itself(ell, edges, error):
+    with pytest.raises(errors.ValueOutOfRange) as caught:
+        Motif(ell=ell, edges=edges)
+    assert caught.type is error
+
+
+@pytest.mark.parametrize("edges, error, message", [
+    ([(1, 2), (2, 2)], errors.LoopEdge, "loop at vertex 2"),
+    ([(1, 2), (2, 5)], errors.ValueOutOfRange, r"edge \(2,5\) outside 1..4"),
+    ([(1, 2), (2, 1)], errors.DuplicateEdge, r"duplicate edge \(1, 2\)"),
+])
+def test_motifs_and_embedded_graphs_reject_the_same_edge_lists(edges, error, message):
+    for build in (Motif.from_edges, embed_graph):
+        with pytest.raises(errors.ValueOutOfRange, match=message) as caught:
+            build(4, edges)
+        assert caught.type is error
+
+
+def test_a_directly_built_motif_is_the_parsed_one():
+    motif = Motif(ell=3, edges={(1, 2), (1, 3), (2, 3)})
+    assert motif == Motif.triangle() and hash(motif) == hash(Motif.triangle())
 
 
 def test_density_pair_range():

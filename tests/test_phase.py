@@ -77,6 +77,15 @@ def test_crease_report_detects_triangle_crease():
     assert v.separation_sigma > 5.0
 
 
+@pytest.mark.parametrize("deltas", [[], [0.0, 1e-3, 1e-2], [-1e-3, 1e-3, 1e-2]])
+def test_crease_offsets_must_be_finite_and_positive(deltas):
+    config = OptimConfig(m=4, multistart_count=0)
+    with pytest.raises(errors.ValueOutOfRange, match="offsets"):
+        crease_scan(0.5, Motif.triangle(), deltas, config)
+    with pytest.raises(errors.ValueOutOfRange, match="offsets"):
+        crease_report([0.5], Motif.triangle(), config, deltas)
+
+
 def test_crease_report_fits_each_side_once(monkeypatch):
     # the scan keeps both sides' power fits and the report reads them back
     calls = []

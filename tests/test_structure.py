@@ -142,3 +142,19 @@ def test_every_spg_box_objective_comes_from_the_kernel():
                         offenders.append(f"{path.stem}.{func.name}:{node.lineno}")
     assert {"ergm.psi_full", "optimize._solve_constrained"} <= set(calls)
     assert offenders == []
+
+
+def test_one_motif_dispatch():
+    # density_gradient alone chooses a motif's kernel, and the public density
+    # and gradient go through it, so no second dispatch can drift from it
+    kernel = _tree("_kernel")
+    readers = {func.name for func in kernel.body if isinstance(func, ast.FunctionDef)
+               for node in ast.walk(func) if isinstance(node, ast.Attribute)
+               and node.attr in ("is_triangle", "is_star")}
+    assert readers == {"density_gradient"}
+    assert not any(isinstance(node, ast.Attribute) and node.attr in ("is_triangle", "is_star")
+                   for stmt in kernel.body if not isinstance(stmt, ast.FunctionDef)
+                   for node in ast.walk(stmt))
+    graphon = _tree("graphon")
+    for name in ("motif_density", "motif_gradient"):
+        assert _calls(_function(graphon, name), "density_gradient"), name
