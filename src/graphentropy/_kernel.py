@@ -12,8 +12,8 @@ free energy) are built on it, and `spg_box` is the projected-gradient loop
 both minimize with.  Each objective comes in two parts: a value part that computes f with
 the densities and keeps the intermediates, and a gradient part that builds
 G = I0'(A) - lam_eff (1, D) from them.  `spg_box` values every line-search
-trial but builds G only at the steps it accepts, so the 53% of trials it
-rejects on a `solver` benchmark pass cost no gradient.  Its steps are
+trial but builds G only at the steps it accepts, so the trials it rejects
+cost no gradient.  Its steps are
 scaled by the entropy's inverse curvature within about 1/CURVATURE_SCALE of
 a face of the box, where the optimizers of the upper boundary sit; every
 other step is the plain spectral step, bit for bit.  Matrices follow the
@@ -104,10 +104,8 @@ def _pinned_field(a, m, ell, rest_edges, va, vb):
     ops = [a] * len(rest_edges)
     covered = {v for edge in rest_edges for v in edge}
     ones = np.ones(m)
-    for v in range(1, ell + 1):
-        if v not in covered and v not in (va, vb):
-            subs.append(_IDX[v - 1])
-            ops.append(ones)
+    # a Motif is connected, so only an endpoint of the removed edge can lie on
+    # no other edge
     for v in (va, vb):
         if v not in covered:
             subs.append(_IDX[v - 1])
@@ -314,9 +312,8 @@ def spg_box(a, objective, tol, max_iter):
     `free_energy_objective` build it: objective.value(A) -> f, and
     objective.gradient() -> G, the mean-convention gradient at the last A
     valued.  Every line-search trial is valued, but G is built only at the
-    start and at each accepted step, which is always the last trial valued:
-    on a `solver` benchmark pass 15,416 of the 28,848 values are trials the
-    Armijo test rejects, so G is built 13,432 times instead of 28,848.
+    start and at each accepted step, which is always the last trial valued,
+    so a trial the Armijo test rejects costs no gradient.
     Returns the final iterate, value, gradient and the projected-gradient sup
     norm at that iterate, which is also the last A the objective valued.
     """

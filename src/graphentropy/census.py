@@ -9,7 +9,6 @@ the entropy definition.
 
 from __future__ import annotations
 
-import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -17,10 +16,12 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import FormatError, TooLarge, ValueOutOfRange
+from .errors import TooLarge, ValueOutOfRange
 
 MAX_N_DEFAULT = 7
 MAX_N_FLAGGED = 8
+# the mask space is counted in chunks of 2^CHUNK_BITS masks
+CHUNK_BITS = 20
 
 
 @dataclass(frozen=True)
@@ -63,12 +64,12 @@ def _count_chunk(start, stop, triples):
     return edges, tris
 
 
-def enumerate_census(n, allow_large=False, threads=1, chunk_bits=20) -> CensusTable:
+def enumerate_census(n, allow_large=False, threads=1) -> CensusTable:
     """Exact (edge count, triangle count) census of all labeled graphs on n vertices.
 
     n <= 7 by default; n = 8 (2^28 graphs) only with allow_large.  The mask
     space is split into contiguous chunks merged by exact addition, so the
-    result is independent of threads and chunk size.
+    result is independent of threads and of CHUNK_BITS.
     """
     if n < 1:
         raise ValueOutOfRange("need at least one vertex")
@@ -79,7 +80,7 @@ def enumerate_census(n, allow_large=False, threads=1, chunk_bits=20) -> CensusTa
     ntri_slots = math.comb(n, 3)
     triples = _triple_masks(n)
     total = 1 << nbits
-    chunk = min(total, 1 << chunk_bits)
+    chunk = min(total, 1 << CHUNK_BITS)
     ranges = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
     width = ntri_slots + 1
     acc = np.zeros((nbits + 1) * width, dtype=np.int64)
@@ -163,30 +164,3 @@ def census_csv(table: CensusTable) -> str:
     lines = ["n,edges,triangles,count"]
     lines += [f"{table.n},{ec},{tc},{table.counts[(ec, tc)]}" for (ec, tc) in sorted(table.counts)]
     return "\n".join(lines) + "\n"
-
-
-def write_census_csv(table: CensusTable, path):
-    """Persist census_csv(table) to path."""
-    with open(path, "w", newline="") as fh:
-        fh.write(census_csv(table))
-
-
-def read_census_csv(path) -> CensusTable:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != ["n", "edges", "triangles", "count"]:
-        raise FormatError("missing census header row")
-    counts = {}
-    n = None
-    for row in rows[1:]:
-        if len(row) != 4:
-            raise FormatError(f"bad census row {row}")
-        rn, ec, tc, cnt = (int(x) for x in row)
-        if n is None:
-            n = rn
-        elif rn != n:
-            raise FormatError("mixed n in census file")
-        counts[(ec, tc)] = cnt
-    if n is None:
-        raise FormatError("empty census file")
-    return CensusTable(n=n, counts=counts)

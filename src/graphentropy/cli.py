@@ -13,6 +13,7 @@ import math
 import os
 import sys
 import traceback
+from dataclasses import fields
 
 import numpy as np
 
@@ -76,13 +77,12 @@ def _emit_csv(header, rows, out_path):
     _emit("\n".join(lines) + "\n", out_path)
 
 
-# the optim keys a --config file or scan spec may set, with their least values
-OPTIM_MINIMUM = {"m": 1, "multistart_count": 0, "seed": 0}
-
-
 def _load_config(args, spec_optim=None) -> OptimConfig:
     """OptimConfig from, in order: the defaults, the --config file's optim
-    table, the scan spec's optim table, --m, then --seed."""
+    table, the scan spec's optim table, --m, then --seed.  Each layer must
+    make a valid OptimConfig by itself, so a bad value is an error even where
+    a later layer overrides it.  A file cannot set warm_start."""
+    keys = [f.name for f in fields(OptimConfig) if f.name != "warm_start"]
     layers = []
     if args.config:
         with open(args.config) as fh:
@@ -98,13 +98,10 @@ def _load_config(args, spec_optim=None) -> OptimConfig:
     for layer in layers:
         if not isinstance(layer, dict):
             raise FormatError(f"optim must be a JSON object, got {layer!r}")
-        unknown = sorted(set(layer) - set(OPTIM_MINIMUM))
+        unknown = sorted(set(layer) - set(keys))
         if unknown:
-            raise FormatError(f"unknown optim keys {unknown}; accepted: {list(OPTIM_MINIMUM)}")
-        for key, value in layer.items():
-            low = OPTIM_MINIMUM[key]
-            if isinstance(value, bool) or not isinstance(value, int) or value < low:
-                raise ValueOutOfRange(f"{key} must be an integer >= {low}, got {value!r}")
+            raise FormatError(f"unknown optim keys {unknown}; accepted: {keys}")
+        OptimConfig(**layer)
         values.update(layer)
     return OptimConfig(**values)
 
@@ -236,21 +233,19 @@ def _cmd_ergm(args):
                     "violations": report["violations"],
                     "points": report["points"]}, args.out)
         return EXIT_OK if not report["violations"] else EXIT_INVARIANT
-    if args.grid:
-        if len(args.grid) != 6:
-            raise ValueOutOfRange("--grid needs b1lo,b1hi,n1,b2lo,b2hi,n2")
-        b1lo, b1hi, n1, b2lo, b2hi, n2 = args.grid
-        if not all(n.is_integer() and n >= 1 for n in (n1, n2)):
-            raise ValueOutOfRange(f"--grid counts must be positive integers, got {n1}, {n2}")
-        rows = []
-        for b1 in np.linspace(b1lo, b1hi, int(n1)):
-            for b2 in np.linspace(b2lo, b2hi, int(n2)):
-                r = ergm_mod.psi_full(ergm_mod.ErgmParams(float(b1), float(b2)), cfg)
-                d = r.maximizer_densities
-                rows.append((float(b1), float(b2), r.psi, d.e, d.t, int(r.degenerate)))
-        _emit_csv(("beta1", "beta2", "psi", "e", "t", "degenerate"), rows, args.out)
-        return EXIT_OK
-    raise ValueOutOfRange("ergm needs one of --grid, --curve, --verify-thm5")
+    if len(args.grid) != 6:
+        raise ValueOutOfRange("--grid needs b1lo,b1hi,n1,b2lo,b2hi,n2")
+    b1lo, b1hi, n1, b2lo, b2hi, n2 = args.grid
+    if not all(n.is_integer() and n >= 1 for n in (n1, n2)):
+        raise ValueOutOfRange(f"--grid counts must be positive integers, got {n1}, {n2}")
+    rows = []
+    for b1 in np.linspace(b1lo, b1hi, int(n1)):
+        for b2 in np.linspace(b2lo, b2hi, int(n2)):
+            r = ergm_mod.psi_full(ergm_mod.ErgmParams(float(b1), float(b2)), cfg)
+            d = r.maximizer_densities
+            rows.append((float(b1), float(b2), r.psi, d.e, d.t, int(r.degenerate)))
+    _emit_csv(("beta1", "beta2", "psi", "e", "t", "degenerate"), rows, args.out)
+    return EXIT_OK
 
 
 def _cmd_census(args):
@@ -374,12 +369,13 @@ def _build_parser():
     sp.set_defaults(handler=_cmd_region)
 
     sp = sub.add_parser("ergm", parents=[shared], help="free energy and transition curve")
-    sp.add_argument("--grid", type=_floats, default=None, help="b1lo,b1hi,n1,b2lo,b2hi,n2")
-    sp.add_argument("--curve", action="store_true")
+    mode = sp.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--grid", type=_floats, help="b1lo,b1hi,n1,b2lo,b2hi,n2")
+    mode.add_argument("--curve", action="store_true")
+    mode.add_argument("--verify-thm5", action="store_true")
     sp.add_argument("--beta2-min", type=float, default=0.6)
     sp.add_argument("--beta2-max", type=float, default=2.0)
     sp.add_argument("--steps", type=int, default=8)
-    sp.add_argument("--verify-thm5", action="store_true")
     sp.add_argument("--svg", default=None)
     sp.set_defaults(handler=_cmd_ergm)
 

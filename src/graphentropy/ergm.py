@@ -37,8 +37,9 @@ from .graphon import (
 from .optimize import KKT_TOL, MAX_INNER_ITERATIONS, OptimConfig
 
 # _scalar_maximizers polishes the local maxima of phi found on a grid of this
-# many points; find_transition bisects its beta1 bracket down to this width
+# many points; find_transition bisects BETA1_BRACKET down to TRANSITION_TOL
 SCALAR_GRID_POINTS = 10_000
+BETA1_BRACKET = (-20.0, 20.0)
 TRANSITION_TOL = 1e-13
 
 
@@ -185,7 +186,7 @@ def verify_t_le_e_cubed(grid, config: OptimConfig | None = None) -> dict:
 # Transition curve
 
 
-def find_transition(beta2, beta1_bracket=(-20.0, 20.0)) -> tuple:
+def find_transition(beta2) -> tuple:
     """Bisect on beta1 for the jump of the scalar-family maximizer at fixed beta2.
 
     Returns (beta1_critical, u_low, u_high).  The jump exists only above the
@@ -204,8 +205,6 @@ def find_transition(beta2, beta1_bracket=(-20.0, 20.0)) -> tuple:
     """
     if not (math.isfinite(beta2) and beta2 > -0.5):
         raise ValueOutOfRange(f"beta2={beta2} outside the treated regime (> -1/2)")
-    if not all(math.isfinite(b1) for b1 in beta1_bracket):
-        raise ValueOutOfRange(f"beta1 bracket {beta1_bracket} must be finite")
 
     def top(b1):
         # strict global argmax; ties resolved by magnitude so the bisection
@@ -213,7 +212,7 @@ def find_transition(beta2, beta1_bracket=(-20.0, 20.0)) -> tuple:
         _, us = _scalar_maximizers(b1, beta2, tie_tol=1e-15)
         return us[-1]
 
-    lo, hi = beta1_bracket
+    lo, hi = BETA1_BRACKET
     if not top(lo) < 2.0 / 3.0 <= top(hi):
         raise NoTransitionFound(f"maximizer does not cross 2/3 on the bracket at beta2={beta2}")
     lo, hi = bisect(lambda b1: top(b1) < 2.0 / 3.0, lo, hi, TRANSITION_TOL)

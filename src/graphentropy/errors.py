@@ -50,7 +50,8 @@ class DegenerateFit(GraphEntropyError):
     pass
 
 
-class TooLarge(GraphEntropyError):
+# a census above its size cap is invalid input too
+class TooLarge(ValueOutOfRange):
     pass
 
 

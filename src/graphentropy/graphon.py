@@ -199,14 +199,6 @@ def _edge_set(n, edges) -> frozenset:
     return frozenset(seen)
 
 
-def embed_graph(n, edges) -> Graphon:
-    """0-1 graphon of a labeled simple graph on n vertices (1-based edges)."""
-    a = np.zeros((n, n))
-    for (i, j) in _edge_set(n, edges):
-        a[i - 1, j - 1] = a[j - 1, i - 1] = 1.0
-    return Graphon(values=a)
-
-
 def bipodal_graphon(c, p11, p12, p22, m) -> Graphon:
     """Two-cluster step graphon; the split point c is rounded to the grid."""
     for p in (p11, p12, p22):
@@ -341,13 +333,6 @@ def read_graphon(path) -> Graphon:
     if not np.allclose(a, lower, atol=1e-13, rtol=0):
         raise AsymmetricMatrix("upper triangle disagrees with lower triangle")
     return validate(lower)
-
-
-def write_motif(motif: Motif, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"motif v1 ell={motif.ell}\n")
-        for (i, j) in sorted(motif.edges):
-            fh.write(f"{i} {j}\n")
 
 
 def read_motif(path) -> Motif:

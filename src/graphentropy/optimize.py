@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -51,10 +52,23 @@ PENALTY_MAX = 1e3
 
 @dataclass(frozen=True)
 class OptimConfig:
+    """Solver settings: the grid resolution m >= 1, the number of random
+    restarts >= 0 and their seed >= 0, each a whole number and not a bool, and
+    an optional Graphon to start from.  Construction raises ValueOutOfRange
+    on any other value."""
+
     m: int = 16
     multistart_count: int = 12
     seed: int = 0
     warm_start: Graphon | None = None
+
+    def __post_init__(self):
+        for name, low in (("m", 1), ("multistart_count", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+                raise ValueOutOfRange(f"{name} must be an integer >= {low}, got {value!r}")
+        if not (self.warm_start is None or isinstance(self.warm_start, Graphon)):
+            raise ValueOutOfRange(f"warm_start must be None or a Graphon, got {self.warm_start!r}")
 
 
 @dataclass
@@ -188,21 +202,17 @@ def _sup_residual(a, h, beta1, beta2) -> float:
     return float(np.max(np.abs(-rate_derivative(a) + beta1 + beta2 * h)))
 
 
-def el_residual(g: Graphon, beta1, beta2, motif: Motif | None = None) -> float:
+def el_residual(g: Graphon, beta1, beta2) -> float:
     """Sup over the blocks of the field -I0'(g) + beta1 + beta2 * h; h is the
-    first-variation field of t(H, g) (3 * int g g for triangles)."""
-    if motif is None:
-        motif = Motif.triangle()
-    return _sup_residual(g.values, motif_gradient(g, motif), beta1, beta2)
+    first-variation field 3 * int g g of the triangle density."""
+    return _sup_residual(g.values, motif_gradient(g, Motif.triangle()), beta1, beta2)
 
 
-def estimate_multipliers(g: Graphon, motif: Motif | None = None) -> dict:
-    """Least-squares (beta1, beta2) minimizing the Euler-Lagrange residual over
-    the interior blocks (boundary blocks carry box multipliers); the residual
-    norm is the sup over every block."""
-    if motif is None:
-        motif = Motif.triangle()
-    h = motif_gradient(g, motif)
+def estimate_multipliers(g: Graphon) -> dict:
+    """Least-squares (beta1, beta2) minimizing the triangle model's
+    Euler-Lagrange residual over the interior blocks (boundary blocks carry
+    box multipliers); the residual norm is the sup over every block."""
+    h = motif_gradient(g, Motif.triangle())
     coef = _ls_multipliers(g.values, h)
     if coef is None:
         raise DegenerateFit("too few interior blocks or a constant h field; beta2 unidentifiable")

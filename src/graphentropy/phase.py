@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from numbers import Real
 
 import numpy as np
 
 from . import region
 from .errors import DegenerateFit, EmptyTable, Infeasible, ValueOutOfRange
-from .graphon import DensityPair, Graphon, Motif, constant_graphon, rate_value
+from .graphon import DensityPair, Motif, constant_graphon, rate_value
 from .optimize import OptimConfig, f_minus, maximize_entropy
 
 # ---------------------------------------------------------------------------
@@ -166,7 +167,7 @@ def crease_scan(e, motif: Motif | None = None, deltas=None,
     reports difference quotients, the power fit of each side's drop, a log-log
     exponent fit for the lower branch, and the f_-(e) lower-bound checks
     (triangle motif only).  The offsets (DEFAULT_OFFSETS when None) must be
-    finite and positive, and there must be at least one.
+    finite positive numbers, and there must be at least one.
     """
     if motif is None:
         motif = Motif.triangle()
@@ -176,9 +177,14 @@ def crease_scan(e, motif: Motif | None = None, deltas=None,
         deltas = DEFAULT_OFFSETS
     if not (0.0 < e < 1.0):
         raise ValueOutOfRange(f"e={e} outside (0,1)")
-    deltas = sorted(float(d) for d in deltas)
-    if not deltas or not all(math.isfinite(d) and d > 0.0 for d in deltas):
-        raise ValueOutOfRange(f"offsets {deltas} must be finite, positive and at least one")
+    try:
+        offsets = list(deltas)
+    except TypeError:
+        offsets = []
+    if not offsets or not all(isinstance(d, Real) and math.isfinite(d) and d > 0.0
+                              for d in offsets):
+        raise ValueOutOfRange(f"offsets {deltas!r} must be finite positive numbers, at least one")
+    deltas = sorted(float(d) for d in offsets)
     t0 = e ** motif.k
     s0 = -rate_value(e)
 
@@ -261,11 +267,12 @@ def _side_quotient(fit, delta_ref):
 
 
 def crease_report(e_values, motif: Motif | None = None,
-                  config: OptimConfig | None = None, deltas=None) -> list:
+                  config: OptimConfig | None = None) -> list:
     """Per-e crease verdicts: sides separated by > 5 sigma, or one-sided.
 
-    The one-sided quotients are compared at the smallest offset through their
-    power-law fits, with regression standard errors deciding significance.
+    Each e is a crease_scan over DEFAULT_OFFSETS.  The one-sided quotients are
+    compared at the smallest offset through their power-law fits, with
+    regression standard errors deciding significance.
     """
     if motif is None:
         motif = Motif.triangle()
@@ -273,7 +280,7 @@ def crease_report(e_values, motif: Motif | None = None,
         config = OptimConfig()
     out = []
     for e in e_values:
-        scan = crease_scan(e, motif, deltas, config)
+        scan = crease_scan(e, motif, config=config)
         dref = scan.below[0].delta  # the smallest offset
         ql, sel = _side_quotient(scan.below_fit, dref)
         qr, ser = _side_quotient(scan.above_fit, dref)
@@ -347,7 +354,8 @@ def _boundary_paths():
 
 
 def render_svg(table, kind) -> str:
-    """Self-contained deterministic SVG: s-heatmap, transition curve or graphon."""
+    """Self-contained deterministic SVG: the s-heatmap of a scan table, or the
+    transition curve of ergm.transition_curve rows."""
     if kind == "heatmap":
         rows = [r for r in table if isinstance(r, ScanRow) and math.isfinite(r.s)]
         if not rows:
@@ -363,8 +371,6 @@ def render_svg(table, kind) -> str:
                 f'width="6" height="6" fill="{c}"/>'
             )
         return _svg(parts + _boundary_paths())
-    if kind == "region":
-        return _svg(_boundary_paths())
     if kind == "curves":
         rows = list(table)
         if not rows:
@@ -377,24 +383,4 @@ def render_svg(table, kind) -> str:
             f"{_sx(b1, x0, x1):.2f},{_sy(b2, y0, y1):.2f}" for b2, b1, *_ in rows
         )
         return _svg([f'<polyline points="{pts}" fill="none" stroke="black"/>'])
-    if kind == "graphon":
-        if isinstance(table, Graphon):
-            vals = table.values
-        else:
-            vals = np.asarray(table, dtype=float)
-        if vals.size == 0:
-            raise EmptyTable("empty graphon")
-        m = vals.shape[0]
-        cell = (min(_W, _H) - 2 * _PAD) / m
-        parts = []
-        for i in range(m):
-            for j in range(m):
-                v = min(max(float(vals[i, j]), 0.0), 1.0)
-                shade = int(round(255 * (1.0 - v)))
-                parts.append(
-                    f'<rect x="{_PAD + j * cell:.2f}" y="{_PAD + i * cell:.2f}" '
-                    f'width="{cell:.2f}" height="{cell:.2f}" '
-                    f'fill="#{shade:02x}{shade:02x}{shade:02x}"/>'
-                )
-        return _svg(parts)
     raise ValueOutOfRange(f"unknown render kind {kind!r}")

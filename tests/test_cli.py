@@ -133,6 +133,8 @@ ENTROPY = ["entropy", "--e", "0.5", "--t", "0.125"]
     ["scan", "--spec", lambda p: _json_file(p, "s.json", _spec(m="16"))],
     [*ENTROPY, "--config", lambda p: _json_file(p, "c.json", _config(multistart_count=-1))],
     [*ENTROPY, "--config", lambda p: _json_file(p, "c.json", [])],
+    # a file cannot set the solver's warm start
+    [*ENTROPY, "--config", lambda p: _json_file(p, "c.json", _config(warm_start=None))],
     # a bad --config fails even where the spec's optim overrides the bad key
     ["scan", "--spec", lambda p: _json_file(p, "s.json", _spec()),
      "--config", lambda p: _json_file(p, "c.json", _config(m=-2))],
@@ -154,6 +156,14 @@ ENTROPY = ["entropy", "--e", "0.5", "--t", "0.125"]
     ["ergm", "--grid", "0,1,nan,0,1,2"],
     ["ergm", "--grid", "0,1,2.5,0,1,2"],
     ["ergm", "--curve", "--beta2-min", "nan"],
+    # ergm runs exactly one mode
+    ["ergm", "--curve", "--verify-thm5"],
+    ["ergm", "--grid=0,0,1,0,0,1", "--curve"],
+    # a census above its size cap is invalid input
+    ["census", "--n", "8"],
+    ["census", "--n", "9"],
+    ["census-compare", "--n", "9", "--alpha", "0.1",
+     "--points", _text_file("p.csv", "e,t\n0.5,0.1\n")],
     # region runs no worker pool either
     ["region", "--samples", "3", "--threads", "4"],
     ["--threads", "2", "region", "--samples", "3"],
@@ -267,6 +277,51 @@ def test_ergm_curve_csv(tmp_path):
 
 def test_ergm_requires_a_mode():
     assert run(["ergm"]) == EXIT_USAGE
+
+
+def _tiny_cfg(tmp_path):
+    return _json_file(tmp_path, "tiny.json", _config(m=4, multistart_count=0))
+
+
+def test_crease_json(tmp_path):
+    out = tmp_path / "crease.json"
+    assert run(["crease", "--e", "0.5", "--config", _tiny_cfg(tmp_path),
+                "--out", str(out)]) == EXIT_OK
+    verdict, = _read_json(out)
+    assert set(verdict) == {"e", "left_quotient", "right_quotient", "separation_sigma",
+                            "crease_detected", "one_sided", "left_exponent_fit",
+                            "bounds_all_hold"}
+
+
+def test_ergm_verify_thm5_json(tmp_path):
+    out = tmp_path / "thm5.json"
+    assert run(["ergm", "--verify-thm5", "--config", _tiny_cfg(tmp_path),
+                "--out", str(out)]) == EXIT_OK
+    assert set(_read_json(out)) == {"max_excess", "violations", "points"}
+
+
+def test_ergm_grid_csv(tmp_path):
+    out = tmp_path / "grid.csv"
+    assert run(["ergm", "--grid=-1,1,2,-1,1,2", "--config", _tiny_cfg(tmp_path),
+                "--out", str(out)]) == EXIT_OK
+    lines = out.read_text().splitlines()
+    assert lines[0] == "beta1,beta2,psi,e,t,degenerate"
+    assert len(lines) == 5
+
+
+def test_scan_svg(tmp_path):
+    spec = _json_file(tmp_path, "spec.json", {"e_grid": [0.5], "t_grid": [0.0, -1e-3]})
+    svg = tmp_path / "scan.svg"
+    assert run(["scan", "--spec", spec, "--config", _tiny_cfg(tmp_path), "--svg", str(svg),
+                "--out", str(tmp_path / "scan.csv")]) == EXIT_OK
+    assert svg.read_text().startswith("<svg")
+
+
+def test_ergm_curve_svg(tmp_path):
+    svg = tmp_path / "curve.svg"
+    assert run(["ergm", "--curve", "--steps", "2", "--config", _tiny_cfg(tmp_path),
+                "--svg", str(svg), "--out", str(tmp_path / "curve.csv")]) == EXIT_OK
+    assert svg.read_text().startswith("<svg")
 
 
 def test_census_compare(tmp_path):

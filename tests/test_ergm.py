@@ -160,8 +160,6 @@ def test_transition_curve_domain_guard():
         with pytest.raises(errors.ValueOutOfRange):
             find_transition(bad)
         with pytest.raises(errors.ValueOutOfRange):
-            find_transition(1.0, beta1_bracket=(-20.0, bad))
-        with pytest.raises(errors.ValueOutOfRange):
             transition_curve(bad, 1.0, 3)
         with pytest.raises(errors.ValueOutOfRange):
             transition_curve(0.6, bad, 3)

@@ -16,7 +16,6 @@ from graphentropy.graphon import (
     bipodal_graphon,
     constant_graphon,
     edge_density,
-    embed_graph,
     graphon_distance,
     graphon_text,
     motif_density,
@@ -30,7 +29,6 @@ from graphentropy.graphon import (
     resample,
     validate,
     write_graphon,
-    write_motif,
 )
 
 
@@ -107,10 +105,9 @@ def test_a_directly_built_motif_validates_itself(ell, edges, error):
     ([(1, 2), (2, 1)], errors.DuplicateEdge, r"duplicate edge \(1, 2\)"),
 ])
 def test_motifs_and_embedded_graphs_reject_the_same_edge_lists(edges, error, message):
-    for build in (Motif.from_edges, embed_graph):
-        with pytest.raises(errors.ValueOutOfRange, match=message) as caught:
-            build(4, edges)
-        assert caught.type is error
+    with pytest.raises(errors.ValueOutOfRange, match=message) as caught:
+        Motif.from_edges(4, edges)
+    assert caught.type is error
 
 
 def test_a_directly_built_motif_is_the_parsed_one():
@@ -137,7 +134,7 @@ def test_constant_graphon_densities():
 
 def test_complete_graph_triangle_density():
     # K_4 as a 0-1 graphon: t = P(all three pairs distinct blocks and adjacent)
-    g = embed_graph(4, [(i, j) for i in range(1, 5) for j in range(i + 1, 5)])
+    g = Graphon(values=1.0 - np.eye(4))
     a = g.values
     m = 4
     t = float(np.einsum("ab,ac,bc->", a, a, a)) / m ** 3
@@ -271,7 +268,7 @@ def test_graphon_file_errors(tmp_path):
 
 def test_motif_file_roundtrip(tmp_path):
     path = tmp_path / "m.txt"
-    write_motif(Motif.star(3), path)
+    path.write_text("motif v1 ell=4\n1 2\n1 3\n1 4\n")
     assert read_motif(path) == Motif.star(3)
 
 

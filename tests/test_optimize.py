@@ -172,6 +172,17 @@ def test_infeasible_region_pre_check():
         maximize_entropy(DensityPair(e=0.7, t=0.2), Motif.triangle(), FAST)
 
 
+@pytest.mark.parametrize("bad", [
+    {"m": 0}, {"m": 2.5}, {"m": True}, {"m": "16"},
+    {"multistart_count": -3}, {"multistart_count": 1.0}, {"multistart_count": None},
+    {"seed": -1}, {"seed": False},
+    {"warm_start": np.full((4, 4), 0.5)},
+])
+def test_optim_config_validates_itself(bad):
+    with pytest.raises(errors.ValueOutOfRange):
+        OptimConfig(**bad)
+
+
 def test_star_below_jensen_floor_infeasible():
     with pytest.raises(errors.Infeasible):
         maximize_entropy(DensityPair(e=0.5, t=0.0525), Motif.star(4), FAST)

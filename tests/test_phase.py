@@ -5,7 +5,7 @@ import math
 import pytest
 
 from graphentropy import errors, phase
-from graphentropy.graphon import Motif, bipodal_graphon, rate_value
+from graphentropy.graphon import Motif, rate_value
 from graphentropy.optimize import OptimConfig
 from graphentropy.phase import (
     ScanSpec,
@@ -68,8 +68,7 @@ def test_scan_and_crease_scan_share_the_march():
 
 
 def test_crease_report_detects_triangle_crease():
-    verdicts = crease_report([0.5], Motif.triangle(), FAST,
-                             deltas=[1e-3, 3e-3, 1e-2, 3e-2])
+    verdicts = crease_report([0.5], Motif.triangle(), FAST)
     v = verdicts[0]
     assert v.crease_detected
     assert not v.one_sided
@@ -77,13 +76,12 @@ def test_crease_report_detects_triangle_crease():
     assert v.separation_sigma > 5.0
 
 
-@pytest.mark.parametrize("deltas", [[], [0.0, 1e-3, 1e-2], [-1e-3, 1e-3, 1e-2]])
+@pytest.mark.parametrize("deltas", [[], [0.0, 1e-3, 1e-2], [-1e-3, 1e-3, 1e-2],
+                                    ["x"], 5, [None]])
 def test_crease_offsets_must_be_finite_and_positive(deltas):
     config = OptimConfig(m=4, multistart_count=0)
     with pytest.raises(errors.ValueOutOfRange, match="offsets"):
         crease_scan(0.5, Motif.triangle(), deltas, config)
-    with pytest.raises(errors.ValueOutOfRange, match="offsets"):
-        crease_report([0.5], Motif.triangle(), config, deltas)
 
 
 def test_crease_report_fits_each_side_once(monkeypatch):
@@ -96,7 +94,7 @@ def test_crease_report_fits_each_side_once(monkeypatch):
         return fit(xs, ys)
 
     monkeypatch.setattr(phase, "power_fit", counted_fit)
-    verdict, = crease_report([0.5], Motif.triangle(), FAST, deltas=[1e-3, 3e-3, 1e-2])
+    verdict, = crease_report([0.5], Motif.triangle(), FAST)
     assert len(calls) == 2
     assert verdict.left_quotient is not None and verdict.right_quotient is not None
 
@@ -108,14 +106,6 @@ def test_svg_renders_deterministically():
     svg2 = render_svg(table, "heatmap")
     assert svg1 == svg2
     assert svg1.startswith("<svg") and svg1.endswith("</svg>")
-
-
-def test_svg_region_and_graphon_kinds():
-    region = render_svg(None, "region")
-    assert "polyline" in region
-    g = bipodal_graphon(0.5, 0.6, 0.4, 0.6, 4)
-    block = render_svg(g, "graphon")
-    assert block.count("<rect") >= 16
 
 
 def test_svg_curves_kind():

@@ -39,20 +39,6 @@ def test_no_module_imports_scipy():
     assert offenders == []
 
 
-def test_cli_optim_keys_are_the_config_fields():
-    keys = None
-    for node in _tree("cli").body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "OPTIM_MINIMUM" for t in node.targets):
-            keys = set(ast.literal_eval(node.value))
-    fields = set()
-    for node in _tree("optimize").body:
-        if isinstance(node, ast.ClassDef) and node.name == "OptimConfig":
-            fields = {stmt.target.id for stmt in node.body if isinstance(stmt, ast.AnnAssign)}
-    assert fields
-    assert keys == fields - {"warm_start"}
-
-
 def _function(tree, name):
     return next(node for node in ast.walk(tree)
                 if isinstance(node, ast.FunctionDef) and node.name == name)
@@ -158,3 +144,57 @@ def test_one_motif_dispatch():
     graphon = _tree("graphon")
     for name in ("motif_density", "motif_gradient"):
         assert _calls(_function(graphon, name), "density_gradient"), name
+
+
+def _defaulted_parameters(tree):
+    """(function, parameter, position in a call or None) for every parameter
+    with a default; a method's position does not count self or cls."""
+    out = []
+    for owner in ast.walk(tree):
+        if not isinstance(owner, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+            continue
+        for func in owner.body:
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            args = func.args
+            positional = args.posonlyargs + args.args
+            shift = int(isinstance(owner, ast.ClassDef) and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod" for d in func.decorator_list))
+            first = len(positional) - len(args.defaults)
+            out += [(func.name, arg.arg, i - shift)
+                    for i, arg in enumerate(positional[first:], start=first)]
+            out += [(func.name, arg.arg, None)
+                    for arg, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def _passes(call, func, param, position):
+    """Whether the call passes param of func, directly or through a wrapper
+    such as the bench's tracer.call(label, func, *args) that forwards the
+    arguments after func."""
+    if _call_name(call) == func:
+        args = call.args
+    else:
+        at = [i for i, arg in enumerate(call.args)
+              if (arg.id if isinstance(arg, ast.Name) else getattr(arg, "attr", None)) == func]
+        if not at:
+            return False
+        args = call.args[at[0] + 1:]
+    return (any(k.arg == param for k in call.keywords)
+            or position is not None and len(args) > position
+            or any(isinstance(arg, ast.Starred) for arg in args))
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    # an option that only the tests set is a constant in disguise: some call
+    # in the package or the bench must pass each defaulted parameter
+    bench = pathlib.Path(__file__).resolve().parents[1] / "bench"
+    sources = sorted(PACKAGE.glob("*.py")) + sorted(bench.glob("*.py"))
+    calls = [node for path in sources for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)]
+    params = [(path.stem, *p) for path in sorted(PACKAGE.glob("*.py"))
+              for p in _defaulted_parameters(ast.parse(path.read_text()))]
+    assert params
+    unused = [f"{module}.{func}({param}=)" for module, func, param, position in params
+              if not any(_passes(call, func, param, position) for call in calls)]
+    assert unused == []
