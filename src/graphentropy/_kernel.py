@@ -13,7 +13,12 @@ both minimize with.  Each objective comes in two parts: a value part that comput
 the densities and keeps the intermediates, and a gradient part that builds
 G = I0'(A) - lam_eff (1, D) from them.  `spg_box` values every line-search
 trial but builds G only at the steps it accepts, so the trials it rejects
-cost no gradient.  Its steps are
+cost no gradient.  The augmented-Lagrangian objective also keeps I(A) and
+I0'(A) of the last A it valued and differentiated, so the solver's outer
+loop reprices it to each round's multipliers and penalty and starts the
+round's `spg_box` from that (f, G), the same formulas on the same parts and
+so the same bits, instead of valuing and differentiating again the iterate
+the last round returned.  Its steps are
 scaled by the entropy's inverse curvature within about 1/CURVATURE_SCALE of
 a face of the box, where the optimizers of the upper boundary sit; every
 other step is the plain spectral step, bit for bit.  Matrices follow the
@@ -24,8 +29,10 @@ At the sizes the solvers use (m = 8..32) one numpy call costs more than the
 arithmetic behind it, so the objectives avoid calls without changing a bit
 of any result:
 
-- `float(x.sum()) / x.size` in place of `np.mean(x)`, which sums the same
-  way but costs three times as much to call;
+- `float(np.add.reduce(x, None)) / x.size` in place of `np.mean(x)`, which
+  sums the same way but costs three times as much to call, and
+  `np.add.reduce` in place of `ndarray.sum`, the same reduction without its
+  Python wrapper;
 - `np.minimum(np.maximum(x, lo), hi)` in place of `np.clip`, the same
   operation at half the call cost;
 - I0 without the boundary mask of `graphon.rate_value`: SPG iterates lie in
@@ -65,7 +72,7 @@ _IDX = "abcdef"
 
 
 def _triangle_density(a, a2, m):
-    return float((a2 * a).sum()) / m ** 3
+    return float(np.add.reduce(a2 * a, None)) / m ** 3
 
 
 def _triangle_gradient(a2, m):
@@ -73,11 +80,11 @@ def _triangle_gradient(a2, m):
 
 
 def _degrees(a, m):
-    return a.sum(axis=1) / m
+    return np.add.reduce(a, 1) / m
 
 
 def _star_density(r, k, m):
-    return float((r ** k).sum()) / m
+    return float(np.add.reduce(r ** k, None)) / m
 
 
 def _star_gradient(r, k):
@@ -169,7 +176,7 @@ def rate_derivative(a):
 
 
 def _mean(x):
-    return float(x.sum()) / x.size
+    return float(np.add.reduce(x, None)) / x.size
 
 
 def _mean_rate(a):
@@ -185,8 +192,8 @@ def _mean_rate(a):
 class _Objective:
     """An objective in the two parts `spg_box` calls: value(A) -> f keeps what
     the gradient shares with f, and gradient() -> G builds G at the last A
-    valued.  After a solve, e and t are the densities of the last A valued and
-    d its motif field, which gradient() built."""
+    valued.  After a solve, e and t are the densities of the last A valued,
+    and i0_prime its I0'(A) and d its motif field, which gradient() built."""
 
     def __init__(self, dens):
         self._dens = dens
@@ -196,9 +203,9 @@ class _Objective:
         self.e = _mean(a)
         self.t, self._field = self._dens(a)
 
-    def _motif_field(self):
+    def _fields(self):
+        self.i0_prime = rate_derivative(self.a)
         self.d = self._field()
-        return self.d
 
 
 class _AugmentedLagrangian(_Objective):
@@ -208,22 +215,34 @@ class _AugmentedLagrangian(_Objective):
         self._lam, self._rho, self._tol, self._best = lam, rho, tol, best
 
     def value(self, a):
-        i_val = _mean_rate(a)
+        self._i = i_val = _mean_rate(a)
         self._densities(a)
         c0, c1 = self._c = (self.e - self._target[0], self.t - self._target[1])
-        c = np.array([c0, c1])
-        f = i_val - float(self._lam @ c) + 0.5 * self._rho * float(c @ c)
         best = self._best
         if max(abs(c0), abs(c1)) <= self._tol and -i_val > best["s"]:
             best["s"] = -i_val
             best["a"] = a.copy()
-        return f
+        return self._price()
 
     def gradient(self):
+        self._fields()
+        return self._combine()
+
+    def reprice(self, lam, rho):
+        """Set new multipliers and penalty and return (f, G) at the last A
+        valued and differentiated, from the I(A), c, I0'(A) and D it holds."""
+        self._lam, self._rho = lam, rho
+        return self._price(), self._combine()
+
+    def _price(self):
+        c = np.array(self._c)
+        return self._i - float(self._lam @ c) + 0.5 * self._rho * float(c @ c)
+
+    def _combine(self):
         # lam_eff = lam - rho c entry by entry, as numpy would round it
         (c0, c1), rho = self._c, self._rho
         l0, l1 = self._lam.tolist()
-        return rate_derivative(self.a) - (l0 - rho * c0) - (l1 - rho * c1) * self._motif_field()
+        return self.i0_prime - (l0 - rho * c0) - (l1 - rho * c1) * self.d
 
 
 class _FreeEnergy(_Objective):
@@ -236,7 +255,8 @@ class _FreeEnergy(_Objective):
         return _mean_rate(a) - self._beta1 * self.e - self._beta2 * self.t
 
     def gradient(self):
-        return rate_derivative(self.a) - self._beta1 - self._beta2 * self._motif_field()
+        self._fields()
+        return self.i0_prime - self._beta1 - self._beta2 * self.d
 
 
 def al_objective(dens, target_e, target_t, lam, rho, tol, best):
@@ -247,7 +267,10 @@ def al_objective(dens, target_e, target_t, lam, rho, tol, best):
     G = I0'(A) - lam_eff[0] - lam_eff[1] D with lam_eff = lam - rho c and D the
     motif field.  Every valued A whose violation max|c| is within tol and
     whose -I beats best["s"] is recorded in best["s"] and best["a"], line
-    search trials included.
+    search trials included.  objective.reprice(lam, rho) sets new multipliers
+    and penalty and returns (f, G) at the last A valued and differentiated
+    without valuing it again: the same formulas on the I(A), c, I0'(A) and D
+    it holds, so the same bits as a fresh objective's value(A) and gradient().
     """
     return _AugmentedLagrangian(dens, target_e, target_t, lam, rho, tol, best)
 
@@ -285,7 +308,7 @@ def _entry_steps(w, step):
     return np.where(w < 1.0, min(step, 2.0 / CURVATURE_SCALE) * w, step)
 
 
-def spg_box(a, objective, tol, max_iter):
+def spg_box(a, objective, tol, max_iter, start=None):
     """Nonmonotone spectral projected gradient on the clamped box, with steps
     scaled entrywise near its faces.
 
@@ -311,14 +334,18 @@ def spg_box(a, objective, tol, max_iter):
     The objective comes in two parts, as `al_objective` and
     `free_energy_objective` build it: objective.value(A) -> f, and
     objective.gradient() -> G, the mean-convention gradient at the last A
-    valued.  Every line-search trial is valued, but G is built only at the
-    start and at each accepted step, which is always the last trial valued,
-    so a trial the Armijo test rejects costs no gradient.
+    valued.  Every line-search trial is valued, but G is built only at each
+    accepted step, which is always the last trial valued, so a trial the
+    Armijo test rejects costs no gradient.  start is (f, G) at a when the
+    caller holds them, as the augmented-Lagrangian rounds do after the first
+    (`al_objective`'s reprice): G is then built at the start of a run of
+    rounds, not of every round.  With start None the loop values and
+    differentiates a itself.
     Returns the final iterate, value, gradient and the projected-gradient sup
-    norm at that iterate, which is also the last A the objective valued.
+    norm at that iterate, which is also the last A the objective valued; the
+    iterate is the array a itself when no step was accepted.
     """
-    f = objective.value(a)
-    g = objective.gradient()
+    f, g = (objective.value(a), objective.gradient()) if start is None else start
     step = 1.0 / max(1.0, float(np.abs(g).max()))
     hist = [f]
     for _ in range(max_iter):

@@ -38,6 +38,11 @@ EXIT_INFEASIBLE = 3
 EXIT_NOT_CONVERGED = 4
 EXIT_INVARIANT = 5
 
+# ergm --curve's beta2 range and step count when --beta2-min, --beta2-max or
+# --steps is not given
+CURVE_BETA2 = (0.6, 2.0)
+CURVE_STEPS = 8
+
 
 def _sanitize(obj):
     """JSON-safe copy: numpy to native, non-finite floats to null."""
@@ -122,12 +127,13 @@ def _threads(args) -> int:
     return args.threads or 1
 
 
-def _reject_flags(args, *names):
-    """A flag the command has no use for is an error, not a flag to ignore:
-    region and census run no solver, and region runs no worker pool either."""
-    given = [f"--{name}" for name in names if getattr(args, name) is not None]
+def _reject_flags(args, *names, mode=""):
+    """A flag the command (in `mode`) has no use for is an error, not a flag
+    to ignore: region and census run no solver, region runs no worker pool
+    either, and only ergm --curve draws an SVG or reads a beta2 range."""
+    given = [f"--{name.replace('_', '-')}" for name in names if getattr(args, name) is not None]
     if given:
-        raise ValueOutOfRange(f"{args.command} takes no {' or '.join(given)}")
+        raise ValueOutOfRange(f"{args.command}{mode} takes no {' or '.join(given)}")
 
 
 def _numbers(doc, key):
@@ -221,12 +227,17 @@ def _cmd_region(args):
 def _cmd_ergm(args):
     cfg = _load_config(args)
     if args.curve:
-        rows = ergm_mod.transition_curve(args.beta2_min, args.beta2_max, args.steps)
+        rows = ergm_mod.transition_curve(
+            CURVE_BETA2[0] if args.beta2_min is None else args.beta2_min,
+            CURVE_BETA2[1] if args.beta2_max is None else args.beta2_max,
+            CURVE_STEPS if args.steps is None else args.steps)
         _emit_csv(("beta2", "beta1_critical", "u_low", "u_high"), rows, args.out)
         if args.svg:
             with open(args.svg, "w") as fh:
                 fh.write(phase_mod.render_svg(rows, "curves"))
         return EXIT_OK
+    _reject_flags(args, "svg", "beta2_min", "beta2_max", "steps",
+                  mode=" --verify-thm5" if args.verify_thm5 else " --grid")
     if args.verify_thm5:
         report = ergm_mod.verify_t_le_e_cubed(ergm_mod.THEOREM5_GRID, cfg)
         _emit_json({"max_excess": report["max_excess"],
@@ -373,10 +384,12 @@ def _build_parser():
     mode.add_argument("--grid", type=_floats, help="b1lo,b1hi,n1,b2lo,b2hi,n2")
     mode.add_argument("--curve", action="store_true")
     mode.add_argument("--verify-thm5", action="store_true")
-    sp.add_argument("--beta2-min", type=float, default=0.6)
-    sp.add_argument("--beta2-max", type=float, default=2.0)
-    sp.add_argument("--steps", type=int, default=8)
-    sp.add_argument("--svg", default=None)
+    sp.add_argument("--beta2-min", type=float, default=None,
+                    help=f"--curve only; default {CURVE_BETA2[0]}")
+    sp.add_argument("--beta2-max", type=float, default=None,
+                    help=f"--curve only; default {CURVE_BETA2[1]}")
+    sp.add_argument("--steps", type=int, default=None, help=f"--curve only; default {CURVE_STEPS}")
+    sp.add_argument("--svg", default=None, help="--curve only")
     sp.set_defaults(handler=_cmd_ergm)
 
     sp = sub.add_parser("census", parents=[shared], help="exact labeled-graph census")

@@ -174,7 +174,7 @@ def validate(values) -> Graphon:
     return Graphon(values=0.5 * (a + a.T))
 
 
-def constant_graphon(a, m=1) -> Graphon:
+def constant_graphon(a, m) -> Graphon:
     if not (0.0 <= a <= 1.0):
         raise ValueOutOfRange(f"constant value {a} outside [0,1]")
     return Graphon(values=np.full((m, m), float(a)))

@@ -198,14 +198,15 @@ def closed_form_upper(e, m) -> Graphon:
 # Euler-Lagrange residuals and multiplier estimation
 
 
-def _sup_residual(a, h, beta1, beta2) -> float:
-    return float(np.max(np.abs(-rate_derivative(a) + beta1 + beta2 * h)))
+def _sup_residual(i0_prime, h, beta1, beta2) -> float:
+    return float(np.max(np.abs(-i0_prime + beta1 + beta2 * h)))
 
 
 def el_residual(g: Graphon, beta1, beta2) -> float:
     """Sup over the blocks of the field -I0'(g) + beta1 + beta2 * h; h is the
     first-variation field 3 * int g g of the triangle density."""
-    return _sup_residual(g.values, motif_gradient(g, Motif.triangle()), beta1, beta2)
+    return _sup_residual(rate_derivative(g.values), motif_gradient(g, Motif.triangle()),
+                         beta1, beta2)
 
 
 def estimate_multipliers(g: Graphon) -> dict:
@@ -213,17 +214,19 @@ def estimate_multipliers(g: Graphon) -> dict:
     Euler-Lagrange residual over the interior blocks (boundary blocks carry
     box multipliers); the residual norm is the sup over every block."""
     h = motif_gradient(g, Motif.triangle())
-    coef = _ls_multipliers(g.values, h)
+    i0_prime = rate_derivative(g.values)
+    coef = _ls_multipliers(g.values, h, i0_prime)
     if coef is None:
         raise DegenerateFit("too few interior blocks or a constant h field; beta2 unidentifiable")
     beta1, beta2 = float(coef[0]), float(coef[1])
     return {"beta1": beta1, "beta2": beta2,
-            "residual_norm": _sup_residual(g.values, h, beta1, beta2)}
+            "residual_norm": _sup_residual(i0_prime, h, beta1, beta2)}
 
 
-def _ls_multipliers(a, d):
+def _ls_multipliers(a, d, i0_prime):
     """Least-squares (lam1, lam2) solving I0'(a) = lam1 + lam2 * d over the
-    interior blocks; None when too few interior blocks or d is constant."""
+    interior blocks, given i0_prime = I0'(a); None when too few interior
+    blocks or d is constant."""
     interior = (a > 1e-6) & (a < 1.0 - 1e-6)
     hv = d[interior]
     n = hv.size
@@ -234,7 +237,7 @@ def _ls_multipliers(a, d):
     std = math.sqrt(float((dev * dev).sum()) / n)
     if std < 1e-8 * max(1.0, float(np.abs(hv).sum()) / n):
         return None
-    y = rate_derivative(a[interior])
+    y = i0_prime[interior]
     x = np.column_stack([np.ones_like(hv), hv])
     coef, *_ = np.linalg.lstsq(x, y, rcond=None)
     if not np.all(np.isfinite(coef)):
@@ -262,12 +265,17 @@ def _solve_constrained(a0, target: DensityPair, dens):
     rho = PENALTY_INITIAL
     best = {"s": -math.inf, "a": None}
     a = project(np.array(a0, dtype=float))
+    # One objective serves every round.  It values and differentiates the
+    # start once; each round reprices it to the round's (lam, rho), and the
+    # inner solve starts from the (f, G) that returns.
+    objective = al_objective(dens, te, tt, np.zeros(2), rho, CONSTRAINT_TOL, best)
+    objective.value(a)
+    objective.gradient()
     # seed the multipliers from the Euler-Lagrange fit at the start; for an
     # ansatz that is already the optimizer this makes it a fixed point of the
     # first inner solve instead of a point the penalty term drags away from
-    _, field0 = dens(a)
-    fit0 = _ls_multipliers(a, field0())
-    lam = fit0 if fit0 is not None else np.zeros(2)
+    fit = _ls_multipliers(a, objective.d, objective.i0_prime)
+    lam = fit if fit is not None else np.zeros(2)
 
     # Multiplier updates: prefer the least-squares fit of the Euler-Lagrange
     # equations at the current iterate (stable even where the dual iteration
@@ -280,15 +288,16 @@ def _solve_constrained(a0, target: DensityPair, dens):
     stall = 0
     for outer in range(MAX_OUTER_ITERATIONS):
         inner_tol = max(0.3 * KKT_TOL, min(1e-2, 0.5 ** outer))
-        objective = al_objective(dens, te, tt, lam, rho, CONSTRAINT_TOL, best)
-        a, _, _, pg = spg_box(a, objective, inner_tol, MAX_INNER_ITERATIONS)
-        # a is the last iterate the objective valued, and its field d is built
-        d = objective.d
+        start = objective.reprice(lam, rho)
+        a_next, _, _, pg = spg_box(a, objective, inner_tol, MAX_INNER_ITERATIONS, start)
+        moved, a = a_next is not a, a_next
+        # a is the last iterate the objective valued, and its I0' and D are built
         c = np.array([objective.e - te, objective.t - tt])
         viol = float(np.max(np.abs(c)))
         if viol <= CONSTRAINT_TOL and pg <= KKT_TOL:
             break
-        fit = _ls_multipliers(a, d)
+        if moved:  # else the fit at a is the one already made
+            fit = _ls_multipliers(a, objective.d, objective.i0_prime)
         if fit is not None:
             lam = fit
         else:
@@ -421,9 +430,10 @@ def maximize_entropy(target: DensityPair, motif: Motif | None = None,
     a = rec.best_a
     t_val, field = dens(a)
     h = field()
+    i0_prime = rate_derivative(a)
     # the residual of the multiplier fit at the iterate, or of the run's own
     # multipliers where that fit is degenerate
-    fit = _ls_multipliers(a, h)
+    fit = _ls_multipliers(a, h, i0_prime)
     lam = rec.lam if fit is None else fit
     return EntropyResult(
         g_star=Graphon(values=a.copy()),
@@ -432,7 +442,7 @@ def maximize_entropy(target: DensityPair, motif: Motif | None = None,
         achieved=DensityPair(e=float(np.mean(a)), t=t_val),
         beta1=float(rec.lam[0]),
         beta2=float(rec.lam[1]),
-        el_residual_norm=_sup_residual(a, h, float(lam[0]), float(lam[1])),
+        el_residual_norm=_sup_residual(i0_prime, h, float(lam[0]), float(lam[1])),
         converged=rec.converged,
         multistart_values=multistart_values,
     )

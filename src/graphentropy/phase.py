@@ -16,7 +16,7 @@ import numpy as np
 
 from . import region
 from .errors import DegenerateFit, EmptyTable, Infeasible, ValueOutOfRange
-from .graphon import DensityPair, Motif, constant_graphon, rate_value
+from .graphon import DensityPair, Motif, rate_value
 from .optimize import OptimConfig, f_minus, maximize_entropy
 
 # ---------------------------------------------------------------------------
@@ -27,10 +27,11 @@ DEFAULT_OFFSETS = (1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2)
 
 def continuation_march(e, ts, motif: Motif, config: OptimConfig) -> list:
     """Solve at (e, t) for each t in turn, each warm-started from the last
-    solution (the first from the constant graphon at e).  One EntropyResult per
-    t, or None where t is outside [0, 1] or the solve raises Infeasible."""
+    solution found.  Until there is one a solve has no warm start: its
+    constant start is already the constant graphon at e.  One EntropyResult
+    per t, or None where t is outside [0, 1] or the solve raises Infeasible."""
     results = []
-    warm = constant_graphon(e, config.m)
+    warm = None
     for t in ts:
         res = None
         if 0.0 <= t <= 1.0:

@@ -159,6 +159,10 @@ ENTROPY = ["entropy", "--e", "0.5", "--t", "0.125"]
     # ergm runs exactly one mode
     ["ergm", "--curve", "--verify-thm5"],
     ["ergm", "--grid=0,0,1,0,0,1", "--curve"],
+    # only --curve draws an SVG or reads a beta2 range and a step count
+    *[["ergm", mode, *flag] for mode in ("--grid=0,0,1,0,0,1", "--verify-thm5")
+      for flag in (["--svg", "unused.svg"], ["--beta2-min", "1"], ["--beta2-max", "3"],
+                   ["--steps", "9"])],
     # a census above its size cap is invalid input
     ["census", "--n", "8"],
     ["census", "--n", "9"],

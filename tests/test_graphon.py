@@ -429,6 +429,44 @@ def test_kernel_al_objective_bit_equal_to_reference(a, motif, seed, tol):
         assert np.array_equal(best["a"], best_ref["a"])
 
 
+@st.composite
+def _near_face_graphons(draw):
+    """Symmetric m x m matrices, m in {4, 8, 16}, on the box, with a drawn
+    share of entries within 1e-3 of one of its faces."""
+    m = draw(st.sampled_from([4, 8, 16]))
+    near_share = draw(st.floats(0.05, 0.5))
+    rng = np.random.default_rng(draw(_SEEDS))
+    r = rng.uniform(_REF_CLAMP, 1.0 - _REF_CLAMP, size=(m, m))
+    gap = 10.0 ** rng.uniform(-12.0, -3.0, size=(m, m))
+    face = np.where(rng.random((m, m)) < 0.5, gap, 1.0 - gap)
+    r = np.where(rng.random((m, m)) < near_share, face, r)
+    return np.triu(r) + np.triu(r, 1).T
+
+
+_C4 = Motif.from_edges(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+
+
+@_SETTINGS
+@given(a=_near_face_graphons(), motif=st.sampled_from(_FAST_MOTIFS + [_C4]), seed=_SEEDS)
+def test_kernel_al_reprice_bit_equal_to_a_fresh_objective(a, motif, seed):
+    # the objective valued and differentiated at A under one (lam, rho), then
+    # repriced twice, gives the bits a new objective gives at A
+    m = a.shape[0]
+    rng = np.random.default_rng(seed)
+    te, tt = rng.uniform(0.0, 1.0, size=2).tolist()
+    prices = [(rng.uniform(-50.0, 50.0, size=2), 10.0 ** float(rng.uniform(-2.0, 8.0)))
+              for _ in range(3)]
+    dens = _kernel.density_gradient(motif, m)
+    held = _kernel.al_objective(dens, te, tt, *prices[0], 1e-6, {"s": -math.inf, "a": None})
+    held.value(a)
+    held.gradient()
+    for lam, rho in prices[1:]:
+        f, g = held.reprice(lam, rho)
+        fresh = _kernel.al_objective(dens, te, tt, lam, rho, 1e-6, {"s": -math.inf, "a": None})
+        assert f.hex() == fresh.value(a).hex()
+        assert g.tobytes() == fresh.gradient().tobytes()
+
+
 @_SETTINGS
 @given(a=_box_graphons(), motif=st.sampled_from(_FAST_MOTIFS), seed=_SEEDS)
 def test_kernel_free_energy_bit_equal_to_reference(a, motif, seed):
@@ -557,20 +595,49 @@ def _ref_spg_box(a, obj_grad, tol, max_iter):
     return a, evals, steps
 
 
+def _check_against_the_eager_reference(a0, b):
+    """spg_box on the separable problem from a0: the eager reference's
+    iterate bit for bit, with one G at the start and one per accepted step."""
+    objective = _separable(b)
+    a, _, _, _ = _kernel.spg_box(a0.copy(), objective, 1e-8, 2000)
+    eager = _separable(b)
+
+    def obj_grad(a):
+        return eager.value(a), eager.gradient()
+
+    a_ref, evals, steps = _ref_spg_box(a0.copy(), obj_grad, 1e-8, 2000)
+    assert a.tobytes() == a_ref.tobytes()
+    assert objective.values == evals
+    assert objective.gradients == steps + 1
+
+
 @settings(max_examples=100, deadline=None)
 @given(b=_box_graphons(st.floats(-12.0, 8.0)))
 @example(b=_FACE_FIELD)
 def test_spg_box_builds_the_gradient_only_at_accepted_steps(b):
     # the same iterates and values as the loop that built G at every trial,
     # with one G at the start and one per accepted step
-    objective = _separable(b)
-    a, _, _, _ = _kernel.spg_box(np.full(b.shape, 0.5), objective, 1e-8, 2000)
-    eager = _separable(b)
+    _check_against_the_eager_reference(np.full(b.shape, 0.5), b)
 
-    def obj_grad(a):
-        return eager.value(a), eager.gradient()
 
-    a_ref, evals, steps = _ref_spg_box(np.full(b.shape, 0.5), obj_grad, 1e-8, 2000)
-    assert np.array_equal(a, a_ref)
-    assert objective.values == evals
-    assert objective.gradients == steps + 1
+# C a(1-a) < 1, the scaled band, holds for a below about 0.0102 or above 0.9898
+_BAND_EDGES = st.one_of(st.floats(_REF_CLAMP, 0.02), st.floats(0.98, 1.0 - _REF_CLAMP))
+
+
+@st.composite
+def _separable_runs(draw):
+    """(start, B) with starts inside, at the edge of and outside the scaled
+    band, and fields whose optimum lies on either side of it."""
+    b = draw(_box_graphons(st.floats(-12.0, 8.0)))
+    elements = st.one_of(_BAND_EDGES, st.floats(0.02, 0.98))
+    a0 = draw(arrays(np.float64, b.shape, elements=elements))
+    return np.triu(a0) + np.triu(a0, 1).T, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(run=_separable_runs())
+def test_spg_box_matches_the_eager_reference_across_the_scaled_band(run):
+    # starts where the face scaling acts on some entries, on all or on none,
+    # and runs that cross into or out of the band: the lazy gradient keeps
+    # the reference's iterates there too, bit for bit
+    _check_against_the_eager_reference(*run)

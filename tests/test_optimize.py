@@ -269,25 +269,34 @@ def test_crease_scan_quotients_split():
 
 
 def _count_inner_solves(monkeypatch):
-    """Record the objective evaluations of each inner SPG solve, in order."""
-    evals, per_solve = [0], []
+    """Record the iterations and the objective evaluations of each inner SPG
+    solve, in order.  The evaluations count the start's once, whether the
+    solve values it or starts from the (f, G) its caller repriced."""
+    evals, grads, per_solve = [0], [0], []
     al_objective, spg_box = optimize.al_objective, optimize.spg_box
 
     def counted_objective(*args):
         objective = al_objective(*args)
-        value = objective.value
+        value, gradient = objective.value, objective.gradient
 
         def counted_value(a):
             evals[0] += 1
             return value(a)
 
-        objective.value = counted_value
+        def counted_gradient():
+            grads[0] += 1
+            return gradient()
+
+        objective.value, objective.gradient = counted_value, counted_gradient
         return objective
 
-    def counted_spg(*args):
-        before = evals[0]
-        out = spg_box(*args)
-        per_solve.append(evals[0] - before)
+    def counted_spg(a, objective, tol, max_iter, start=None):
+        before = evals[0], grads[0]
+        out = spg_box(a, objective, tol, max_iter, start)
+        # one G per accepted step, and each completed iteration accepts one;
+        # a solve that values its start also builds G there
+        iterations = grads[0] - before[1] - (start is None)
+        per_solve.append((iterations, evals[0] - before[0] + (start is not None)))
         return out
 
     monkeypatch.setattr(optimize, "al_objective", counted_objective)
@@ -310,9 +319,79 @@ def test_upper_boundary_inner_solves_stop_short_of_the_step_limit(monkeypatch, e
     # iterate at e = 1/2
     with contextlib.suppress(errors.Infeasible):
         maximize_entropy(DensityPair(e=e, t=t), Motif.triangle(), cfg)
-    # a solve makes one evaluation and then at least one per iteration
-    assert max(per_solve) <= optimize.MAX_INNER_ITERATIONS
-    assert sum(per_solve) <= unscaled_evals / 4
+    iterations, evals = zip(*per_solve)
+    assert max(iterations) < optimize.MAX_INNER_ITERATIONS
+    assert sum(evals) <= unscaled_evals / 4
+
+
+# ---------------------------------------------------------------------------
+# What each augmented-Lagrangian round reuses
+
+
+def test_each_round_starts_from_what_the_objective_holds(monkeypatch):
+    # one run of 18 rounds, two of which take no step: the start iterate is
+    # valued once, every later round starts from the objective repriced, G is
+    # built once at the start and once per accepted step, and the multipliers
+    # are refitted only where the iterate moved
+    target = DensityPair(e=0.3, t=0.04)
+    cfg = OptimConfig(m=8, multistart_count=2)
+    starts = dict(optimize._starts(target, Motif.triangle(), cfg))
+    a0 = optimize.project(starts["upper_corner"])
+    log, rounds, fits, dens_calls = [], [], [0], [0]
+    al_objective, spg_box = optimize.al_objective, optimize.spg_box
+    ls_multipliers = optimize._ls_multipliers
+    dens = optimize.density_gradient(Motif.triangle(), 8)
+
+    def counted_dens(a):
+        dens_calls[0] += 1
+        return dens(a)
+
+    def counted_objective(*args):
+        objective = al_objective(*args)
+        value, gradient = objective.value, objective.gradient
+
+        def counted_value(a):
+            log.append(("value", a.tobytes()))
+            return value(a)
+
+        def counted_gradient():
+            log.append(("gradient", objective.a.tobytes()))
+            return gradient()
+
+        objective.value, objective.gradient = counted_value, counted_gradient
+        return objective
+
+    def counted_spg(a, *args):
+        out = spg_box(a, *args)
+        rounds.append(out[0] is not a)
+        return out
+
+    def counted_fit(*args):
+        fits[0] += 1
+        return ls_multipliers(*args)
+
+    monkeypatch.setattr(optimize, "al_objective", counted_objective)
+    monkeypatch.setattr(optimize, "spg_box", counted_spg)
+    monkeypatch.setattr(optimize, "_ls_multipliers", counted_fit)
+    rec = optimize._solve_constrained(a0, target, counted_dens)
+    assert rec.converged
+    assert len(rounds) == 18 and rounds.count(False) == 2
+    values = [a for kind, a in log if kind == "value"]
+    gradients = [a for kind, a in log if kind == "gradient"]
+    assert values[0] == a0.tobytes() and values.count(values[0]) == 1
+    # a round that valued its start again would repeat the last A of the one before
+    assert all(x != y for x, y in zip(values, values[1:]))
+    # G is built at the A valued just before it, and never twice at one A:
+    # once at the start and once per accepted step
+    assert gradients[0] == a0.tobytes()
+    assert all(log[i - 1] == ("value", a) for i, (kind, a) in enumerate(log)
+               if kind == "gradient")
+    assert all(x != y for x, y in zip(gradients, gradients[1:]))
+    # the only densities are those of the values: the seed fit made no call
+    assert dens_calls[0] == len(values)
+    # the seed fit, then one per round that moved, except the last, which
+    # converged before its fit
+    assert fits[0] == 1 + sum(rounds[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -335,13 +414,18 @@ def test_penalty_stays_under_its_ceiling_across_the_ridge(monkeypatch):
     def counted(dens, te, tt, lam, rho, tol, best):
         seen["rho"].append(rho)
         objective = al_objective(dens, te, tt, lam, rho, tol, best)
-        value = objective.value
+        value, reprice = objective.value, objective.reprice
 
         def counted_value(a):
             seen["evals"] += 1
             return value(a)
 
+        def counted_reprice(lam, rho):
+            seen["rho"].append(rho)
+            return reprice(lam, rho)
+
         objective.value = counted_value
+        objective.reprice = counted_reprice
         return objective
 
     monkeypatch.setattr(optimize, "al_objective", counted)
@@ -392,6 +476,22 @@ MAXIMIZE_AT_D15F377 = {
         ("-inf", "-inf", "0x1.53a343144f1d8p-2", "-inf", "0x1.52e6cc96af144p-2",
          "0x1.586815f63f454p-2", "0x1.55c574851615cp-2", "0x1.578a42e56cabbp-2")),
 }
+
+
+# (status, s) of each point below, then above, the ridge of the continuation
+# marches of crease_scan(0.5, deltas=[1e-3, 1e-2]) with m = 8 and 2 restarts,
+# recorded at commit 2f23108, where the first point of each march also ran
+# the constant graphon as a warm start
+CREASE_SCAN_AT_2F23108 = (
+    ("ok", "0x1.5894fc37432c7p-2"), ("ok", "0x1.31c5a0372ba43p-2"),
+    ("ok", "0x1.61870110f0c6ep-2"), ("ok", "0x1.5533d2cab72dcp-2"),
+)
+
+
+def test_crease_scan_bit_identical_to_recorded_values():
+    scan = crease_scan(0.5, deltas=[1e-3, 1e-2], config=OptimConfig(m=8, multistart_count=2))
+    got = [(p.status, float(p.s).hex()) for p in scan.below + scan.above]
+    assert got == [(status, float.fromhex(h).hex()) for status, h in CREASE_SCAN_AT_2F23108]
 
 
 @pytest.mark.parametrize("key", sorted(MAXIMIZE_AT_D15F377))
