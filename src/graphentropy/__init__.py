@@ -4,77 +4,51 @@ Core objects: step-function graphons, homomorphism densities, the rate
 function, a constrained entropy maximizer with closed-form cross-checks, the
 exponential-family free energy, an exact small-graph census oracle, and the
 phase-diagram drivers tying them together.
+
+`import graphentropy` loads no submodule and no numpy: each public name is
+imported from its module on first access, so a process pays only for the
+modules it uses.
 """
 
-from .census import CensusTable, compare_to_variational, empirical_entropy, enumerate_census
-from .ergm import (
-    ConvexityReport,
-    ErgmParams,
-    FreeEnergyResult,
-    convexity_report,
-    find_transition,
-    psi_constant,
-    psi_full,
-    transition_curve,
-    verify_t_le_e_cubed,
-)
-from .errors import (
-    GraphEntropyError,
-    Infeasible,
-    NoTransitionFound,
-    TooLarge,
-)
-from .graphon import (
-    DensityPair,
-    Graphon,
-    Motif,
-    bipodal_graphon,
-    constant_graphon,
-    edge_density,
-    graphon_distance,
-    motif_density,
-    motif_gradient,
-    rate_function,
-    rate_value,
-    read_graphon,
-    resample,
-    write_graphon,
-)
-from .optimize import (
-    BipodalSolution,
-    EntropyResult,
-    OptimConfig,
-    closed_form_half,
-    closed_form_upper,
-    el_residual,
-    estimate_multipliers,
-    f_minus,
-    maximize_entropy,
-)
-from .phase import (
-    CreaseScanResult,
-    ScanSpec,
-    crease_report,
-    crease_scan,
-    phase_diagram_scan,
-    render_svg,
-)
-from .region import (
-    RegionClass,
-    classify,
-    er_curve,
-    lower_boundary,
-    lower_envelope,
-    upper_boundary,
-)
-from .spectral import (
-    SpectralReport,
-    delta_t_decomposition,
-    kernel_operator_spectrum,
-    trace_power,
-    verify_trace_inequality,
-)
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# each submodule and the public names it exports
+_EXPORTS = {
+    "census": ("CensusTable", "compare_to_variational", "empirical_entropy",
+               "enumerate_census"),
+    "ergm": ("ConvexityReport", "ErgmParams", "FreeEnergyResult", "convexity_report",
+             "find_transition", "psi_constant", "psi_full", "transition_curve",
+             "verify_t_le_e_cubed"),
+    "errors": ("GraphEntropyError", "Infeasible", "NoTransitionFound", "TooLarge"),
+    "graphon": ("DensityPair", "Graphon", "Motif", "bipodal_graphon", "constant_graphon",
+                "edge_density", "graphon_distance", "motif_density", "motif_gradient",
+                "rate_function", "rate_value", "read_graphon", "resample", "write_graphon"),
+    "optimize": ("BipodalSolution", "EntropyResult", "OptimConfig", "closed_form_half",
+                 "closed_form_upper", "el_residual", "estimate_multipliers", "f_minus",
+                 "maximize_entropy"),
+    "phase": ("CreaseScanResult", "ScanSpec", "crease_report", "crease_scan",
+              "phase_diagram_scan", "render_svg"),
+    "region": ("RegionClass", "classify", "er_curve", "lower_boundary", "lower_envelope",
+               "upper_boundary"),
+    "spectral": ("SpectralReport", "delta_t_decomposition", "kernel_operator_spectrum",
+                 "trace_power", "verify_trace_inequality"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted([*_EXPORTS, *_MODULE_OF])
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -15,13 +15,8 @@ import sys
 import traceback
 from dataclasses import fields
 
-import numpy as np
-
-from . import census as census_mod
-from . import ergm as ergm_mod
-from . import invariants
-from . import phase as phase_mod
-from . import region as region_mod
+# only the standard library and the error types load with the CLI; each
+# handler imports the modules it runs, so `region` runs without numpy
 from .errors import (
     FormatError,
     GraphEntropyError,
@@ -29,8 +24,6 @@ from .errors import (
     NoTransitionFound,
     ValueOutOfRange,
 )
-from .graphon import DensityPair, Motif
-from .optimize import OptimConfig, maximize_entropy
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -50,15 +43,10 @@ def _sanitize(obj):
         return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
-    if isinstance(obj, np.ndarray):
+    if hasattr(obj, "tolist"):  # a numpy array or scalar, to native lists and numbers
         return _sanitize(obj.tolist())
-    if isinstance(obj, (np.floating, float)):
-        f = float(obj)
-        return f if math.isfinite(f) else None
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
     return obj
 
 
@@ -82,11 +70,13 @@ def _emit_csv(header, rows, out_path):
     _emit("\n".join(lines) + "\n", out_path)
 
 
-def _load_config(args, spec_optim=None) -> OptimConfig:
+def _load_config(args, spec_optim=None):
     """OptimConfig from, in order: the defaults, the --config file's optim
     table, the scan spec's optim table, --m, then --seed.  Each layer must
     make a valid OptimConfig by itself, so a bad value is an error even where
     a later layer overrides it.  A file cannot set warm_start."""
+    from .optimize import OptimConfig
+
     keys = [f.name for f in fields(OptimConfig) if f.name != "warm_start"]
     layers = []
     if args.config:
@@ -163,6 +153,9 @@ def _entropy_payload(res):
 
 
 def _cmd_entropy(args):
+    from .graphon import DensityPair, Motif
+    from .optimize import maximize_entropy
+
     cfg = _load_config(args)
     motif = Motif.parse(args.motif)
     res = maximize_entropy(DensityPair(e=args.e, t=args.t), motif, cfg)
@@ -171,6 +164,9 @@ def _cmd_entropy(args):
 
 
 def _cmd_scan(args):
+    from . import phase as phase_mod
+    from .graphon import Motif
+
     with open(args.spec) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -197,6 +193,9 @@ def _cmd_scan(args):
 
 
 def _cmd_crease(args):
+    from . import phase as phase_mod
+    from .graphon import Motif
+
     cfg = _load_config(args)
     motif = Motif.parse(args.motif)
     verdicts = phase_mod.crease_report(args.e, motif, cfg)
@@ -218,6 +217,8 @@ def _cmd_crease(args):
 
 
 def _cmd_region(args):
+    from . import region as region_mod
+
     _reject_flags(args, "config", "seed", "threads")
     _emit_csv(("e", "upper", "er", "envelope"), region_mod.boundary_table(args.samples),
               args.out)
@@ -225,6 +226,8 @@ def _cmd_region(args):
 
 
 def _cmd_ergm(args):
+    from . import ergm as ergm_mod
+
     cfg = _load_config(args)
     if args.curve:
         rows = ergm_mod.transition_curve(
@@ -233,6 +236,8 @@ def _cmd_ergm(args):
             CURVE_STEPS if args.steps is None else args.steps)
         _emit_csv(("beta2", "beta1_critical", "u_low", "u_high"), rows, args.out)
         if args.svg:
+            from . import phase as phase_mod
+
             with open(args.svg, "w") as fh:
                 fh.write(phase_mod.render_svg(rows, "curves"))
         return EXIT_OK
@@ -249,6 +254,8 @@ def _cmd_ergm(args):
     b1lo, b1hi, n1, b2lo, b2hi, n2 = args.grid
     if not all(n.is_integer() and n >= 1 for n in (n1, n2)):
         raise ValueOutOfRange(f"--grid counts must be positive integers, got {n1}, {n2}")
+    import numpy as np
+
     rows = []
     for b1 in np.linspace(b1lo, b1hi, int(n1)):
         for b2 in np.linspace(b2lo, b2hi, int(n2)):
@@ -260,6 +267,8 @@ def _cmd_ergm(args):
 
 
 def _cmd_census(args):
+    from . import census as census_mod
+
     _reject_flags(args, "config", "seed")
     table = census_mod.enumerate_census(
         args.n, allow_large=args.allow_large, threads=_threads(args)
@@ -269,6 +278,10 @@ def _cmd_census(args):
 
 
 def _cmd_census_compare(args):
+    from . import census as census_mod
+    from .graphon import DensityPair, Motif
+    from .optimize import maximize_entropy
+
     cfg = _load_config(args)
     table = census_mod.enumerate_census(args.n, threads=_threads(args))
     points = []
@@ -297,6 +310,11 @@ def _cmd_census_compare(args):
 
 
 def _cmd_verify(args):
+    import numpy as np
+
+    from . import invariants
+    from .optimize import OptimConfig
+
     cfg = _load_config(args)
     rng = np.random.default_rng(cfg.seed)
     # verify's sample counts; the acceptance suite runs the same checks with more
@@ -431,6 +449,17 @@ def run(argv=None) -> int:
 
 
 def main():
+    """Entry point of the `graphentropy` command and `python -m graphentropy.cli`.
+
+    Pins OpenBLAS to one thread unless OPENBLAS_NUM_THREADS is already set,
+    before numpy loads: the command's only parallelism is --threads, the step
+    graphons are too small to gain from BLAS threads, and starting OpenBLAS's
+    thread pool costs each process tens of milliseconds.  Up to m = 100 the
+    results are the same bits either way; above it, threaded matrix products
+    can round differently with the thread count, and pinned they do not.
+    `run` leaves the environment alone.
+    """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(run())
 
 

@@ -77,10 +77,17 @@ def _phi(u, beta1, beta2):
     return -rate_value(u) + beta1 * u + beta2 * u ** 3
 
 
+# the grid of _scalar_maximizers and the parts of phi on it that do not depend
+# on beta, so that phi there is _phi's operations in _phi's order
+_GRID_US = np.linspace(CLAMP, 1.0 - CLAMP, SCALAR_GRID_POINTS)
+_GRID_NEG_I0 = -rate_value(_GRID_US)
+_GRID_US3 = _GRID_US ** 3
+
+
 def _scalar_maximizers(beta1, beta2, tie_tol=1e-8):
     """All local maximizers of phi on [0,1] within tie_tol of the global max."""
-    us = np.linspace(CLAMP, 1.0 - CLAMP, SCALAR_GRID_POINTS)
-    ph = _phi(us, beta1, beta2)
+    us = _GRID_US
+    ph = _GRID_NEG_I0 + beta1 * us + beta2 * _GRID_US3
     # local maxima on the grid, endpoints included
     inner = np.zeros(SCALAR_GRID_POINTS, dtype=bool)
     inner[1:-1] = (ph[1:-1] >= ph[:-2]) & (ph[1:-1] >= ph[2:])

@@ -240,6 +240,9 @@ def motif_gradient(g: Graphon, motif: Motif) -> np.ndarray:
 
 def rate_value(u):
     """I0(u) = (1/2)[u ln u + (1-u) ln(1-u)], continuously extended to {0,1}."""
+    if isinstance(u, float) and 0.0 < u < 1.0:
+        # the scalar searches' path: the array path's operations on one value
+        return float(0.5 * (u * np.log(u) + (1.0 - u) * np.log(1.0 - u)))
     scalar = np.isscalar(u) or getattr(u, "ndim", 0) == 0
     a = np.atleast_1d(np.asarray(u, dtype=float))
     out = np.zeros_like(a)

@@ -95,7 +95,6 @@ def delta_t_decomposition(g: Graphon, e) -> SpectralReport:
 
 def verify_trace_inequality(dg) -> dict:
     """|Tr T^3| <= (Tr T^2)^(3/2), with equality exactly at rank one."""
-    dg = _check_symmetric(dg)
     mu = kernel_operator_spectrum(dg)
     lhs = abs(float(np.sum(mu ** 3)))
     rhs = float(np.sum(mu ** 2)) ** 1.5

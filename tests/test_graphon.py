@@ -203,6 +203,29 @@ def test_rate_values():
         assert rate_value(u) == pytest.approx(rate_value(1.0 - u), abs=1e-15)
 
 
+# bands where the scalar and array paths of rate_value could part: the left
+# tail down to 1e-300 and the right end, where 1 - u loses bits
+_RATE_EDGE_BANDS = [10.0 ** -k for k in range(1, 301)] + [1.0 - 10.0 ** -k for k in range(1, 17)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(u=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_rate_value_scalar_path_matches_the_array_path_bit_for_bit(u):
+    for v in (u, np.float64(u)):
+        assert rate_value(v).hex() == float(rate_value(np.array([v]))[0]).hex()
+
+
+def test_rate_value_scalar_path_bit_for_bit_at_the_edges():
+    us = _RATE_EDGE_BANDS
+    assert all(0.0 < u < 1.0 for u in us)
+    assert [rate_value(u).hex() for u in us] == [float(x).hex() for x in rate_value(np.array(us))]
+    # the values the scalar path leaves to the array path: the ends, nan and
+    # values outside [0, 1] read 0, and a 0-d array or float32 still gives a float
+    assert [rate_value(u) for u in (0.0, 1.0, math.nan, -0.5, 1.5)] == [0.0] * 5
+    for u in (np.array(0.3), np.float32(0.3)):
+        assert rate_value(u) == float(rate_value(np.array([u]))[0])
+
+
 def test_rate_function_block_average():
     g = bipodal_graphon(0.5, 0.6, 0.4, 0.6, 8)
     expect = 0.5 * (rate_value(0.6) + rate_value(0.4))

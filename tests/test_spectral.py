@@ -44,6 +44,10 @@ def test_trace_powers_match_spectrum():
 def test_asymmetric_rejected():
     with pytest.raises(errors.AsymmetricMatrix):
         kernel_operator_spectrum(np.array([[0.0, 1.0], [0.5, 0.0]]))
+    # verify_trace_inequality checks through kernel_operator_spectrum alone
+    for dg in (np.array([[0.0, 1.0], [0.5, 0.0]]), np.zeros((2, 3))):
+        with pytest.raises(errors.AsymmetricMatrix):
+            verify_trace_inequality(dg)
 
 
 def test_delta_t_decomposition_matches_direct():

@@ -1,0 +1,102 @@
+"""Start-up contract: a process loads only what it uses.
+
+`import graphentropy` and `import graphentropy.cli` load no numpy, the package
+resolves its public names on first access, and the command-line entry point
+pins OpenBLAS to one thread unless the user has chosen otherwise.
+"""
+
+import importlib
+import os
+import subprocess
+import sys
+
+import pytest
+
+import graphentropy
+from graphentropy import cli
+
+# the public names of the package, as eager imports of its eight modules gave them
+PUBLIC_NAMES = [
+    "BipodalSolution", "CensusTable", "ConvexityReport", "CreaseScanResult", "DensityPair",
+    "EntropyResult", "ErgmParams", "FreeEnergyResult", "GraphEntropyError", "Graphon",
+    "Infeasible", "Motif", "NoTransitionFound", "OptimConfig", "RegionClass", "ScanSpec",
+    "SpectralReport", "TooLarge", "bipodal_graphon", "census", "classify", "closed_form_half",
+    "closed_form_upper", "compare_to_variational", "constant_graphon", "convexity_report",
+    "crease_report", "crease_scan", "delta_t_decomposition", "edge_density", "el_residual",
+    "empirical_entropy", "enumerate_census", "er_curve", "ergm", "errors",
+    "estimate_multipliers", "f_minus", "find_transition", "graphon", "graphon_distance",
+    "kernel_operator_spectrum", "lower_boundary", "lower_envelope", "maximize_entropy",
+    "motif_density", "motif_gradient", "optimize", "phase", "phase_diagram_scan",
+    "psi_constant", "psi_full", "rate_function", "rate_value", "read_graphon", "region",
+    "render_svg", "resample", "spectral", "trace_power", "transition_curve",
+    "upper_boundary", "verify_t_le_e_cubed", "verify_trace_inequality", "write_graphon",
+]
+SUBMODULES = {"census", "ergm", "errors", "graphon", "optimize", "phase", "region", "spectral"}
+
+
+def _fresh(code):
+    """stdout lines of `code` run in a new interpreter that imports this checkout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(graphentropy.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    return proc.stdout.splitlines()
+
+
+def test_import_loads_no_numpy_and_no_submodule():
+    assert _fresh(
+        "import sys, graphentropy\n"
+        "print(sorted(n for n in sys.modules if n == 'numpy' or n.startswith('graphentropy.')))"
+    ) == ["[]"]
+
+
+def test_public_names_resolve_to_what_their_modules_define():
+    assert len(PUBLIC_NAMES) == 65
+    assert graphentropy.__all__ == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        obj = getattr(graphentropy, name)
+        if name in SUBMODULES:
+            assert obj is importlib.import_module(f"graphentropy.{name}"), name
+        else:
+            assert obj.__module__.startswith("graphentropy."), name
+            assert obj is getattr(sys.modules[obj.__module__], name), name
+    assert set(PUBLIC_NAMES) <= set(dir(graphentropy))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        graphentropy.no_such_name  # noqa: B018
+
+
+def test_region_runs_without_numpy(tmp_path):
+    out = tmp_path / "region.csv"
+    assert _fresh(
+        "import sys, graphentropy.cli as cli\n"
+        f"code = cli.run(['region', '--samples', '3', '--out', {str(out)!r}])\n"
+        "print(code, 'numpy' in sys.modules)"
+    ) == [f"{cli.EXIT_OK} False"]
+    assert out.read_text().splitlines()[0] == "e,upper,er,envelope"
+
+
+def _main_sees(monkeypatch):
+    """OPENBLAS_NUM_THREADS as cli.run sees it when cli.main calls it."""
+    seen = []
+    monkeypatch.setattr(cli, "run", lambda: seen.append(os.environ.get("OPENBLAS_NUM_THREADS")))
+    with pytest.raises(SystemExit):
+        cli.main()
+    return seen
+
+
+def test_main_pins_openblas_to_one_thread_only_when_unset(monkeypatch):
+    # set first so that the teardown restores the variable's original state
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    assert _main_sees(monkeypatch) == ["1"]
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert _main_sees(monkeypatch) == ["2"]
+
+
+def test_run_leaves_the_environment_alone(monkeypatch, tmp_path):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    before = dict(os.environ)
+    assert cli.run(["region", "--samples", "3", "--out", str(tmp_path / "r.csv")]) == cli.EXIT_OK
+    assert dict(os.environ) == before

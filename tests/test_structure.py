@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import sys
 
 import graphentropy
 
@@ -198,3 +199,24 @@ def test_every_defaulted_parameter_has_a_caller():
     unused = [f"{module}.{func}({param}=)" for module, func, param, position in params
               if not any(_passes(call, func, param, position) for call in calls)]
     assert unused == []
+
+
+def test_cli_imports_only_the_standard_library_and_errors_at_module_level():
+    # each command handler imports the modules it runs, so a process pays
+    # only for its command and `region` runs without numpy
+    def run_at_import(node):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                yield child
+                yield from run_at_import(child)
+
+    imported = []
+    for node in run_at_import(_tree("cli")):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    assert imported
+    offenders = [name for name in imported if name != ".errors"
+                 and name.split(".")[0] not in sys.stdlib_module_names]
+    assert offenders == []
