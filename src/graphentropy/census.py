@@ -1,8 +1,12 @@
 """Exact enumeration of labeled simple graphs by edge and triangle counts.
 
-Graphs on n vertices are encoded as bitmasks over the C(n,2) possible edges.
-All 2^C(n,2) masks are enumerated in contiguous chunks; per-graph edge counts
-come from popcounts and triangle counts from precomputed 3-edge triple masks.
+A graph on n vertices is a graph H on the first n - 1 vertices, encoded as a
+bitmask over its C(n-1,2) edge slots, plus the neighbourhood S of the last
+vertex.  Its edge count is e(H) + |S| and its triangle count is
+t(H) + popcount(H & inside[S]), where inside[S] masks the slots of H with both
+ends in S.  So only the 2^C(n-1,2) masks H are enumerated, in blocks, with
+edge counts from popcounts and triangle counts from 3-edge triple masks; each
+neighbourhood then costs one AND, one popcount and one histogram per block.
 Counts are exact integers, so the table doubles as a finite-size oracle for
 the entropy definition.
 """
@@ -20,8 +24,8 @@ from .errors import TooLarge, ValueOutOfRange
 
 MAX_N_DEFAULT = 7
 MAX_N_FLAGGED = 8
-# the mask space is counted in chunks of 2^CHUNK_BITS masks
-CHUNK_BITS = 20
+# the masks H are counted in blocks of at most 2^BLOCK_BITS
+BLOCK_BITS = 16
 
 
 @dataclass(frozen=True)
@@ -54,44 +58,69 @@ def _triple_masks(n):
     return masks
 
 
-def _count_chunk(start, stop, triples):
+def _inside_masks(m):
+    """For each subset S of range(m), as a bitmask, the mask of the edge slots
+    of a graph on m vertices with both ends in S."""
+    idx = _edge_index(m)
+    return [
+        sum(1 << idx[pair] for pair in combinations([v for v in range(m) if s >> v & 1], 2))
+        for s in range(1 << m)
+    ]
+
+
+def _block(start, stop, triples, width):
+    """The masks start..stop-1 and their flat (edge count, triangle count) bins."""
     masks = np.arange(start, stop, dtype=np.uint64)
-    edges = np.bitwise_count(masks).astype(np.int64)
     tris = np.zeros(masks.shape, dtype=np.int64)
     for tm in triples:
         t = np.uint64(tm)
         tris += (masks & t) == t
-    return edges, tris
+    return masks, np.bitwise_count(masks).astype(np.int64) * width + tris
 
 
 def enumerate_census(n, allow_large=False, threads=1) -> CensusTable:
     """Exact (edge count, triangle count) census of all labeled graphs on n vertices.
 
-    n <= 7 by default; n = 8 (2^28 graphs) only with allow_large.  The mask
-    space is split into contiguous chunks merged by exact addition, so the
-    result is independent of threads and of CHUNK_BITS.
+    n <= 7 by default; n = 8 (2^28 graphs) only with allow_large.  Each
+    (block of H, neighbourhood S) item is counted into an int64 histogram;
+    the threads take a fixed partition of the items and their histograms are
+    summed exactly, so the result is independent of threads.
     """
     if n < 1:
         raise ValueOutOfRange("need at least one vertex")
     cap = MAX_N_FLAGGED if allow_large else MAX_N_DEFAULT
     if n > cap:
         raise TooLarge(f"n={n} exceeds the cap {cap}; pass allow_large for n=8")
-    nbits = n * (n - 1) // 2
-    ntri_slots = math.comb(n, 3)
-    triples = _triple_masks(n)
-    total = 1 << nbits
-    chunk = min(total, 1 << CHUNK_BITS)
-    ranges = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
-    width = ntri_slots + 1
-    acc = np.zeros((nbits + 1) * width, dtype=np.int64)
+    m = n - 1
+    hbits = m * (m - 1) // 2
+    width = math.comb(n, 3) + 1
+    hsize = (hbits + 1) * width  # bins reachable by e(H), t(H) + popcount(H & inside[S])
+    size = (n * m // 2 + 1) * width
+    triples = _triple_masks(m)
+    inside = _inside_masks(m)
+    total = 1 << hbits
+    block = min(total, 1 << BLOCK_BITS)
+    items = [(b, s) for b in range(0, total, block) for s in range(1 << m)]
 
-    def work(rng):
-        start, stop = rng
-        edges, tris = _count_chunk(start, stop, triples)
-        return np.bincount(edges * width + tris, minlength=acc.size)
+    def work(part):
+        acc = np.zeros(size, dtype=np.int64)
+        start = None
+        for b, s in part:
+            if b != start:
+                start = b
+                masks, base = _block(b, min(b + block, total), triples, width)
+            # |S| shifts the slice of acc, so no Python int meets the uint8
+            # popcount (under NEP 50 that sum stays uint8 and wraps at n = 8)
+            flat = base + np.bitwise_count(masks & np.uint64(inside[s]))
+            lo = s.bit_count() * width
+            acc[lo:lo + hsize] += np.bincount(flat, minlength=hsize)
+        return acc
 
+    parts = [items[i * len(items) // threads:(i + 1) * len(items) // threads]
+             for i in range(threads)]
+    acc = np.zeros(size, dtype=np.int64)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for part in pool.map(work, ranges):
+        for part in pool.map(work, parts):
             acc += part
     counts = {}
     for flat in np.flatnonzero(acc):

@@ -55,7 +55,9 @@ class OptimConfig:
     """Solver settings: the grid resolution m >= 1, the number of random
     restarts >= 0 and their seed >= 0, each a whole number and not a bool, and
     an optional Graphon to start from.  Construction raises ValueOutOfRange
-    on any other value."""
+    on any other value.  At m >= 101 the result's last bits depend on the
+    OpenBLAS thread count, which the CLI pins to 1 and the library leaves to
+    OPENBLAS_NUM_THREADS."""
 
     m: int = 16
     multistart_count: int = 12

@@ -1,10 +1,13 @@
 """Exact small-graph census tests."""
 
+import hashlib
 import math
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
-from graphentropy import census, errors
+from graphentropy import errors
 from graphentropy.census import (
     census_csv,
     compare_to_variational,
@@ -37,11 +40,66 @@ def test_totals_and_row_sums():
     assert t.counts[(10, 10)] == 1
 
 
-def test_partitioned_enumeration_is_exact(monkeypatch):
-    a = enumerate_census(6)
-    monkeypatch.setattr(census, "CHUNK_BITS", 10)
-    b = enumerate_census(6, threads=4)
-    assert a.counts == b.counts
+def test_partitioned_enumeration_is_exact():
+    # n = 1, 2 and 3 have 1, 2 and 4 work items, fewer than four threads
+    for n in range(1, 8):
+        one = enumerate_census(n).counts
+        for threads in (2, 3, 4):
+            assert enumerate_census(n, threads=threads).counts == one, (n, threads)
+
+
+def _brute_force_counts(n):
+    """(edge count, triangle count) -> number of graphs, one graph at a time."""
+    pairs = list(combinations(range(n), 2))
+    counts = Counter()
+    for mask in range(1 << len(pairs)):
+        edges = {p for i, p in enumerate(pairs) if mask >> i & 1}
+        tris = sum(
+            {(a, b), (a, c), (b, c)} <= edges for a, b, c in combinations(range(n), 3)
+        )
+        counts[(len(edges), tris)] += 1
+    return dict(counts)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_enumeration_matches_brute_force(n):
+    assert enumerate_census(n).counts == _brute_force_counts(n)
+
+
+def test_triangle_free_totals_match_oeis_a006785():
+    free = [sum(c for (_, tc), c in enumerate_census(n).counts.items() if tc == 0)
+            for n in range(1, 8)]
+    assert free == [1, 2, 7, 41, 388, 5789, 133501]
+
+
+# sha256 of census_csv, as the whole-mask enumeration that preceded the
+# last-vertex recursion wrote it
+CSV_SHA256 = {
+    1: "f8249fe6d07eb6e2a52c2c69004a2bfea46eecfe37a9fceabbbd5104792aee3d",
+    2: "86c5937c6fbf0d3f264248119d979535edd71edd6e9891c3906d47f0629853ab",
+    3: "0ebbe5bffc593976138d6fac6dfe5c8a4345938f73d97d10bfa867c47f899555",
+    4: "722e702d302a26704fa8dc6647bf721fcbd9bf0e8794376a312b46aeaa0567a2",
+    5: "e5eccc759a1b4b883755692865ce22b2695dfe1d109fd35b3933aaf9adc3f163",
+    6: "78bd1f26ddfa49ba248ec33b002905e1ad28271b723e9c48bda3812c49721f3a",
+    7: "a3e7531642e1c18a881c799f98acac174c82426b21e14f69a336030cc51108fe",
+    8: "03d177059873c1e72db214186df6057a00366e8b389f44b603e54379737c98ac",
+}
+
+
+def _csv_sha256(table):
+    return hashlib.sha256(census_csv(table).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_csv_bytes_are_pinned(n):
+    assert _csv_sha256(enumerate_census(n)) == CSV_SHA256[n]
+
+
+def test_n8_census():
+    t8 = enumerate_census(8, allow_large=True, threads=2)
+    assert t8.total() == 2 ** 28
+    assert sum(c for (_, tc), c in t8.counts.items() if tc == 0) == 4682270
+    assert _csv_sha256(t8) == CSV_SHA256[8]
 
 
 def test_size_cap():

@@ -76,6 +76,17 @@ def test_region_runs_without_numpy(tmp_path):
     assert out.read_text().splitlines()[0] == "e,upper,er,envelope"
 
 
+def test_census_runs_without_the_solver_modules(tmp_path):
+    out = tmp_path / "census.csv"
+    heavy = ["graphentropy.optimize", "graphentropy.graphon", "graphentropy.phase"]
+    assert _fresh(
+        "import sys, graphentropy.cli as cli\n"
+        f"code = cli.run(['census', '--n', '3', '--out', {str(out)!r}])\n"
+        f"print(code, [m for m in {heavy!r} if m in sys.modules])"
+    ) == [f"{cli.EXIT_OK} []"]
+    assert out.read_text().splitlines()[-1] == "3,3,1,1"
+
+
 def _main_sees(monkeypatch):
     """OPENBLAS_NUM_THREADS as cli.run sees it when cli.main calls it."""
     seen = []
