@@ -186,10 +186,3 @@ def compare_to_variational(table: CensusTable, points, alpha, reference) -> dict
         ridge.append((ec, tc, e_d ** 3 * nt, abs(tc - e_d ** 3 * nt)))
     return {"alpha": alpha, "n": table.n, "points": rows, "ridge": ridge}
 
-
-def census_csv(table: CensusTable) -> str:
-    """CSV text: rows (n, edges, triangles, count) ordered by (edges, triangles),
-    lines ended by \n; the output of `graphentropy census`."""
-    lines = ["n,edges,triangles,count"]
-    lines += [f"{table.n},{ec},{tc},{table.counts[(ec, tc)]}" for (ec, tc) in sorted(table.counts)]
-    return "\n".join(lines) + "\n"

@@ -70,6 +70,16 @@ def _emit_csv(header, rows, out_path):
     _emit("\n".join(lines) + "\n", out_path)
 
 
+def _table(doc, name, keys):
+    """doc, checked to be a JSON object with no key outside `keys`."""
+    if not isinstance(doc, dict):
+        raise FormatError(f"{name} must be a JSON object, got {doc!r}")
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise FormatError(f"unknown {name} keys {unknown}; accepted: {list(keys)}")
+    return doc
+
+
 def _load_config(args, spec_optim=None):
     """OptimConfig from, in order: the defaults, the --config file's optim
     table, the scan spec's optim table, --m, then --seed.  Each layer must
@@ -81,8 +91,8 @@ def _load_config(args, spec_optim=None):
     layers = []
     if args.config:
         with open(args.config) as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict) or doc.get("version") != 1:
+            doc = _table(json.load(fh), "config", ("version", "optim"))
+        if doc.get("version") != 1:
             raise FormatError("config must be a JSON object with \"version\": 1")
         layers.append(doc.get("optim", {}))
     if spec_optim is not None:
@@ -91,12 +101,7 @@ def _load_config(args, spec_optim=None):
     layers.append({k: v for k, v in flags.items() if v is not None})
     values = {}
     for layer in layers:
-        if not isinstance(layer, dict):
-            raise FormatError(f"optim must be a JSON object, got {layer!r}")
-        unknown = sorted(set(layer) - set(keys))
-        if unknown:
-            raise FormatError(f"unknown optim keys {unknown}; accepted: {keys}")
-        OptimConfig(**layer)
+        OptimConfig(**_table(layer, "optim", keys))
         values.update(layer)
     return OptimConfig(**values)
 
@@ -119,11 +124,20 @@ def _threads(args) -> int:
 
 def _reject_flags(args, *names, mode=""):
     """A flag the command (in `mode`) has no use for is an error, not a flag
-    to ignore: region and census run no solver, region runs no worker pool
-    either, and only ergm --curve draws an SVG or reads a beta2 range."""
+    to ignore: region, census and ergm --curve run no solver, verify's
+    solver settings are fixed, region runs no worker pool, and only
+    ergm --curve draws an SVG or reads a beta2 range."""
     given = [f"--{name.replace('_', '-')}" for name in names if getattr(args, name) is not None]
     if given:
         raise ValueOutOfRange(f"{args.command}{mode} takes no {' or '.join(given)}")
+
+
+def _entry(doc, key, default, kind, want):
+    """doc[key], or default where doc has no key; it must be a `kind`."""
+    value = doc.get(key, default)
+    if not isinstance(value, kind):
+        raise FormatError(f"{key} must be {want}, got {value!r}")
+    return value
 
 
 def _numbers(doc, key):
@@ -168,9 +182,8 @@ def _cmd_scan(args):
     from .graphon import Motif
 
     with open(args.spec) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise FormatError(f"scan spec must be a JSON object, got {doc!r}")
+        doc = _table(json.load(fh), "scan spec",
+                     ("e_grid", "t_grid", "relative", "motif", "optim"))
     missing = [k for k in ("e_grid", "t_grid") if k not in doc]
     if missing:
         raise FormatError(f"scan spec lacks {', '.join(missing)}")
@@ -178,8 +191,8 @@ def _cmd_scan(args):
     spec = phase_mod.ScanSpec(
         e_grid=_numbers(doc, "e_grid"),
         t_grid=_numbers(doc, "t_grid"),
-        relative=bool(doc.get("relative", True)),
-        motif=Motif.parse(doc.get("motif", "triangle")),
+        relative=_entry(doc, "relative", True, bool, "true or false"),
+        motif=Motif.parse(_entry(doc, "motif", "triangle", str, "a string")),
         config=cfg,
     )
     table = phase_mod.phase_diagram_scan(spec)
@@ -228,8 +241,8 @@ def _cmd_region(args):
 def _cmd_ergm(args):
     from . import ergm as ergm_mod
 
-    cfg = _load_config(args)
     if args.curve:
+        _reject_flags(args, "config", "seed", mode=" --curve")
         rows = ergm_mod.transition_curve(
             CURVE_BETA2[0] if args.beta2_min is None else args.beta2_min,
             CURVE_BETA2[1] if args.beta2_max is None else args.beta2_max,
@@ -243,6 +256,7 @@ def _cmd_ergm(args):
         return EXIT_OK
     _reject_flags(args, "svg", "beta2_min", "beta2_max", "steps",
                   mode=" --verify-thm5" if args.verify_thm5 else " --grid")
+    cfg = _load_config(args)
     if args.verify_thm5:
         report = ergm_mod.verify_t_le_e_cubed(ergm_mod.THEOREM5_GRID, cfg)
         _emit_json({"max_excess": report["max_excess"],
@@ -273,7 +287,8 @@ def _cmd_census(args):
     table = census_mod.enumerate_census(
         args.n, allow_large=args.allow_large, threads=_threads(args)
     )
-    _emit(census_mod.census_csv(table), args.out)
+    _emit_csv(("n", "edges", "triangles", "count"),
+              [(table.n, *key, table.counts[key]) for key in sorted(table.counts)], args.out)
     return EXIT_OK
 
 
@@ -315,6 +330,7 @@ def _cmd_verify(args):
     from . import invariants
     from .optimize import OptimConfig
 
+    _reject_flags(args, "config")
     cfg = _load_config(args)
     rng = np.random.default_rng(cfg.seed)
     # verify's sample counts; the acceptance suite runs the same checks with more

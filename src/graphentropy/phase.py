@@ -27,11 +27,12 @@ DEFAULT_OFFSETS = (1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2)
 
 def continuation_march(e, ts, motif: Motif, config: OptimConfig) -> list:
     """Solve at (e, t) for each t in turn, each warm-started from the last
-    solution found.  Until there is one a solve has no warm start: its
-    constant start is already the constant graphon at e.  One EntropyResult
-    per t, or None where t is outside [0, 1] or the solve raises Infeasible."""
+    solution found.  Until there is one a solve is warm-started from
+    config.warm_start, and without that it has no warm start: its constant
+    start is already the constant graphon at e.  One EntropyResult per t, or
+    None where t is outside [0, 1] or the solve raises Infeasible."""
     results = []
-    warm = None
+    warm = config.warm_start
     for t in ts:
         res = None
         if 0.0 <= t <= 1.0:
@@ -275,10 +276,6 @@ def crease_report(e_values, motif: Motif | None = None,
     compared at the smallest offset through their power-law fits, with
     regression standard errors deciding significance.
     """
-    if motif is None:
-        motif = Motif.triangle()
-    if config is None:
-        config = OptimConfig()
     out = []
     for e in e_values:
         scan = crease_scan(e, motif, config=config)

@@ -9,7 +9,6 @@ import pytest
 
 from graphentropy import errors
 from graphentropy.census import (
-    census_csv,
     compare_to_variational,
     empirical_entropy,
     enumerate_census,
@@ -72,8 +71,8 @@ def test_triangle_free_totals_match_oeis_a006785():
     assert free == [1, 2, 7, 41, 388, 5789, 133501]
 
 
-# sha256 of census_csv, as the whole-mask enumeration that preceded the
-# last-vertex recursion wrote it
+# sha256 of the `graphentropy census` output, as the whole-mask enumeration
+# that preceded the last-vertex recursion wrote it
 CSV_SHA256 = {
     1: "f8249fe6d07eb6e2a52c2c69004a2bfea46eecfe37a9fceabbbd5104792aee3d",
     2: "86c5937c6fbf0d3f264248119d979535edd71edd6e9891c3906d47f0629853ab",
@@ -86,20 +85,30 @@ CSV_SHA256 = {
 }
 
 
-def _csv_sha256(table):
-    return hashlib.sha256(census_csv(table).encode()).hexdigest()
+def _cli_csv(tmp_path, n, *flags):
+    """The bytes `graphentropy census --n n` writes."""
+    out = tmp_path / f"census{n}.csv"
+    assert run(["census", "--n", str(n), *flags, "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+def _parse_csv(data):
+    """The header line and the (n, edges, triangles, count) int rows of a census CSV."""
+    header, *rows = data.decode().splitlines()
+    return header, [tuple(int(x) for x in r.split(",")) for r in rows]
 
 
 @pytest.mark.parametrize("n", range(1, 8))
-def test_csv_bytes_are_pinned(n):
-    assert _csv_sha256(enumerate_census(n)) == CSV_SHA256[n]
+def test_csv_bytes_are_pinned(tmp_path, n):
+    assert hashlib.sha256(_cli_csv(tmp_path, n)).hexdigest() == CSV_SHA256[n]
 
 
-def test_n8_census():
-    t8 = enumerate_census(8, allow_large=True, threads=2)
-    assert t8.total() == 2 ** 28
-    assert sum(c for (_, tc), c in t8.counts.items() if tc == 0) == 4682270
-    assert _csv_sha256(t8) == CSV_SHA256[8]
+def test_n8_census(tmp_path):
+    data = _cli_csv(tmp_path, 8, "--allow-large", "--threads", "2")
+    assert hashlib.sha256(data).hexdigest() == CSV_SHA256[8]
+    _, rows = _parse_csv(data)
+    assert sum(cnt for *_, cnt in rows) == 2 ** 28
+    assert sum(cnt for _, _, tc, cnt in rows if tc == 0) == 4682270
 
 
 def test_size_cap():
@@ -162,11 +171,10 @@ def test_compare_to_variational_shape():
     assert report["ridge"]
 
 
-def test_csv_roundtrip():
+def test_csv_roundtrip(tmp_path):
     t4 = enumerate_census(4)
-    header, *rows = census_csv(t4).splitlines()
+    header, parsed = _parse_csv(_cli_csv(tmp_path, 4))
     assert header == "n,edges,triangles,count"
-    parsed = [tuple(int(x) for x in r.split(",")) for r in rows]
     assert {n for n, *_ in parsed} == {4}
     assert {(ec, tc): cnt for _, ec, tc, cnt in parsed} == t4.counts
     # deterministic ordering by (edges, triangles)
@@ -175,7 +183,10 @@ def test_csv_roundtrip():
 
 
 def test_csv_bytes_match_the_cli(tmp_path):
-    cli_path = tmp_path / "cli.csv"
-    assert run(["census", "--n", "4", "--out", str(cli_path)]) == 0
-    assert cli_path.read_bytes() == census_csv(enumerate_census(4)).encode()
-    assert b"\r" not in cli_path.read_bytes()
+    # one line per (edges, triangles) bin, in that order, each ended by \n
+    t4 = enumerate_census(4)
+    want = "n,edges,triangles,count\n" + "".join(
+        f"4,{ec},{tc},{t4.counts[(ec, tc)]}\n" for ec, tc in sorted(t4.counts))
+    data = _cli_csv(tmp_path, 4)
+    assert data == want.encode()
+    assert b"\r" not in data

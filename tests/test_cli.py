@@ -180,6 +180,19 @@ ENTROPY = ["entropy", "--e", "0.5", "--t", "0.125"]
     # alpha is finite and positive, whether or not the points file has a point
     *[["census-compare", "--n", "3", "--alpha", alpha, "--points", _text_file("p.csv", text)]
       for alpha in ("nan", "inf", "0", "-1") for text in ("e,t\n", "e,t\n0.5,0.1\n")],
+    # verify's solver settings are fixed, and ergm --curve runs no solver
+    *[[*command, "--config", lambda p: _json_file(p, "c.json", _config(m=4))]
+      for command in (["verify"], ["ergm", "--curve"])],
+    *[["--config", lambda p: _json_file(p, "c.json", _config(m=4)), *command]
+      for command in (["verify"], ["ergm", "--curve"])],
+    ["ergm", "--curve", "--seed", "9"],
+    ["--seed", "9", "ergm", "--curve"],
+    # a scan spec and a config file take only the keys they read, of the
+    # types they read
+    *[["scan", "--spec", lambda p, extra=extra: _json_file(p, "s.json", {**_spec(), **extra})]
+      for extra in ({"relativ": False}, {"output_path": "scan.csv"}, {"relative": "false"},
+                    {"motif": 3})],
+    [*ENTROPY, "--config", lambda p: _json_file(p, "c.json", {**_config(m=4), "solver": {}})],
 ])
 def test_malformed_input_exits_usage(tmp_path, argv):
     argv = [a(tmp_path) if callable(a) else a for a in argv]
@@ -279,6 +292,15 @@ def test_ergm_curve_csv(tmp_path):
     assert len(lines) == 3
 
 
+def test_ergm_curve_below_the_critical_coupling_has_no_transition(tmp_path, capsys):
+    # every beta2 of the range is below 9/16, where phi has no first-order jump
+    out = tmp_path / "curve.csv"
+    assert run(["ergm", "--curve", "--beta2-min", "0.1", "--beta2-max", "0.5", "--steps", "2",
+                "--out", str(out)]) == EXIT_INFEASIBLE
+    assert "no transition" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ergm_requires_a_mode():
     assert run(["ergm"]) == EXIT_USAGE
 
@@ -323,7 +345,7 @@ def test_scan_svg(tmp_path):
 
 def test_ergm_curve_svg(tmp_path):
     svg = tmp_path / "curve.svg"
-    assert run(["ergm", "--curve", "--steps", "2", "--config", _tiny_cfg(tmp_path),
+    assert run(["ergm", "--curve", "--steps", "2",
                 "--svg", str(svg), "--out", str(tmp_path / "curve.csv")]) == EXIT_OK
     assert svg.read_text().startswith("<svg")
 
@@ -339,6 +361,18 @@ def test_census_compare(tmp_path):
     doc = _read_json(out)
     assert doc["n"] == 5
     assert len(doc["points"]) == 1
+
+
+def test_census_compare_above_the_upper_boundary_is_null(tmp_path):
+    # t = 0.5 is above 0.5^(3/2), so the solver rejects the point: its
+    # variational s and its gap are -inf or inf, written as null
+    pts = tmp_path / "points.csv"
+    pts.write_text("e,t\n0.5,0.5\n")
+    out = tmp_path / "cmp.json"
+    assert run(["census-compare", "--n", "4", "--alpha", "0.2", "--points", str(pts),
+                "--out", str(out)]) == EXIT_OK
+    (e, t, _, s_variational, gap), = _read_json(out)["points"]
+    assert (e, t, s_variational, gap) == (0.5, 0.5, None, None)
 
 
 def _small_cfg(tmp_path):

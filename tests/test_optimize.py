@@ -232,8 +232,11 @@ def test_warm_start_used():
     assert res.multistart_values[0] == pytest.approx(sol.s_value, abs=1e-8)
 
 
-@pytest.mark.parametrize("motif", [Motif.triangle(), Motif.star(2), Motif.star(3)],
-                         ids=["triangle", "star2", "star3"])
+PATH3 = Motif.from_edges(3, [(1, 2), (2, 3)])
+
+
+@pytest.mark.parametrize("motif", [Motif.triangle(), Motif.star(2), Motif.star(3), PATH3],
+                         ids=["triangle", "star2", "star3", "path3"])
 @settings(max_examples=20, deadline=None)
 @given(g=_step_graphons([1, 2, 4, 8], 0.05, 0.95))
 def test_value_is_a_lower_bound_at_a_known_feasible_point(motif, g):
@@ -246,6 +249,19 @@ def test_value_is_a_lower_bound_at_a_known_feasible_point(motif, g):
     assert res.s_value == pytest.approx(-rate_function(res.g_star), abs=1e-12)
     assert abs(res.achieved.e - target.e) <= optimize.CONSTRAINT_TOL
     assert abs(res.achieved.t - target.t) <= optimize.CONSTRAINT_TOL
+
+
+def test_path_motif_agrees_with_the_2_star():
+    # the path 1-2-3 is the 2-star relabelled; the solver evaluates it with
+    # the general einsum kernel, and no region precheck applies to it
+    target = DensityPair(e=0.5, t=0.3)
+    assert not (PATH3.is_triangle or PATH3.is_star)
+    assert optimize._region_precheck(target, PATH3, optimize.CONSTRAINT_TOL) == ""
+    cfg = OptimConfig(m=8, multistart_count=0)
+    path = maximize_entropy(target, PATH3, cfg)
+    star = maximize_entropy(target, Motif.star(2), cfg)
+    assert path.converged and star.converged
+    assert path.s_value == pytest.approx(star.s_value, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Phase-diagram drivers and SVG rendering tests."""
 
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from graphentropy import errors, phase
-from graphentropy.graphon import Motif, rate_value
+from graphentropy.graphon import Graphon, Motif, rate_value
 from graphentropy.optimize import OptimConfig
 from graphentropy.phase import (
     ScanSpec,
@@ -74,6 +76,39 @@ def test_crease_report_detects_triangle_crease():
     assert not v.one_sided
     assert v.left_quotient > v.right_quotient
     assert v.separation_sigma > 5.0
+
+
+def test_crease_report_one_sided_for_the_2_star():
+    # below the ridge t = e^2 a 2-star is infeasible by Jensen, so only the
+    # upper side has a fit and the crease is one-sided
+    v, = crease_report([0.5], Motif.star(2), OptimConfig(m=8, multistart_count=0))
+    assert [p.status for p in v.scan.below] == ["infeasible"] * len(phase.DEFAULT_OFFSETS)
+    assert v.scan.below_fit is None
+    assert v.one_sided and v.crease_detected
+    assert v.left_quotient is None and v.right_quotient is not None
+    assert v.separation_sigma is None
+
+
+def test_crease_scan_starts_each_march_from_a_given_warm_start(monkeypatch):
+    # the first solve of each side's march runs config.warm_start as one more
+    # start; the later solves are warm-started from the march itself
+    starts = []
+    solve = phase.maximize_entropy
+
+    def counted(target, motif, config):
+        res = solve(target, motif, config)
+        starts.append(len(res.multistart_values))
+        return res
+
+    monkeypatch.setattr(phase, "maximize_entropy", counted)
+    cfg = OptimConfig(m=4, multistart_count=0)
+    counts = []
+    for config in (cfg, replace(cfg, warm_start=Graphon(values=np.full((4, 4), 0.5)))):
+        starts.clear()
+        crease_scan(0.5, deltas=[1e-3, 1e-2], config=config)
+        counts.append(list(starts))
+    cold, warm = counts
+    assert [w - c for c, w in zip(cold, warm)] == [1, 0, 1, 0]
 
 
 @pytest.mark.parametrize("deltas", [[], [0.0, 1e-3, 1e-2], [-1e-3, 1e-3, 1e-2],
