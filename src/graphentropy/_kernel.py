@@ -6,9 +6,9 @@ contraction for any other motif.  `density_gradient` is the one place that
 chooses among them; it returns a motif's density at once and its field on
 demand, from the intermediate both share (A^2 or the degrees).
 `graphon.motif_density` and `motif_gradient` call it as the solvers do, so
-every caller gets the same bits.  `al_objective` (the augmented-Lagrangian
-subproblem of the entropy solver) and `free_energy_objective` (the ERGM
-free energy) are built on it, and `spg_box` is the projected-gradient loop
+every caller gets the same bits.  `AugmentedLagrangian` (the subproblem of
+the entropy solver) and `FreeEnergy` (the ERGM free energy) are built on
+it, and `spg_box` is the projected-gradient loop
 both minimize with.  Each objective comes in two parts: a value part that computes f with
 the densities and keeps the intermediates, and a gradient part that builds
 G = I0'(A) - lam_eff (1, D) from them.  `spg_box` values every line-search
@@ -208,20 +208,33 @@ class _Objective:
         self.d = self._field()
 
 
-class _AugmentedLagrangian(_Objective):
-    def __init__(self, dens, target_e, target_t, lam, rho, tol, best):
+class AugmentedLagrangian(_Objective):
+    """Augmented-Lagrangian subproblem of max -I subject to e = target_e, t = target_t.
+
+    An objective for `spg_box` with value f = I(A) - lam . c + (rho/2) |c|^2,
+    c = (e(A) - target_e, t(A) - target_t), and gradient
+    G = I0'(A) - lam_eff[0] - lam_eff[1] D with lam_eff = lam - rho c and D the
+    motif field.  Every valued A whose violation max|c| is within tol and
+    whose -I beats best_s is kept in best_s and best_a (-inf and None until
+    one is), line search trials included.  reprice(lam, rho) sets new
+    multipliers and penalty and returns (f, G) at the last A valued and
+    differentiated without valuing it again: the same formulas on the I(A),
+    c, I0'(A) and D it holds, so the same bits as a fresh objective's
+    value(A) and gradient().
+    """
+
+    def __init__(self, dens, target_e, target_t, lam, rho, tol):
         super().__init__(dens)
         self._target = (target_e, target_t)
-        self._lam, self._rho, self._tol, self._best = lam, rho, tol, best
+        self._lam, self._rho, self._tol = lam, rho, tol
+        self.best_s, self.best_a = -math.inf, None
 
     def value(self, a):
         self._i = i_val = _mean_rate(a)
         self._densities(a)
         c0, c1 = self._c = (self.e - self._target[0], self.t - self._target[1])
-        best = self._best
-        if max(abs(c0), abs(c1)) <= self._tol and -i_val > best["s"]:
-            best["s"] = -i_val
-            best["a"] = a.copy()
+        if max(abs(c0), abs(c1)) <= self._tol and -i_val > self.best_s:
+            self.best_s, self.best_a = -i_val, a.copy()
         return self._price()
 
     def gradient(self):
@@ -245,7 +258,11 @@ class _AugmentedLagrangian(_Objective):
         return self.i0_prime - (l0 - rho * c0) - (l1 - rho * c1) * self.d
 
 
-class _FreeEnergy(_Objective):
+class FreeEnergy(_Objective):
+    """An objective for `spg_box` with value f = I(A) - beta1 e(A) - beta2 t(A),
+    the negated ERGM free-energy functional, and gradient
+    G = I0'(A) - beta1 - beta2 D."""
+
     def __init__(self, dens, beta1, beta2):
         super().__init__(dens)
         self._beta1, self._beta2 = beta1, beta2
@@ -257,29 +274,6 @@ class _FreeEnergy(_Objective):
     def gradient(self):
         self._fields()
         return self.i0_prime - self._beta1 - self._beta2 * self.d
-
-
-def al_objective(dens, target_e, target_t, lam, rho, tol, best):
-    """Augmented-Lagrangian subproblem of max -I subject to e = target_e, t = target_t.
-
-    An objective for `spg_box` with value f = I(A) - lam . c + (rho/2) |c|^2,
-    c = (e(A) - target_e, t(A) - target_t), and gradient
-    G = I0'(A) - lam_eff[0] - lam_eff[1] D with lam_eff = lam - rho c and D the
-    motif field.  Every valued A whose violation max|c| is within tol and
-    whose -I beats best["s"] is recorded in best["s"] and best["a"], line
-    search trials included.  objective.reprice(lam, rho) sets new multipliers
-    and penalty and returns (f, G) at the last A valued and differentiated
-    without valuing it again: the same formulas on the I(A), c, I0'(A) and D
-    it holds, so the same bits as a fresh objective's value(A) and gradient().
-    """
-    return _AugmentedLagrangian(dens, target_e, target_t, lam, rho, tol, best)
-
-
-def free_energy_objective(dens, beta1, beta2):
-    """An objective for `spg_box` with value f = I(A) - beta1 e(A) - beta2 t(A),
-    the negated ERGM free-energy functional, and gradient
-    G = I0'(A) - beta1 - beta2 D."""
-    return _FreeEnergy(dens, beta1, beta2)
 
 
 # ---------------------------------------------------------------------------
@@ -331,14 +325,14 @@ def spg_box(a, objective, tol, max_iter, start=None):
     10-value nonmonotone window and the [1e-8, 1e8] step clamp do not depend
     on w.
 
-    The objective comes in two parts, as `al_objective` and
-    `free_energy_objective` build it: objective.value(A) -> f, and
+    The objective comes in two parts, as `AugmentedLagrangian` and
+    `FreeEnergy` define it: objective.value(A) -> f, and
     objective.gradient() -> G, the mean-convention gradient at the last A
     valued.  Every line-search trial is valued, but G is built only at each
     accepted step, which is always the last trial valued, so a trial the
     Armijo test rejects costs no gradient.  start is (f, G) at a when the
     caller holds them, as the augmented-Lagrangian rounds do after the first
-    (`al_objective`'s reprice): G is then built at the start of a run of
+    (`AugmentedLagrangian.reprice`): G is then built at the start of a run of
     rounds, not of every round.  With start None the loop values and
     differentiates a itself.
     Returns the final iterate, value, gradient and the projected-gradient sup

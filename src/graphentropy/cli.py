@@ -18,6 +18,7 @@ from dataclasses import fields
 # only the standard library and the error types load with the CLI; each
 # handler imports the modules it runs, so `region` runs without numpy
 from .errors import (
+    EmptyTable,
     FormatError,
     GraphEntropyError,
     Infeasible,
@@ -200,8 +201,7 @@ def _cmd_scan(args):
               [(r.e, r.t, r.s, r.beta1, r.beta2, int(r.converged), r.el_residual, r.status)
                for r in table], args.out)
     if args.svg:
-        with open(args.svg, "w") as fh:
-            fh.write(phase_mod.render_svg(table, "heatmap"))
+        _emit(phase_mod.render_svg(table, "heatmap"), args.svg)
     return EXIT_OK
 
 
@@ -251,8 +251,7 @@ def _cmd_ergm(args):
         if args.svg:
             from . import phase as phase_mod
 
-            with open(args.svg, "w") as fh:
-                fh.write(phase_mod.render_svg(rows, "curves"))
+            _emit(phase_mod.render_svg(rows, "curves"), args.svg)
         return EXIT_OK
     _reject_flags(args, "svg", "beta2_min", "beta2_max", "steps",
                   mode=" --verify-thm5" if args.verify_thm5 else " --grid")
@@ -450,7 +449,8 @@ def run(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.handler(args)
-    except Infeasible as exc:
+    except (Infeasible, EmptyTable) as exc:
+        # an empty table to draw means every target of the scan was infeasible
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except NoTransitionFound as exc:

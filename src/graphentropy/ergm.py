@@ -17,9 +17,9 @@ import numpy as np
 
 from ._kernel import (
     CLAMP,
+    FreeEnergy,
     bisect,
     density_gradient,
-    free_energy_objective,
     minimize_bounded,
     project,
     spg_box,
@@ -130,7 +130,7 @@ def psi_full(params: ErgmParams, config: OptimConfig | None = None) -> FreeEnerg
         config = OptimConfig()
     b1, b2 = params.beta1, params.beta2
     m = config.m
-    objective = free_energy_objective(density_gradient(Motif.triangle(), m), b1, b2)
+    objective = FreeEnergy(density_gradient(Motif.triangle(), m), b1, b2)
 
     rng = np.random.default_rng(config.seed)
     starts = []

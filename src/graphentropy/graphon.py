@@ -200,14 +200,15 @@ def _edge_set(n, edges) -> frozenset:
 
 
 def bipodal_graphon(c, p11, p12, p22, m) -> Graphon:
-    """Two-cluster step graphon; the split point c is rounded to the grid."""
+    """Two-cluster step graphon: p11 on [0, c)^2, p22 on [c, 1]^2 and p12
+    elsewhere.  The split c in [0, 1] is rounded to the grid, so c = 0 and
+    c = 1 give the constant graphons p22 and p11."""
     for p in (p11, p12, p22):
         if not (0.0 <= p <= 1.0):
             raise ValueOutOfRange(f"block value {p} outside [0,1]")
-    if not (0.0 < c < 1.0):
-        raise ValueOutOfRange(f"split {c} outside (0,1)")
+    if not (0.0 <= c <= 1.0):
+        raise ValueOutOfRange(f"split {c} outside [0,1]")
     mc = int(round(c * m))
-    mc = min(max(mc, 0), m)
     a = np.full((m, m), float(p22))
     a[:mc, :mc] = p11
     a[:mc, mc:] = p12

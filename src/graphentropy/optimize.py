@@ -22,7 +22,7 @@ from numbers import Integral
 import numpy as np
 
 from . import region
-from ._kernel import al_objective, density_gradient, minimize_bounded, project, spg_box
+from ._kernel import AugmentedLagrangian, density_gradient, minimize_bounded, project, spg_box
 from .errors import DegenerateFit, Infeasible, ValueOutOfRange
 from .graphon import (
     DensityPair,
@@ -75,6 +75,11 @@ class OptimConfig:
 
 @dataclass
 class EntropyResult:
+    """The best feasible iterate g_star of a solve and s_value = -I(g_star);
+    beta1 and beta2 are the multipliers of the run that reached it, and
+    el_residual_norm is the sup norm at g_star of the Euler-Lagrange field
+    -I0'(g) + beta1 + beta2 D of those same multipliers."""
+
     g_star: Graphon
     s_value: float
     target: DensityPair
@@ -187,13 +192,11 @@ def closed_form_half(t) -> BipodalSolution:
 
 
 def closed_form_upper(e, m) -> Graphon:
-    """Upper-boundary optimizer: 1 on [0, sqrt(e))^2, 0 elsewhere (grid-rounded)."""
+    """Upper-boundary optimizer for e in [0, 1]: 1 on [0, sqrt(e))^2, 0
+    elsewhere, the bipodal graphon with split sqrt(e) (grid-rounded)."""
     if not (0.0 <= e <= 1.0):
         raise ValueOutOfRange(f"e={e} outside [0,1]")
-    mc = min(max(int(round(math.sqrt(e) * m)), 0), m)
-    a = np.zeros((m, m))
-    a[:mc, :mc] = 1.0
-    return Graphon(values=a)
+    return bipodal_graphon(math.sqrt(e), 1.0, 0.0, 0.0, m)
 
 
 # ---------------------------------------------------------------------------
@@ -265,12 +268,11 @@ def _solve_constrained(a0, target: DensityPair, dens):
     `density_gradient` at the resolution of a0."""
     te, tt = target.e, target.t
     rho = PENALTY_INITIAL
-    best = {"s": -math.inf, "a": None}
     a = project(np.array(a0, dtype=float))
-    # One objective serves every round.  It values and differentiates the
-    # start once; each round reprices it to the round's (lam, rho), and the
-    # inner solve starts from the (f, G) that returns.
-    objective = al_objective(dens, te, tt, np.zeros(2), rho, CONSTRAINT_TOL, best)
+    # One objective serves every round and keeps the run's best feasible
+    # iterate.  It values and differentiates the start once; each round
+    # reprices it, and the inner solve starts from the (f, G) that returns.
+    objective = AugmentedLagrangian(dens, te, tt, np.zeros(2), rho, CONSTRAINT_TOL)
     objective.value(a)
     objective.gradient()
     # seed the multipliers from the Euler-Lagrange fit at the start; for an
@@ -323,8 +325,8 @@ def _solve_constrained(a0, target: DensityPair, dens):
         lam=lam,
         viol=viol,
         converged=viol <= CONSTRAINT_TOL and pg <= KKT_TOL,
-        best_s=best["s"],
-        best_a=best["a"],
+        best_s=objective.best_s,
+        best_a=objective.best_a,
     )
 
 
@@ -352,10 +354,9 @@ def _starts(target: DensityPair, motif: Motif, cfg: OptimConfig):
     # rank-one bipodal perturbation of g_e; exact optimizer family at e=1/2
     x = min(abs(e ** k - t) ** (1.0 / 3.0), e - 0.01, 1.0 - e - 0.01)
     if x > 0:
-        sign = -1.0 if t <= e ** k else 1.0
-        alpha = np.ones(m)
-        alpha[: m // 2] = -1.0
-        starts.append(("checkerboard", project(e + sign * x * np.outer(alpha, alpha))))
+        sx = -x if t <= e ** k else x
+        split = bipodal_graphon((m // 2) / m, e + sx, e - sx, e + sx, m)
+        starts.append(("checkerboard", project(split.values)))
     corner = closed_form_upper(e, m).values
     denom = e ** 1.5 - e ** k
     theta = (t - e ** k) / denom if abs(denom) > 1e-12 else 0.0
@@ -431,20 +432,15 @@ def maximize_entropy(target: DensityPair, motif: Motif | None = None,
     _, rec = best
     a = rec.best_a
     t_val, field = dens(a)
-    h = field()
-    i0_prime = rate_derivative(a)
-    # the residual of the multiplier fit at the iterate, or of the run's own
-    # multipliers where that fit is degenerate
-    fit = _ls_multipliers(a, h, i0_prime)
-    lam = rec.lam if fit is None else fit
+    beta1, beta2 = float(rec.lam[0]), float(rec.lam[1])
     return EntropyResult(
         g_star=Graphon(values=a.copy()),
         s_value=float(best[0]),
         target=target,
         achieved=DensityPair(e=float(np.mean(a)), t=t_val),
-        beta1=float(rec.lam[0]),
-        beta2=float(rec.lam[1]),
-        el_residual_norm=_sup_residual(i0_prime, h, float(lam[0]), float(lam[1])),
+        beta1=beta1,
+        beta2=beta2,
+        el_residual_norm=_sup_residual(rate_derivative(a), field(), beta1, beta2),
         converged=rec.converged,
         multistart_values=multistart_values,
     )

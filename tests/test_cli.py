@@ -193,6 +193,14 @@ ENTROPY = ["entropy", "--e", "0.5", "--t", "0.125"]
       for extra in ({"relativ": False}, {"output_path": "scan.csv"}, {"relative": "false"},
                     {"motif": 3})],
     [*ENTROPY, "--config", lambda p: _json_file(p, "c.json", {**_config(m=4), "solver": {}})],
+    # --grid takes exactly six numbers
+    ["ergm", "--grid=0,1,2,0,1"],
+    # a points file is headed e,t
+    ["census-compare", "--n", "3", "--alpha", "0.1",
+     "--points", _text_file("p.csv", "x,y\n0.5,0.1\n")],
+    # a motif file's header is version 1 with a whole vertex count
+    *[["entropy", "--e", "0.5", "--t", "0.1", "--motif", _text_file("motif.txt", text)]
+      for text in ("motif v2 ell=2\n1 2\n", "motif v1 ell=x\n1 2\n")],
 ])
 def test_malformed_input_exits_usage(tmp_path, argv):
     argv = [a(tmp_path) if callable(a) else a for a in argv]
@@ -343,6 +351,19 @@ def test_scan_svg(tmp_path):
     assert svg.read_text().startswith("<svg")
 
 
+def test_scan_svg_with_no_feasible_point_is_infeasible(tmp_path, capsys):
+    # t = 0.45 lies above the upper boundary at e = 0.5: the CSV is written,
+    # and there is nothing to draw, so no SVG file is made
+    spec = _json_file(tmp_path, "spec.json",
+                      {"e_grid": [0.5], "t_grid": [0.45], "relative": False})
+    svg, out = tmp_path / "scan.svg", tmp_path / "scan.csv"
+    assert run(["scan", "--spec", spec, "--config", _tiny_cfg(tmp_path), "--svg", str(svg),
+                "--out", str(out)]) == EXIT_INFEASIBLE
+    assert "infeasible: no finite scan rows to render" in capsys.readouterr().err
+    assert out.read_text().splitlines()[1].endswith(",infeasible")
+    assert not svg.exists()
+
+
 def test_ergm_curve_svg(tmp_path):
     svg = tmp_path / "curve.svg"
     assert run(["ergm", "--curve", "--steps", "2",
@@ -361,6 +382,19 @@ def test_census_compare(tmp_path):
     doc = _read_json(out)
     assert doc["n"] == 5
     assert len(doc["points"]) == 1
+
+
+def test_census_compare_skips_blank_lines(tmp_path):
+    pts = tmp_path / "points.csv"
+    outs = []
+    for text in ("e,t\n0.5,0.125\n0.3,0.027\n", "e,t\n0.5,0.125\n\n  \n0.3,0.027\n"):
+        pts.write_text(text)
+        out = tmp_path / "cmp.json"
+        assert run(["census-compare", "--n", "4", "--alpha", "0.2", "--points", str(pts),
+                    "--out", str(out), "--config", _tiny_cfg(tmp_path)]) == EXIT_OK
+        outs.append(out.read_text())
+    assert outs[0] == outs[1]
+    assert len(json.loads(outs[0])["points"]) == 2
 
 
 def test_census_compare_above_the_upper_boundary_is_null(tmp_path):

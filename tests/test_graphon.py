@@ -232,6 +232,35 @@ def test_rate_function_block_average():
     assert rate_function(g) == pytest.approx(expect, abs=1e-14)
 
 
+def test_bipodal_graphon_blocks_and_ends():
+    # p11 on [0, c)^2, p22 on [c, 1]^2, p12 elsewhere; c = 0 and c = 1 are
+    # the constant graphons p22 and p11
+    g = bipodal_graphon(0.25, 0.9, 0.2, 0.4, 8).values
+    assert np.all(g[:2, :2] == 0.9) and np.all(g[2:, 2:] == 0.4)
+    assert np.all(g[:2, 2:] == 0.2) and np.all(g[2:, :2] == 0.2)
+    for m in (1, 2, 7):
+        assert np.array_equal(bipodal_graphon(0.0, 0.9, 0.2, 0.4, m).values, np.full((m, m), 0.4))
+        assert np.array_equal(bipodal_graphon(1.0, 0.9, 0.2, 0.4, m).values, np.full((m, m), 0.9))
+
+
+@pytest.mark.parametrize("c,p11,p12,p22", [
+    (-1e-12, 0.5, 0.5, 0.5), (1.0 + 1e-12, 0.5, 0.5, 0.5), (math.nan, 0.5, 0.5, 0.5),
+    (0.5, -0.1, 0.5, 0.5), (0.5, 0.5, 1.1, 0.5), (0.5, 0.5, 0.5, math.nan),
+])
+def test_bipodal_graphon_rejects_values_outside_the_unit_interval(c, p11, p12, p22):
+    with pytest.raises(errors.ValueOutOfRange):
+        bipodal_graphon(c, p11, p12, p22, 4)
+
+
+def test_edgeless_motif_has_density_one():
+    # the one-vertex motif with no edge: t(H, g) = 1 and its field is zero
+    h = Motif.from_edges(1, [])
+    a = _random_graphon(np.random.default_rng(5), 4).values
+    assert _kernel.einsum_density(a, 4, h) == 1.0
+    assert motif_density(Graphon(values=a), h) == 1.0
+    assert np.array_equal(motif_gradient(Graphon(values=a), h), np.zeros((4, 4)))
+
+
 # ---------------------------------------------------------------------------
 # Validation, resampling, distance
 
@@ -436,20 +465,19 @@ def test_kernel_al_objective_bit_equal_to_reference(a, motif, seed, tol):
     rho = 10.0 ** float(rng.uniform(-2.0, 8.0))
     te, tt = rng.uniform(0.0, 1.0, size=2).tolist()
     best_ref = {"s": -math.inf, "a": None}
-    best = {"s": -math.inf, "a": None}
     f_ref, g_ref = _ref_al_objective(
         _ref_make_problem(motif, m), te, tt, lam, rho, tol, best_ref)(a)
-    objective = _kernel.al_objective(
-        _kernel.density_gradient(motif, m), te, tt, lam, rho, tol, best)
+    objective = _kernel.AugmentedLagrangian(
+        _kernel.density_gradient(motif, m), te, tt, lam, rho, tol)
     f = objective.value(a)
     # the record is kept by the value part alone
-    assert best["s"] == best_ref["s"]
+    assert objective.best_s == best_ref["s"]
     g = objective.gradient()
     assert f == f_ref and np.array_equal(g, g_ref)
-    assert best["s"] == best_ref["s"]
-    assert (best["a"] is None) == (best_ref["a"] is None)
-    if best["a"] is not None:
-        assert np.array_equal(best["a"], best_ref["a"])
+    assert objective.best_s == best_ref["s"]
+    assert (objective.best_a is None) == (best_ref["a"] is None)
+    if objective.best_a is not None:
+        assert np.array_equal(objective.best_a, best_ref["a"])
 
 
 @st.composite
@@ -480,12 +508,12 @@ def test_kernel_al_reprice_bit_equal_to_a_fresh_objective(a, motif, seed):
     prices = [(rng.uniform(-50.0, 50.0, size=2), 10.0 ** float(rng.uniform(-2.0, 8.0)))
               for _ in range(3)]
     dens = _kernel.density_gradient(motif, m)
-    held = _kernel.al_objective(dens, te, tt, *prices[0], 1e-6, {"s": -math.inf, "a": None})
+    held = _kernel.AugmentedLagrangian(dens, te, tt, *prices[0], 1e-6)
     held.value(a)
     held.gradient()
     for lam, rho in prices[1:]:
         f, g = held.reprice(lam, rho)
-        fresh = _kernel.al_objective(dens, te, tt, lam, rho, 1e-6, {"s": -math.inf, "a": None})
+        fresh = _kernel.AugmentedLagrangian(dens, te, tt, lam, rho, 1e-6)
         assert f.hex() == fresh.value(a).hex()
         assert g.tobytes() == fresh.gradient().tobytes()
 
@@ -496,7 +524,7 @@ def test_kernel_free_energy_bit_equal_to_reference(a, motif, seed):
     m = a.shape[0]
     b1, b2 = np.random.default_rng(seed).uniform(-20.0, 20.0, size=2).tolist()
     f_ref, g_ref = _ref_free_energy(_ref_make_problem(motif, m), b1, b2)(a)
-    objective = _kernel.free_energy_objective(_kernel.density_gradient(motif, m), b1, b2)
+    objective = _kernel.FreeEnergy(_kernel.density_gradient(motif, m), b1, b2)
     f = objective.value(a)
     assert f == f_ref and np.array_equal(objective.gradient(), g_ref)
 

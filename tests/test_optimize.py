@@ -91,6 +91,43 @@ def test_closed_form_upper_densities():
     assert float(np.mean(g.values)) == pytest.approx(0.25, abs=1e-12)
 
 
+_E_GRID = [i / 20 for i in range(21)] + [0.03, 0.123, 0.4999, 0.77]
+
+
+def test_closed_form_upper_bit_equal_to_its_clique_formula():
+    # 1 on the first round(sqrt(e) m) rows and columns, 0 elsewhere, written
+    # out; the grid has both ends, the empty graphon and the complete one
+    for m in range(1, 34):
+        for e in _E_GRID:
+            mc = min(max(int(round(math.sqrt(e) * m)), 0), m)
+            a = np.zeros((m, m))
+            a[:mc, :mc] = 1.0
+            assert closed_form_upper(e, m).values.tobytes() == a.tobytes(), (e, m)
+
+
+def test_closed_form_upper_rejects_e_outside_the_unit_interval():
+    for e in (-1e-12, 1.0 + 1e-12, math.nan):
+        with pytest.raises(errors.ValueOutOfRange):
+            closed_form_upper(e, 5)
+
+
+def test_checkerboard_start_bit_equal_to_its_rank_one_formula():
+    # e + sign x alpha alpha^T, alpha = -1 on the first m // 2 blocks and +1
+    # on the rest, clamped onto the box; sign is -1 below the ridge t = e^3
+    triangle = Motif.triangle()
+    for m in range(1, 34):
+        cfg = OptimConfig(m=m, multistart_count=0)
+        for e in (0.05, 0.2, 0.3, 0.5, 0.61, 0.9):
+            for sign in (-1.0, 1.0):
+                t = e ** 3 * (1.0 + 0.5 * sign * (1.0 - e))
+                starts = dict(optimize._starts(DensityPair(e=e, t=t), triangle, cfg))
+                x = min(abs(e ** 3 - t) ** (1.0 / 3.0), e - 0.01, 1.0 - e - 0.01)
+                alpha = np.ones(m)
+                alpha[: m // 2] = -1.0
+                ref = optimize.project(e + sign * x * np.outer(alpha, alpha))
+                assert starts["checkerboard"].tobytes() == ref.tobytes(), (e, sign, m)
+
+
 def test_f_minus_half_is_one():
     fm = f_minus(0.5)
     assert fm.f_minus == pytest.approx(1.0, abs=1e-9)
@@ -136,6 +173,15 @@ def test_estimate_multipliers_degenerate_without_interior_blocks():
 
 # ---------------------------------------------------------------------------
 # Solver
+
+
+def test_maximize_entropy_defaults_to_the_triangle_and_the_default_config():
+    # (1/2, 1/8) lies on the Erdos-Renyi curve: the constant start reaches
+    # the ceiling -I0(1/2) and ends the search
+    res = maximize_entropy(DensityPair(e=0.5, t=0.125))
+    assert res.g_star.m == OptimConfig().m
+    assert res.converged and res.multistart_values == [res.s_value]
+    assert res.s_value == pytest.approx(-rate_value(0.5), abs=1e-12)
 
 
 def test_er_curve_hits_ceiling():
@@ -289,10 +335,10 @@ def _count_inner_solves(monkeypatch):
     solve, in order.  The evaluations count the start's once, whether the
     solve values it or starts from the (f, G) its caller repriced."""
     evals, grads, per_solve = [0], [0], []
-    al_objective, spg_box = optimize.al_objective, optimize.spg_box
+    objective_class, spg_box = optimize.AugmentedLagrangian, optimize.spg_box
 
     def counted_objective(*args):
-        objective = al_objective(*args)
+        objective = objective_class(*args)
         value, gradient = objective.value, objective.gradient
 
         def counted_value(a):
@@ -315,7 +361,7 @@ def _count_inner_solves(monkeypatch):
         per_solve.append((iterations, evals[0] - before[0] + (start is not None)))
         return out
 
-    monkeypatch.setattr(optimize, "al_objective", counted_objective)
+    monkeypatch.setattr(optimize, "AugmentedLagrangian", counted_objective)
     monkeypatch.setattr(optimize, "spg_box", counted_spg)
     return per_solve
 
@@ -354,7 +400,7 @@ def test_each_round_starts_from_what_the_objective_holds(monkeypatch):
     starts = dict(optimize._starts(target, Motif.triangle(), cfg))
     a0 = optimize.project(starts["upper_corner"])
     log, rounds, fits, dens_calls = [], [], [0], [0]
-    al_objective, spg_box = optimize.al_objective, optimize.spg_box
+    objective_class, spg_box = optimize.AugmentedLagrangian, optimize.spg_box
     ls_multipliers = optimize._ls_multipliers
     dens = optimize.density_gradient(Motif.triangle(), 8)
 
@@ -363,7 +409,7 @@ def test_each_round_starts_from_what_the_objective_holds(monkeypatch):
         return dens(a)
 
     def counted_objective(*args):
-        objective = al_objective(*args)
+        objective = objective_class(*args)
         value, gradient = objective.value, objective.gradient
 
         def counted_value(a):
@@ -386,7 +432,7 @@ def test_each_round_starts_from_what_the_objective_holds(monkeypatch):
         fits[0] += 1
         return ls_multipliers(*args)
 
-    monkeypatch.setattr(optimize, "al_objective", counted_objective)
+    monkeypatch.setattr(optimize, "AugmentedLagrangian", counted_objective)
     monkeypatch.setattr(optimize, "spg_box", counted_spg)
     monkeypatch.setattr(optimize, "_ls_multipliers", counted_fit)
     rec = optimize._solve_constrained(a0, target, counted_dens)
@@ -425,11 +471,11 @@ def test_penalty_stays_under_its_ceiling_across_the_ridge(monkeypatch):
     # with no ceiling the penalty reached 655,360 on this scan, its inner solves
     # ran out of MAX_INNER_ITERATIONS, and the scan took 34,445 evaluations
     seen = {"rho": [], "evals": 0}
-    al_objective = optimize.al_objective
+    objective_class = optimize.AugmentedLagrangian
 
-    def counted(dens, te, tt, lam, rho, tol, best):
+    def counted(dens, te, tt, lam, rho, tol):
         seen["rho"].append(rho)
-        objective = al_objective(dens, te, tt, lam, rho, tol, best)
+        objective = objective_class(dens, te, tt, lam, rho, tol)
         value, reprice = objective.value, objective.reprice
 
         def counted_value(a):
@@ -444,7 +490,7 @@ def test_penalty_stays_under_its_ceiling_across_the_ridge(monkeypatch):
         objective.reprice = counted_reprice
         return objective
 
-    monkeypatch.setattr(optimize, "al_objective", counted)
+    monkeypatch.setattr(optimize, "AugmentedLagrangian", counted)
     rows = _ridge_scan(0.5)
     assert [r.status for r in rows] == ["ok"] * 3
     assert max(seen["rho"]) <= optimize.PENALTY_MAX
@@ -475,7 +521,9 @@ def test_penalty_ceiling_keeps_ridge_scan_values(e):
 # (s_value, beta1, beta2, el_residual_norm) and multistart_values of
 # maximize_entropy with m = 16 and 4 starts, recorded at commit d15f377, where
 # every line-search trial built its gradient; the solver must reproduce every
-# bit.
+# bit.  el_residual_norm is now that of the reported (beta1, beta2), not of a
+# second least-squares fit at g_star, so its two values that differ were
+# re-recorded, for (0.3, 0.04) and (0.5, 0.0725, star:4).
 MAXIMIZE_AT_D15F377 = {
     (0.5, 0.124, "triangle"): (
         ("0x1.5894fc37432c5p-2", "0x1.445f410f5af02p+2", "-0x1.b07f0169ce94fp+2",
@@ -483,12 +531,12 @@ MAXIMIZE_AT_D15F377 = {
         ("-inf", "0x1.5894fc37432c5p-2", "-inf", "-inf", "-inf", "-inf", "-inf", "-inf")),
     (0.3, 0.04, "triangle"): (
         ("0x1.195f1874e58f8p-2", "-0x1.251e3d8e6acaap+0", "0x1.1f253adf1e852p+1",
-         "0x1.7cbed1b858000p-15"),
+         "0x1.775d7c9220000p-15"),
         ("-inf", "0x1.dc95b0280950cp-3", "0x1.182099f851252p-2", "0x1.176e1b71f09bdp-2",
          "-inf", "-inf", "0x1.19463e18c99f2p-2", "0x1.195f1874e58f8p-2")),
     (0.5, 0.0725, "star:4"): (
         ("0x1.586815f63f454p-2", "-0x1.fb54581aafff5p-2", "0x1.e2c0a49238f8ep-1",
-         "0x1.849b13264c400p-10"),
+         "0x1.a03ba81dfa000p-10"),
         ("-inf", "-inf", "0x1.53a343144f1d8p-2", "-inf", "0x1.52e6cc96af144p-2",
          "0x1.586815f63f454p-2", "0x1.55c574851615cp-2", "0x1.578a42e56cabbp-2")),
 }
