@@ -22,14 +22,14 @@ _EXPORTS = {
              "find_transition", "psi_constant", "psi_full", "transition_curve",
              "verify_t_le_e_cubed"),
     "errors": ("GraphEntropyError", "Infeasible", "NoTransitionFound", "TooLarge"),
-    "graphon": ("DensityPair", "Graphon", "Motif", "bipodal_graphon", "constant_graphon",
-                "edge_density", "graphon_distance", "motif_density", "motif_gradient",
-                "rate_function", "rate_value", "read_graphon", "resample", "write_graphon"),
-    "optimize": ("BipodalSolution", "EntropyResult", "OptimConfig", "closed_form_half",
-                 "closed_form_upper", "el_residual", "estimate_multipliers", "f_minus",
-                 "maximize_entropy"),
+    "graphon": ("Graphon", "bipodal_graphon", "constant_graphon", "edge_density",
+                "graphon_distance", "motif_density", "motif_gradient", "rate_function",
+                "rate_value", "read_graphon", "resample", "write_graphon"),
+    "optimize": ("BipodalSolution", "EntropyResult", "closed_form_half", "closed_form_upper",
+                 "el_residual", "estimate_multipliers", "f_minus", "maximize_entropy"),
     "phase": ("CreaseScanResult", "ScanSpec", "crease_report", "crease_scan",
               "phase_diagram_scan", "render_svg"),
+    "problem": ("DensityPair", "Motif", "OptimConfig"),
     "region": ("RegionClass", "classify", "er_curve", "lower_boundary", "lower_envelope",
                "upper_boundary"),
     "spectral": ("SpectralReport", "delta_t_decomposition", "kernel_operator_spectrum",

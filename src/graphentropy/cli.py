@@ -86,7 +86,7 @@ def _load_config(args, spec_optim=None):
     table, the scan spec's optim table, --m, then --seed.  Each layer must
     make a valid OptimConfig by itself, so a bad value is an error even where
     a later layer overrides it.  A file cannot set warm_start."""
-    from .optimize import OptimConfig
+    from .problem import OptimConfig
 
     keys = [f.name for f in fields(OptimConfig) if f.name != "warm_start"]
     layers = []
@@ -168,19 +168,23 @@ def _entropy_payload(res):
 
 
 def _cmd_entropy(args):
-    from .graphon import DensityPair, Motif
-    from .optimize import maximize_entropy
+    from .problem import DensityPair, Motif, region_precheck
 
     cfg = _load_config(args)
     motif = Motif.parse(args.motif)
-    res = maximize_entropy(DensityPair(e=args.e, t=args.t), motif, cfg)
+    target = DensityPair(e=args.e, t=args.t)
+    # a target outside the proven region exits here, before numpy loads
+    region_precheck(target, motif)
+    from .optimize import maximize_entropy
+
+    res = maximize_entropy(target, motif, cfg)
     _emit_json(_entropy_payload(res), args.out)
     return EXIT_OK if res.converged else EXIT_NOT_CONVERGED
 
 
 def _cmd_scan(args):
     from . import phase as phase_mod
-    from .graphon import Motif
+    from .problem import Motif
 
     with open(args.spec) as fh:
         doc = _table(json.load(fh), "scan spec",
@@ -207,7 +211,7 @@ def _cmd_scan(args):
 
 def _cmd_crease(args):
     from . import phase as phase_mod
-    from .graphon import Motif
+    from .problem import Motif
 
     cfg = _load_config(args)
     motif = Motif.parse(args.motif)
@@ -293,8 +297,8 @@ def _cmd_census(args):
 
 def _cmd_census_compare(args):
     from . import census as census_mod
-    from .graphon import DensityPair, Motif
     from .optimize import maximize_entropy
+    from .problem import DensityPair, Motif
 
     cfg = _load_config(args)
     table = census_mod.enumerate_census(args.n, threads=_threads(args))
@@ -327,7 +331,7 @@ def _cmd_verify(args):
     import numpy as np
 
     from . import invariants
-    from .optimize import OptimConfig
+    from .problem import OptimConfig
 
     _reject_flags(args, "config")
     cfg = _load_config(args)

@@ -2,10 +2,12 @@
 
 The free energy psi(b1, b2) is the maximum of -I(g) + b1 e(g) + b2 t(g) over
 step graphons.  On the regime treated here the maximizers are constant, so the
-scalar family phi(u) = -I0(u) + b1 u + b2 u^3 carries the transition curve;
-the full graphon maximization is kept as an independent cross-check and for
-the t <= e^3 bound verification.  The convexity analysis of the e = 1/2
-entropy slice lives here too.
+scalar family phi(u) = -I0(u) + b1 u + b2 u^3 carries the transition curve.
+The full graphon maximization values the constant graphons at phi's
+maximizers and runs SPG from the warm start and the random restarts; those
+runs leave the constant family and are the cross-check that does not rest on
+phi, for psi and for the t <= e^3 bound verification.  The convexity analysis
+of the e = 1/2 entropy slice lives here too.
 """
 
 from __future__ import annotations
@@ -22,19 +24,18 @@ from ._kernel import (
     density_gradient,
     minimize_bounded,
     project,
+    projected_gradient_norm,
     spg_box,
 )
 from .errors import NoTransitionFound, SignPatternUnexpected, ValueOutOfRange
 from .graphon import (
-    DensityPair,
     Graphon,
-    Motif,
     rate_derivative,
     rate_second_derivative,
     rate_value,
     resample,
 )
-from .optimize import KKT_TOL, MAX_INNER_ITERATIONS, OptimConfig
+from .problem import KKT_TOL, MAX_INNER_ITERATIONS, DensityPair, Motif, OptimConfig
 
 # _scalar_maximizers polishes the local maxima of phi found on a grid of this
 # many points; find_transition bisects BETA1_BRACKET down to TRANSITION_TOL
@@ -120,11 +121,18 @@ def psi_constant(params: ErgmParams) -> dict:
 
 
 def psi_full(params: ErgmParams, config: OptimConfig | None = None) -> FreeEnergyResult:
-    """Unconstrained box maximization of -I + b1 e + b2 t (t the triangle
-    density) by multistart SPG.
+    """Box maximization of -I + b1 e + b2 t (t the triangle density) over
+    m x m step graphons.
 
-    Returns the best start's maximizer; its `converged` is true when that
-    start's projected gradient is within KKT_TOL.
+    The candidates are the warm start's SPG run, each constant graphon at a
+    `psi_constant` maximizer u_star, valued as it stands, and the SPG runs
+    from the random restarts.  An SPG run from a constant start needs no
+    solve: the gradient at a constant graphon is constant, so the run stays
+    in the constant family, and u_star is the global maximum there.  The
+    warm and random starts leave that family and cross-check it.
+
+    Returns the best candidate; its `converged` is true when its projected
+    gradient is within KKT_TOL.
     """
     if config is None:
         config = OptimConfig()
@@ -136,18 +144,20 @@ def psi_full(params: ErgmParams, config: OptimConfig | None = None) -> FreeEnerg
     starts = []
     if config.warm_start is not None:
         starts.append(resample(config.warm_start, m).values.copy())
-    for u in psi_constant(params)["u_star"]:
-        starts.append(np.full((m, m), u))
-    for u in (0.1, 0.5, 0.9):
-        starts.append(np.full((m, m), u))
+    starts += psi_constant(params)["u_star"]  # floats, valued as they stand
     for _ in range(max(config.multistart_count // 2, 2)):
         r = rng.uniform(0.05, 0.95, size=(m, m))
         starts.append(0.5 * (r + r.T))
 
     runs = []
     for a0 in starts:
-        a, f, _, pg = spg_box(project(a0), objective, 0.3 * KKT_TOL, MAX_INNER_ITERATIONS)
-        # a is the last iterate the objective valued
+        if isinstance(a0, float):
+            a = np.full((m, m), a0)
+            f = objective.value(a)
+            pg = projected_gradient_norm(a, objective.gradient())
+        else:
+            a, f, _, pg = spg_box(project(a0), objective, 0.3 * KKT_TOL, MAX_INNER_ITERATIONS)
+        # a is the last array the objective valued
         runs.append((-f, objective.e, objective.t, pg, a))
     runs.sort(key=lambda r: -r[0])
     psi, e_val, t_val, pg, a = runs[0]

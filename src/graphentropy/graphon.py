@@ -13,23 +13,14 @@ equals the continuum functional-derivative density averaged over each block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from . import _kernel
-from .errors import (
-    AsymmetricMatrix,
-    DisconnectedMotif,
-    DuplicateEdge,
-    EmptyMatrix,
-    FormatError,
-    LoopEdge,
-    MotifTooLarge,
-    ValueOutOfRange,
-)
-
-MAX_MOTIF_VERTICES = 6
+from .errors import AsymmetricMatrix, EmptyMatrix, FormatError, ValueOutOfRange
+# the motif, the target pair and the motif file reader are numpy-free, in
+# `problem`; they are part of this module's interface too
+from .problem import DensityPair, Motif, read_motif
 
 _SYMMETRY_TOL = 1e-12
 
@@ -46,118 +37,6 @@ class Graphon:
 
     def __post_init__(self):
         self.values.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class Motif:
-    """Small simple connected graph H whose density constrains the optimization.
-
-    Every Motif that exists can be evaluated: construction checks that it has
-    1 to MAX_MOTIF_VERTICES vertices, that each edge is a pair of whole
-    numbers (i, j) with 1 <= i < j <= ell, and that it is connected, and
-    stores the edges as a frozenset.  `from_edges` also accepts edges in either order and rejects
-    loops and repeated edges by name.
-    """
-
-    ell: int
-    edges: frozenset  # frozenset of (i, j) with 1 <= i < j <= ell
-
-    def __post_init__(self):
-        object.__setattr__(self, "edges", frozenset(self.edges))
-        ell = self.ell
-        if ell < 1:
-            raise ValueOutOfRange(f"ell={ell}: a motif needs at least one vertex")
-        if ell > MAX_MOTIF_VERTICES:
-            raise MotifTooLarge(f"ell={ell} exceeds cap {MAX_MOTIF_VERTICES}")
-        for e in self.edges:
-            if not (isinstance(e, tuple) and len(e) == 2
-                    and all(isinstance(v, Integral) for v in e) and 1 <= e[0] < e[1] <= ell):
-                raise ValueOutOfRange(f"edge {e} is not (i, j) with 1 <= i < j <= {ell}")
-        if not self._connected():
-            raise DisconnectedMotif("motif must be connected")
-
-    @property
-    def k(self) -> int:
-        return len(self.edges)
-
-    @property
-    def is_triangle(self) -> bool:
-        # the only simple graph on 3 vertices with 3 edges
-        return self.ell == 3 and self.k == 3
-
-    @property
-    def is_star(self) -> bool:
-        return self.ell >= 2 and self.edges == frozenset(
-            (1, j) for j in range(2, self.ell + 1)
-        )
-
-    @property
-    def name(self) -> str:
-        if self.is_triangle:
-            return "triangle"
-        if self.is_star:
-            return f"star:{self.k}"
-        return f"motif(ell={self.ell},k={self.k})"
-
-    @classmethod
-    def from_edges(cls, ell, edges):
-        if ell < 1:
-            raise ValueOutOfRange(f"ell={ell}: a motif needs at least one vertex")
-        return cls(ell=ell, edges=_edge_set(ell, edges))
-
-    @classmethod
-    def edge(cls):
-        return cls.from_edges(2, [(1, 2)])
-
-    @classmethod
-    def triangle(cls):
-        return cls.from_edges(3, [(1, 2), (1, 3), (2, 3)])
-
-    @classmethod
-    def star(cls, k):
-        if k < 1:
-            raise ValueOutOfRange("star needs k >= 1")
-        return cls.from_edges(k + 1, [(1, j) for j in range(2, k + 2)])
-
-    @classmethod
-    def parse(cls, text):
-        """Parse 'triangle', 'edge' or 'star:k'; any other text is the path of
-        a motif file (see read_motif)."""
-        if text == "triangle":
-            return cls.triangle()
-        if text == "edge":
-            return cls.edge()
-        if text.startswith("star:"):
-            if not text[5:].isdecimal():
-                raise ValueOutOfRange(f"star needs a whole edge count, got {text!r}")
-            return cls.star(int(text[5:]))
-        return read_motif(text)
-
-    def _connected(self):
-        if self.ell == 1:
-            return True
-        adj = {v: set() for v in range(1, self.ell + 1)}
-        for (i, j) in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        seen = {1}
-        stack = [1]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.ell
-
-
-@dataclass(frozen=True)
-class DensityPair:
-    e: float
-    t: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.e <= 1.0 and 0.0 <= self.t <= 1.0):
-            raise ValueOutOfRange(f"densities ({self.e},{self.t}) outside [0,1]")
 
 
 def validate(values) -> Graphon:
@@ -178,25 +57,6 @@ def constant_graphon(a, m) -> Graphon:
     if not (0.0 <= a <= 1.0):
         raise ValueOutOfRange(f"constant value {a} outside [0,1]")
     return Graphon(values=np.full((m, m), float(a)))
-
-
-def _edge_set(n, edges) -> frozenset:
-    """The edges of a simple graph on vertices 1..n, each as (min, max).
-
-    Checks the edges in input order and raises on the first loop (LoopEdge),
-    endpoint outside 1..n (ValueOutOfRange) or repeated edge (DuplicateEdge).
-    """
-    seen = set()
-    for (i, j) in edges:
-        if i == j:
-            raise LoopEdge(f"loop at vertex {i}")
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise ValueOutOfRange(f"edge ({i},{j}) outside 1..{n}")
-        e = (min(i, j), max(i, j))
-        if e in seen:
-            raise DuplicateEdge(f"duplicate edge {e}")
-        seen.add(e)
-    return frozenset(seen)
 
 
 def bipodal_graphon(c, p11, p12, p22, m) -> Graphon:
@@ -337,22 +197,3 @@ def read_graphon(path) -> Graphon:
     if not np.allclose(a, lower, atol=1e-13, rtol=0):
         raise AsymmetricMatrix("upper triangle disagrees with lower triangle")
     return validate(lower)
-
-
-def read_motif(path) -> Motif:
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("motif v1 ell="):
-        raise FormatError("missing 'motif v1 ell=<int>' header")
-    try:
-        ell = int(lines[0].split("ell=", 1)[1])
-    except ValueError as exc:
-        raise FormatError("bad vertex count in header") from exc
-    edges = []
-    for ln in lines[1:]:
-        try:
-            i, j = (int(x) for x in ln.split())
-        except ValueError:
-            raise FormatError(f"bad motif edge row {ln!r}; want two vertex numbers") from None
-        edges.append((i, j))
-    return Motif.from_edges(ell, edges)

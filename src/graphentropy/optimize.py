@@ -5,7 +5,9 @@ augmented-Lagrangian outer loop with a spectral projected-gradient inner loop
 on the symmetric box [CLAMP, 1-CLAMP]^(m x m).  Closed forms for the e = 1/2
 family and the upper boundary, f_-(e), Euler-Lagrange residuals and multiplier
 fits live alongside it.  The marches off the t = e^k ridge that drive the
-solver are in `phase`.
+solver are in `phase`.  What a solve is asked (the target, the motif, the
+settings) and the region precheck that rejects a target outside the proven
+region are in `problem`, which needs no numpy.
 
 The reported entropy value is always -I of an explicitly feasible iterate, so
 it is a rigorous lower bound for the true value; the ceiling -I0(e) (constant
@@ -17,17 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from . import region
 from ._kernel import AugmentedLagrangian, density_gradient, minimize_bounded, project, spg_box
 from .errors import DegenerateFit, Infeasible, ValueOutOfRange
 from .graphon import (
-    DensityPair,
     Graphon,
-    Motif,
     bipodal_graphon,
     motif_gradient,
     rate_derivative,
@@ -35,42 +33,25 @@ from .graphon import (
     rate_value,
     resample,
 )
+from .problem import (
+    CONSTRAINT_TOL,
+    KKT_TOL,
+    MAX_INNER_ITERATIONS,
+    DensityPair,
+    Motif,
+    OptimConfig,
+    region_precheck,
+)
 
-# Solver constants: a feasible iterate is within CONSTRAINT_TOL of both target
-# densities, a converged one also has a projected gradient within KKT_TOL.
-CONSTRAINT_TOL = 1e-6
-KKT_TOL = 1e-5
+# The outer loop's limits.  CONSTRAINT_TOL, KKT_TOL and MAX_INNER_ITERATIONS
+# are in `problem`, because its region precheck and `ergm` read them too.
 MAX_OUTER_ITERATIONS = 60
-MAX_INNER_ITERATIONS = 2000
 PENALTY_INITIAL = 10.0
 PENALTY_GROWTH = 4.0
 # The multipliers come from the Euler-Lagrange fit, so the penalty only has to
 # make each subproblem locally convex; a larger one makes the inner SPG solves
 # ill-conditioned enough to exhaust MAX_INNER_ITERATIONS without converging.
 PENALTY_MAX = 1e3
-
-
-@dataclass(frozen=True)
-class OptimConfig:
-    """Solver settings: the grid resolution m >= 1, the number of random
-    restarts >= 0 and their seed >= 0, each a whole number and not a bool, and
-    an optional Graphon to start from.  Construction raises ValueOutOfRange
-    on any other value.  At m >= 101 the result's last bits depend on the
-    OpenBLAS thread count, which the CLI pins to 1 and the library leaves to
-    OPENBLAS_NUM_THREADS."""
-
-    m: int = 16
-    multistart_count: int = 12
-    seed: int = 0
-    warm_start: Graphon | None = None
-
-    def __post_init__(self):
-        for name, low in (("m", 1), ("multistart_count", 0), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
-                raise ValueOutOfRange(f"{name} must be an integer >= {low}, got {value!r}")
-        if not (self.warm_start is None or isinstance(self.warm_start, Graphon)):
-            raise ValueOutOfRange(f"warm_start must be None or a Graphon, got {self.warm_start!r}")
 
 
 @dataclass
@@ -376,26 +357,6 @@ def _starts(target: DensityPair, motif: Motif, cfg: OptimConfig):
 # Public solver
 
 
-def _region_precheck(target: DensityPair, motif: Motif, tol) -> str:
-    """Raise Infeasible for a target outside the motif's proven region; else
-    return where it lies, for the message of a later Infeasible.  A k-star's
-    degree r(x) lies in [0, 1] with mean e, so e^k <= t (Jensen) <= e (r^k <= r).
-    """
-    e, t = target.e, target.t
-    if motif.is_triangle:
-        cls = region.classify(e, t, tol=tol)
-        if cls in (region.RegionClass.OUTSIDE_UPPER, region.RegionClass.BELOW_ENVELOPE,
-                   region.RegionClass.BELOW_LOWER):
-            raise Infeasible(f"target ({e},{t}) classified {cls.value} for the triangle model")
-        return f"; region class {cls.value}"
-    if motif.is_star:
-        k = motif.k
-        if not (e ** k - tol <= t <= e + tol):
-            raise Infeasible(f"target ({e},{t}) outside e^{k} <= t <= e for the {motif.name} model")
-        return f"; inside e^{k} <= t <= e"
-    return ""
-
-
 def maximize_entropy(target: DensityPair, motif: Motif | None = None,
                      config: OptimConfig | None = None) -> EntropyResult:
     """Maximize -I(g) subject to e(g) = target.e and t(H, g) = target.t.
@@ -408,7 +369,7 @@ def maximize_entropy(target: DensityPair, motif: Motif | None = None,
         motif = Motif.triangle()
     if config is None:
         config = OptimConfig()
-    region_note = _region_precheck(target, motif, CONSTRAINT_TOL)
+    region_note = region_precheck(target, motif)
     ceiling = -rate_value(target.e)
     dens = density_gradient(motif, config.m)
     multistart_values = []

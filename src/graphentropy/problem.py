@@ -1,0 +1,235 @@
+"""What a solve is asked: the target densities, the motif, the solver settings
+and the region precheck, without numpy.
+
+`graphon`, `optimize` and `ergm` import these names from here, so the CLI can
+read a config, parse a motif and reject a target outside the proven region
+before it loads numpy or any solver module.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from numbers import Integral
+from typing import TYPE_CHECKING
+
+from . import region
+from .errors import (
+    DisconnectedMotif,
+    DuplicateEdge,
+    FormatError,
+    Infeasible,
+    LoopEdge,
+    MotifTooLarge,
+    ValueOutOfRange,
+)
+
+if TYPE_CHECKING:
+    from .graphon import Graphon
+
+MAX_MOTIF_VERTICES = 6
+
+# Solver constants: a feasible iterate is within CONSTRAINT_TOL of both target
+# densities, a converged one also has a projected gradient within KKT_TOL.
+# Each projected-gradient run takes at most MAX_INNER_ITERATIONS steps.
+CONSTRAINT_TOL = 1e-6
+KKT_TOL = 1e-5
+MAX_INNER_ITERATIONS = 2000
+
+
+@dataclass(frozen=True)
+class Motif:
+    """Small simple connected graph H whose density constrains the optimization.
+
+    Every Motif that exists can be evaluated: construction checks that it has
+    1 to MAX_MOTIF_VERTICES vertices, that each edge is a pair of whole
+    numbers (i, j) with 1 <= i < j <= ell, and that it is connected, and
+    stores the edges as a frozenset.  `from_edges` also accepts edges in either order and rejects
+    loops and repeated edges by name.
+    """
+
+    ell: int
+    edges: frozenset  # frozenset of (i, j) with 1 <= i < j <= ell
+
+    def __post_init__(self):
+        object.__setattr__(self, "edges", frozenset(self.edges))
+        ell = self.ell
+        if ell < 1:
+            raise ValueOutOfRange(f"ell={ell}: a motif needs at least one vertex")
+        if ell > MAX_MOTIF_VERTICES:
+            raise MotifTooLarge(f"ell={ell} exceeds cap {MAX_MOTIF_VERTICES}")
+        for e in self.edges:
+            if not (isinstance(e, tuple) and len(e) == 2
+                    and all(isinstance(v, Integral) for v in e) and 1 <= e[0] < e[1] <= ell):
+                raise ValueOutOfRange(f"edge {e} is not (i, j) with 1 <= i < j <= {ell}")
+        if not self._connected():
+            raise DisconnectedMotif("motif must be connected")
+
+    @property
+    def k(self) -> int:
+        return len(self.edges)
+
+    @property
+    def is_triangle(self) -> bool:
+        # the only simple graph on 3 vertices with 3 edges
+        return self.ell == 3 and self.k == 3
+
+    @property
+    def is_star(self) -> bool:
+        return self.ell >= 2 and self.edges == frozenset(
+            (1, j) for j in range(2, self.ell + 1)
+        )
+
+    @property
+    def name(self) -> str:
+        if self.is_triangle:
+            return "triangle"
+        if self.is_star:
+            return f"star:{self.k}"
+        return f"motif(ell={self.ell},k={self.k})"
+
+    @classmethod
+    def from_edges(cls, ell, edges):
+        if ell < 1:
+            raise ValueOutOfRange(f"ell={ell}: a motif needs at least one vertex")
+        return cls(ell=ell, edges=_edge_set(ell, edges))
+
+    @classmethod
+    def edge(cls):
+        return cls.from_edges(2, [(1, 2)])
+
+    @classmethod
+    def triangle(cls):
+        return cls.from_edges(3, [(1, 2), (1, 3), (2, 3)])
+
+    @classmethod
+    def star(cls, k):
+        if k < 1:
+            raise ValueOutOfRange("star needs k >= 1")
+        return cls.from_edges(k + 1, [(1, j) for j in range(2, k + 2)])
+
+    @classmethod
+    def parse(cls, text):
+        """Parse 'triangle', 'edge' or 'star:k'; any other text is the path of
+        a motif file (see read_motif)."""
+        if text == "triangle":
+            return cls.triangle()
+        if text == "edge":
+            return cls.edge()
+        if text.startswith("star:"):
+            if not text[5:].isdecimal():
+                raise ValueOutOfRange(f"star needs a whole edge count, got {text!r}")
+            return cls.star(int(text[5:]))
+        return read_motif(text)
+
+    def _connected(self):
+        if self.ell == 1:
+            return True
+        adj = {v: set() for v in range(1, self.ell + 1)}
+        for (i, j) in self.edges:
+            adj[i].add(j)
+            adj[j].add(i)
+        seen = {1}
+        stack = [1]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return len(seen) == self.ell
+
+
+@dataclass(frozen=True)
+class DensityPair:
+    e: float
+    t: float
+
+    def __post_init__(self):
+        if not (0.0 <= self.e <= 1.0 and 0.0 <= self.t <= 1.0):
+            raise ValueOutOfRange(f"densities ({self.e},{self.t}) outside [0,1]")
+
+
+def _edge_set(n, edges) -> frozenset:
+    """The edges of a simple graph on vertices 1..n, each as (min, max).
+
+    Checks the edges in input order and raises on the first loop (LoopEdge),
+    endpoint outside 1..n (ValueOutOfRange) or repeated edge (DuplicateEdge).
+    """
+    seen = set()
+    for (i, j) in edges:
+        if i == j:
+            raise LoopEdge(f"loop at vertex {i}")
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ValueOutOfRange(f"edge ({i},{j}) outside 1..{n}")
+        e = (min(i, j), max(i, j))
+        if e in seen:
+            raise DuplicateEdge(f"duplicate edge {e}")
+        seen.add(e)
+    return frozenset(seen)
+
+
+def read_motif(path) -> Motif:
+    with open(path, encoding="utf-8") as fh:
+        lines = [ln.strip() for ln in fh if ln.strip()]
+    if not lines or not lines[0].startswith("motif v1 ell="):
+        raise FormatError("missing 'motif v1 ell=<int>' header")
+    try:
+        ell = int(lines[0].split("ell=", 1)[1])
+    except ValueError as exc:
+        raise FormatError("bad vertex count in header") from exc
+    edges = []
+    for ln in lines[1:]:
+        try:
+            i, j = (int(x) for x in ln.split())
+        except ValueError:
+            raise FormatError(f"bad motif edge row {ln!r}; want two vertex numbers") from None
+        edges.append((i, j))
+    return Motif.from_edges(ell, edges)
+
+
+@dataclass(frozen=True)
+class OptimConfig:
+    """Solver settings: the grid resolution m >= 1, the number of random
+    restarts >= 0 and their seed >= 0, each a whole number and not a bool, and
+    an optional Graphon to start from.  Construction raises ValueOutOfRange
+    on any other value.  At m >= 101 the result's last bits depend on the
+    OpenBLAS thread count, which the CLI pins to 1 and the library leaves to
+    OPENBLAS_NUM_THREADS."""
+
+    m: int = 16
+    multistart_count: int = 12
+    seed: int = 0
+    warm_start: Graphon | None = None
+
+    def __post_init__(self):
+        for name, low in (("m", 1), ("multistart_count", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+                raise ValueOutOfRange(f"{name} must be an integer >= {low}, got {value!r}")
+        if self.warm_start is not None:
+            # only a warm start needs the graphon module, and with it numpy
+            from .graphon import Graphon
+
+            if not isinstance(self.warm_start, Graphon):
+                raise ValueOutOfRange(
+                    f"warm_start must be None or a Graphon, got {self.warm_start!r}")
+
+
+def region_precheck(target: DensityPair, motif: Motif) -> str:
+    """Raise Infeasible for a target outside the motif's proven region, by
+    more than CONSTRAINT_TOL; else return where it lies, for the message of a
+    later Infeasible.  A k-star's degree r(x) lies in [0, 1] with mean e, so
+    e^k <= t (Jensen) <= e (r^k <= r).
+    """
+    e, t, tol = target.e, target.t, CONSTRAINT_TOL
+    if motif.is_triangle:
+        cls = region.classify(e, t, tol=tol)
+        if cls in (region.RegionClass.OUTSIDE_UPPER, region.RegionClass.BELOW_ENVELOPE,
+                   region.RegionClass.BELOW_LOWER):
+            raise Infeasible(f"target ({e},{t}) classified {cls.value} for the triangle model")
+        return f"; region class {cls.value}"
+    if motif.is_star:
+        k = motif.k
+        if not (e ** k - tol <= t <= e + tol):
+            raise Infeasible(f"target ({e},{t}) outside e^{k} <= t <= e for the {motif.name} model")
+        return f"; inside e^{k} <= t <= e"
+    return ""

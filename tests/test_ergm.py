@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from graphentropy import errors
+from graphentropy import _kernel, errors
 from graphentropy.ergm import (
     THEOREM5_GRID,
     ErgmParams,
@@ -20,6 +22,7 @@ from graphentropy.ergm import (
 )
 from graphentropy.graphon import rate_value
 from graphentropy.optimize import OptimConfig, closed_form_upper
+from graphentropy.problem import KKT_TOL, MAX_INNER_ITERATIONS, Motif
 
 FAST = OptimConfig(m=8, multistart_count=4)
 
@@ -36,6 +39,60 @@ def test_psi_full_bit_identical_to_recorded_values():
     res = psi_full(params, FAST)
     got = (res.psi, res.maximizer_densities.e, res.maximizer_densities.t)
     assert [float(x).hex() for x in got] == [float.fromhex(h).hex() for h in PSI_FULL_AT_D15F377]
+
+
+def _spg_constant_start_runs(params, m):
+    """The runs psi_full once made from constant starts: spg_box from each
+    psi_constant maximizer u_star and from 0.1, 0.5 and 0.9, each as
+    (psi, e, t, pg)."""
+    objective = _kernel.FreeEnergy(_kernel.density_gradient(Motif.triangle(), m),
+                                   params.beta1, params.beta2)
+    runs = []
+    for u in [*psi_constant(params)["u_star"], 0.1, 0.5, 0.9]:
+        _, f, _, pg = _kernel.spg_box(_kernel.project(np.full((m, m), u)), objective,
+                                      0.3 * KKT_TOL, MAX_INNER_ITERATIONS)
+        runs.append((-f, objective.e, objective.t, pg))
+    return runs
+
+
+def _psi_full_with_spg_constant_starts(params, config):
+    """psi_full as it was before it valued the constant family directly:
+    (psi, degenerate, converged) over the constant-start SPG runs and the
+    random restarts (config has no warm start)."""
+    m = config.m
+    runs = _spg_constant_start_runs(params, m)
+    objective = _kernel.FreeEnergy(_kernel.density_gradient(Motif.triangle(), m),
+                                   params.beta1, params.beta2)
+    rng = np.random.default_rng(config.seed)
+    for _ in range(max(config.multistart_count // 2, 2)):
+        r = rng.uniform(0.05, 0.95, size=(m, m))
+        _, f, _, pg = _kernel.spg_box(_kernel.project(0.5 * (r + r.T)), objective,
+                                      0.3 * KKT_TOL, MAX_INNER_ITERATIONS)
+        runs.append((-f, objective.e, objective.t, pg))
+    runs.sort(key=lambda r: -r[0])
+    psi, e_val, t_val, pg = runs[0]
+    degenerate = any(psi - psi2 <= 1e-7 and max(abs(e2 - e_val), abs(t2 - t_val)) > 1e-3
+                     for psi2, e2, t2, _ in runs[1:])
+    return psi, degenerate, pg <= KKT_TOL
+
+
+@settings(max_examples=40, deadline=None)
+@given(b1=st.floats(-3.0, 3.0), b2=st.floats(-3.0, 3.0), m=st.sampled_from([1, 4, 8]))
+def test_no_constant_start_beats_the_valued_constant_family(b1, b2, m):
+    # an SPG run from a constant start stays constant, so it ends at a local
+    # maximum of phi, which cannot beat phi's global maximum u_star
+    params = ErgmParams(b1, b2)
+    psi = psi_full(params, OptimConfig(m=m, multistart_count=4)).psi
+    assert max(run[0] for run in _spg_constant_start_runs(params, m)) <= psi + 1e-12
+
+
+def test_psi_full_verdicts_match_the_spg_constant_starts_on_the_theorem5_grid():
+    cfg = OptimConfig(m=8, multistart_count=4)
+    for params in THEOREM5_GRID:
+        res = psi_full(params, cfg)
+        psi, degenerate, converged = _psi_full_with_spg_constant_starts(params, cfg)
+        assert (res.degenerate, res.converged) == (degenerate, converged), params
+        assert abs(res.psi - psi) <= 1e-12, params
 
 
 def test_params_must_be_finite():

@@ -582,6 +582,47 @@ def test_spg_box_norm_is_measured_at_the_returned_iterate(max_iter):
         assert not np.array_equal(a, a0)
 
 
+def _linear(a0, g):
+    """f(A) = mean(G A): a constant gradient G from the start a0."""
+    return a0, _Counted(lambda a: float(np.mean(g * a)), lambda a: g.copy())
+
+
+def _face_pinned(interior, g_interior):
+    """A 4 x 4 start with every entry at `interior` but one on the lower face,
+    where the gradient 1e20 pushes it out of the box; the other entries have
+    gradient g_interior.  The spectral step 1 / max|G| = 1e-20 cannot move
+    them, so the spectral direction is 0 and <G, D> = 0."""
+    a0 = np.full((4, 4), interior)
+    a0[0, 0] = _REF_CLAMP
+    g = np.full((4, 4), g_interior)
+    g[0, 0] = 1e20
+    step = 1.0 / float(np.abs(g).max())
+    d = _kernel.project(a0 - _kernel._entry_steps(_kernel._step_scale(a0), step) * g) - a0
+    assert not d.any()
+    return _linear(a0, g)
+
+
+def test_spg_box_retries_a_spectral_step_that_cannot_descend_with_the_unit_step():
+    # at the unit step the interior entries descend to the face, up to the
+    # rounding of 0.5 + (CLAMP - 0.5)
+    a0, objective = _face_pinned(0.5, 1.0)
+    f0 = objective.value(a0)
+    a, f, _, pg = _kernel.spg_box(a0, objective, 1e-8, 10)
+    assert a is not a0 and f < f0
+    np.testing.assert_allclose(a, _REF_CLAMP, rtol=0.0, atol=1e-16)
+    assert pg <= 1e-8
+
+
+def test_spg_box_stops_where_neither_step_can_descend():
+    # at 1e-3 the scaled unit step moves an entry by 2e-3 G = 2e-20, below
+    # half its ulp, while the unscaled projected gradient is still 1e-17
+    a0, objective = _face_pinned(1e-3, 1e-17)
+    a, f, g, pg = _kernel.spg_box(a0, objective, 1e-18, 10)
+    assert a is a0
+    assert pg > 1e-18
+    assert (objective.values, objective.gradients) == (1, 1)
+
+
 # B cycles through -12, -3, 0, 3, 8 along the anti-diagonals; an unscaled
 # SPG runs out of 2000 steps on it and stops at pg 5e-3.
 _FACE_FIELD = np.array([-12.0, -3.0, 0.0, 3.0, 8.0])[np.add.outer(range(16), range(16)) % 5]

@@ -30,6 +30,7 @@ from graphentropy.optimize import (
     maximize_entropy,
 )
 from graphentropy.phase import ScanSpec, crease_scan, phase_diagram_scan, power_fit
+from graphentropy.problem import region_precheck
 
 FAST = OptimConfig(m=8, multistart_count=2)
 
@@ -260,7 +261,7 @@ def _step_graphons(draw, sizes, lo, hi):
 def test_star_precheck_accepts_every_graphon(g, k):
     star = Motif.star(k)
     target = DensityPair(e=float(np.mean(g.values)), t=motif_density(g, star))
-    optimize._region_precheck(target, star, optimize.CONSTRAINT_TOL)
+    region_precheck(target, star)
 
 
 def test_star_above_floor_converges():
@@ -302,7 +303,7 @@ def test_path_motif_agrees_with_the_2_star():
     # the general einsum kernel, and no region precheck applies to it
     target = DensityPair(e=0.5, t=0.3)
     assert not (PATH3.is_triangle or PATH3.is_star)
-    assert optimize._region_precheck(target, PATH3, optimize.CONSTRAINT_TOL) == ""
+    assert region_precheck(target, PATH3) == ""
     cfg = OptimConfig(m=8, multistart_count=0)
     path = maximize_entropy(target, PATH3, cfg)
     star = maximize_entropy(target, Motif.star(2), cfg)

@@ -15,7 +15,7 @@ import pytest
 import graphentropy
 from graphentropy import cli
 
-# the public names of the package, as eager imports of its eight modules gave them
+# the public names of the package: its nine modules and what they export
 PUBLIC_NAMES = [
     "BipodalSolution", "CensusTable", "ConvexityReport", "CreaseScanResult", "DensityPair",
     "EntropyResult", "ErgmParams", "FreeEnergyResult", "GraphEntropyError", "Graphon",
@@ -27,21 +27,26 @@ PUBLIC_NAMES = [
     "estimate_multipliers", "f_minus", "find_transition", "graphon", "graphon_distance",
     "kernel_operator_spectrum", "lower_boundary", "lower_envelope", "maximize_entropy",
     "motif_density", "motif_gradient", "optimize", "phase", "phase_diagram_scan",
-    "psi_constant", "psi_full", "rate_function", "rate_value", "read_graphon", "region",
-    "render_svg", "resample", "spectral", "trace_power", "transition_curve",
+    "problem", "psi_constant", "psi_full", "rate_function", "rate_value", "read_graphon",
+    "region", "render_svg", "resample", "spectral", "trace_power", "transition_curve",
     "upper_boundary", "verify_t_le_e_cubed", "verify_trace_inequality", "write_graphon",
 ]
-SUBMODULES = {"census", "ergm", "errors", "graphon", "optimize", "phase", "region", "spectral"}
+SUBMODULES = {"census", "ergm", "errors", "graphon", "optimize", "phase", "problem", "region",
+              "spectral"}
+
+
+def _fresh_process(code):
+    """`code` run to completion in a new interpreter that imports this checkout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(graphentropy.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
 
 
 def _fresh(code):
     """stdout lines of `code` run in a new interpreter that imports this checkout."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(graphentropy.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True)
-    return proc.stdout.splitlines()
+    return _fresh_process(code).stdout.splitlines()
 
 
 def test_import_loads_no_numpy_and_no_submodule():
@@ -52,7 +57,7 @@ def test_import_loads_no_numpy_and_no_submodule():
 
 
 def test_public_names_resolve_to_what_their_modules_define():
-    assert len(PUBLIC_NAMES) == 65
+    assert len(PUBLIC_NAMES) == 66
     assert graphentropy.__all__ == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         obj = getattr(graphentropy, name)
@@ -85,6 +90,41 @@ def test_census_runs_without_the_solver_modules(tmp_path):
         f"print(code, [m for m in {heavy!r} if m in sys.modules])"
     ) == [f"{cli.EXIT_OK} []"]
     assert out.read_text().splitlines()[-1] == "3,3,1,1"
+
+
+def _run_reports_loaded(argv, modules):
+    """The exit code of cli.run(argv) in a fresh interpreter, which of
+    `modules` it loaded, and its stderr."""
+    proc = _fresh_process(
+        "import sys, graphentropy.cli as cli\n"
+        f"code = cli.run({argv!r})\n"
+        f"print(code, [m for m in {modules!r} if m in sys.modules])"
+    )
+    return proc.stdout.splitlines(), proc.stderr
+
+
+def test_entropy_rejects_an_out_of_region_target_without_numpy():
+    out, err = _run_reports_loaded(["entropy", "--e", "0.5", "--t", "0.4"],
+                                   ["numpy", "graphentropy.optimize"])
+    assert out == [f"{cli.EXIT_INFEASIBLE} []"]
+    assert err == "infeasible: target (0.5,0.4) classified OutsideUpper for the triangle model\n"
+
+
+def test_entropy_checks_the_config_before_the_region(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text('{"version": 1, "optim": {"m": 0}}')
+    out, err = _run_reports_loaded(
+        ["entropy", "--e", "0.5", "--t", "0.4", "--config", str(config)], ["numpy"])
+    assert out == [f"{cli.EXIT_USAGE} []"]
+    assert err.startswith("invalid input: m must be an integer >= 1")
+
+
+def test_ergm_curve_runs_without_the_solver_module(tmp_path):
+    out = tmp_path / "curve.csv"
+    argv = ["ergm", "--curve", "--beta2-min", "1.0", "--beta2-max", "2.0", "--steps", "2",
+            "--out", str(out)]
+    assert _run_reports_loaded(argv, ["graphentropy.optimize"])[0] == [f"{cli.EXIT_OK} []"]
+    assert len(out.read_text().splitlines()) == 3
 
 
 def _main_sees(monkeypatch):

@@ -201,22 +201,68 @@ def test_every_defaulted_parameter_has_a_caller():
     assert unused == []
 
 
+def _module_level_imports(tree):
+    """Names imported outside any function body and any `if TYPE_CHECKING:`
+    block, relative ones with their dots; `from . import x` gives `.x`."""
+    def run_at_import(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if (isinstance(child, ast.If) and isinstance(child.test, ast.Name)
+                    and child.test.id == "TYPE_CHECKING"):
+                continue
+            yield child
+            yield from run_at_import(child)
+
+    imported = []
+    for node in run_at_import(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module is None:
+            imported += ["." * node.level + alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + node.module)
+    return imported
+
+
 def test_cli_imports_only_the_standard_library_and_errors_at_module_level():
     # each command handler imports the modules it runs, so a process pays
     # only for its command and `region` runs without numpy
-    def run_at_import(node):
-        for child in ast.iter_child_nodes(node):
-            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                yield child
-                yield from run_at_import(child)
-
-    imported = []
-    for node in run_at_import(_tree("cli")):
-        if isinstance(node, ast.Import):
-            imported += [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            imported.append("." * node.level + (node.module or ""))
+    imported = _module_level_imports(_tree("cli"))
     assert imported
     offenders = [name for name in imported if name != ".errors"
                  and name.split(".")[0] not in sys.stdlib_module_names]
     assert offenders == []
+
+
+def test_the_entry_path_to_the_region_precheck_loads_no_numpy():
+    # the CLI reads a config, parses a motif and rejects an out-of-region
+    # target through these modules alone; each imports only the standard
+    # library and the others at module level
+    numpy_free = ("errors", "region", "problem", "cli")
+    offenders = [f"{name}: {imported}" for name in numpy_free
+                 for imported in _module_level_imports(_tree(name))
+                 if not (imported[1:] in numpy_free if imported.startswith(".")
+                         else imported.split(".")[0] in sys.stdlib_module_names)]
+    assert offenders == []
+
+
+def test_ergm_imports_nothing_from_the_solver_module():
+    # ergm takes the solver constants and OptimConfig from problem, so
+    # `ergm --curve` does not load the constrained solver
+    imported = []
+    for node in ast.walk(_tree("ergm")):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += [node.module or ""] + [alias.name for alias in node.names]
+    assert "problem" in imported
+    assert [name for name in imported if name.split(".")[-1] == "optimize"] == []
+
+
+def test_the_region_precheck_has_one_definition():
+    modules = {path.stem: ast.parse(path.read_text(), filename=path.name)
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert not _defines(modules["optimize"], "_region_precheck")
+    assert [name for name, tree in modules.items()
+            if _defines(tree, "region_precheck")] == ["problem"]
