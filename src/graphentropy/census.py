@@ -83,11 +83,14 @@ def enumerate_census(n, allow_large=False, threads=1) -> CensusTable:
 
     n <= 7 by default; n = 8 (2^28 graphs) only with allow_large.  Each
     (block of H, neighbourhood S) item is counted into an int64 histogram;
-    the threads take a fixed partition of the items and their histograms are
-    summed exactly, so the result is independent of threads.
+    threads >= 1 workers, at most one per item, take a fixed partition of the
+    items and their histograms are summed exactly, so the result is
+    independent of threads.
     """
     if n < 1:
         raise ValueOutOfRange("need at least one vertex")
+    if threads < 1:
+        raise ValueOutOfRange(f"need at least one worker, got threads={threads}")
     cap = MAX_N_FLAGGED if allow_large else MAX_N_DEFAULT
     if n > cap:
         raise TooLarge(f"n={n} exceeds the cap {cap}; pass allow_large for n=8")
@@ -116,10 +119,11 @@ def enumerate_census(n, allow_large=False, threads=1) -> CensusTable:
             acc[lo:lo + hsize] += np.bincount(flat, minlength=hsize)
         return acc
 
-    parts = [items[i * len(items) // threads:(i + 1) * len(items) // threads]
-             for i in range(threads)]
+    workers = min(threads, len(items))
+    parts = [items[i * len(items) // workers:(i + 1) * len(items) // workers]
+             for i in range(workers)]
     acc = np.zeros(size, dtype=np.int64)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         for part in pool.map(work, parts):
             acc += part
     counts = {}

@@ -155,13 +155,11 @@ def resample(g: Graphon, m2) -> Graphon:
         r = m2 // m
         return Graphon(values=np.kron(g.values, np.ones((r, r))))
     # overlap matrix: P[i,k] = m2 * |[i/m2,(i+1)/m2) ∩ [k/m,(k+1)/m)|
-    p = np.zeros((m2, m))
-    for i in range(m2):
-        for k in range(m):
-            lo = max(i / m2, k / m)
-            hi = min((i + 1) / m2, (k + 1) / m)
-            if hi > lo:
-                p[i, k] = (hi - lo) * m2
+    i = np.arange(m2)[:, None]
+    k = np.arange(m)[None, :]
+    lo = np.maximum(i / m2, k / m)
+    hi = np.minimum((i + 1) / m2, (k + 1) / m)
+    p = np.where(hi > lo, (hi - lo) * m2, 0.0)
     vals = p @ g.values @ p.T
     return Graphon(values=np.clip(0.5 * (vals + vals.T), 0.0, 1.0))
 

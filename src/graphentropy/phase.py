@@ -1,9 +1,11 @@
 """Experiment drivers: phase-diagram scans, crease scans and reports, SVG figures.
 
 These assemble the solver, region geometry and closed forms into the headline
-reproductions.  Every march starts here, in `continuation_march`: scans march
-away from the t = e^k ridge on each side with warm-started continuation so the
-crease is always approached by refinement from one side, never jumped across.
+reproductions.  Every march starts in `phase_diagram_scan`, through
+`continuation_march`: a scan marches away from the t = e^k ridge on each side
+with warm-started continuation, so the crease is always approached by
+refinement from one side, never jumped across.  A crease scan is a scan of one
+e at offsets -d and +d, and a `ScanSpec` checks its own grids when it is built.
 """
 
 from __future__ import annotations
@@ -47,15 +49,25 @@ def continuation_march(e, ts, motif: Motif, config: OptimConfig) -> list:
     return results
 
 
-def _status(res) -> str:
-    """The status of one continuation_march result."""
-    if res is None:
-        return "infeasible"
-    return "ok" if res.converged else "not_converged"
+def _finite_floats(values, what) -> list:
+    """values as a list of floats, if it is a nonempty sequence of finite real
+    numbers, none a bool; else ValueOutOfRange naming `what`."""
+    try:
+        items = list(values)
+        floats = [float(x) for x in items if isinstance(x, Real) and not isinstance(x, bool)]
+    except (TypeError, OverflowError):
+        items, floats = [], []
+    if not floats or len(floats) < len(items) or not all(map(math.isfinite, floats)):
+        raise ValueOutOfRange(f"{what} must be a nonempty list of finite numbers, got {values!r}")
+    return floats
 
 
 @dataclass
 class ScanSpec:
+    """A phase-diagram scan's grid.  Each grid must be a nonempty sequence of
+    finite real numbers, none a bool, and is stored as floats; relative must
+    be a bool.  Construction raises ValueOutOfRange on anything else."""
+
     e_grid: list
     t_grid: list  # offsets from e^k when relative, else absolute t values
     relative: bool = True
@@ -63,8 +75,10 @@ class ScanSpec:
     config: OptimConfig = field(default_factory=OptimConfig)
 
     def __post_init__(self):
-        if not self.e_grid or not self.t_grid:
-            raise ValueOutOfRange("scan grids must be nonempty")
+        self.e_grid = _finite_floats(self.e_grid, "e_grid")
+        self.t_grid = _finite_floats(self.t_grid, "t_grid")
+        if not isinstance(self.relative, bool):
+            raise ValueOutOfRange(f"relative must be true or false, got {self.relative!r}")
 
 
 @dataclass
@@ -82,15 +96,18 @@ class ScanRow:
 def _scan_rows(e, ts, spec):
     nan = math.nan
     return [
-        ScanRow(e, t, nan, nan, nan, False, nan, _status(res)) if res is None
+        ScanRow(e, t, nan, nan, nan, False, nan, "infeasible") if res is None
         else ScanRow(e, t, res.s_value, res.beta1, res.beta2, res.converged,
-                     res.el_residual_norm, _status(res))
+                     res.el_residual_norm, "ok" if res.converged else "not_converged")
         for t, res in zip(ts, continuation_march(e, ts, spec.motif, spec.config))
     ]
 
 
 def phase_diagram_scan(spec: ScanSpec) -> list:
-    """Sweep s(e, t) over the grid; rows ordered by (e, t), statuses per point."""
+    """Sweep s(e, t) over the grid; rows ordered by (e, t), statuses per point.
+    At each e a point on e^k is solved alone, the points below it are one
+    march in falling t and those above one in rising t, each from
+    config.warm_start."""
     k = spec.motif.k
     table = []
     for e in spec.e_grid:
@@ -98,12 +115,8 @@ def phase_diagram_scan(spec: ScanSpec) -> list:
         ts = [ridge + d for d in spec.t_grid] if spec.relative else list(spec.t_grid)
         below = sorted([t for t in ts if t < ridge], reverse=True)
         above = sorted([t for t in ts if t > ridge])
-        on = [t for t in ts if t == ridge]
-        rows = []
-        for t in on:
-            rows.extend(_scan_rows(e, [t], spec))
-        rows.extend(_scan_rows(e, below, spec))
-        rows.extend(_scan_rows(e, above, spec))
+        marches = [[t] for t in ts if t == ridge] + [below, above]
+        rows = [row for march in marches for row in _scan_rows(e, march, spec)]
         table.extend(sorted(rows, key=lambda r: r.t))
     return table
 
@@ -165,11 +178,12 @@ def crease_scan(e, motif: Motif | None = None, deltas=None,
                 config: OptimConfig | None = None) -> CreaseScanResult:
     """One-sided behavior of s(e, t) around the curve t = e^k.
 
-    Marches away from the curve on each side with warm-started continuation and
-    reports difference quotients, the power fit of each side's drop, a log-log
-    exponent fit for the lower branch, and the f_-(e) lower-bound checks
-    (triangle motif only).  The offsets (DEFAULT_OFFSETS when None) must be
-    finite positive numbers, and there must be at least one.
+    A crease scan is a phase_diagram_scan of the one e at the offsets -d and
+    +d, so each side is marched away from the curve with warm-started
+    continuation.  Reports difference quotients, the power fit of each side's
+    drop, a log-log exponent fit for the lower branch, and the f_-(e)
+    lower-bound checks (triangle motif only).  The offsets (DEFAULT_OFFSETS
+    when None) must be finite positive numbers, and there must be at least one.
     """
     if motif is None:
         motif = Motif.triangle()
@@ -179,27 +193,20 @@ def crease_scan(e, motif: Motif | None = None, deltas=None,
         deltas = DEFAULT_OFFSETS
     if not (0.0 < e < 1.0):
         raise ValueOutOfRange(f"e={e} outside (0,1)")
-    try:
-        offsets = list(deltas)
-    except TypeError:
-        offsets = []
-    if not offsets or not all(isinstance(d, Real) and math.isfinite(d) and d > 0.0
-                              for d in offsets):
-        raise ValueOutOfRange(f"offsets {deltas!r} must be finite positive numbers, at least one")
-    deltas = sorted(float(d) for d in offsets)
-    t0 = e ** motif.k
+    offsets = sorted(_finite_floats(deltas, "offsets"))
+    if offsets[0] <= 0.0:
+        raise ValueOutOfRange(f"offsets must be positive, got {deltas!r}")
     s0 = -rate_value(e)
-
-    def march(sign):
-        ts = [t0 + sign * d for d in deltas]
-        return [
-            CreasePoint(d, t, None, _status(res), None) if res is None
-            else CreasePoint(d, t, res.s_value, _status(res), (s0 - res.s_value) / d)
-            for d, t, res in zip(deltas, ts, continuation_march(e, ts, motif, config))
-        ]
-
-    below = march(-1.0)
-    above = march(1.0)
+    # the rows run in rising t, with equal t in march order: the first n, in
+    # falling t, are the lower side as marched, and the rest the upper side
+    rows = phase_diagram_scan(ScanSpec([e], [-d for d in offsets] + offsets, True, motif, config))
+    n = len(offsets)
+    below, above = [
+        [CreasePoint(d, r.t, None, r.status, None) if r.status == "infeasible"
+         else CreasePoint(d, r.t, r.s, r.status, (s0 - r.s) / d)
+         for d, r in zip(offsets, side)]
+        for side in (sorted(rows[:n], key=lambda r: r.t, reverse=True), rows[n:])
+    ]
     below_fit = side_power_fit(below, s0)
     above_fit = side_power_fit(above, s0)
 

@@ -110,7 +110,9 @@ class Motif:
     @classmethod
     def parse(cls, text):
         """Parse 'triangle', 'edge' or 'star:k'; any other text is the path of
-        a motif file (see read_motif)."""
+        a motif file (see read_motif).  Anything but a string is invalid."""
+        if not isinstance(text, str):
+            raise ValueOutOfRange(f"a motif is named by a string, got {text!r}")
         if text == "triangle":
             return cls.triangle()
         if text == "edge":

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from graphentropy import errors
+from graphentropy import census, errors
 from graphentropy.census import (
     compare_to_variational,
     empirical_entropy,
@@ -109,6 +109,49 @@ def test_n8_census(tmp_path):
     _, rows = _parse_csv(data)
     assert sum(cnt for *_, cnt in rows) == 2 ** 28
     assert sum(cnt for _, _, tc, cnt in rows if tc == 0) == 4682270
+
+
+class _RecordingPool:
+    """A stand-in ThreadPoolExecutor that records its worker count and the
+    parts it is handed, and runs them in this thread."""
+
+    made = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.parts = []
+        _RecordingPool.made.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, parts):
+        self.parts = list(parts)
+        return map(fn, self.parts)
+
+
+@pytest.mark.parametrize("n, threads, items", [(1, 8, 1), (3, 8, 4), (3, 3, 4), (4, 64, 8),
+                                                (4, 10 ** 6, 8), (5, 5, 16), (5, 100, 16)])
+def test_census_starts_no_more_workers_than_items(monkeypatch, n, threads, items):
+    # every part is nonempty, and together they hold each item once; the
+    # counts do not depend on the split
+    _RecordingPool.made.clear()
+    monkeypatch.setattr(census, "ThreadPoolExecutor", _RecordingPool)
+    table = enumerate_census(n, threads=threads)
+    pool, = _RecordingPool.made
+    assert pool.max_workers == len(pool.parts) == min(threads, items)
+    assert all(pool.parts)
+    assert sum(len(part) for part in pool.parts) == items
+    assert table.counts == enumerate_census(n, threads=1).counts
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_census_needs_a_worker(threads):
+    with pytest.raises(errors.ValueOutOfRange, match="worker"):
+        enumerate_census(3, threads=threads)
 
 
 def test_size_cap():

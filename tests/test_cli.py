@@ -201,6 +201,10 @@ ENTROPY = ["entropy", "--e", "0.5", "--t", "0.125"]
     # a motif file's header is version 1 with a whole vertex count
     *[["entropy", "--e", "0.5", "--t", "0.1", "--motif", _text_file("motif.txt", text)]
       for text in ("motif v2 ell=2\n1 2\n", "motif v1 ell=x\n1 2\n")],
+    # a grid holds finite numbers: no string, bool, NaN or infinity
+    *[["scan", "--spec", _text_file("s.json", text)]
+      for text in ('{"e_grid": ["0.5"], "t_grid": [0.0]}', '{"e_grid": [true], "t_grid": [0.0]}',
+                   '{"e_grid": [NaN], "t_grid": [0.0]}', '{"e_grid": [0.5], "t_grid": [Infinity]}')],
 ])
 def test_malformed_input_exits_usage(tmp_path, argv):
     argv = [a(tmp_path) if callable(a) else a for a in argv]

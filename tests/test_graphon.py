@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -61,6 +61,12 @@ def test_motif_parse_reads_files_and_rejects_bad_counts(tmp_path):
         Motif.parse("star:0")
     with pytest.raises(FileNotFoundError):
         Motif.parse(str(tmp_path / "missing.txt"))
+
+
+@pytest.mark.parametrize("text", [3, None, True, ["triangle"], b"triangle"])
+def test_motif_parse_rejects_anything_but_a_string(text):
+    with pytest.raises(errors.ValueOutOfRange, match="string"):
+        Motif.parse(text)
 
 
 @pytest.mark.parametrize("row", ["1", "1 2 3", "1 x"])
@@ -284,6 +290,31 @@ def test_resample_preserves_densities():
     )
     coarse = resample(g, 7)  # averaging path keeps the edge density
     assert edge_density(coarse) == pytest.approx(edge_density(g), abs=1e-12)
+
+
+def _loop_resample(g, m2):
+    """resample's averaging path as a Python double loop over the overlap
+    matrix, the reference for the array form."""
+    m = g.m
+    p = np.zeros((m2, m))
+    for i in range(m2):
+        for k in range(m):
+            lo = max(i / m2, k / m)
+            hi = min((i + 1) / m2, (k + 1) / m)
+            if hi > lo:
+                p[i, k] = (hi - lo) * m2
+    vals = p @ g.values @ p.T
+    return np.clip(0.5 * (vals + vals.T), 0.0, 1.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(1, 39), m2=st.integers(1, 69), seed=st.integers(0, 2 ** 32 - 1))
+@example(m=39, m2=68, seed=0)
+@example(m=7, m2=3, seed=1)
+def test_resample_overlap_matches_the_loop_bitwise(m, m2, seed):
+    assume(m2 % m != 0)  # the identity and block refinement build no overlap matrix
+    g = _random_graphon(np.random.default_rng(seed), m)
+    assert resample(g, m2).values.tobytes() == _loop_resample(g, m2).tobytes()
 
 
 def test_graphon_distance():

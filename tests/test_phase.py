@@ -2,9 +2,12 @@
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from graphentropy import errors, phase
 from graphentropy.graphon import Graphon, Motif, rate_value
@@ -52,6 +55,37 @@ def test_scan_records_infeasible_rows():
 def test_scan_spec_validation():
     with pytest.raises(errors.ValueOutOfRange):
         ScanSpec(e_grid=[], t_grid=[0.0])
+    # a NaN point is rejected, not dropped from the scan
+    with pytest.raises(errors.ValueOutOfRange):
+        ScanSpec(e_grid=[0.5, math.nan], t_grid=[0.0, math.nan])
+    for relative in ("false", 1, None):
+        with pytest.raises(errors.ValueOutOfRange, match="relative"):
+            ScanSpec(e_grid=[0.5], t_grid=[0.0], relative=relative)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-10, 10)
+_INVALID = (st.sampled_from([math.nan, math.inf, -math.inf, True, False, None, "0.5", "x"])
+            | st.lists(_FINITE, max_size=2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid=st.lists(_FINITE | _INVALID, max_size=5) | st.tuples(_FINITE, _FINITE)
+       | st.sampled_from([None, 0.5, "0.5", True]))
+def test_scan_spec_accepts_exactly_nonempty_finite_real_grids(grid):
+    # either grid is a nonempty sequence of finite reals, none a bool, and
+    # the spec keeps it as floats
+    ok = (isinstance(grid, (list, tuple)) and len(grid) > 0
+          and all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                  and math.isfinite(x) for x in grid))
+    for name in ("e_grid", "t_grid"):
+        values = {"e_grid": [0.5], "t_grid": [0.0], name: grid}
+        if ok:
+            kept = getattr(ScanSpec(**values), name)
+            assert kept == [float(x) for x in grid]
+            assert all(type(x) is float for x in kept)
+        else:
+            with pytest.raises(errors.ValueOutOfRange, match=name):
+                ScanSpec(**values)
 
 
 def test_scan_and_crease_scan_share_the_march():
@@ -109,6 +143,62 @@ def test_crease_scan_starts_each_march_from_a_given_warm_start(monkeypatch):
         counts.append(list(starts))
     cold, warm = counts
     assert [w - c for c, w in zip(cold, warm)] == [1, 0, 1, 0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(e=st.floats(0.05, 0.95),
+       offsets=st.lists(st.floats(0.0, 0.5, exclude_min=True), min_size=1, max_size=6),
+       warm=st.booleans())
+@example(e=0.5, offsets=[1e-3, 1e-300, 1e-2], warm=True)
+@example(e=0.5, offsets=[1e-2, 1e-3, 1e-3], warm=False)
+def test_crease_scan_pairs_each_point_with_its_offset(e, offsets, warm):
+    # a recording stand-in for the solver: s names the call, above the
+    # ceiling so that no side has a power fit, and each solve returns a
+    # graphon of its own, so the warm starts can be traced
+    calls = []
+
+    def solve(target, motif, config):
+        g = Graphon(values=np.full((2, 2), len(calls) / 1000.0))
+        calls.append((target.t, config.warm_start, g))
+        return SimpleNamespace(s_value=-rate_value(target.e) + len(calls), beta1=0.0,
+                               beta2=0.0, converged=True, el_residual_norm=0.0, g_star=g)
+
+    config = OptimConfig(m=2, multistart_count=0,
+                         warm_start=Graphon(values=np.full((2, 2), 0.5)) if warm else None)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(phase, "maximize_entropy", solve)
+        scan = crease_scan(e, Motif.triangle(), offsets, config)
+    t0 = e ** 3
+    s0 = -rate_value(e)
+    for points, sign in ((scan.below, -1.0), (scan.above, 1.0)):
+        assert [p.delta for p in points] == sorted(offsets)
+        solved = []
+        for p in points:
+            assert p.t.hex() == (t0 + sign * p.delta).hex()
+            if 0.0 <= p.t <= 1.0:
+                call = round(p.s - s0) - 1
+                assert p.status == "ok"
+                assert calls[call][0].hex() == p.t.hex()
+                assert p.quotient.hex() == ((s0 - p.s) / p.delta).hex()
+                solved.append(call)
+            else:
+                assert p.status == "infeasible" and p.s is None
+        # a repeated offset too: each side's points, nearest first, in solve order
+        assert solved == sorted(solved)
+    # a point on the ridge (an offset below half an ulp of t0) is solved
+    # alone; then the lower side in falling t and the upper side in rising t,
+    # each march from config.warm_start
+    ts = [p.t for p in scan.below + scan.above if 0.0 <= p.t <= 1.0]
+    marches = [[t] for t in ts if t == t0] + [sorted((t for t in ts if t < t0), reverse=True),
+                                              sorted(t for t in ts if t > t0)]
+    assert [t for t, _, _ in calls] == [t for march in marches for t in march]
+    i = 0
+    for march in marches:
+        warm_start = config.warm_start
+        for _ in march:
+            assert calls[i][1] is warm_start
+            warm_start = calls[i][2]
+            i += 1
 
 
 @pytest.mark.parametrize("deltas", [[], [0.0, 1e-3, 1e-2], [-1e-3, 1e-3, 1e-2],

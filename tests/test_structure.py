@@ -100,6 +100,15 @@ def test_every_march_starts_in_phase():
     assert [name for name in imported if name.split(".")[-1] == "phase"] == []
 
 
+def test_one_continuation_march():
+    # the scan is the one march: crease_scan runs phase_diagram_scan, so
+    # continuation_march has a single call site in the package
+    sites = [f"{path.stem}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=path.name))
+             if _call_name(node) == "continuation_march"]
+    assert len(sites) == 1, sites
+
+
 def _call_name(node):
     if isinstance(node, ast.Call):
         func = node.func
