@@ -18,15 +18,15 @@ __version__ = "1.0.0"
 _EXPORTS = {
     "census": ("CensusTable", "compare_to_variational", "empirical_entropy",
                "enumerate_census"),
-    "ergm": ("ConvexityReport", "ErgmParams", "FreeEnergyResult", "convexity_report",
-             "find_transition", "psi_constant", "psi_full", "transition_curve",
-             "verify_t_le_e_cubed"),
+    "ergm": ("ErgmParams", "FreeEnergyResult", "find_transition", "psi_constant", "psi_full",
+             "transition_curve", "verify_t_le_e_cubed"),
     "errors": ("GraphEntropyError", "Infeasible", "NoTransitionFound", "TooLarge"),
     "graphon": ("Graphon", "bipodal_graphon", "constant_graphon", "edge_density",
                 "graphon_distance", "motif_density", "motif_gradient", "rate_function",
                 "rate_value", "read_graphon", "resample", "write_graphon"),
-    "optimize": ("BipodalSolution", "EntropyResult", "closed_form_half", "closed_form_upper",
-                 "el_residual", "estimate_multipliers", "f_minus", "maximize_entropy"),
+    "optimize": ("BipodalSolution", "ConvexityReport", "EntropyResult", "closed_form_half",
+                 "closed_form_upper", "convexity_report", "el_residual",
+                 "estimate_multipliers", "f_minus", "maximize_entropy"),
     "phase": ("CreaseScanResult", "ScanSpec", "crease_report", "crease_scan",
               "phase_diagram_scan", "render_svg"),
     "problem": ("DensityPair", "Motif", "OptimConfig"),

@@ -5,8 +5,8 @@ bitmask over its C(n-1,2) edge slots, plus the neighbourhood S of the last
 vertex.  Its edge count is e(H) + |S| and its triangle count is
 t(H) + popcount(H & inside[S]), where inside[S] masks the slots of H with both
 ends in S.  So only the 2^C(n-1,2) masks H are enumerated, in blocks, with
-edge counts from popcounts and triangle counts from 3-edge triple masks; each
-neighbourhood then costs one AND, one popcount and one histogram per block.
+edge counts from popcounts and triangle counts from inside[S] for |S| = 3;
+each neighbourhood then costs one AND, one popcount and one histogram per block.
 Counts are exact integers, so the table doubles as a finite-size oracle for
 the entropy definition.
 """
@@ -45,27 +45,12 @@ class CensusTable:
         return sum(self.counts.values())
 
 
-def _edge_index(n):
-    """Map unordered vertex pairs to bit positions, lexicographic."""
-    return {pair: i for i, pair in enumerate(combinations(range(n), 2))}
-
-
-def _triple_masks(n):
-    idx = _edge_index(n)
-    masks = []
-    for a, b, c in combinations(range(n), 3):
-        masks.append((1 << idx[(a, b)]) | (1 << idx[(a, c)]) | (1 << idx[(b, c)]))
-    return masks
-
-
 def _inside_masks(m):
     """For each subset S of range(m), as a bitmask, the mask of the edge slots
-    of a graph on m vertices with both ends in S."""
-    idx = _edge_index(m)
-    return [
-        sum(1 << idx[pair] for pair in combinations([v for v in range(m) if s >> v & 1], 2))
-        for s in range(1 << m)
-    ]
+    (the pairs of range(m), in lexicographic order) with both ends in S."""
+    slots = list(combinations(range(m), 2))
+    return [sum(1 << i for i, (u, v) in enumerate(slots) if s >> u & 1 and s >> v & 1)
+            for s in range(1 << m)]
 
 
 def _block(start, stop, triples, width):
@@ -99,8 +84,8 @@ def enumerate_census(n, allow_large=False, threads=1) -> CensusTable:
     width = math.comb(n, 3) + 1
     hsize = (hbits + 1) * width  # bins reachable by e(H), t(H) + popcount(H & inside[S])
     size = (n * m // 2 + 1) * width
-    triples = _triple_masks(m)
     inside = _inside_masks(m)
+    triples = [mask for s, mask in enumerate(inside) if s.bit_count() == 3]
     total = 1 << hbits
     block = min(total, 1 << BLOCK_BITS)
     items = [(b, s) for b in range(0, total, block) for s in range(1 << m)]

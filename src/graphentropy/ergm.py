@@ -6,8 +6,7 @@ scalar family phi(u) = -I0(u) + b1 u + b2 u^3 carries the transition curve.
 The full graphon maximization values the constant graphons at phi's
 maximizers and runs SPG from the warm start and the random restarts; those
 runs leave the constant family and are the cross-check that does not rest on
-phi, for psi and for the t <= e^3 bound verification.  The convexity analysis
-of the e = 1/2 entropy slice lives here too.
+phi, for psi and for the t <= e^3 bound verification.
 """
 
 from __future__ import annotations
@@ -27,14 +26,8 @@ from ._kernel import (
     projected_gradient_norm,
     spg_box,
 )
-from .errors import NoTransitionFound, SignPatternUnexpected, ValueOutOfRange
-from .graphon import (
-    Graphon,
-    rate_derivative,
-    rate_second_derivative,
-    rate_value,
-    resample,
-)
+from .errors import NoTransitionFound, ValueOutOfRange
+from .graphon import Graphon, rate_value, resample
 from .problem import KKT_TOL, MAX_INNER_ITERATIONS, DensityPair, Motif, OptimConfig
 
 # _scalar_maximizers polishes the local maxima of phi found on a grid of this
@@ -61,13 +54,6 @@ class FreeEnergyResult:
     maximizer_densities: DensityPair
     degenerate: bool
     converged: bool  # the maximizer's projected gradient is within KKT_TOL
-
-
-@dataclass
-class ConvexityReport:
-    c1: float
-    c2: float
-    second_derivative_samples: list  # (t, s''(1/2, t)) pairs
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +106,7 @@ def psi_constant(params: ErgmParams) -> dict:
 # Full graphon maximization
 
 
-def psi_full(params: ErgmParams, config: OptimConfig | None = None) -> FreeEnergyResult:
+def psi_full(params: ErgmParams, config: OptimConfig = OptimConfig()) -> FreeEnergyResult:
     """Box maximization of -I + b1 e + b2 t (t the triangle density) over
     m x m step graphons.
 
@@ -134,8 +120,6 @@ def psi_full(params: ErgmParams, config: OptimConfig | None = None) -> FreeEnerg
     Returns the best candidate; its `converged` is true when its projected
     gradient is within KKT_TOL.
     """
-    if config is None:
-        config = OptimConfig()
     b1, b2 = params.beta1, params.beta2
     m = config.m
     objective = FreeEnergy(density_gradient(Motif.triangle(), m), b1, b2)
@@ -179,10 +163,8 @@ THEOREM5_GRID = tuple(ErgmParams(float(b1), float(b2))
                       for b1 in np.linspace(-3, 3, 7) for b2 in np.linspace(-3, 3, 7))
 
 
-def verify_t_le_e_cubed(grid, config: OptimConfig | None = None) -> dict:
+def verify_t_le_e_cubed(grid, config: OptimConfig = OptimConfig()) -> dict:
     """Check t(maximizer) <= e(maximizer)^3 + 1e-6 across a parameter grid."""
-    if config is None:
-        config = OptimConfig()
     rows = []
     violations = []
     for params in grid:
@@ -267,51 +249,3 @@ def transition_curve(beta2_min, beta2_max, steps) -> list:
             f"no first-order jump found for beta2 in [{beta2_min}, {beta2_max}]"
         )
     return rows
-
-
-# ---------------------------------------------------------------------------
-# Convexity of the e = 1/2 entropy slice
-
-
-def slice_second_derivative(t):
-    """Exact s''(1/2, t) for the closed-form slice s = -I0(1/2 + eps(t))."""
-    t = np.asarray(t, dtype=float)
-    eps = (0.125 - t) ** (1.0 / 3.0)
-    u = 0.5 + eps
-    return -(eps * rate_second_derivative(u) - 2.0 * rate_derivative(u)) / (9.0 * eps ** 5)
-
-
-def _slice_value(t):
-    return -rate_value(0.5 + (0.125 - t) ** (1.0 / 3.0))
-
-
-def slice_second_derivative_fd(t):
-    """Fourth-order central-difference s''(1/2, t) with step
-    h = min(1e-4, 0.4 t, 0.4 (1/8 - t)); validation path."""
-    h = min(1e-4, 0.4 * t, 0.4 * (0.125 - t))
-    f = _slice_value
-    return (-f(t - 2 * h) + 16 * f(t - h) - 30 * f(t) + 16 * f(t + h) - f(t + 2 * h)) / (
-        12 * h ** 2
-    )
-
-
-def convexity_report(samples=400) -> ConvexityReport:
-    """Locate the concave-to-convex change of s(1/2, t) on (0, 1/8)."""
-    if samples < 100:
-        raise ValueOutOfRange("need at least 100 samples")
-    ts = np.linspace(1e-4, 0.125 - 1e-6, samples)
-    d2 = slice_second_derivative(ts)
-    signs = np.sign(d2)
-    changes = np.flatnonzero(signs[:-1] != signs[1:])
-    if d2[0] >= 0 or d2[-1] <= 0 or len(changes) != 1:
-        raise SignPatternUnexpected(
-            f"expected a single concave-to-convex change, got {len(changes)} crossings"
-        )
-    i = int(changes[0])
-    lo, hi = bisect(lambda t: slice_second_derivative(t) < 0.0, ts[i], ts[i + 1], 1e-14)
-    root = float(0.5 * (lo + hi))
-    return ConvexityReport(
-        c1=root,
-        c2=root,
-        second_derivative_samples=list(zip(ts.tolist(), d2.tolist())),
-    )

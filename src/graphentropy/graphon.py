@@ -25,9 +25,9 @@ from .problem import DensityPair, Motif, read_motif
 _SYMMETRY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graphon:
-    """Symmetric step function on [0,1]^2 with values in [0,1]."""
+    """Symmetric step function on [0,1]^2 with values in [0,1]; compared by identity."""
 
     values: np.ndarray
 

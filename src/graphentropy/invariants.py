@@ -9,7 +9,7 @@ figure it measured.
 
 import numpy as np
 
-from . import census, ergm, region, spectral
+from . import census, optimize, region, spectral
 from .graphon import DensityPair, Graphon, Motif, motif_density, motif_gradient, rate_value
 from .optimize import closed_form_half, el_residual, estimate_multipliers, maximize_entropy
 
@@ -91,13 +91,13 @@ def census_hand_enumeration():
 def convexity_derivative_paths(samples):
     """s(1/2, t) turns from concave to convex once, at c1 = c2 in (0, 1/8), on a
     `samples`-point grid, and the exact s'' matches a finite difference to 1e-6."""
-    rep = ergm.convexity_report(samples)
+    rep = optimize.convexity_report(samples)
     d2 = rep.second_derivative_samples
     ok = 0.0 < rep.c1 <= rep.c2 < 0.125 and d2[0][1] < 0.0 < d2[-1][1]
     errors = []
     for t in (0.02, 0.05, 0.08, 0.09, 0.11, 0.12):
-        exact = float(ergm.slice_second_derivative(t))
-        errors.append(abs(ergm.slice_second_derivative_fd(t) - exact) / max(1.0, abs(exact)))
+        exact = float(optimize.slice_second_derivative(t))
+        errors.append(abs(optimize.slice_second_derivative_fd(t) - exact) / max(1.0, abs(exact)))
     ok = ok and all(x <= 1e-6 for x in errors)
     return ok, f"c1=c2={rep.c1:.5f}, max relative FD error {max(errors):.1e}"
 

@@ -3,11 +3,11 @@
 The solver maximizes -I(g) subject to e(g) = e and t(H, g) = t by an
 augmented-Lagrangian outer loop with a spectral projected-gradient inner loop
 on the symmetric box [CLAMP, 1-CLAMP]^(m x m).  Closed forms for the e = 1/2
-family and the upper boundary, f_-(e), Euler-Lagrange residuals and multiplier
-fits live alongside it.  The marches off the t = e^k ridge that drive the
-solver are in `phase`.  What a solve is asked (the target, the motif, the
-settings) and the region precheck that rejects a target outside the proven
-region are in `problem`, which needs no numpy.
+family, its entropy slice's convexity and the upper boundary, f_-(e),
+Euler-Lagrange residuals and multiplier fits live alongside it.  The marches
+off the t = e^k ridge that drive the solver are in `phase`.  What a solve is
+asked (the target, the motif, the settings) and the region precheck that
+rejects a target outside the proven region are in `problem`, which needs no numpy.
 
 The reported entropy value is always -I of an explicitly feasible iterate, so
 it is a rigorous lower bound for the true value; the ceiling -I0(e) (constant
@@ -22,8 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernel import AugmentedLagrangian, density_gradient, minimize_bounded, project, spg_box
-from .errors import DegenerateFit, Infeasible, ValueOutOfRange
+from ._kernel import (
+    AugmentedLagrangian,
+    bisect,
+    density_gradient,
+    minimize_bounded,
+    project,
+    spg_box,
+)
+from .errors import DegenerateFit, Infeasible, SignPatternUnexpected, ValueOutOfRange
 from .graphon import (
     Graphon,
     bipodal_graphon,
@@ -85,6 +92,13 @@ class BipodalSolution:
         return bipodal_graphon(
             0.5, 0.5 - self.epsilon, 0.5 + self.epsilon, 0.5 - self.epsilon, m
         )
+
+
+@dataclass
+class ConvexityReport:
+    c1: float
+    c2: float
+    second_derivative_samples: list  # (t, s''(1/2, t)) pairs
 
 
 @dataclass
@@ -178,6 +192,48 @@ def closed_form_upper(e, m) -> Graphon:
     if not (0.0 <= e <= 1.0):
         raise ValueOutOfRange(f"e={e} outside [0,1]")
     return bipodal_graphon(math.sqrt(e), 1.0, 0.0, 0.0, m)
+
+
+# ---------------------------------------------------------------------------
+# Convexity of the e = 1/2 entropy slice
+
+
+def slice_second_derivative(t):
+    """Exact s''(1/2, t) for the closed-form slice s = -I0(1/2 + eps(t))."""
+    t = np.asarray(t, dtype=float)
+    eps = (0.125 - t) ** (1.0 / 3.0)
+    u = 0.5 + eps
+    return -(eps * rate_second_derivative(u) - 2.0 * rate_derivative(u)) / (9.0 * eps ** 5)
+
+
+def slice_second_derivative_fd(t):
+    """Fourth-order central-difference s''(1/2, t) of closed_form_half's s
+    values, with step h = min(1e-4, 0.4 t, 0.4 (1/8 - t)); validation path."""
+    h = min(1e-4, 0.4 * t, 0.4 * (0.125 - t))
+    s = [closed_form_half(t + k * h).s_value for k in (-2, -1, 0, 1, 2)]
+    return (-s[0] + 16 * s[1] - 30 * s[2] + 16 * s[3] - s[4]) / (12 * h ** 2)
+
+
+def convexity_report(samples=400) -> ConvexityReport:
+    """Locate the concave-to-convex change of s(1/2, t) on (0, 1/8)."""
+    if samples < 100:
+        raise ValueOutOfRange("need at least 100 samples")
+    ts = np.linspace(1e-4, 0.125 - 1e-6, samples)
+    d2 = slice_second_derivative(ts)
+    signs = np.sign(d2)
+    changes = np.flatnonzero(signs[:-1] != signs[1:])
+    if d2[0] >= 0 or d2[-1] <= 0 or len(changes) != 1:
+        raise SignPatternUnexpected(
+            f"expected a single concave-to-convex change, got {len(changes)} crossings"
+        )
+    i = int(changes[0])
+    lo, hi = bisect(lambda t: slice_second_derivative(t) < 0.0, ts[i], ts[i + 1], 1e-14)
+    root = float(0.5 * (lo + hi))
+    return ConvexityReport(
+        c1=root,
+        c2=root,
+        second_derivative_samples=list(zip(ts.tolist(), d2.tolist())),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -357,18 +413,14 @@ def _starts(target: DensityPair, motif: Motif, cfg: OptimConfig):
 # Public solver
 
 
-def maximize_entropy(target: DensityPair, motif: Motif | None = None,
-                     config: OptimConfig | None = None) -> EntropyResult:
+def maximize_entropy(target: DensityPair, motif: Motif = Motif.triangle(),
+                     config: OptimConfig = OptimConfig()) -> EntropyResult:
     """Maximize -I(g) subject to e(g) = target.e and t(H, g) = target.t.
 
     Runs the warm start, the ansatz starts and the random restarts, and
     returns the best feasible iterate.  Raises Infeasible when no start
     reaches an iterate within CONSTRAINT_TOL of the target.
     """
-    if motif is None:
-        motif = Motif.triangle()
-    if config is None:
-        config = OptimConfig()
     region_note = region_precheck(target, motif)
     ceiling = -rate_value(target.e)
     dens = density_gradient(motif, config.m)

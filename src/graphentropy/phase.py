@@ -27,26 +27,40 @@ from .optimize import OptimConfig, f_minus, maximize_entropy
 DEFAULT_OFFSETS = (1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2)
 
 
+@dataclass
+class ScanRow:
+    e: float
+    t: float
+    s: float
+    beta1: float
+    beta2: float
+    converged: bool
+    el_residual: float
+    status: str  # ok | infeasible | not_converged
+
+
 def continuation_march(e, ts, motif: Motif, config: OptimConfig) -> list:
     """Solve at (e, t) for each t in turn, each warm-started from the last
     solution found.  Until there is one a solve is warm-started from
     config.warm_start, and without that it has no warm start: its constant
-    start is already the constant graphon at e.  One EntropyResult per t, or
-    None where t is outside [0, 1] or the solve raises Infeasible."""
-    results = []
+    start is already the constant graphon at e.  One ScanRow per t, with
+    status infeasible where t is outside [0, 1] or the solve raises Infeasible."""
+    rows = []
     warm = config.warm_start
     for t in ts:
-        res = None
+        row = ScanRow(e, t, math.nan, math.nan, math.nan, False, math.nan, "infeasible")
         if 0.0 <= t <= 1.0:
             try:
                 res = maximize_entropy(DensityPair(e=e, t=t), motif,
                                        replace(config, warm_start=warm))
             except Infeasible:
                 pass
-        if res is not None:
-            warm = res.g_star
-        results.append(res)
-    return results
+            else:
+                warm = res.g_star
+                row = ScanRow(e, t, res.s_value, res.beta1, res.beta2, res.converged,
+                              res.el_residual_norm, "ok" if res.converged else "not_converged")
+        rows.append(row)
+    return rows
 
 
 def _finite_floats(values, what) -> list:
@@ -81,28 +95,6 @@ class ScanSpec:
             raise ValueOutOfRange(f"relative must be true or false, got {self.relative!r}")
 
 
-@dataclass
-class ScanRow:
-    e: float
-    t: float
-    s: float
-    beta1: float
-    beta2: float
-    converged: bool
-    el_residual: float
-    status: str  # ok | infeasible | not_converged
-
-
-def _scan_rows(e, ts, spec):
-    nan = math.nan
-    return [
-        ScanRow(e, t, nan, nan, nan, False, nan, "infeasible") if res is None
-        else ScanRow(e, t, res.s_value, res.beta1, res.beta2, res.converged,
-                     res.el_residual_norm, "ok" if res.converged else "not_converged")
-        for t, res in zip(ts, continuation_march(e, ts, spec.motif, spec.config))
-    ]
-
-
 def phase_diagram_scan(spec: ScanSpec) -> list:
     """Sweep s(e, t) over the grid; rows ordered by (e, t), statuses per point.
     At each e a point on e^k is solved alone, the points below it are one
@@ -116,7 +108,8 @@ def phase_diagram_scan(spec: ScanSpec) -> list:
         below = sorted([t for t in ts if t < ridge], reverse=True)
         above = sorted([t for t in ts if t > ridge])
         marches = [[t] for t in ts if t == ridge] + [below, above]
-        rows = [row for march in marches for row in _scan_rows(e, march, spec)]
+        rows = [row for march in marches
+                for row in continuation_march(e, march, spec.motif, spec.config)]
         table.extend(sorted(rows, key=lambda r: r.t))
     return table
 
@@ -156,8 +149,9 @@ def power_fit(xs, ys):
     lx = np.log(np.asarray(xs, dtype=float))
     ly = np.log(np.asarray(ys, dtype=float))
     n = len(lx)
-    if n < 3:
-        raise DegenerateFit(f"power fit needs at least 3 points, got {n}")
+    if n < 3 or lx.min() == lx.max():
+        raise DegenerateFit(f"power fit needs at least 3 points and 2 distinct x, got {n} "
+                            f"points and {np.unique(lx).size} distinct x")
     x = np.column_stack([np.ones(n), lx])
     coef, *_ = np.linalg.lstsq(x, ly, rcond=None)
     resid = ly - x @ coef
@@ -167,15 +161,17 @@ def power_fit(xs, ys):
 
 def side_power_fit(points, s0):
     """power_fit of the drops s0 - s > 0 against the offsets of one side's
-    CreasePoints; None when fewer than 3 points drop."""
+    CreasePoints; None when fewer than 3 points drop, or their offsets take
+    fewer than 2 distinct values."""
     pts = [(p.delta, s0 - p.s) for p in points if p.s is not None and s0 - p.s > 0]
-    if len(pts) < 3:
+    try:
+        return power_fit([d for d, _ in pts], [r for _, r in pts])
+    except DegenerateFit:
         return None
-    return power_fit([d for d, _ in pts], [r for _, r in pts])
 
 
-def crease_scan(e, motif: Motif | None = None, deltas=None,
-                config: OptimConfig | None = None) -> CreaseScanResult:
+def crease_scan(e, motif: Motif = Motif.triangle(), deltas=DEFAULT_OFFSETS,
+                config: OptimConfig = OptimConfig()) -> CreaseScanResult:
     """One-sided behavior of s(e, t) around the curve t = e^k.
 
     A crease scan is a phase_diagram_scan of the one e at the offsets -d and
@@ -183,14 +179,8 @@ def crease_scan(e, motif: Motif | None = None, deltas=None,
     continuation.  Reports difference quotients, the power fit of each side's
     drop, a log-log exponent fit for the lower branch, and the f_-(e)
     lower-bound checks (triangle motif only).  The offsets (DEFAULT_OFFSETS
-    when None) must be finite positive numbers, and there must be at least one.
+    by default) must be finite positive numbers, and there must be at least one.
     """
-    if motif is None:
-        motif = Motif.triangle()
-    if config is None:
-        config = OptimConfig()
-    if deltas is None:
-        deltas = DEFAULT_OFFSETS
     if not (0.0 < e < 1.0):
         raise ValueOutOfRange(f"e={e} outside (0,1)")
     offsets = sorted(_finite_floats(deltas, "offsets"))
@@ -221,7 +211,7 @@ def crease_scan(e, motif: Motif | None = None, deltas=None,
         }
 
     bounds = None
-    if motif == Motif.triangle():
+    if motif.is_triangle:
         fm = f_minus(e)
         checks_below = [
             (p.delta, (s0 - p.s) + 1e-6 >= fm.f_minus * p.delta ** (2.0 / 3.0)
@@ -275,8 +265,8 @@ def _side_quotient(fit, delta_ref):
     return q, q * se_log
 
 
-def crease_report(e_values, motif: Motif | None = None,
-                  config: OptimConfig | None = None) -> list:
+def crease_report(e_values, motif: Motif = Motif.triangle(),
+                  config: OptimConfig = OptimConfig()) -> list:
     """Per-e crease verdicts: sides separated by > 5 sigma, or one-sided.
 
     Each e is a crease_scan over DEFAULT_OFFSETS.  The one-sided quotients are

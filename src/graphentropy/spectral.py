@@ -75,12 +75,9 @@ def delta_t_decomposition(g: Graphon, e) -> SpectralReport:
     de = edge_density(g) - e
     if abs(de) > 1e-8:
         raise EdgeDensityMismatch(f"edge density off target by {de}")
-    m = g.m
     dg = g.values - e
     mu = kernel_operator_spectrum(dg)
-    t = dg / m
-    trace2 = float(np.trace(t @ t))
-    trace3 = float(np.trace(t @ t @ t))
+    trace2, trace3 = trace_power(dg, 2), trace_power(dg, 3)
     row_means = np.mean(dg, axis=1)
     quad = 3.0 * e * float(np.mean(row_means ** 2))
     return SpectralReport(

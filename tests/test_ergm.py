@@ -11,17 +11,20 @@ from graphentropy import _kernel, errors
 from graphentropy.ergm import (
     THEOREM5_GRID,
     ErgmParams,
-    convexity_report,
     find_transition,
     psi_constant,
     psi_full,
-    slice_second_derivative,
-    slice_second_derivative_fd,
     transition_curve,
     verify_t_le_e_cubed,
 )
 from graphentropy.graphon import rate_value
-from graphentropy.optimize import OptimConfig, closed_form_upper
+from graphentropy.optimize import (
+    OptimConfig,
+    closed_form_upper,
+    convexity_report,
+    slice_second_derivative,
+    slice_second_derivative_fd,
+)
 from graphentropy.problem import KKT_TOL, MAX_INNER_ITERATIONS, Motif
 
 FAST = OptimConfig(m=8, multistart_count=4)

@@ -30,6 +30,7 @@ from graphentropy.graphon import (
     validate,
     write_graphon,
 )
+from graphentropy.problem import OptimConfig
 
 
 def _random_graphon(rng, m):
@@ -269,6 +270,15 @@ def test_edgeless_motif_has_density_one():
 
 # ---------------------------------------------------------------------------
 # Validation, resampling, distance
+
+
+def test_graphons_compare_and_hash_by_identity():
+    a = np.full((2, 2), 0.5)
+    g = Graphon(values=a)
+    assert g == g and g != Graphon(values=a.copy())
+    assert hash(g) == hash(g)
+    # so a config with a warm start compares and hashes too
+    assert len({OptimConfig(m=4, warm_start=g), OptimConfig(m=4, warm_start=g)}) == 1
 
 
 def test_validate_rejects_bad_matrices():

@@ -28,6 +28,8 @@ from graphentropy.optimize import (
     estimate_multipliers,
     f_minus,
     maximize_entropy,
+    slice_second_derivative,
+    slice_second_derivative_fd,
 )
 from graphentropy.phase import ScanSpec, crease_scan, phase_diagram_scan, power_fit
 from graphentropy.problem import region_precheck
@@ -66,10 +68,32 @@ def test_power_fit_standard_errors_match_closed_form():
         math.sqrt(s2 * (1.0 / n + float(lx.mean()) ** 2 / sxx)), rel=1e-12)
     with pytest.raises(errors.DegenerateFit):
         power_fit(xs[:2], ys[:2])
+    for x in (1e-3, 0.03125):  # three points at one x: singular, or a negative variance
+        with pytest.raises(errors.DegenerateFit):
+            power_fit([x] * 3, ys[:3])
 
 
 # ---------------------------------------------------------------------------
 # Closed forms
+
+# s''(1/2, t) by finite differences and exactly, recorded at commit 616a98c,
+# where the finite difference valued the slice through its own copy of the
+# closed form
+SLICE_D2_AT_616A98C = {  # t: (finite difference, exact)
+    0.001: ("-0x1.448ae90c78b87p+9", "-0x1.448d3ed34592cp+9"),
+    0.02: ("-0x1.80e6f08890341p+4", "-0x1.80e6f083ec5f6p+4"),
+    0.05: ("-0x1.e69ffb487ffacp+1", "-0x1.e69ffb25496f2p+1"),
+    0.08: ("0x1.a8570616f189ep+2", "0x1.a8570614a1befp+2"),
+    0.11: ("0x1.a1d48f3df057bp+5", "0x1.a1d48f4607f9ap+5"),
+    0.124: ("0x1.11c7a6049c2cap+11", "0x1.11cb4c35eae97p+11"),
+}
+
+
+def test_slice_second_derivatives_bit_identical_to_recorded_values():
+    for t, (fd, exact) in SLICE_D2_AT_616A98C.items():
+        assert float(slice_second_derivative_fd(t)).hex() == float.fromhex(fd).hex(), t
+        assert float(slice_second_derivative(t)).hex() == float.fromhex(exact).hex(), t
+
 
 
 def test_closed_form_half_reference_point():

@@ -209,6 +209,14 @@ def test_crease_offsets_must_be_finite_and_positive(deltas):
         crease_scan(0.5, Motif.triangle(), deltas, config)
 
 
+@pytest.mark.parametrize("deltas", [[1e-3] * 3, [0.03125] * 3])
+def test_crease_scan_fits_no_side_at_one_repeated_offset(deltas):
+    # three drops at one offset identify no power law
+    scan = crease_scan(0.5, Motif.triangle(), deltas, OptimConfig(m=4, multistart_count=0))
+    assert scan.below_fit is None and scan.above_fit is None
+    assert scan.left_exponent_fit is None
+
+
 def test_crease_report_fits_each_side_once(monkeypatch):
     # the scan keeps both sides' power fits and the report reads them back
     calls = []

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphentropy import _kernel
-from graphentropy.ergm import convexity_report, find_transition
-from graphentropy.optimize import f_minus
+from graphentropy.ergm import find_transition
+from graphentropy.optimize import convexity_report, f_minus
 
 # Recorded at commit b5acaf7, where f_minus and the transition's scalar
 # maximizers came from scipy.optimize.minimize_scalar(method="bounded");

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphentropy import errors
-from graphentropy.graphon import Graphon, constant_graphon
+from graphentropy.graphon import Graphon, constant_graphon, edge_density
 from graphentropy.spectral import (
     delta_t_decomposition,
     kernel_operator_spectrum,
@@ -48,6 +50,20 @@ def test_asymmetric_rejected():
     for dg in (np.array([[0.0, 1.0], [0.5, 0.0]]), np.zeros((2, 3))):
         with pytest.raises(errors.AsymmetricMatrix):
             verify_trace_inequality(dg)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 16))
+def test_delta_t_traces_are_the_direct_traces_bitwise(seed, m):
+    # the decomposition takes its traces from trace_power; the direct
+    # products of T = (g - e) / m stay here as the reference
+    r = np.random.default_rng(seed).uniform(0.0, 1.0, size=(m, m))
+    g = Graphon(values=0.5 * (r + r.T))
+    e = edge_density(g)
+    rep = delta_t_decomposition(g, e)
+    t = (g.values - e) / m
+    assert rep.trace2.hex() == float(np.trace(t @ t)).hex()
+    assert rep.trace3.hex() == float(np.trace(t @ t @ t)).hex()
 
 
 def test_delta_t_decomposition_matches_direct():

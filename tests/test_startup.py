@@ -71,6 +71,16 @@ def test_public_names_resolve_to_what_their_modules_define():
         graphentropy.no_such_name  # noqa: B018
 
 
+def test_verify_runs_without_the_free_energy_module(tmp_path):
+    # the e = 1/2 slice's convexity checks live beside its closed form in optimize
+    out = tmp_path / "verify.txt"
+    assert _fresh(
+        "import sys, graphentropy.cli as cli\n"
+        f"code = cli.run(['verify', '--seed', '1', '--out', {str(out)!r}])\n"
+        "print(code, 'graphentropy.ergm' in sys.modules)"
+    ) == [f"{cli.EXIT_OK} False"]
+
+
 def test_region_runs_without_numpy(tmp_path):
     out = tmp_path / "region.csv"
     assert _fresh(

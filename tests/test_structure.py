@@ -195,6 +195,52 @@ def _passes(call, func, param, position):
             or any(isinstance(arg, ast.Starred) for arg in args))
 
 
+def _none_defaulted(func):
+    """The names of func's parameters whose default is None."""
+    args = func.args
+    positional = args.posonlyargs + args.args
+    pairs = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+    pairs += zip(args.kwonlyargs, args.kw_defaults)
+    return {arg.arg for arg, d in pairs if isinstance(d, ast.Constant) and d.value is None}
+
+
+def _name_tested_is_none(test):
+    """The name that `test` compares with `is None`, else None."""
+    if (isinstance(test, ast.Compare) and isinstance(test.left, ast.Name)
+            and len(test.ops) == 1 and isinstance(test.ops[0], ast.Is)
+            and isinstance(test.comparators[0], ast.Constant)
+            and test.comparators[0].value is None):
+        return test.left.id
+    return None
+
+
+def _assigned_names(stmts):
+    return {target.id for stmt in stmts if isinstance(stmt, ast.Assign)
+            for target in stmt.targets if isinstance(target, ast.Name)}
+
+
+def test_no_function_replaces_a_none_default():
+    # a default is written once, in the signature: `def f(p=None)` followed by
+    # `if p is None: p = ...` (or `p = ... if p is None else p`) states it twice
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(), filename=path.name)):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            params = _none_defaulted(func)
+            for node in ast.walk(func):
+                if isinstance(node, ast.If):
+                    name, assigned = _name_tested_is_none(node.test), _assigned_names(node.body)
+                elif isinstance(node, ast.Assign) and isinstance(node.value, ast.IfExp):
+                    name = _name_tested_is_none(node.value.test)
+                    assigned = _assigned_names([node])
+                else:
+                    continue
+                if name in params and name in assigned:
+                    offenders.append(f"{path.stem}.{func.name}({name}):{node.lineno}")
+    assert offenders == []
+
+
 def test_every_defaulted_parameter_has_a_caller():
     # an option that only the tests set is a constant in disguise: some call
     # in the package or the bench must pass each defaulted parameter
