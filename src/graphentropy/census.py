@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import TooLarge, ValueOutOfRange
 
-MAX_N_DEFAULT = 7
-MAX_N_FLAGGED = 8
+# n = 8 is 2^28 graphs, about a second on one thread
+MAX_N = 8
 # the masks H are counted in blocks of at most 2^BLOCK_BITS
 BLOCK_BITS = 16
 
@@ -63,22 +63,20 @@ def _block(start, stop, triples, width):
     return masks, np.bitwise_count(masks).astype(np.int64) * width + tris
 
 
-def enumerate_census(n, allow_large=False, threads=1) -> CensusTable:
+def enumerate_census(n, threads=1) -> CensusTable:
     """Exact (edge count, triangle count) census of all labeled graphs on n vertices.
 
-    n <= 7 by default; n = 8 (2^28 graphs) only with allow_large.  Each
-    (block of H, neighbourhood S) item is counted into an int64 histogram;
-    threads >= 1 workers, at most one per item, take a fixed partition of the
-    items and their histograms are summed exactly, so the result is
-    independent of threads.
+    1 <= n <= MAX_N.  Each (block of H, neighbourhood S) item is counted into
+    an int64 histogram; threads >= 1 workers, at most one per item, take a
+    fixed partition of the items and their histograms are summed exactly, so
+    the result is independent of threads.
     """
     if n < 1:
         raise ValueOutOfRange("need at least one vertex")
     if threads < 1:
         raise ValueOutOfRange(f"need at least one worker, got threads={threads}")
-    cap = MAX_N_FLAGGED if allow_large else MAX_N_DEFAULT
-    if n > cap:
-        raise TooLarge(f"n={n} exceeds the cap {cap}; pass allow_large for n=8")
+    if n > MAX_N:
+        raise TooLarge(f"n={n} exceeds the cap {MAX_N}")
     m = n - 1
     hbits = m * (m - 1) // 2
     width = math.comb(n, 3) + 1

@@ -126,8 +126,8 @@ def _threads(args) -> int:
 def _reject_flags(args, *names, mode=""):
     """A flag the command (in `mode`) has no use for is an error, not a flag
     to ignore: region, census and ergm --curve run no solver, verify's
-    solver settings are fixed, region runs no worker pool, and only
-    ergm --curve draws an SVG or reads a beta2 range."""
+    solver settings are fixed, region, entropy and ergm run no worker pool,
+    and only ergm --curve draws an SVG or reads a beta2 range."""
     given = [f"--{name.replace('_', '-')}" for name in names if getattr(args, name) is not None]
     if given:
         raise ValueOutOfRange(f"{args.command}{mode} takes no {' or '.join(given)}")
@@ -154,6 +154,7 @@ def _entropy_payload(res):
 def _cmd_entropy(args):
     from .problem import DensityPair, Motif, region_precheck
 
+    _reject_flags(args, "threads")
     cfg = _load_config(args)
     motif = Motif.parse(args.motif)
     target = DensityPair(e=args.e, t=args.t)
@@ -228,7 +229,7 @@ def _cmd_ergm(args):
     from . import ergm as ergm_mod
 
     if args.curve:
-        _reject_flags(args, "config", "seed", mode=" --curve")
+        _reject_flags(args, "config", "seed", "threads", mode=" --curve")
         rows = ergm_mod.transition_curve(
             CURVE_BETA2[0] if args.beta2_min is None else args.beta2_min,
             CURVE_BETA2[1] if args.beta2_max is None else args.beta2_max,
@@ -239,7 +240,7 @@ def _cmd_ergm(args):
 
             _emit(phase_mod.render_svg(rows, "curves"), args.svg)
         return EXIT_OK
-    _reject_flags(args, "svg", "beta2_min", "beta2_max", "steps",
+    _reject_flags(args, "svg", "beta2_min", "beta2_max", "steps", "threads",
                   mode=" --verify-thm5" if args.verify_thm5 else " --grid")
     cfg = _load_config(args)
     if args.verify_thm5:
@@ -269,9 +270,7 @@ def _cmd_census(args):
     from . import census as census_mod
 
     _reject_flags(args, "config", "seed")
-    table = census_mod.enumerate_census(
-        args.n, allow_large=args.allow_large, threads=_threads(args)
-    )
+    table = census_mod.enumerate_census(args.n, threads=_threads(args))
     _emit_csv(("n", "edges", "triangles", "count"),
               [(table.n, *key, table.counts[key]) for key in sorted(table.counts)], args.out)
     return EXIT_OK
@@ -351,7 +350,8 @@ def _global_flags(p, suppress):
     d = argparse.SUPPRESS if suppress else None
     p.add_argument("--seed", type=int, default=d, help="RNG seed (u64)")
     p.add_argument("--threads", type=_thread_count, default=d,
-                   help="worker count, or 'auto' for every available CPU")
+                   help="census worker count, or 'auto' for every available CPU; "
+                   "scan, crease and verify accept it and run on one thread")
     p.add_argument("--out", default=d, help="machine-output file (default stdout)")
     p.add_argument("--config", default=d, help="JSON config file, version 1")
 
@@ -413,7 +413,6 @@ def _build_parser():
 
     sp = sub.add_parser("census", parents=[shared], help="exact labeled-graph census")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--allow-large", action="store_true", help="permit n=8")
     sp.set_defaults(handler=_cmd_census)
 
     sp = sub.add_parser("census-compare", parents=[shared], help="finite-n entropy vs the solver")

@@ -127,7 +127,7 @@ def psi_full(params: ErgmParams, config: OptimConfig = OptimConfig()) -> FreeEne
     rng = np.random.default_rng(config.seed)
     starts = []
     if config.warm_start is not None:
-        starts.append(resample(config.warm_start, m).values.copy())
+        starts.append(resample(config.warm_start, m).values)
     starts += psi_constant(params)["u_star"]  # floats, valued as they stand
     for _ in range(max(config.multistart_count // 2, 2)):
         r = rng.uniform(0.05, 0.95, size=(m, m))
@@ -150,7 +150,7 @@ def psi_full(params: ErgmParams, config: OptimConfig = OptimConfig()) -> FreeEne
                      for psi2, e2, t2, _, _ in runs[1:])
     return FreeEnergyResult(
         psi=psi,
-        maximizer=Graphon(values=a.copy()),
+        maximizer=Graphon(values=a),
         maximizer_densities=DensityPair(e=e_val, t=t_val),
         degenerate=degenerate,
         converged=pg <= KKT_TOL,

@@ -9,10 +9,12 @@ off the t = e^k ridge that drive the solver are in `phase`.  What a solve is
 asked (the target, the motif, the settings) and the region precheck that
 rejects a target outside the proven region are in `problem`, which needs no numpy.
 
-The reported entropy value is always -I of an explicitly feasible iterate, so
-it is a rigorous lower bound for the true value; the ceiling -I0(e) (constant
-graphon) is used both as a sanity invariant and as an early-exit test on the
-Erdos-Renyi curve.
+The reported entropy value is -I of an iterate whose densities are within
+CONSTRAINT_TOL of the target's, so it is a lower bound for s at that
+iterate's own densities, not at the target: near a corner where s falls
+fast it can exceed s at the target (at (1, 1) with m = 4 it is 2.42e-6,
+while s(1, 1) = 0).  The ceiling -I0(e) (constant graphon) is used both as a
+sanity invariant and as an early-exit test on the Erdos-Renyi curve.
 """
 
 from __future__ import annotations
@@ -63,10 +65,18 @@ PENALTY_MAX = 1e3
 
 @dataclass
 class EntropyResult:
-    """The best feasible iterate g_star of a solve and s_value = -I(g_star);
-    beta1 and beta2 are the multipliers of the run that reached it, and
-    el_residual_norm is the sup norm at g_star of the Euler-Lagrange field
-    -I0'(g) + beta1 + beta2 D of those same multipliers."""
+    """The best feasible iterate g_star of a solve and s_value = -I(g_star).
+
+    g_star's densities are `achieved`, each within CONSTRAINT_TOL of
+    `target`, so s_value is a lower bound for s at `achieved`, not at
+    `target`.  beta1 and beta2 are the multipliers of the run that reached
+    g_star.  el_residual_norm is the sup norm at g_star of the Euler-Lagrange
+    field -I0'(g) + beta1 + beta2 D of those multipliers, unprojected and over
+    every block, the blocks at the box bounds included, where the equation
+    need not hold; so a correct optimum with such blocks, as on the upper
+    boundary, can read about 2.6.  `converged` is the projected-gradient
+    test: the run's last iterate was feasible and its projected gradient
+    within KKT_TOL."""
 
     g_star: Graphon
     s_value: float
@@ -166,24 +176,11 @@ def closed_form_half(t) -> BipodalSolution:
     if not (0.0 <= t <= 0.125):
         raise ValueOutOfRange(f"t={t} outside [0, 1/8]")
     eps = (0.125 - t) ** (1.0 / 3.0)
-    s_val = -rate_value(0.5 + eps)
     tiny = 1e-12
-    if eps < tiny or eps > 0.5 - tiny:
-        return BipodalSolution(
-            epsilon=eps,
-            s_value=s_val,
-            beta1=math.inf,
-            beta2=-math.inf,
-            beta_finite=False,
-        )
-    beta2 = -math.log((0.5 + eps) / (0.5 - eps)) / (6.0 * eps ** 2)
-    return BipodalSolution(
-        epsilon=eps,
-        s_value=s_val,
-        beta1=-0.75 * beta2,
-        beta2=beta2,
-        beta_finite=True,
-    )
+    finite = tiny <= eps <= 0.5 - tiny
+    beta2 = -math.log((0.5 + eps) / (0.5 - eps)) / (6.0 * eps ** 2) if finite else -math.inf
+    return BipodalSolution(epsilon=eps, s_value=-rate_value(0.5 + eps),
+                           beta1=-0.75 * beta2, beta2=beta2, beta_finite=finite)
 
 
 def closed_form_upper(e, m) -> Graphon:
@@ -374,31 +371,32 @@ def _solve_constrained(a0, target: DensityPair, dens):
 def _random_bipodal(rng, m):
     c = rng.uniform(0.15, 0.85)
     p = rng.uniform(0.05, 0.95, size=3)
-    return bipodal_graphon(c, p[0], p[1], p[2], m).values.copy()
+    return bipodal_graphon(c, p[0], p[1], p[2], m).values
 
 
 def _starts(target: DensityPair, motif: Motif, cfg: OptimConfig):
     """Named starts: the warm start, the four ansatz starts (constant,
-    checkerboard, upper_corner, bipodal_random), then the random restarts."""
+    checkerboard, upper_corner, bipodal_random), then the random restarts,
+    each as built; `_solve_constrained` copies and projects it."""
     m = cfg.m
     e, t = target.e, target.t
     k = motif.k
     rng = np.random.default_rng(cfg.seed)
     starts = []
     if cfg.warm_start is not None:
-        starts.append(("warm", resample(cfg.warm_start, m).values.copy()))
+        starts.append(("warm", resample(cfg.warm_start, m).values))
     starts.append(("constant", np.full((m, m), float(e))))
     # rank-one bipodal perturbation of g_e; exact optimizer family at e=1/2
     x = min(abs(e ** k - t) ** (1.0 / 3.0), e - 0.01, 1.0 - e - 0.01)
     if x > 0:
         sx = -x if t <= e ** k else x
         split = bipodal_graphon((m // 2) / m, e + sx, e - sx, e + sx, m)
-        starts.append(("checkerboard", project(split.values)))
+        starts.append(("checkerboard", split.values))
     corner = closed_form_upper(e, m).values
     denom = e ** 1.5 - e ** k
     theta = (t - e ** k) / denom if abs(denom) > 1e-12 else 0.0
     theta = min(max(theta, 0.05), 1.0)
-    starts.append(("upper_corner", project(theta * corner + (1 - theta) * e)))
+    starts.append(("upper_corner", theta * corner + (1 - theta) * e))
     starts.append(("bipodal_random", _random_bipodal(rng, m)))
     for i in range(cfg.multistart_count):
         if i % 2 == 0:
@@ -447,7 +445,7 @@ def maximize_entropy(target: DensityPair, motif: Motif = Motif.triangle(),
     t_val, field = dens(a)
     beta1, beta2 = float(rec.lam[0]), float(rec.lam[1])
     return EntropyResult(
-        g_star=Graphon(values=a.copy()),
+        g_star=Graphon(values=a),
         s_value=float(best[0]),
         target=target,
         achieved=DensityPair(e=float(np.mean(a)), t=t_val),

@@ -104,7 +104,7 @@ def test_csv_bytes_are_pinned(tmp_path, n):
 
 
 def test_n8_census(tmp_path):
-    data = _cli_csv(tmp_path, 8, "--allow-large", "--threads", "2")
+    data = _cli_csv(tmp_path, 8, "--threads", "2")
     assert hashlib.sha256(data).hexdigest() == CSV_SHA256[8]
     _, rows = _parse_csv(data)
     assert sum(cnt for *_, cnt in rows) == 2 ** 28
@@ -156,9 +156,7 @@ def test_census_needs_a_worker(threads):
 
 def test_size_cap():
     with pytest.raises(errors.TooLarge):
-        enumerate_census(8)
-    with pytest.raises(errors.TooLarge):
-        enumerate_census(9, allow_large=True)
+        enumerate_census(9)
     with pytest.raises(errors.ValueOutOfRange):
         enumerate_census(0)
 

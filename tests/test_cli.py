@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from graphentropy import invariants
+from graphentropy import errors, invariants, region
 from graphentropy.cli import (
     EXIT_INFEASIBLE,
     EXIT_INVARIANT,
@@ -15,6 +15,7 @@ from graphentropy.cli import (
     EXIT_USAGE,
     _build_parser,
     _load_config,
+    _thread_count,
     _threads,
     run,
 )
@@ -35,6 +36,26 @@ def test_census_threads_auto_matches_one_thread(capsys):
     # auto means every CPU the process may run on, not a silent 1
     auto = _threads(_build_parser().parse_args(["census", "--n", "5", "--threads", "auto"]))
     assert auto == len(os.sched_getaffinity(0))
+
+
+@pytest.mark.parametrize("cpus, expected", [(3, 3), (None, 1)])
+def test_threads_auto_without_affinity_is_the_cpu_count(monkeypatch, cpus, expected):
+    # os.sched_getaffinity is Linux-only; elsewhere auto is os.cpu_count(),
+    # or 1 where that is unknown
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert _thread_count("auto") == expected
+
+
+def test_an_unexpected_package_error_exits_5(monkeypatch, capsys):
+    # no input reaches this exit: every package error an input can cause is
+    # of a type handled before it
+    def boundary_table(samples):
+        raise errors.SignPatternUnexpected("boundary out of order")
+
+    monkeypatch.setattr(region, "boundary_table", boundary_table)
+    assert run(["region", "--samples", "3"]) == EXIT_INVARIANT
+    assert capsys.readouterr().err == "invariant violation: boundary out of order\n"
 
 
 def test_region_csv(tmp_path):
@@ -163,8 +184,8 @@ ENTROPY = ["entropy", "--e", "0.5", "--t", "0.125"]
     *[["ergm", mode, *flag] for mode in ("--grid=0,0,1,0,0,1", "--verify-thm5")
       for flag in (["--svg", "unused.svg"], ["--beta2-min", "1"], ["--beta2-max", "3"],
                    ["--steps", "9"])],
-    # a census above its size cap is invalid input
-    ["census", "--n", "8"],
+    # a census above its size cap is invalid input, and no flag lifts the cap
+    ["census", "--n", "8", "--allow-large"],
     ["census", "--n", "9"],
     ["census-compare", "--n", "9", "--alpha", "0.1",
      "--points", _text_file("p.csv", "e,t\n0.5,0.1\n")],
@@ -205,6 +226,10 @@ ENTROPY = ["entropy", "--e", "0.5", "--t", "0.125"]
     *[["scan", "--spec", _text_file("s.json", text)]
       for text in ('{"e_grid": ["0.5"], "t_grid": [0.0]}', '{"e_grid": [true], "t_grid": [0.0]}',
                    '{"e_grid": [NaN], "t_grid": [0.0]}', '{"e_grid": [0.5], "t_grid": [Infinity]}')],
+    # entropy and ergm run no worker pool, so they take no --threads
+    *[argv for command in (ENTROPY, ["ergm", "--curve"], ["ergm", "--grid=0,0,1,0,0,1"],
+                           ["ergm", "--verify-thm5"])
+      for argv in ([*command, "--threads", "2"], ["--threads", "2", *command])],
 ])
 def test_malformed_input_exits_usage(tmp_path, argv):
     argv = [a(tmp_path) if callable(a) else a for a in argv]
@@ -411,6 +436,29 @@ def test_census_compare_above_the_upper_boundary_is_null(tmp_path):
                 "--out", str(out)]) == EXIT_OK
     (e, t, _, s_variational, gap), = _read_json(out)["points"]
     assert (e, t, s_variational, gap) == (0.5, 0.5, None, None)
+
+
+def test_census_compare_runs_the_n8_census(tmp_path):
+    # the size cap is 8 for census-compare as for census
+    pts = tmp_path / "points.csv"
+    pts.write_text("e,t\n0.5,0.125\n")
+    out = tmp_path / "cmp.json"
+    assert run(["census-compare", "--n", "8", "--alpha", "0.15", "--points", str(pts),
+                "--threads", "2", "--out", str(out), "--config", _tiny_cfg(tmp_path)]) == EXIT_OK
+    doc = _read_json(out)
+    assert doc["n"] == 8
+    assert [row[0] for row in doc["ridge"]] == list(range(29))
+    (_, _, s_empirical, s_variational, _), = doc["points"]
+    assert 0.0 < s_empirical < s_variational
+
+
+@pytest.mark.parametrize("argv", [
+    ["census", "--n", "9"],
+    ["census-compare", "--n", "9", "--alpha", "0.1", "--points", "unread.csv"],
+])
+def test_size_cap_names_no_flag(capsys, argv):
+    assert run(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == "invalid input: n=9 exceeds the cap 8\n"
 
 
 def _small_cfg(tmp_path):

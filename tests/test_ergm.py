@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphentropy import _kernel, errors
+from graphentropy import _kernel, ergm, errors
 from graphentropy.ergm import (
     THEOREM5_GRID,
     ErgmParams,
+    FreeEnergyResult,
     find_transition,
     psi_constant,
     psi_full,
@@ -25,7 +26,7 @@ from graphentropy.optimize import (
     slice_second_derivative,
     slice_second_derivative_fd,
 )
-from graphentropy.problem import KKT_TOL, MAX_INNER_ITERATIONS, Motif
+from graphentropy.problem import KKT_TOL, MAX_INNER_ITERATIONS, DensityPair, Motif
 
 FAST = OptimConfig(m=8, multistart_count=4)
 
@@ -161,6 +162,20 @@ def test_maximizer_triangle_bound():
     assert report["max_excess"] <= 1e-6
 
 
+def test_maximizer_bound_reports_a_violating_point(monkeypatch):
+    # no maximizer exceeds e^3 (that is the theorem checked), so a stand-in
+    # psi_full supplies one that does
+    def psi_full(params, config):
+        return FreeEnergyResult(psi=0.0, maximizer=None,
+                                maximizer_densities=DensityPair(e=0.5, t=0.2),
+                                degenerate=False, converged=True)
+
+    monkeypatch.setattr(ergm, "psi_full", psi_full)
+    report = verify_t_le_e_cubed([ErgmParams(1.0, 2.0)])
+    assert report["violations"] == report["points"] == [(1.0, 2.0, 0.5, 0.2, 0.2 - 0.5 ** 3)]
+    assert report["max_excess"] == 0.2 - 0.5 ** 3
+
+
 def test_maximizer_bound_escapes_upper_boundary_start():
     cfg = OptimConfig(m=8, multistart_count=2, warm_start=closed_form_upper(0.5, 8))
     report = verify_t_le_e_cubed([ErgmParams(0.0, 1.0)], cfg)
@@ -193,6 +208,21 @@ def test_transition_found_just_above_critical_coupling(beta2):
     assert abs(ps["u_star"][-1] - u_high) < 1e-6
 
 
+def test_no_transition_where_the_maximizer_never_crosses_two_thirds_on_the_bracket():
+    # at beta2 = 50 the maximizer lies above 2/3 already at the bracket's
+    # lower end, beta1 = -20
+    with pytest.raises(errors.NoTransitionFound, match="does not cross 2/3"):
+        find_transition(50.0)
+
+
+def test_no_transition_where_the_tied_values_differ(monkeypatch):
+    # bisected to the tolerance the two maxima tie to 1e-9; stopped at 1e-2
+    # they do not
+    monkeypatch.setattr(ergm, "TRANSITION_TOL", 1e-2)
+    with pytest.raises(errors.NoTransitionFound, match="tied-value gap"):
+        find_transition(1.0)
+
+
 def test_transition_curve_row_for_every_coupling_above_critical():
     rows = transition_curve(0.55, 0.6, 6)
     sampled = np.linspace(0.55, 0.6, 6)
@@ -215,6 +245,8 @@ def test_transition_curve_domain_guard():
         transition_curve(1.0, -1.0, 3)
     with pytest.raises(errors.ValueOutOfRange):
         find_transition(-0.6)
+    with pytest.raises(errors.ValueOutOfRange, match="steps"):
+        transition_curve(0.6, 2.0, 1)
     # nan compares false with -1/2, so non-finite values need their own guard
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(errors.ValueOutOfRange):

@@ -48,6 +48,7 @@ def test_motif_shorthands():
     assert Motif.parse("edge") == Motif.edge()
     assert Motif.triangle().k == 3
     assert Motif.star(4).k == 4
+    assert Motif.triangle().name == "triangle"
     assert Motif.star(4).name == "star:4"
     assert Motif.from_edges(1, []).name == "motif(ell=1,k=0)"
 
@@ -288,6 +289,8 @@ def test_validate_rejects_bad_matrices():
         validate([[1.5]])
     with pytest.raises(errors.EmptyMatrix):
         validate(np.zeros((0, 0)))
+    with pytest.raises(errors.AsymmetricMatrix, match="not square"):
+        validate(np.zeros((2, 3)))
 
 
 def test_resample_preserves_densities():
@@ -300,6 +303,16 @@ def test_resample_preserves_densities():
     )
     coarse = resample(g, 7)  # averaging path keeps the edge density
     assert edge_density(coarse) == pytest.approx(edge_density(g), abs=1e-12)
+
+
+def test_graphon_builders_reject_bad_arguments():
+    with pytest.raises(errors.ValueOutOfRange, match="outside"):
+        constant_graphon(1.5, 2)
+    g = constant_graphon(0.5, 2)
+    with pytest.raises(errors.ValueOutOfRange, match="nonempty"):
+        graphon_distance(g, g, [])
+    with pytest.raises(errors.ValueOutOfRange, match="resolution"):
+        resample(g, 0)
 
 
 def _loop_resample(g, m2):
@@ -357,6 +370,13 @@ def test_graphon_file_errors(tmp_path):
     path.write_text("graphon v1 m=2\n0.1 0.9\n0.2 0.1\n")
     with pytest.raises(errors.AsymmetricMatrix):
         read_graphon(path)
+    for text, message in (("graphon v1 m=x\n0.5\n", "bad resolution"),
+                          ("graphon v1 m=2\n0.5 0.5\n", "expected 2 data rows, found 1"),
+                          ("graphon v1 m=2\n0.5 0.5 0.5\n0.5 0.5 0.5\n",
+                           r"expected 2x2 values, found \(2, 3\)")):
+        path.write_text(text)
+        with pytest.raises(errors.FormatError, match=message):
+            read_graphon(path)
 
 
 def test_motif_file_roundtrip(tmp_path):

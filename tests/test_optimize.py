@@ -111,6 +111,23 @@ def test_closed_form_half_endpoint_betas_diverge():
     assert math.isinf(sol.beta1)
 
 
+def test_closed_forms_reject_arguments_outside_their_domains():
+    with pytest.raises(errors.ValueOutOfRange, match="outside"):
+        f_minus(1.0)
+    with pytest.raises(errors.ValueOutOfRange, match="outside"):
+        closed_form_half(0.2)
+    with pytest.raises(errors.ValueOutOfRange, match="100 samples"):
+        optimize.convexity_report(99)
+
+
+def test_convexity_report_raises_on_an_unexpected_sign_pattern(monkeypatch):
+    # s''(1/2, t) changes sign once on (0, 1/8) for every sample count, so a
+    # stand-in second derivative that never does supplies the pattern
+    monkeypatch.setattr(optimize, "slice_second_derivative", lambda t: np.ones_like(t))
+    with pytest.raises(errors.SignPatternUnexpected, match="got 0 crossings"):
+        optimize.convexity_report(100)
+
+
 def test_closed_form_upper_densities():
     g = closed_form_upper(0.25, 16)
     assert float(np.mean(g.values)) == pytest.approx(0.25, abs=1e-12)
@@ -196,6 +213,16 @@ def test_estimate_multipliers_degenerate_without_interior_blocks():
         estimate_multipliers(closed_form_upper(0.25, 8))
 
 
+def test_multiplier_fit_is_none_on_non_finite_coefficients():
+    # an infinite I0' on an interior block makes the least-squares fit non-finite
+    a = np.full((3, 3), 0.5)
+    a[0, 1] = a[1, 0] = 0.3
+    d = np.arange(9.0).reshape(3, 3)
+    i0_prime = np.zeros((3, 3))
+    i0_prime[0, 0] = np.inf
+    assert optimize._ls_multipliers(a, d + d.T, i0_prime) is None
+
+
 # ---------------------------------------------------------------------------
 # Solver
 
@@ -234,6 +261,16 @@ def test_achieved_densities_within_tolerance():
     res = maximize_entropy(DensityPair(e=0.5, t=0.13), Motif.triangle(), FAST)
     assert abs(res.achieved.e - 0.5) <= optimize.CONSTRAINT_TOL
     assert abs(res.achieved.t - 0.13) <= optimize.CONSTRAINT_TOL
+
+
+def test_value_bounds_s_at_the_achieved_densities_not_at_the_target():
+    # at the corner (1, 1) the iterate lies within CONSTRAINT_TOL inside the
+    # region, so its -I bounds s there, below -I0 of its own edge density,
+    # and not s(1, 1) = 0
+    res = maximize_entropy(DensityPair(e=1.0, t=1.0), Motif.triangle(), OptimConfig(m=4))
+    assert abs(res.achieved.e - 1.0) <= optimize.CONSTRAINT_TOL
+    assert abs(res.achieved.t - 1.0) <= optimize.CONSTRAINT_TOL
+    assert res.s_value <= -rate_value(res.achieved.e) + 1e-12
 
 
 def test_infeasible_region_pre_check():

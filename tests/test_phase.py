@@ -209,6 +209,12 @@ def test_crease_offsets_must_be_finite_and_positive(deltas):
         crease_scan(0.5, Motif.triangle(), deltas, config)
 
 
+@pytest.mark.parametrize("e", [0.0, 1.0])
+def test_crease_scan_needs_e_inside_the_unit_interval(e):
+    with pytest.raises(errors.ValueOutOfRange, match="outside"):
+        crease_scan(e, Motif.triangle(), [1e-3], OptimConfig(m=4, multistart_count=0))
+
+
 @pytest.mark.parametrize("deltas", [[1e-3] * 3, [0.03125] * 3])
 def test_crease_scan_fits_no_side_at_one_repeated_offset(deltas):
     # three drops at one offset identify no power law

@@ -72,6 +72,20 @@ def test_minimize_bounded_finds_quadratic_minimizer(seed):
     assert abs(x - min(max(x0, lo), hi)) <= xatol
 
 
+def test_minimize_bounded_stops_after_500_evaluations():
+    # golden-section steps shrink [-1e300, 1e300] by 0.618 each, so a
+    # relative tolerance near |x| = 0 takes about 1,470 of them
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return abs(x)
+
+    x, fx = _kernel.minimize_bounded(f, -1e300, 1e300, 0.0)
+    assert len(calls) == 500
+    assert fx == f(x) and abs(x) > 1e100
+
+
 @settings(max_examples=200, deadline=None)
 @given(seed=_SEEDS)
 def test_bisect_keeps_the_sign_change(seed):

@@ -43,6 +43,20 @@ def test_trace_powers_match_spectrum():
         trace_power(np.eye(3), 4)
 
 
+def test_numerical_rank_of_no_eigenvalues_is_zero():
+    assert numerical_rank([]) == 0
+
+
+def test_trace_power_raises_where_its_two_paths_disagree():
+    # eigenvalues +-1e6 cancel in Tr T^3; the rounding of the matrix product
+    # and of the eigenvalues leaves residues far apart on that scale
+    c, s = np.cos(0.3), np.sin(0.3)
+    r = np.array([[c, -s], [s, c]])
+    dg = r @ np.diag([1e6, -1e6]) @ r.T
+    with pytest.raises(ArithmeticError, match="trace path mismatch"):
+        trace_power(0.5 * (dg + dg.T), 3)
+
+
 def test_asymmetric_rejected():
     with pytest.raises(errors.AsymmetricMatrix):
         kernel_operator_spectrum(np.array([[0.0, 1.0], [0.5, 0.0]]))

@@ -155,6 +155,17 @@ def test_main_pins_openblas_to_one_thread_only_when_unset(monkeypatch):
     assert _main_sees(monkeypatch) == ["2"]
 
 
+def test_the_module_runs_as_the_command(capsys):
+    # `python -m graphentropy.cli` (runpy's run_module as __main__) calls main,
+    # as the installed command does
+    proc = _fresh_process(
+        "import runpy, sys\n"
+        "sys.argv = ['graphentropy.cli', 'region', '--samples', '3']\n"
+        "runpy.run_module('graphentropy.cli', run_name='__main__', alter_sys=True)\n")
+    assert cli.run(["region", "--samples", "3"]) == cli.EXIT_OK
+    assert proc.stdout == capsys.readouterr().out
+
+
 def test_run_leaves_the_environment_alone(monkeypatch, tmp_path):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "")
     monkeypatch.delenv("OPENBLAS_NUM_THREADS")
