@@ -7,10 +7,10 @@ chooses among them; it returns a motif's density at once and its field on
 demand, from the intermediate both share (A^2 or the degrees).
 `graphon.motif_density` and `motif_gradient` call it as the solvers do, so
 every caller gets the same bits.  `AugmentedLagrangian` (the subproblem of
-the entropy solver) and `FreeEnergy` (the ERGM free energy) are built on
-it, and `spg_box` is the projected-gradient loop
-both minimize with.  Each objective comes in two parts: a value part that computes f with
-the densities and keeps the intermediates, and a gradient part that builds
+the entropy solver) and `FreeEnergy` (the ERGM free energy) are built on it,
+and `spg_box` is the projected-gradient loop both minimize with.  Each
+objective comes in two parts: a value part that computes f with the
+densities and keeps the intermediates, and a gradient part that builds
 G = I0'(A) - lam_eff (1, D) from them.  `spg_box` values every line-search
 trial but builds G only at the steps it accepts, so the trials it rejects
 cost no gradient.  The augmented-Lagrangian objective also keeps I(A) and
@@ -18,12 +18,12 @@ I0'(A) of the last A it valued and differentiated, so the solver's outer
 loop reprices it to each round's multipliers and penalty and starts the
 round's `spg_box` from that (f, G), the same formulas on the same parts and
 so the same bits, instead of valuing and differentiating again the iterate
-the last round returned.  Its steps are
-scaled by the entropy's inverse curvature within about 1/CURVATURE_SCALE of
-a face of the box, where the optimizers of the upper boundary sit; every
-other step is the plain spectral step, bit for bit.  Matrices follow the
-gradient convention of `graphon`.  The two scalar searches the rest of
-the package needs, `minimize_bounded` and `bisect`, live here too.
+the last round returned.  Its steps are scaled by the entropy's inverse
+curvature within about 1/CURVATURE_SCALE of a face of the box, where the
+optimizers of the upper boundary sit; every other step is the plain spectral
+step, bit for bit.  Matrices follow the gradient convention of `graphon`.
+The one scalar search the rest of the package needs, `bisect`, lives here
+too.
 
 At the sizes the solvers use (m = 8..32) one numpy call costs more than the
 arithmetic behind it, so the objectives avoid calls without changing a bit
@@ -376,97 +376,17 @@ def spg_box(a, objective, tol, max_iter, start=None):
 
 
 # ---------------------------------------------------------------------------
-# Scalar searches
-
-
-def minimize_bounded(f, lo, hi, xatol):
-    """Minimize f on [lo, hi] by Brent's bounded method; returns (x, f(x)).
-
-    Brent, "Algorithms for Minimization without Derivatives" (1973), as
-    `fminbound` has it in scipy (BSD licence): golden-section steps, with a
-    parabolic step through the three best points whenever it falls inside
-    the bracket and shrinks fast enough.  The arithmetic follows scipy's
-    `_minimize_scalar_bounded` operation by operation, so the result is
-    bit-identical to `scipy.optimize.minimize_scalar(method="bounded")`.
-    Stops when the bracket is within about xatol of the best point, or after
-    500 evaluations of f.
-    """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = lo, hi
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    fx = f(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-
-    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = True
-        if abs(e) > tol1:  # try a parabola through the three best points
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 * _sign(xm - xf)
-            else:
-                golden = True
-        if golden:
-            e = (a - xf) if xf >= xm else (b - xf)
-            rat = golden_mean * e
-
-        x = xf + _sign(rat) * max(abs(rat), tol1)
-        fu = f(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= 500:
-            break
-    return xf, fx
-
-
-def _sign(x):
-    """sign(x) + (x == 0): the step direction of `minimize_bounded`, 1 at 0."""
-    return -1.0 if x < 0 else 1.0
+# Scalar search
 
 
 def bisect(below, lo, hi, tol):
-    """Halve [lo, hi] until hi - lo <= tol, keeping below(lo) true and below(hi)
-    false; returns the final (lo, hi).  The caller checks the ends."""
+    """Halve [lo, hi] until hi - lo <= tol, or until no float lies between the
+    ends, keeping below(lo) true and below(hi) false; returns the final
+    (lo, hi).  The caller checks the ends."""
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if below(mid):
             lo = mid
         else:

@@ -63,6 +63,16 @@ def _block(start, stop, triples, width):
     return masks, np.bitwise_count(masks).astype(np.int64) * width + tris
 
 
+def check_census_args(n, threads):
+    """Raise as `enumerate_census(n, threads)` does on its arguments, before any work."""
+    if n < 1:
+        raise ValueOutOfRange("need at least one vertex")
+    if threads < 1:
+        raise ValueOutOfRange(f"need at least one worker, got threads={threads}")
+    if n > MAX_N:
+        raise TooLarge(f"n={n} exceeds the cap {MAX_N}")
+
+
 def enumerate_census(n, threads=1) -> CensusTable:
     """Exact (edge count, triangle count) census of all labeled graphs on n vertices.
 
@@ -71,12 +81,7 @@ def enumerate_census(n, threads=1) -> CensusTable:
     fixed partition of the items and their histograms are summed exactly, so
     the result is independent of threads.
     """
-    if n < 1:
-        raise ValueOutOfRange("need at least one vertex")
-    if threads < 1:
-        raise ValueOutOfRange(f"need at least one worker, got threads={threads}")
-    if n > MAX_N:
-        raise TooLarge(f"n={n} exceeds the cap {MAX_N}")
+    check_census_args(n, threads)
     m = n - 1
     hbits = m * (m - 1) // 2
     width = math.comb(n, 3) + 1

@@ -119,6 +119,14 @@ def _thread_count(text):
     return int(text)
 
 
+def _finite_positive(text):
+    """argparse type for --alpha: a finite positive number."""
+    value = float(text)  # argparse reports a ValueError as an invalid value
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"want a finite positive number, got {text!r}")
+    return value
+
+
 def _threads(args) -> int:
     return args.threads or 1
 
@@ -282,7 +290,8 @@ def _cmd_census_compare(args):
     from .problem import DensityPair, Motif
 
     cfg = _load_config(args)
-    table = census_mod.enumerate_census(args.n, threads=_threads(args))
+    # every input is checked before the census, which takes seconds at n = 8
+    census_mod.check_census_args(args.n, _threads(args))
     points = []
     with open(args.points) as fh:
         header = fh.readline().strip().split(",")
@@ -296,6 +305,7 @@ def _cmd_census_compare(args):
             except ValueError:
                 raise FormatError(f"bad points row {line.strip()!r}") from None
             points.append(DensityPair(e=e, t=t))
+    table = census_mod.enumerate_census(args.n, threads=_threads(args))
 
     def reference(p):
         try:
@@ -417,7 +427,7 @@ def _build_parser():
 
     sp = sub.add_parser("census-compare", parents=[shared], help="finite-n entropy vs the solver")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--alpha", type=float, required=True)
+    sp.add_argument("--alpha", type=_finite_positive, required=True)
     sp.add_argument("--points", required=True, help="CSV with e,t header")
     sp.set_defaults(handler=_cmd_census_compare)
 

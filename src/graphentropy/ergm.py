@@ -21,7 +21,6 @@ from ._kernel import (
     FreeEnergy,
     bisect,
     density_gradient,
-    minimize_bounded,
     project,
     projected_gradient_norm,
     spg_box,
@@ -30,10 +29,9 @@ from .errors import NoTransitionFound, ValueOutOfRange
 from .graphon import Graphon, rate_value, resample
 from .problem import KKT_TOL, MAX_INNER_ITERATIONS, DensityPair, Motif, OptimConfig
 
-# _scalar_maximizers polishes the local maxima of phi found on a grid of this
-# many points; find_transition bisects BETA1_BRACKET down to TRANSITION_TOL
+# _scalar_maximizers refines the local maxima of phi found on a grid of this
+# many points; find_transition bisects beta1 down to TRANSITION_TOL
 SCALAR_GRID_POINTS = 10_000
-BETA1_BRACKET = (-20.0, 20.0)
 TRANSITION_TOL = 1e-13
 
 
@@ -64,6 +62,11 @@ def _phi(u, beta1, beta2):
     return -rate_value(u) + beta1 * u + beta2 * u ** 3
 
 
+def _dphi(u, beta1, beta2):
+    """phi'(u) in scalar math: numpy scalars would cost more than the search."""
+    return -0.5 * math.log(u / (1.0 - u)) + beta1 + 3.0 * beta2 * u * u
+
+
 # the grid of _scalar_maximizers and the parts of phi on it that do not depend
 # on beta, so that phi there is _phi's operations in _phi's order
 _GRID_US = np.linspace(CLAMP, 1.0 - CLAMP, SCALAR_GRID_POINTS)
@@ -72,20 +75,20 @@ _GRID_US3 = _GRID_US ** 3
 
 
 def _scalar_maximizers(beta1, beta2, tie_tol=1e-8):
-    """All local maximizers of phi on [0,1] within tie_tol of the global max."""
+    """All local maximizers of phi on [0,1] within tie_tol of the global max:
+    each local maximum on the grid, refined by bisecting the sign of phi' over
+    its two cells to a width of 1e-14 (one at a grid end goes to that end)."""
     us = _GRID_US
     ph = _GRID_NEG_I0 + beta1 * us + beta2 * _GRID_US3
     # local maxima on the grid, endpoints included
-    inner = np.zeros(SCALAR_GRID_POINTS, dtype=bool)
-    inner[1:-1] = (ph[1:-1] >= ph[:-2]) & (ph[1:-1] >= ph[2:])
-    inner[0] = ph[0] >= ph[1]
-    inner[-1] = ph[-1] >= ph[-2]
+    padded = np.concatenate(([-np.inf], ph, [-np.inf]))
+    inner = (ph >= padded[:-2]) & (ph >= padded[2:])
     cands = []
     for i in np.flatnonzero(inner):
-        lo = us[max(i - 1, 0)]
-        hi = us[min(i + 1, SCALAR_GRID_POINTS - 1)]
-        u, f = minimize_bounded(lambda u: -_phi(u, beta1, beta2), lo, hi, 1e-12)
-        cands.append((float(u), float(-f)))
+        lo, hi = bisect(lambda u: _dphi(u, beta1, beta2) > 0.0, float(us[max(i - 1, 0)]),
+                        float(us[min(i + 1, SCALAR_GRID_POINTS - 1)]), 1e-14)
+        u = 0.5 * (lo + hi)
+        cands.append((u, float(_phi(u, beta1, beta2))))
     best = max(v for _, v in cands)
     tied = sorted(u for u, v in cands if v >= best - tie_tol)
     # dedupe near-identical roots from adjacent grid cells
@@ -199,8 +202,9 @@ def find_transition(beta2) -> tuple:
     The bisection splits at u = 2/3, which lies inside every jump: phi' falls,
     rises on the interval where phi'' > 0 (which always contains 2/3), then
     falls, and the two tied maxima sit on the falling parts, so
-    u_low < 2/3 < u_high.  A bracket whose maximizers do not straddle 2/3
-    therefore holds no jump.
+    u_low < 2/3 < u_high.  The beta1 bracket [min(-20, -3 beta2), 20] holds
+    that split for every beta2 > -1/2: at its lower end phi' <= -ln(2)/2 on
+    [2/3, 1), and at its upper end phi' > 18 on (0, 2/3].
     """
     if not (math.isfinite(beta2) and beta2 > -0.5):
         raise ValueOutOfRange(f"beta2={beta2} outside the treated regime (> -1/2)")
@@ -211,10 +215,8 @@ def find_transition(beta2) -> tuple:
         _, us = _scalar_maximizers(b1, beta2, tie_tol=1e-15)
         return us[-1]
 
-    lo, hi = BETA1_BRACKET
-    if not top(lo) < 2.0 / 3.0 <= top(hi):
-        raise NoTransitionFound(f"maximizer does not cross 2/3 on the bracket at beta2={beta2}")
-    lo, hi = bisect(lambda b1: top(b1) < 2.0 / 3.0, lo, hi, TRANSITION_TOL)
+    lo, hi = bisect(lambda b1: top(b1) < 2.0 / 3.0, min(-20.0, -3.0 * beta2), 20.0,
+                    TRANSITION_TOL)
     b1c = 0.5 * (lo + hi)
     u_low, u_high = top(lo), top(hi)
     if u_high - u_low <= 1e-3:

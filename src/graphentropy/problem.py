@@ -42,16 +42,19 @@ class Motif:
 
     Every Motif that exists can be evaluated: construction checks that it has
     1 to MAX_MOTIF_VERTICES vertices, that each edge is a pair of whole
-    numbers (i, j) with 1 <= i < j <= ell, and that it is connected, and
-    stores the edges as a frozenset.  `from_edges` also accepts edges in either order and rejects
-    loops and repeated edges by name.
+    numbers (i, j) with 1 <= i < j <= ell listed once, and that it is
+    connected, and stores the edges as a frozenset.  `from_edges` also
+    accepts edges in either order and names the first loop or repeated edge.
     """
 
     ell: int
     edges: frozenset  # frozenset of (i, j) with 1 <= i < j <= ell
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", frozenset(self.edges))
+        edges = list(self.edges)
+        object.__setattr__(self, "edges", frozenset(edges))
+        if len(self.edges) < len(edges):
+            raise DuplicateEdge(f"edges {edges} repeat an edge")
         ell = self.ell
         if ell < 1:
             raise ValueOutOfRange(f"ell={ell}: a motif needs at least one vertex")
@@ -89,8 +92,6 @@ class Motif:
 
     @classmethod
     def from_edges(cls, ell, edges):
-        if ell < 1:
-            raise ValueOutOfRange(f"ell={ell}: a motif needs at least one vertex")
         return cls(ell=ell, edges=_edge_set(ell, edges))
 
     @classmethod

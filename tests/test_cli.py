@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from graphentropy import errors, invariants, region
+from graphentropy import census, errors, invariants, region
 from graphentropy.cli import (
     EXIT_INFEASIBLE,
     EXIT_INVARIANT,
@@ -329,6 +329,14 @@ def test_ergm_curve_csv(tmp_path):
     assert len(lines) == 3
 
 
+def test_ergm_curve_has_a_row_at_every_strong_coupling(tmp_path):
+    # beta2 = 0.6 .. 30: in the last three rows the critical beta1 is below -20
+    out = tmp_path / "curve.csv"
+    assert run(["ergm", "--curve", "--beta2-max", "30", "--steps", "8",
+                "--out", str(out)]) == EXIT_OK
+    assert len(out.read_text().splitlines()) == 1 + 8
+
+
 def test_ergm_curve_below_the_critical_coupling_has_no_transition(tmp_path, capsys):
     # every beta2 of the range is below 9/16, where phi has no first-order jump
     out = tmp_path / "curve.csv"
@@ -450,6 +458,19 @@ def test_census_compare_runs_the_n8_census(tmp_path):
     assert [row[0] for row in doc["ridge"]] == list(range(29))
     (_, _, s_empirical, s_variational, _), = doc["points"]
     assert 0.0 < s_empirical < s_variational
+
+
+@pytest.mark.parametrize("alpha, points", [("nan", "e,t\n0.5,0.125\n"), ("0.1", "")],
+                         ids=["alpha_nan", "empty_points"])
+def test_census_compare_checks_its_inputs_before_the_census(monkeypatch, tmp_path,
+                                                           alpha, points):
+    def enumerate_census(n, threads=1):
+        raise AssertionError("the census ran")
+
+    monkeypatch.setattr(census, "enumerate_census", enumerate_census)
+    pts = tmp_path / "points.csv"
+    pts.write_text(points)
+    assert run(["census-compare", "--n", "8", "--alpha", alpha, "--points", str(pts)]) == EXIT_USAGE
 
 
 @pytest.mark.parametrize("argv", [

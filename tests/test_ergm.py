@@ -12,6 +12,8 @@ from graphentropy.ergm import (
     THEOREM5_GRID,
     ErgmParams,
     FreeEnergyResult,
+    _dphi,
+    _phi,
     find_transition,
     psi_constant,
     psi_full,
@@ -31,10 +33,10 @@ from graphentropy.problem import KKT_TOL, MAX_INNER_ITERATIONS, DensityPair, Mot
 FAST = OptimConfig(m=8, multistart_count=4)
 
 # psi and the maximizer's (e, t) of psi_full at THEOREM5_GRID[30], (b1, b2) =
-# (1, -1), with FAST, recorded at commit d15f377, where every line-search
-# trial built its gradient and the densities were taken again after each
-# start; every bit must be reproduced.
-PSI_FULL_AT_D15F377 = ("0x1.74951e36fdbd0p-1", "0x1.18d861857b880p-1", "0x1.5200e8b6da3dfp-3")
+# (1, -1), with FAST, where the constant start psi_constant gives is refined
+# by bisecting the sign of phi' to 1e-14; every bit must be reproduced.
+PSI_FULL_FROM_PHI_PRIME_BISECTION = ("0x1.74951e36fdbcep-1", "0x1.18d861877be01p-1",
+                                     "0x1.5200e8be14187p-3")
 
 
 def test_psi_full_bit_identical_to_recorded_values():
@@ -42,7 +44,8 @@ def test_psi_full_bit_identical_to_recorded_values():
     assert (params.beta1, params.beta2) == (1.0, -1.0)
     res = psi_full(params, FAST)
     got = (res.psi, res.maximizer_densities.e, res.maximizer_densities.t)
-    assert [float(x).hex() for x in got] == [float.fromhex(h).hex() for h in PSI_FULL_AT_D15F377]
+    expected = PSI_FULL_FROM_PHI_PRIME_BISECTION
+    assert [float(x).hex() for x in got] == [float.fromhex(h).hex() for h in expected]
 
 
 def _spg_constant_start_runs(params, m):
@@ -208,11 +211,26 @@ def test_transition_found_just_above_critical_coupling(beta2):
     assert abs(ps["u_star"][-1] - u_high) < 1e-6
 
 
-def test_no_transition_where_the_maximizer_never_crosses_two_thirds_on_the_bracket():
-    # at beta2 = 50 the maximizer lies above 2/3 already at the bracket's
-    # lower end, beta1 = -20
-    with pytest.raises(errors.NoTransitionFound, match="does not cross 2/3"):
-        find_transition(50.0)
+@pytest.mark.parametrize("beta2", [21.0, 50.0, 1e3, 1e6])
+def test_transition_found_at_strong_coupling(beta2):
+    # the critical beta1 lies below -20 from beta2 near 20 up, and from near
+    # 512 up no float lies between bisection ends 1e-13 apart
+    b1c, u_low, u_high = find_transition(beta2)
+    assert u_low < 2.0 / 3.0 < u_high
+    assert abs(_phi(u_low, b1c, beta2) - _phi(u_high, b1c, beta2)) <= 1e-9
+
+
+@settings(max_examples=100, deadline=None)
+@given(b1=st.floats(-3.0, 3.0), b2=st.floats(-0.5, 3.0, exclude_min=True))
+def test_constant_maximizers_are_zeros_of_phi_prime(b1, b2):
+    # phi' to rounding, plus |phi''| times the half-width 5e-15 of the last
+    # bracket: near u = 1 no float does better (at (0, 3) the maximizer is
+    # 1 - 1.5e-8, phi'' = -3.3e7, and one ulp of u moves phi' by 3.7e-9)
+    for u in psi_constant(ErgmParams(b1, b2))["u_star"]:
+        if 1e-9 < u < 1.0 - 1e-9:
+            curvature = abs(-0.5 / (u * (1.0 - u)) + 6.0 * b2 * u)
+            bound = 1e-10 * (1.0 + abs(b1) + 3.0 * abs(b2)) + 5e-15 * curvature
+            assert abs(_dphi(u, b1, b2)) <= bound
 
 
 def test_no_transition_where_the_tied_values_differ(monkeypatch):

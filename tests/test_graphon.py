@@ -100,6 +100,7 @@ def test_motif_validation():
     (3, {(1, 2), (2, 4)}, errors.ValueOutOfRange),
     (3, {(1.0, 2.0), (2.0, 3.0)}, errors.ValueOutOfRange),
     (0, set(), errors.ValueOutOfRange),
+    (3, [(1, 2), (1, 2), (1, 3), (2, 3)], errors.DuplicateEdge),
 ])
 def test_a_directly_built_motif_validates_itself(ell, edges, error):
     with pytest.raises(errors.ValueOutOfRange) as caught:

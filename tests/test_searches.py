@@ -1,4 +1,4 @@
-"""The two scalar searches of `_kernel` and the results built on them."""
+"""The scalar search of `_kernel` and the results built on them."""
 
 import math
 
@@ -7,23 +7,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphentropy import _kernel
-from graphentropy.ergm import find_transition
+from graphentropy.ergm import _dphi, find_transition
 from graphentropy.optimize import convexity_report, f_minus
 
-# Recorded at commit b5acaf7, where f_minus and the transition's scalar
-# maximizers came from scipy.optimize.minimize_scalar(method="bounded");
-# the port must reproduce every bit.
-F_MINUS_AT_B5ACAF7 = {  # e: (f_minus, x_argmin)
-    0.2: ("0x1.27be27f25daf1p+0", "0x1.333333330a7f8p-1"),
-    0.3: ("0x1.0f22a4066ad21p+0", "0x1.99999999cccfcp-2"),
-    0.5: ("0x1.0000000000000p+0", "0x1.4e5fdad4c26bcp-27"),
-    0.7: ("0x1.0f22a4066ad1fp+0", "-0x1.9999993276a0dp-2"),
-    0.9: ("0x1.5f8e5195843cep+0", "-0x1.999999ff8ea20p-1"),
+# f_minus refined by a second 1,001-point scan over the two cells around the
+# first scan's best point, and the transition's scalar maximizers refined by
+# bisecting the sign of phi' to a width of 1e-14; every bit must be
+# reproduced.  beta1_critical has the same bits as at commit b5acaf7, where
+# the maximizers came from scipy.optimize.minimize_scalar(method="bounded").
+F_MINUS_FROM_TWO_SCANS = {  # e: (f_minus, x_argmin)
+    0.2: ("0x1.27be27f25daf2p+0", "0x1.3333333333333p-1"),
+    0.3: ("0x1.0f22a4066ad21p+0", "0x1.999999999999ap-2"),
+    0.5: ("0x1.0000000000000p+0", "-0x1.0000000000000p-56"),
+    0.7: ("0x1.0f22a4066ad1fp+0", "-0x1.9999999999999p-2"),
+    0.9: ("0x1.5f8e5195843cdp+0", "-0x1.999999999999ap-1"),
 }
-TRANSITION_AT_B5ACAF7 = {  # beta2: (beta1_critical, u_low, u_high)
-    0.58: ("-0x1.b4e159620d680p-2", "0x1.16c739b731e3ep-1", "0x1.8cfeb8c2a722ep-1"),
-    1.0: ("-0x1.de5e9f495d6c0p-1", "0x1.338764d71688cp-3", "0x1.f5c90deb2a378p-1"),
-    2.0: ("-0x1.fdac7b6fff5a0p+0", "0x1.2d302f7db0951p-6", "0x1.ffd47db0b5a38p-1"),
+TRANSITION_FROM_PHI_PRIME_BISECTION = {  # beta2: (beta1_critical, u_low, u_high)
+    0.58: ("-0x1.b4e159620d680p-2", "0x1.16c739a1daca0p-1", "0x1.8cfeb88890314p-1"),
+    1.0: ("-0x1.de5e9f495d6c0p-1", "0x1.338764b77e553p-3", "0x1.f5c90df4eb6c4p-1"),
+    2.0: ("-0x1.fdac7b6fff5a0p+0", "0x1.2d302f72189d9p-6", "0x1.ffd47dc3afcfap-1"),
 }
 # scipy.optimize.brentq(xtol=1e-14) at b5acaf7; bisection to the same width
 # lands within 1e-14 of it, not on the same bits
@@ -31,16 +33,24 @@ C1_AT_B5ACAF7 = float.fromhex("0x1.fac7e0b7eed76p-5")
 
 
 def test_f_minus_bit_identical_to_recorded_values():
-    for e, (fm, x) in F_MINUS_AT_B5ACAF7.items():
+    for e, (fm, x) in F_MINUS_FROM_TWO_SCANS.items():
         c = f_minus(e)
         assert (c.f_minus.hex(), c.x_argmin.hex()) == (float.fromhex(fm).hex(),
                                                         float.fromhex(x).hex())
 
 
 def test_find_transition_bit_identical_to_recorded_values():
-    for beta2, expected in TRANSITION_AT_B5ACAF7.items():
+    for beta2, expected in TRANSITION_FROM_PHI_PRIME_BISECTION.items():
         got = find_transition(beta2)
         assert [float(v).hex() for v in got] == [float.fromhex(h).hex() for h in expected]
+
+
+def test_transition_maximizers_are_zeros_of_phi_prime():
+    # a search on values of phi places a maximizer only to about sqrt(eps)
+    for beta2 in TRANSITION_FROM_PHI_PRIME_BISECTION:
+        b1c, u_low, u_high = find_transition(beta2)
+        assert abs(_dphi(u_low, b1c, beta2)) <= 1e-11
+        assert abs(_dphi(u_high, b1c, beta2)) <= 1e-11
 
 
 def test_convexity_root_within_1e14_of_recorded_value():
@@ -50,40 +60,6 @@ def test_convexity_root_within_1e14_of_recorded_value():
 # Parameters come from a seeded generator, as in tests/test_graphon.py, so
 # that hypothesis does not favour round values whose arithmetic is exact.
 _SEEDS = st.integers(0, 2 ** 32 - 1)
-
-
-@settings(max_examples=200, deadline=None)
-@given(seed=_SEEDS)
-def test_minimize_bounded_finds_quadratic_minimizer(seed):
-    rng = np.random.default_rng(seed)
-    lo, hi = np.sort(rng.uniform(-1.0, 1.0, 2))
-    x0 = rng.uniform(-1.5, 1.5)  # outside [lo, hi] about half the time
-    c, d = rng.uniform(0.1, 10.0), rng.uniform(-1.0, 1.0)
-    # above about 1e-7 the absolute tolerance dominates Brent's relative one
-    # (sqrt(2.2e-16) |x| with |x| <= 1)
-    xatol = 10.0 ** rng.uniform(-6.0, -2.0)
-
-    def f(x):
-        return c * (x - x0) ** 2 + d
-
-    x, fx = _kernel.minimize_bounded(f, lo, hi, xatol)
-    assert lo <= x <= hi
-    assert fx == f(x)
-    assert abs(x - min(max(x0, lo), hi)) <= xatol
-
-
-def test_minimize_bounded_stops_after_500_evaluations():
-    # golden-section steps shrink [-1e300, 1e300] by 0.618 each, so a
-    # relative tolerance near |x| = 0 takes about 1,470 of them
-    calls = []
-
-    def f(x):
-        calls.append(x)
-        return abs(x)
-
-    x, fx = _kernel.minimize_bounded(f, -1e300, 1e300, 0.0)
-    assert len(calls) == 500
-    assert fx == f(x) and abs(x) > 1e100
 
 
 @settings(max_examples=200, deadline=None)
@@ -100,3 +76,10 @@ def test_bisect_keeps_the_sign_change(seed):
     assert -0.1 <= lo < hi <= 1.1
     assert hi - lo <= tol
     assert f(lo) < 0.0 <= f(hi)
+
+
+def test_bisect_stops_where_no_float_lies_between_the_ends():
+    # a width of 1e-13 is below one ulp of 1e6, so only this stop ends the loop
+    lo, hi = _kernel.bisect(lambda x: x < 1e6 + 0.1, 1e6 - 1.0, 1e6 + 1.0, 1e-13)
+    assert hi == math.nextafter(lo, math.inf)
+    assert lo < 1e6 + 0.1 <= hi
