@@ -120,7 +120,8 @@ def enumerate_census(n, threads=1) -> CensusTable:
     return CensusTable(n=n, counts=counts)
 
 
-def _check_alpha(alpha):
+def check_alpha(alpha):
+    """Raise ValueOutOfRange unless the density window alpha is finite and positive."""
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueOutOfRange(f"alpha must be finite and positive, got {alpha}")
 
@@ -131,7 +132,7 @@ def empirical_entropy(table: CensusTable, e, t, alpha) -> float:
     Densities are edge_count/C(n,2) and triangle_count/C(n,3); an empty
     window yields the -inf sentinel.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     n = table.n
     ne = table.edge_slots
     nt = table.triangle_slots
@@ -163,7 +164,7 @@ def compare_to_variational(table: CensusTable, points, alpha, reference) -> dict
     count, the distance of the maximal triangle bin from e^3 * C(n,3).
     Rejects an alpha that is not finite and positive before any point.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     nt = table.triangle_slots
     ne = table.edge_slots
     rows = []

@@ -119,14 +119,6 @@ def _thread_count(text):
     return int(text)
 
 
-def _finite_positive(text):
-    """argparse type for --alpha: a finite positive number."""
-    value = float(text)  # argparse reports a ValueError as an invalid value
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"want a finite positive number, got {text!r}")
-    return value
-
-
 def _threads(args) -> int:
     return args.threads or 1
 
@@ -292,6 +284,7 @@ def _cmd_census_compare(args):
     cfg = _load_config(args)
     # every input is checked before the census, which takes seconds at n = 8
     census_mod.check_census_args(args.n, _threads(args))
+    census_mod.check_alpha(args.alpha)
     points = []
     with open(args.points) as fh:
         header = fh.readline().strip().split(",")
@@ -427,7 +420,7 @@ def _build_parser():
 
     sp = sub.add_parser("census-compare", parents=[shared], help="finite-n entropy vs the solver")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--alpha", type=_finite_positive, required=True)
+    sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--points", required=True, help="CSV with e,t header")
     sp.set_defaults(handler=_cmd_census_compare)
 
@@ -451,7 +444,8 @@ def run(argv=None) -> int:
     except NoTransitionFound as exc:
         print(f"no transition: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ValueOutOfRange, FormatError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValueOutOfRange, FormatError, OSError, UnicodeDecodeError,
+            json.JSONDecodeError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except GraphEntropyError as exc:

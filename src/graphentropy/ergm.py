@@ -27,7 +27,7 @@ from ._kernel import (
 )
 from .errors import NoTransitionFound, ValueOutOfRange
 from .graphon import Graphon, rate_value, resample
-from .problem import KKT_TOL, MAX_INNER_ITERATIONS, DensityPair, Motif, OptimConfig
+from .problem import KKT_TOL, MAX_INNER_ITERATIONS, DensityPair, Motif, OptimConfig, check_integer
 
 # _scalar_maximizers refines the local maxima of phi found on a grid of this
 # many points; find_transition bisects beta1 down to TRANSITION_TOL
@@ -233,8 +233,7 @@ def transition_curve(beta2_min, beta2_max, steps) -> list:
     beta2 values without a jump are skipped (reported by absence, not error);
     raises NoTransitionFound only when no sampled beta2 has one.
     """
-    if steps < 2:
-        raise ValueOutOfRange("steps must be >= 2")
+    check_integer("steps", steps, 2)
     if not (math.isfinite(beta2_min) and math.isfinite(beta2_max)):
         raise ValueOutOfRange(f"beta2 range [{beta2_min}, {beta2_max}] must be finite")
     if min(beta2_min, beta2_max) <= -0.5:

@@ -20,14 +20,17 @@ from . import _kernel
 from .errors import AsymmetricMatrix, EmptyMatrix, FormatError, ValueOutOfRange
 # the motif, the target pair and the motif file reader are numpy-free, in
 # `problem`; they are part of this module's interface too
-from .problem import DensityPair, Motif, read_motif
+from .problem import DensityPair, Motif, check_integer, read_motif
 
 _SYMMETRY_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
 class Graphon:
-    """Symmetric step function on [0,1]^2 with values in [0,1]; compared by identity."""
+    """Symmetric step function on [0,1]^2 with values in [0,1]; compared by identity.
+
+    Construction enforces that (EmptyMatrix, AsymmetricMatrix to _SYMMETRY_TOL,
+    ValueOutOfRange, NaN included), then makes the array read-only uncopied."""
 
     values: np.ndarray
 
@@ -36,26 +39,30 @@ class Graphon:
         return self.values.shape[0]
 
     def __post_init__(self):
-        self.values.setflags(write=False)
+        a = self.values
+        if a.size == 0:
+            raise EmptyMatrix("graphon matrix is empty")
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise AsymmetricMatrix(f"matrix shape {a.shape} is not square")
+        inside = (a >= 0.0) & (a <= 1.0)
+        if not inside.all():
+            raise ValueOutOfRange(f"graphon value {a[~inside][0]} outside [0,1]")
+        if np.max(np.abs(a - a.T)) > _SYMMETRY_TOL:
+            raise AsymmetricMatrix("matrix is not symmetric")
+        a.setflags(write=False)
 
 
 def validate(values) -> Graphon:
-    """Check symmetry / range invariants and wrap the matrix as a Graphon."""
-    a = np.array(values, dtype=float)
-    if a.size == 0:
-        raise EmptyMatrix("graphon matrix is empty")
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise AsymmetricMatrix(f"matrix shape {a.shape} is not square")
-    if not np.allclose(a, a.T, atol=_SYMMETRY_TOL, rtol=0):
-        raise AsymmetricMatrix("matrix is not symmetric")
-    if np.any(a < 0.0) or np.any(a > 1.0):
-        raise ValueOutOfRange("graphon values must lie in [0,1]")
+    """The matrix as a Graphon, which checks it, with its two triangles averaged."""
+    try:
+        a = np.array(values, dtype=float)
+    except ValueError as exc:
+        raise FormatError(f"not a matrix of numbers: {exc}") from None
+    Graphon(values=a)
     return Graphon(values=0.5 * (a + a.T))
 
 
 def constant_graphon(a, m) -> Graphon:
-    if not (0.0 <= a <= 1.0):
-        raise ValueOutOfRange(f"constant value {a} outside [0,1]")
     return Graphon(values=np.full((m, m), float(a)))
 
 
@@ -63,9 +70,6 @@ def bipodal_graphon(c, p11, p12, p22, m) -> Graphon:
     """Two-cluster step graphon: p11 on [0, c)^2, p22 on [c, 1]^2 and p12
     elsewhere.  The split c in [0, 1] is rounded to the grid, so c = 0 and
     c = 1 give the constant graphons p22 and p11."""
-    for p in (p11, p12, p22):
-        if not (0.0 <= p <= 1.0):
-            raise ValueOutOfRange(f"block value {p} outside [0,1]")
     if not (0.0 <= c <= 1.0):
         raise ValueOutOfRange(f"split {c} outside [0,1]")
     mc = int(round(c * m))
@@ -146,9 +150,8 @@ def resample(g: Graphon, m2) -> Graphon:
     Exact block refinement when m2 is a multiple of m; otherwise area-weighted
     averaging, which preserves the edge density exactly.
     """
+    check_integer("resolution", m2, 1)
     m = g.m
-    if m2 < 1:
-        raise ValueOutOfRange("resolution must be >= 1")
     if m2 == m:
         return g
     if m2 % m == 0:
@@ -187,11 +190,10 @@ def read_graphon(path) -> Graphon:
         raise FormatError("bad resolution in header") from exc
     if len(lines) != m + 1:
         raise FormatError(f"expected {m} data rows, found {len(lines) - 1}")
-    a = np.array([[float(x) for x in ln.split()] for ln in lines[1:]])
+    try:
+        a = np.array([[float(x) for x in ln.split()] for ln in lines[1:]])
+    except ValueError as exc:  # a word that is no number, or ragged rows
+        raise FormatError(f"data rows must be {m} numbers each: {exc}") from None
     if a.shape != (m, m):
         raise FormatError(f"expected {m}x{m} values, found {a.shape}")
-    # lower triangle is authoritative; the upper triangle must agree
-    lower = np.tril(a) + np.tril(a, -1).T
-    if not np.allclose(a, lower, atol=1e-13, rtol=0):
-        raise AsymmetricMatrix("upper triangle disagrees with lower triangle")
-    return validate(lower)
+    return validate(a)

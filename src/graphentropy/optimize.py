@@ -69,9 +69,9 @@ class EntropyResult:
     g_star's densities are `achieved`, each within CONSTRAINT_TOL of
     `target`, so s_value is a lower bound for s at `achieved`, not at
     `target`.  beta1 and beta2 are the multipliers of the run that reached
-    g_star.  el_residual_norm is the sup norm at g_star of the Euler-Lagrange
-    field -I0'(g) + beta1 + beta2 D of those multipliers, unprojected and over
-    every block, the blocks at the box bounds included, where the equation
+    g_star.  el_residual_norm is el_residual(g_star, beta1, beta2, motif): the
+    sup norm of the Euler-Lagrange field of those multipliers, unprojected and
+    over every block, the blocks at the box bounds included, where the equation
     need not hold; so a correct optimum with such blocks, as on the upper
     boundary, can read about 2.6.  `converged` is the projected-gradient
     test: the run's last iterate was feasible and its projected gradient
@@ -239,29 +239,23 @@ def convexity_report(samples=400) -> ConvexityReport:
 # Euler-Lagrange residuals and multiplier estimation
 
 
-def _sup_residual(i0_prime, h, beta1, beta2) -> float:
-    return float(np.max(np.abs(-i0_prime + beta1 + beta2 * h)))
-
-
-def el_residual(g: Graphon, beta1, beta2) -> float:
+def el_residual(g: Graphon, beta1, beta2, motif: Motif = Motif.triangle()) -> float:
     """Sup over the blocks of the field -I0'(g) + beta1 + beta2 * h; h is the
-    first-variation field 3 * int g g of the triangle density."""
-    return _sup_residual(rate_derivative(g.values), motif_gradient(g, Motif.triangle()),
-                         beta1, beta2)
+    first-variation field of the motif's density, 3 * int g g for the triangle."""
+    h = motif_gradient(g, motif)
+    return float(np.max(np.abs(-rate_derivative(g.values) + beta1 + beta2 * h)))
 
 
 def estimate_multipliers(g: Graphon) -> dict:
     """Least-squares (beta1, beta2) minimizing the triangle model's
     Euler-Lagrange residual over the interior blocks (boundary blocks carry
-    box multipliers); the residual norm is the sup over every block."""
-    h = motif_gradient(g, Motif.triangle())
-    i0_prime = rate_derivative(g.values)
-    coef = _ls_multipliers(g.values, h, i0_prime)
+    box multipliers); the residual norm is `el_residual`'s, over every block."""
+    coef = _ls_multipliers(g.values, motif_gradient(g, Motif.triangle()),
+                           rate_derivative(g.values))
     if coef is None:
         raise DegenerateFit("too few interior blocks or a constant h field; beta2 unidentifiable")
     beta1, beta2 = float(coef[0]), float(coef[1])
-    return {"beta1": beta1, "beta2": beta2,
-            "residual_norm": _sup_residual(i0_prime, h, beta1, beta2)}
+    return {"beta1": beta1, "beta2": beta2, "residual_norm": el_residual(g, beta1, beta2)}
 
 
 def _ls_multipliers(a, d, i0_prime):
@@ -443,17 +437,16 @@ def maximize_entropy(target: DensityPair, motif: Motif = Motif.triangle(),
             + region_note
         )
     _, rec = best
-    a = rec.best_a
-    t_val, field = dens(a)
+    g = Graphon(values=rec.best_a)
     beta1, beta2 = float(rec.lam[0]), float(rec.lam[1])
     return EntropyResult(
-        g_star=Graphon(values=a),
+        g_star=g,
         s_value=float(best[0]),
         target=target,
-        achieved=DensityPair(e=float(np.mean(a)), t=t_val),
+        achieved=DensityPair(e=float(np.mean(g.values)), t=dens(g.values)[0]),
         beta1=beta1,
         beta2=beta2,
-        el_residual_norm=_sup_residual(rate_derivative(a), field(), beta1, beta2),
+        el_residual_norm=el_residual(g, beta1, beta2, motif),
         converged=rec.converged,
         multistart_values=multistart_values,
     )

@@ -189,6 +189,12 @@ def read_motif(path) -> Motif:
     return Motif.from_edges(ell, edges)
 
 
+def check_integer(name, value, low):
+    """Raise ValueOutOfRange unless value is an integer >= low and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+        raise ValueOutOfRange(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class OptimConfig:
     """Solver settings: the grid resolution m >= 1, the number of random
@@ -205,9 +211,7 @@ class OptimConfig:
 
     def __post_init__(self):
         for name, low in (("m", 1), ("multistart_count", 0), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
-                raise ValueOutOfRange(f"{name} must be an integer >= {low}, got {value!r}")
+            check_integer(name, getattr(self, name), low)
         if self.warm_start is not None:
             # only a warm start needs the graphon module, and with it numpy
             from .graphon import Graphon

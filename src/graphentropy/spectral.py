@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AsymmetricMatrix, EdgeDensityMismatch, UnsupportedPower
+from .errors import AsymmetricMatrix, EdgeDensityMismatch, UnsupportedPower, ValueOutOfRange
 from .graphon import Graphon, Motif, edge_density, motif_density
 
 RANK_TOL = 1e-9
@@ -31,6 +31,8 @@ def _check_symmetric(dg):
     dg = np.asarray(dg, dtype=float)
     if dg.ndim != 2 or dg.shape[0] != dg.shape[1]:
         raise AsymmetricMatrix(f"kernel shape {dg.shape} is not square")
+    if not np.isfinite(dg).all():
+        raise ValueOutOfRange("kernel entries must be finite")
     if not np.allclose(dg, dg.T, atol=1e-12, rtol=0):
         raise AsymmetricMatrix("kernel matrix is not symmetric")
     return 0.5 * (dg + dg.T)

@@ -129,6 +129,18 @@ def _json_file(tmp_path, name, doc):
     return str(path)
 
 
+def _directory(tmp_path):
+    path = tmp_path / "dir"
+    path.mkdir()
+    return str(path)
+
+
+def _non_utf8_file(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"\xff\xfe")
+    return str(path)
+
+
 def _spec(**optim):
     return {"e_grid": [0.5], "t_grid": [0.0], "optim": {"m": 4, "multistart_count": 0, **optim}}
 
@@ -138,6 +150,9 @@ def _config(**optim):
 
 
 ENTROPY = ["entropy", "--e", "0.5", "--t", "0.125"]
+# the commands and flags that read an input file
+FILE_INPUTS = ((ENTROPY, "--config"), (["scan"], "--spec"), (ENTROPY, "--motif"),
+               (["census-compare", "--n", "3", "--alpha", "0.1"], "--points"))
 
 
 @pytest.mark.parametrize("argv", [
@@ -226,6 +241,9 @@ ENTROPY = ["entropy", "--e", "0.5", "--t", "0.125"]
     *[["scan", "--spec", _text_file("s.json", text)]
       for text in ('{"e_grid": ["0.5"], "t_grid": [0.0]}', '{"e_grid": [true], "t_grid": [0.0]}',
                    '{"e_grid": [NaN], "t_grid": [0.0]}', '{"e_grid": [0.5], "t_grid": [Infinity]}')],
+    # an input file that cannot be read: a directory, or bytes that are not UTF-8
+    *[[*command, flag, _directory] for command, flag in FILE_INPUTS],
+    *[[*command, flag, _non_utf8_file] for command, flag in FILE_INPUTS[1:]],
     # entropy and ergm run no worker pool, so they take no --threads
     *[argv for command in (ENTROPY, ["ergm", "--curve"], ["ergm", "--grid=0,0,1,0,0,1"],
                            ["ergm", "--verify-thm5"])
@@ -235,6 +253,11 @@ def test_malformed_input_exits_usage(tmp_path, argv):
     argv = [a(tmp_path) if callable(a) else a for a in argv]
     assert run([*argv, "--out", str(tmp_path / "out")]) == EXIT_USAGE
     assert not (tmp_path / "out").exists()
+
+
+def test_an_out_path_that_is_a_directory_exits_usage(tmp_path, capsys):
+    assert run(["region", "--samples", "3", "--out", str(tmp_path)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("invalid input: ")
 
 
 def test_config_layers_in_order(tmp_path):

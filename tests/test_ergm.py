@@ -263,8 +263,9 @@ def test_transition_curve_domain_guard():
         transition_curve(1.0, -1.0, 3)
     with pytest.raises(errors.ValueOutOfRange):
         find_transition(-0.6)
-    with pytest.raises(errors.ValueOutOfRange, match="steps"):
-        transition_curve(0.6, 2.0, 1)
+    for steps in (1, 2.5, True):
+        with pytest.raises(errors.ValueOutOfRange, match="steps"):
+            transition_curve(0.6, 2.0, steps)
     # nan compares false with -1/2, so non-finite values need their own guard
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(errors.ValueOutOfRange):

@@ -30,6 +30,7 @@ from graphentropy.graphon import (
     validate,
     write_graphon,
 )
+from graphentropy.optimize import closed_form_half, closed_form_upper
 from graphentropy.problem import OptimConfig
 
 
@@ -292,6 +293,60 @@ def test_validate_rejects_bad_matrices():
         validate(np.zeros((0, 0)))
     with pytest.raises(errors.AsymmetricMatrix, match="not square"):
         validate(np.zeros((2, 3)))
+    with pytest.raises(errors.ValueOutOfRange):
+        validate([[math.nan]])
+    with pytest.raises(errors.FormatError):
+        validate([[0.5, 0.5], [0.5]])
+    # a directly built Graphon checks itself as validate does
+    with pytest.raises(errors.ValueOutOfRange, match="outside"):
+        Graphon(values=np.array([[2.0]]))
+
+
+@st.composite
+def _flawed_matrices(draw):
+    """(valid matrix, the same matrix with one flaw, the error the flaw raises):
+    one entry NaN, -1e-9 or 1 + 1e-9, or one off-diagonal pair 2e-12 apart."""
+    m = draw(st.integers(1, 6))
+    r = draw(arrays(np.float64, (m, m), elements=st.floats(0.0, 1.0)))
+    a = np.triu(r) + np.triu(r, 1).T
+    i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+    flaw = draw(st.sampled_from(["nan", "below", "above"] + (["pair"] if i != j else [])))
+    bad = a.copy()
+    if flaw == "pair":
+        bad[j, i] = a[i, j] + (2e-12 if a[i, j] < 0.5 else -2e-12)
+        return a, bad, errors.AsymmetricMatrix
+    bad[i, j] = {"nan": math.nan, "below": -1e-9, "above": 1.0 + 1e-9}[flaw]
+    return a, bad, errors.ValueOutOfRange
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_flawed_matrices())
+def test_graphon_validate_and_read_graphon_refuse_the_same_flaw(tmp_path_factory, case):
+    good, bad, error = case
+    path = tmp_path_factory.getbasetemp() / "flawed.txt"
+    validate(good)
+    path.write_text(f"graphon v1 m={len(bad)}\n"
+                    + "".join(" ".join(repr(float(v)) for v in row) + "\n" for row in bad))
+    for refuse in (lambda: Graphon(values=bad.copy()), lambda: validate(bad),
+                   lambda: read_graphon(path)):
+        with pytest.raises(errors.GraphEntropyError) as caught:
+            refuse()
+        assert caught.type is error
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=st.floats(0.0, 1.0), p=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+       e=st.floats(0.0, 1.0), t=st.floats(0.0, 0.125), m=st.integers(1, 12),
+       m2=st.integers(1, 30))
+def test_every_builder_output_passes_the_graphon_check(c, p, e, t, m, m2):
+    bipodal = bipodal_graphon(c, *p, m)
+    built = [constant_graphon(e, m), bipodal, closed_form_upper(e, m),
+             closed_form_half(t).graphon(m), resample(bipodal, m2),
+             resample(_random_graphon(np.random.default_rng(m2), m), m2)]
+    for g in built:
+        v = g.values
+        assert v.shape == (g.m, g.m) and not v.flags.writeable
+        assert np.all((v >= 0.0) & (v <= 1.0)) and np.max(np.abs(v - v.T)) <= 1e-12
 
 
 def test_resample_preserves_densities():
@@ -312,8 +367,9 @@ def test_graphon_builders_reject_bad_arguments():
     g = constant_graphon(0.5, 2)
     with pytest.raises(errors.ValueOutOfRange, match="nonempty"):
         graphon_distance(g, g, [])
-    with pytest.raises(errors.ValueOutOfRange, match="resolution"):
-        resample(g, 0)
+    for m2 in (0, 2.5, True):
+        with pytest.raises(errors.ValueOutOfRange, match="resolution"):
+            resample(g, m2)
 
 
 def _loop_resample(g, m2):
@@ -374,7 +430,9 @@ def test_graphon_file_errors(tmp_path):
     for text, message in (("graphon v1 m=x\n0.5\n", "bad resolution"),
                           ("graphon v1 m=2\n0.5 0.5\n", "expected 2 data rows, found 1"),
                           ("graphon v1 m=2\n0.5 0.5 0.5\n0.5 0.5 0.5\n",
-                           r"expected 2x2 values, found \(2, 3\)")):
+                           r"expected 2x2 values, found \(2, 3\)"),
+                          ("graphon v1 m=2\n0.5 0.5\n0.5\n", "2 numbers each"),
+                          ("graphon v1 m=2\n0.5 x\n0.5 0.5\n", "2 numbers each")):
         path.write_text(text)
         with pytest.raises(errors.FormatError, match=message):
             read_graphon(path)

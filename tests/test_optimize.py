@@ -195,6 +195,17 @@ def test_el_residual_vanishes_on_bipodal_family():
         assert el_residual(g, sol.beta1, sol.beta2) < 1e-10
 
 
+@pytest.mark.parametrize("motif, e, t", [
+    (Motif.triangle(), 0.5, 0.1), (Motif.star(2), 0.5, 0.3), (Motif.star(4), 0.5, 0.0725),
+    (Motif.from_edges(4, [(1, 2), (2, 3), (3, 4), (1, 4)]), 0.5, 0.07),
+])
+def test_el_residual_of_the_motif_is_the_reported_one(motif, e, t):
+    # one residual serves every motif: the solver reports el_residual's value
+    res = maximize_entropy(DensityPair(e=e, t=t), motif, OptimConfig(m=6, multistart_count=1))
+    got = el_residual(res.g_star, res.beta1, res.beta2, motif)
+    assert got.hex() == res.el_residual_norm.hex()
+
+
 def test_estimate_multipliers_recovers_betas():
     sol = closed_form_half(0.124)
     fit = estimate_multipliers(sol.graphon(8))

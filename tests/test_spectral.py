@@ -64,6 +64,10 @@ def test_asymmetric_rejected():
     for dg in (np.array([[0.0, 1.0], [0.5, 0.0]]), np.zeros((2, 3))):
         with pytest.raises(errors.AsymmetricMatrix):
             verify_trace_inequality(dg)
+    # a non-finite entry is out of range, not a broken symmetry
+    for bad in (np.nan, np.inf):
+        with pytest.raises(errors.ValueOutOfRange):
+            kernel_operator_spectrum(np.array([[0.0, bad], [bad, 0.0]]))
 
 
 @settings(max_examples=100, deadline=None)
