@@ -25,9 +25,9 @@ from ._kernel import (
     projected_gradient_norm,
     spg_box,
 )
-from .errors import NoTransitionFound, ValueOutOfRange
+from .errors import NoTransitionFound, ValueOutOfRange, check_integer
 from .graphon import Graphon, rate_value, resample
-from .problem import KKT_TOL, MAX_INNER_ITERATIONS, DensityPair, Motif, OptimConfig, check_integer
+from .problem import KKT_TOL, MAX_INNER_ITERATIONS, DensityPair, Motif, OptimConfig
 
 # _scalar_maximizers refines the local maxima of phi found on a grid of this
 # many points; find_transition bisects beta1 down to TRANSITION_TOL

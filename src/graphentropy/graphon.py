@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernel
-from .errors import AsymmetricMatrix, EmptyMatrix, FormatError, ValueOutOfRange
+from .errors import AsymmetricMatrix, EmptyMatrix, FormatError, ValueOutOfRange, check_integer
 # the motif, the target pair and the motif file reader are numpy-free, in
 # `problem`; they are part of this module's interface too
-from .problem import DensityPair, Motif, check_integer, read_motif
+from .problem import DensityPair, Motif, read_motif
 
 _SYMMETRY_TOL = 1e-12
 
@@ -63,6 +63,7 @@ def validate(values) -> Graphon:
 
 
 def constant_graphon(a, m) -> Graphon:
+    check_integer("resolution", m, 1)
     return Graphon(values=np.full((m, m), float(a)))
 
 
@@ -70,6 +71,7 @@ def bipodal_graphon(c, p11, p12, p22, m) -> Graphon:
     """Two-cluster step graphon: p11 on [0, c)^2, p22 on [c, 1]^2 and p12
     elsewhere.  The split c in [0, 1] is rounded to the grid, so c = 0 and
     c = 1 give the constant graphons p22 and p11."""
+    check_integer("resolution", m, 1)
     if not (0.0 <= c <= 1.0):
         raise ValueOutOfRange(f"split {c} outside [0,1]")
     mc = int(round(c * m))

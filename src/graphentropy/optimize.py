@@ -31,7 +31,7 @@ from ._kernel import (
     project,
     spg_box,
 )
-from .errors import DegenerateFit, Infeasible, SignPatternUnexpected, ValueOutOfRange
+from .errors import DegenerateFit, Infeasible, SignPatternUnexpected, ValueOutOfRange, check_integer
 from .graphon import (
     Graphon,
     bipodal_graphon,
@@ -72,8 +72,10 @@ class EntropyResult:
     g_star.  el_residual_norm is el_residual(g_star, beta1, beta2, motif): the
     sup norm of the Euler-Lagrange field of those multipliers, unprojected and
     over every block, the blocks at the box bounds included, where the equation
-    need not hold; so a correct optimum with such blocks, as on the upper
-    boundary, can read about 2.6.  `converged` is the projected-gradient
+    need not hold.  A large value with no block at a bound means the iterate
+    is not stationary: next to the upper boundary, at (1/4, 1/8 - 1e-9), the
+    blocks are 8.5e-7 and 1 - 2.3e-6, none at a bound, and the residual is
+    2.99 with `converged` False.  `converged` is the projected-gradient
     test: the run's last iterate was feasible and its projected gradient
     within KKT_TOL."""
 
@@ -141,6 +143,8 @@ def _f_ratio(e, x):
 
 # f_minus scans f(e, x) on this many points of [-e, 1-e] before refining
 F_MINUS_GRID_POINTS = 100_000
+# ... in blocks of this many points, so the scan's temporaries stay small
+F_MINUS_BLOCK = 4096
 
 
 def f_minus(e) -> CreaseBoundConstants:
@@ -150,8 +154,13 @@ def f_minus(e) -> CreaseBoundConstants:
     if not (0.0 < e < 1.0):
         raise ValueOutOfRange(f"e={e} outside (0,1)")
     xs = np.linspace(-e, 1.0 - e, F_MINUS_GRID_POINTS)
-    fs = _f_ratio(e, xs)
-    i = int(np.argmin(fs))
+    # a later block wins only when strictly lower: argmin's first-occurrence rule
+    i, best = 0, np.inf
+    for k in range(0, F_MINUS_GRID_POINTS, F_MINUS_BLOCK):
+        fs = _f_ratio(e, xs[k:k + F_MINUS_BLOCK])
+        j = int(np.argmin(fs))
+        if fs[j] < best:
+            i, best = k + j, fs[j]
     lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, F_MINUS_GRID_POINTS - 1)]
     # the first scan's best point comes last, so it wins only where no point
     # of the second scan is as low
@@ -215,8 +224,7 @@ def slice_second_derivative_fd(t):
 
 def convexity_report(samples=400) -> ConvexityReport:
     """Locate the concave-to-convex change of s(1/2, t) on (0, 1/8)."""
-    if samples < 100:
-        raise ValueOutOfRange("need at least 100 samples")
+    check_integer("samples", samples, 100)
     ts = np.linspace(1e-4, 0.125 - 1e-6, samples)
     d2 = slice_second_derivative(ts)
     signs = np.sign(d2)

@@ -21,6 +21,7 @@ from .errors import (
     LoopEdge,
     MotifTooLarge,
     ValueOutOfRange,
+    check_integer,
 )
 
 if TYPE_CHECKING:
@@ -104,8 +105,7 @@ class Motif:
 
     @classmethod
     def star(cls, k):
-        if k < 1:
-            raise ValueOutOfRange("star needs k >= 1")
+        check_integer("star edge count k", k, 1)
         return cls.from_edges(k + 1, [(1, j) for j in range(2, k + 2)])
 
     @classmethod
@@ -187,12 +187,6 @@ def read_motif(path) -> Motif:
             raise FormatError(f"bad motif edge row {ln!r}; want two vertex numbers") from None
         edges.append((i, j))
     return Motif.from_edges(ell, edges)
-
-
-def check_integer(name, value, low):
-    """Raise ValueOutOfRange unless value is an integer >= low and not a bool."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
-        raise ValueOutOfRange(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)

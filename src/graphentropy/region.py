@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import math
 
-from .errors import ValueOutOfRange
+from .errors import ValueOutOfRange, check_integer
 
 CURVE_TOL = 1e-12
 
@@ -88,8 +88,7 @@ def classify(e, t, tol=CURVE_TOL) -> RegionClass:
 
 def boundary_table(samples) -> list:
     """Rows (e, upper, er, envelope) at uniform e for the CLI region command."""
-    if samples < 2:
-        raise ValueOutOfRange("need at least 2 samples")
+    check_integer("samples", samples, 2)
     rows = []
     for i in range(samples):
         e = i / (samples - 1)

@@ -30,8 +30,9 @@ from graphentropy.graphon import (
     validate,
     write_graphon,
 )
-from graphentropy.optimize import closed_form_half, closed_form_upper
+from graphentropy.optimize import closed_form_half, closed_form_upper, convexity_report
 from graphentropy.problem import OptimConfig
+from graphentropy.region import boundary_table
 
 
 def _random_graphon(rng, m):
@@ -370,6 +371,23 @@ def test_graphon_builders_reject_bad_arguments():
     for m2 in (0, 2.5, True):
         with pytest.raises(errors.ValueOutOfRange, match="resolution"):
             resample(g, m2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: constant_graphon(0.5, 2.5),
+    lambda: constant_graphon(0.5, True),
+    lambda: bipodal_graphon(0.5, 0.2, 0.3, 0.4, 2.5),
+    lambda: closed_form_upper(0.5, 2.5),
+    lambda: closed_form_half(0.1).graphon(2.5),
+    lambda: boundary_table(2.5),
+    lambda: convexity_report(400.5),
+    lambda: Motif.star(True),
+], ids=["constant", "constant-bool", "bipodal", "upper", "half", "boundary_table",
+        "convexity_report", "star-bool"])
+def test_counts_and_resolutions_must_be_whole_numbers(call):
+    # a float or a bool is invalid input, not Python's TypeError, and True is not k = 1
+    with pytest.raises(errors.ValueOutOfRange, match="integer"):
+        call()
 
 
 def _loop_resample(g, m2):

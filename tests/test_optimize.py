@@ -116,7 +116,7 @@ def test_closed_forms_reject_arguments_outside_their_domains():
         f_minus(1.0)
     with pytest.raises(errors.ValueOutOfRange, match="outside"):
         closed_form_half(0.2)
-    with pytest.raises(errors.ValueOutOfRange, match="100 samples"):
+    with pytest.raises(errors.ValueOutOfRange, match="samples must be an integer >= 100"):
         optimize.convexity_report(99)
 
 

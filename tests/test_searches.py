@@ -1,14 +1,16 @@
 """The scalar search of `_kernel` and the results built on them."""
 
 import math
+import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphentropy import _kernel
+from graphentropy import _kernel, optimize
 from graphentropy.ergm import _dphi, find_transition
-from graphentropy.optimize import convexity_report, f_minus
+from graphentropy.optimize import F_MINUS_GRID_POINTS, _f_ratio, convexity_report, f_minus
 
 # f_minus refined by a second 1,001-point scan over the two cells around the
 # first scan's best point, and the transition's scalar maximizers refined by
@@ -37,6 +39,58 @@ def test_f_minus_bit_identical_to_recorded_values():
         c = f_minus(e)
         assert (c.f_minus.hex(), c.x_argmin.hex()) == (float.fromhex(fm).hex(),
                                                         float.fromhex(x).hex())
+
+
+def _f_minus_one_pass(e):
+    """f_minus's first scan in one pass over the whole grid, the reference for
+    the block scan: (f_minus, x_argmin)."""
+    xs = np.linspace(-e, 1.0 - e, F_MINUS_GRID_POINTS)
+    fs = _f_ratio(e, xs)
+    i = int(np.argmin(fs))
+    lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, F_MINUS_GRID_POINTS - 1)]
+    xs = np.append(np.linspace(lo, hi, 1001), xs[i])
+    fs = _f_ratio(e, xs)
+    j = int(np.argmin(fs))
+    return float(fs[j]), float(xs[j])
+
+
+@settings(max_examples=60, deadline=None)
+@given(e=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_f_minus_block_scan_bit_identical_to_one_pass(e):
+    # below e of about 1e-108 both scans raise ZeroDivisionError (e ** 3 is 0);
+    # the block scan must fail there as the one pass does
+    def outcome(scan):
+        try:
+            return [v.hex() for v in scan(e)]
+        except ZeroDivisionError as exc:
+            return type(exc)
+
+    def blocks(e):
+        c = f_minus(e)
+        return c.f_minus, c.x_argmin
+
+    assert outcome(blocks) == outcome(_f_minus_one_pass)
+
+
+def test_f_minus_keeps_the_first_point_of_a_tie_across_blocks(monkeypatch):
+    # at e = 1/2 the first scan's minimum is tied at points 49,999 and 50,000;
+    # blocks of 50,000 points part the two, and the first must still win
+    monkeypatch.setattr(optimize, "F_MINUS_BLOCK", 50_000)
+    c = f_minus(0.5)
+    assert (c.f_minus.hex(), c.x_argmin.hex()) == tuple(
+        float.fromhex(h).hex() for h in F_MINUS_FROM_TWO_SCANS[0.5])
+
+
+@pytest.mark.parametrize("e", [0.05, 0.5, 0.95])
+def test_f_minus_scan_peak_memory_below_one_and_a_half_mib(e):
+    # the one-pass scan's temporaries peaked at 7.82 MiB
+    tracemalloc.start()
+    try:
+        f_minus(e)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2 ** 20
 
 
 def test_find_transition_bit_identical_to_recorded_values():
