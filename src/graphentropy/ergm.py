@@ -3,10 +3,10 @@
 The free energy psi(b1, b2) is the maximum of -I(g) + b1 e(g) + b2 t(g) over
 step graphons.  On the regime treated here the maximizers are constant, so the
 scalar family phi(u) = -I0(u) + b1 u + b2 u^3 carries the transition curve.
-The full graphon maximization values the constant graphons at phi's
-maximizers and runs SPG from the warm start and the random restarts; those
-runs leave the constant family and are the cross-check that does not rest on
-phi, for psi and for the t <= e^3 bound verification.
+The full graphon maximization runs SPG from the warm start, from the
+constant graphons at phi's maximizers and from random restarts; the warm and
+random runs leave the constant family and are the cross-check that does not
+rest on phi, for psi and for the t <= e^3 bound verification.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from ._kernel import (
     bisect,
     density_gradient,
     project,
-    projected_gradient_norm,
     spg_box,
 )
 from .errors import NoTransitionFound, ValueOutOfRange, check_integer
@@ -113,12 +112,12 @@ def psi_full(params: ErgmParams, config: OptimConfig = OptimConfig()) -> FreeEne
     """Box maximization of -I + b1 e + b2 t (t the triangle density) over
     m x m step graphons.
 
-    The candidates are the warm start's SPG run, each constant graphon at a
-    `psi_constant` maximizer u_star, valued as it stands, and the SPG runs
-    from the random restarts.  An SPG run from a constant start needs no
-    solve: the gradient at a constant graphon is constant, so the run stays
-    in the constant family, and u_star is the global maximum there.  The
-    warm and random starts leave that family and cross-check it.
+    The candidates are the SPG runs from the warm start, from the constant
+    graphon at each `psi_constant` maximizer u_star and from the random
+    restarts.  A run from u_star returns its start: the gradient there is
+    -phi'(u_star) in every entry, and u_star is a zero of phi' to rounding
+    or so near a face that the face bounds the step.  The warm and random
+    starts leave the constant family and cross-check it.
 
     Returns the best candidate; its `converged` is true when its projected
     gradient is within KKT_TOL.
@@ -131,19 +130,14 @@ def psi_full(params: ErgmParams, config: OptimConfig = OptimConfig()) -> FreeEne
     starts = []
     if config.warm_start is not None:
         starts.append(resample(config.warm_start, m).values)
-    starts += psi_constant(params)["u_star"]  # floats, valued as they stand
+    starts += [np.full((m, m), u) for u in psi_constant(params)["u_star"]]
     for _ in range(max(config.multistart_count // 2, 2)):
         r = rng.uniform(0.05, 0.95, size=(m, m))
         starts.append(0.5 * (r + r.T))
 
     runs = []
     for a0 in starts:
-        if isinstance(a0, float):
-            a = np.full((m, m), a0)
-            f = objective.value(a)
-            pg = projected_gradient_norm(a, objective.gradient())
-        else:
-            a, f, _, pg = spg_box(project(a0), objective, 0.3 * KKT_TOL, MAX_INNER_ITERATIONS)
+        a, f, _, pg = spg_box(project(a0), objective, 0.3 * KKT_TOL, MAX_INNER_ITERATIONS)
         # a is the last array the objective valued
         runs.append((-f, objective.e, objective.t, pg, a))
     runs.sort(key=lambda r: -r[0])

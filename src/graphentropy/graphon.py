@@ -106,17 +106,21 @@ def motif_gradient(g: Graphon, motif: Motif) -> np.ndarray:
 
 
 def rate_value(u):
-    """I0(u) = (1/2)[u ln u + (1-u) ln(1-u)], continuously extended to {0,1}."""
+    """I0(u) = (1/2)[u ln u + (1-u) ln(1-u)], continuously extended to {0,1}.
+    Raises ValueOutOfRange for a u outside [0, 1], NaN included."""
     if isinstance(u, float) and 0.0 < u < 1.0:
-        # the scalar searches' path: the array path's operations on one value
+        # the array path's operations on one value at a twentieth of its call
+        # cost: `transition_curve(0.6, 2.0, 8)` takes a third longer without it
         return float(0.5 * (u * np.log(u) + (1.0 - u) * np.log(1.0 - u)))
-    scalar = np.isscalar(u) or getattr(u, "ndim", 0) == 0
-    a = np.atleast_1d(np.asarray(u, dtype=float))
+    a = np.asarray(u, dtype=float)
+    ok = (a >= 0.0) & (a <= 1.0)
+    if not ok.all():
+        raise ValueOutOfRange(f"I0 takes u in [0, 1], got {a[~ok][0]}")
     out = np.zeros_like(a)
     inner = (a > 0.0) & (a < 1.0)
     ai = a[inner]
     out[inner] = 0.5 * (ai * np.log(ai) + (1.0 - ai) * np.log(1.0 - ai))
-    return float(out[0]) if scalar else out.reshape(np.shape(u))
+    return float(out) if out.ndim == 0 else out
 
 
 def rate_derivative(u):

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernel import (
+    CLAMP,
     AugmentedLagrangian,
     bisect,
     density_gradient,
@@ -148,11 +149,11 @@ F_MINUS_BLOCK = 4096
 
 
 def f_minus(e) -> CreaseBoundConstants:
-    """Infimum of f(e, x) over x in [-e, 1-e], by a scan of F_MINUS_GRID_POINTS
-    points, then of 1,001 points (about 2e-8 apart, near the sqrt(eps) floor
-    of a search on values) over the two cells around the best one."""
-    if not (0.0 < e < 1.0):
-        raise ValueOutOfRange(f"e={e} outside (0,1)")
+    """Infimum of f(e, x) over x in [-e, 1-e], e in [CLAMP, 1-CLAMP]: a scan of
+    F_MINUS_GRID_POINTS points, then of 1,001 points about 2e-8 apart (near the
+    sqrt(eps) floor of a search on values) over the two cells around the best."""
+    if not (CLAMP <= e <= 1.0 - CLAMP):
+        raise ValueOutOfRange(f"e={e} outside [{CLAMP}, 1 - {CLAMP}]")
     xs = np.linspace(-e, 1.0 - e, F_MINUS_GRID_POINTS)
     # a later block wins only when strictly lower: argmin's first-occurrence rule
     i, best = 0, np.inf

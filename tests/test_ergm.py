@@ -49,9 +49,8 @@ def test_psi_full_bit_identical_to_recorded_values():
 
 
 def _spg_constant_start_runs(params, m):
-    """The runs psi_full once made from constant starts: spg_box from each
-    psi_constant maximizer u_star and from 0.1, 0.5 and 0.9, each as
-    (psi, e, t, pg)."""
+    """spg_box from each psi_constant maximizer u_star and from 0.1, 0.5 and
+    0.9, each as (psi, e, t, pg)."""
     objective = _kernel.FreeEnergy(_kernel.density_gradient(Motif.triangle(), m),
                                    params.beta1, params.beta2)
     runs = []
@@ -63,7 +62,7 @@ def _spg_constant_start_runs(params, m):
 
 
 def _psi_full_with_spg_constant_starts(params, config):
-    """psi_full as it was before it valued the constant family directly:
+    """psi_full with the constant starts 0.1, 0.5 and 0.9 added:
     (psi, degenerate, converged) over the constant-start SPG runs and the
     random restarts (config has no warm start)."""
     m = config.m
@@ -81,6 +80,19 @@ def _psi_full_with_spg_constant_starts(params, config):
     degenerate = any(psi - psi2 <= 1e-7 and max(abs(e2 - e_val), abs(t2 - t_val)) > 1e-3
                      for psi2, e2, t2, _ in runs[1:])
     return psi, degenerate, pg <= KKT_TOL
+
+
+@pytest.mark.parametrize("m", [8, 16])
+def test_spg_from_each_constant_maximizer_returns_its_start(m):
+    # psi_full's constant candidates take no step: u_star is a zero of phi'
+    # to rounding, so spg_box stops at its first projected-gradient test
+    for params in THEOREM5_GRID:
+        objective = _kernel.FreeEnergy(_kernel.density_gradient(Motif.triangle(), m),
+                                       params.beta1, params.beta2)
+        for u in psi_constant(params)["u_star"]:
+            start = _kernel.project(np.full((m, m), u))
+            a, _, _, pg = _kernel.spg_box(start, objective, 0.3 * KKT_TOL, MAX_INNER_ITERATIONS)
+            assert np.all(start == u) and a is start and pg <= 0.3 * KKT_TOL, (params, u)
 
 
 @settings(max_examples=40, deadline=None)

@@ -230,11 +230,22 @@ def test_rate_value_scalar_path_bit_for_bit_at_the_edges():
     us = _RATE_EDGE_BANDS
     assert all(0.0 < u < 1.0 for u in us)
     assert [rate_value(u).hex() for u in us] == [float(x).hex() for x in rate_value(np.array(us))]
-    # the values the scalar path leaves to the array path: the ends, nan and
-    # values outside [0, 1] read 0, and a 0-d array or float32 still gives a float
-    assert [rate_value(u) for u in (0.0, 1.0, math.nan, -0.5, 1.5)] == [0.0] * 5
+    # the values the scalar path leaves to the array path: the ends read 0,
+    # and a 0-d array or float32 still gives a float
+    assert [rate_value(u) for u in (0.0, 1.0)] == [0.0] * 2
     for u in (np.array(0.3), np.float32(0.3)):
         assert rate_value(u) == float(rate_value(np.array([u]))[0])
+
+
+@pytest.mark.parametrize("u", [math.nan, -0.5, 1.5, -1e-300, math.nextafter(1.0, 2.0),
+                               np.array([1.5, -1.0, math.nan, 0.3]), [0.3, math.nan]])
+def test_rate_value_rejects_values_outside_the_unit_interval(u):
+    with pytest.raises(errors.ValueOutOfRange):
+        rate_value(u)
+
+
+def test_rate_value_keeps_the_shape_of_a_list():
+    assert rate_value([0.0, 1.0, 0.3]).tolist() == [0.0, 0.0, rate_value(0.3)]
 
 
 def test_rate_function_block_average():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphentropy import _kernel, optimize
+from graphentropy import _kernel, errors, optimize
 from graphentropy.ergm import _dphi, find_transition
 from graphentropy.optimize import F_MINUS_GRID_POINTS, _f_ratio, convexity_report, f_minus
 
@@ -55,21 +55,22 @@ def _f_minus_one_pass(e):
 
 
 @settings(max_examples=60, deadline=None)
-@given(e=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@given(e=st.floats(_kernel.CLAMP, 1.0 - _kernel.CLAMP))
 def test_f_minus_block_scan_bit_identical_to_one_pass(e):
-    # below e of about 1e-108 both scans raise ZeroDivisionError (e ** 3 is 0);
-    # the block scan must fail there as the one pass does
-    def outcome(scan):
-        try:
-            return [v.hex() for v in scan(e)]
-        except ZeroDivisionError as exc:
-            return type(exc)
+    c = f_minus(e)
+    assert [c.f_minus.hex(), c.x_argmin.hex()] == [v.hex() for v in _f_minus_one_pass(e)]
 
-    def blocks(e):
-        c = f_minus(e)
-        return c.f_minus, c.x_argmin
 
-    assert outcome(blocks) == outcome(_f_minus_one_pass)
+@pytest.mark.parametrize("e", [0.0, 5e-324, 1e-200, 1e-100, 1e-13,
+                               math.nextafter(_kernel.CLAMP, 0.0),
+                               math.nextafter(1.0 - _kernel.CLAMP, 1.0), 1.0 - 1e-13, 1.0,
+                               math.nan])
+def test_f_minus_rejects_e_outside_the_box(e):
+    # I0'(e) is clamped to the box, so outside it f_minus returned about
+    # 13.8155 (f(e, 1 - e) alone is 115.13 at e = 1e-100), and below e of
+    # about 1e-108 raised ZeroDivisionError
+    with pytest.raises(errors.ValueOutOfRange):
+        f_minus(e)
 
 
 def test_f_minus_keeps_the_first_point_of_a_tie_across_blocks(monkeypatch):
