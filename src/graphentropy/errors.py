@@ -1,6 +1,6 @@
-"""Exception types shared across the package, and check_integer, the one
-check of a whole-number argument, here so that the leaf module `region` can
-use it too."""
+"""Exception types shared across the package, and the two scalar argument
+checks: check_integer of a whole number and check_unit of a value in [0, 1],
+here so that the leaf module `region` can use them too."""
 
 
 class GraphEntropyError(Exception):
@@ -81,3 +81,9 @@ def check_integer(name, value, low):
 
     if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
         raise ValueOutOfRange(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def check_unit(name, value):
+    """Raise ValueOutOfRange unless 0 <= value <= 1 (NaN fails)."""
+    if not (0.0 <= value <= 1.0):
+        raise ValueOutOfRange(f"{name}={value} outside [0,1]")

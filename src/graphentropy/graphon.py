@@ -17,7 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernel
-from .errors import AsymmetricMatrix, EmptyMatrix, FormatError, ValueOutOfRange, check_integer
+from .errors import (
+    AsymmetricMatrix,
+    EmptyMatrix,
+    FormatError,
+    ValueOutOfRange,
+    check_integer,
+    check_unit,
+)
 # the motif, the target pair and the motif file reader are numpy-free, in
 # `problem`; they are part of this module's interface too
 from .problem import DensityPair, Motif, read_motif
@@ -72,8 +79,7 @@ def bipodal_graphon(c, p11, p12, p22, m) -> Graphon:
     elsewhere.  The split c in [0, 1] is rounded to the grid, so c = 0 and
     c = 1 give the constant graphons p22 and p11."""
     check_integer("resolution", m, 1)
-    if not (0.0 <= c <= 1.0):
-        raise ValueOutOfRange(f"split {c} outside [0,1]")
+    check_unit("split", c)
     mc = int(round(c * m))
     a = np.full((m, m), float(p22))
     a[:mc, :mc] = p11

@@ -32,7 +32,14 @@ from ._kernel import (
     project,
     spg_box,
 )
-from .errors import DegenerateFit, Infeasible, SignPatternUnexpected, ValueOutOfRange, check_integer
+from .errors import (
+    DegenerateFit,
+    Infeasible,
+    SignPatternUnexpected,
+    ValueOutOfRange,
+    check_integer,
+    check_unit,
+)
 from .graphon import (
     Graphon,
     bipodal_graphon,
@@ -148,12 +155,19 @@ F_MINUS_GRID_POINTS = 100_000
 F_MINUS_BLOCK = 4096
 
 
+def check_crease_e(e):
+    """Raise ValueOutOfRange unless CLAMP <= e <= 1 - CLAMP (NaN fails): the
+    box where rate_derivative leaves I0'(e) unclamped, so f_minus is right
+    there, and the e of every crease scan, whatever its motif."""
+    if not (CLAMP <= e <= 1.0 - CLAMP):
+        raise ValueOutOfRange(f"e={e} outside [{CLAMP}, 1 - {CLAMP}]")
+
+
 def f_minus(e) -> CreaseBoundConstants:
     """Infimum of f(e, x) over x in [-e, 1-e], e in [CLAMP, 1-CLAMP]: a scan of
     F_MINUS_GRID_POINTS points, then of 1,001 points about 2e-8 apart (near the
     sqrt(eps) floor of a search on values) over the two cells around the best."""
-    if not (CLAMP <= e <= 1.0 - CLAMP):
-        raise ValueOutOfRange(f"e={e} outside [{CLAMP}, 1 - {CLAMP}]")
+    check_crease_e(e)
     xs = np.linspace(-e, 1.0 - e, F_MINUS_GRID_POINTS)
     # a later block wins only when strictly lower: argmin's first-occurrence rule
     i, best = 0, np.inf
@@ -198,8 +212,7 @@ def closed_form_half(t) -> BipodalSolution:
 def closed_form_upper(e, m) -> Graphon:
     """Upper-boundary optimizer for e in [0, 1]: 1 on [0, sqrt(e))^2, 0
     elsewhere, the bipodal graphon with split sqrt(e) (grid-rounded)."""
-    if not (0.0 <= e <= 1.0):
-        raise ValueOutOfRange(f"e={e} outside [0,1]")
+    check_unit("e", e)
     return bipodal_graphon(math.sqrt(e), 1.0, 0.0, 0.0, m)
 
 

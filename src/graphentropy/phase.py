@@ -17,9 +17,9 @@ from numbers import Real
 import numpy as np
 
 from . import region
-from .errors import DegenerateFit, EmptyTable, Infeasible, ValueOutOfRange
+from .errors import DegenerateFit, EmptyTable, Infeasible, ValueOutOfRange, check_unit
 from .graphon import DensityPair, Motif, rate_value
-from .optimize import OptimConfig, f_minus, maximize_entropy
+from .optimize import OptimConfig, check_crease_e, f_minus, maximize_entropy
 
 # ---------------------------------------------------------------------------
 # Marches off the ridge
@@ -79,8 +79,10 @@ def _finite_floats(values, what) -> list:
 @dataclass
 class ScanSpec:
     """A phase-diagram scan's grid.  Each grid must be a nonempty sequence of
-    finite real numbers, none a bool, and is stored as floats; relative must
-    be a bool.  Construction raises ValueOutOfRange on anything else."""
+    finite real numbers, none a bool, and is stored as floats; every e must
+    lie in [0, 1] and relative must be a bool.  Construction raises
+    ValueOutOfRange on anything else, so a bad e stops a scan before its
+    first solve."""
 
     e_grid: list
     t_grid: list  # offsets from e^k when relative, else absolute t values
@@ -90,6 +92,8 @@ class ScanSpec:
 
     def __post_init__(self):
         self.e_grid = _finite_floats(self.e_grid, "e_grid")
+        for e in self.e_grid:
+            check_unit("e_grid", e)
         self.t_grid = _finite_floats(self.t_grid, "t_grid")
         if not isinstance(self.relative, bool):
             raise ValueOutOfRange(f"relative must be true or false, got {self.relative!r}")
@@ -178,11 +182,11 @@ def crease_scan(e, motif: Motif = Motif.triangle(), deltas=DEFAULT_OFFSETS,
     +d, so each side is marched away from the curve with warm-started
     continuation.  Reports difference quotients, the power fit of each side's
     drop, a log-log exponent fit for the lower branch, and the f_-(e)
-    lower-bound checks (triangle motif only).  The offsets (DEFAULT_OFFSETS
-    by default) must be finite positive numbers, and there must be at least one.
+    lower-bound checks (triangle motif only).  e must lie in f_minus's box
+    [CLAMP, 1 - CLAMP], for every motif.  The offsets (DEFAULT_OFFSETS by
+    default) must be finite positive numbers, and there must be at least one.
     """
-    if not (0.0 < e < 1.0):
-        raise ValueOutOfRange(f"e={e} outside (0,1)")
+    check_crease_e(e)
     offsets = sorted(_finite_floats(deltas, "offsets"))
     if offsets[0] <= 0.0:
         raise ValueOutOfRange(f"offsets must be positive, got {deltas!r}")
@@ -269,10 +273,14 @@ def crease_report(e_values, motif: Motif = Motif.triangle(),
                   config: OptimConfig = OptimConfig()) -> list:
     """Per-e crease verdicts: sides separated by > 5 sigma, or one-sided.
 
-    Each e is a crease_scan over DEFAULT_OFFSETS.  The one-sided quotients are
-    compared at the smallest offset through their power-law fits, with
+    Each e is a crease_scan over DEFAULT_OFFSETS, and every e is checked
+    against crease_scan's box before the first scan.  The one-sided quotients
+    are compared at the smallest offset through their power-law fits, with
     regression standard errors deciding significance.
     """
+    e_values = list(e_values)
+    for e in e_values:
+        check_crease_e(e)
     out = []
     for e in e_values:
         scan = crease_scan(e, motif, config=config)
@@ -335,13 +343,11 @@ def _svg(elements):
 
 
 def _boundary_paths():
-    es = np.linspace(0.0, 1.0, 201)
+    table = region.boundary_table(201)
     parts = []
-    for name, f in (("upper", region.upper_boundary),
-                    ("er", region.er_curve),
-                    ("envelope", region.lower_envelope)):
+    for name, col in (("upper", 1), ("er", 2), ("envelope", 3)):
         pts = " ".join(
-            f"{_sx(e, 0, 1):.2f},{_sy(f(e), 0, 1):.2f}" for e in es
+            f"{_sx(row[0], 0, 1):.2f},{_sy(row[col], 0, 1):.2f}" for row in table
         )
         dash = ' stroke-dasharray="4 3"' if name == "er" else ""
         parts.append(f'<polyline points="{pts}" fill="none" stroke="black"{dash}/>')

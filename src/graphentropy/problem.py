@@ -22,6 +22,7 @@ from .errors import (
     MotifTooLarge,
     ValueOutOfRange,
     check_integer,
+    check_unit,
 )
 
 if TYPE_CHECKING:
@@ -147,8 +148,8 @@ class DensityPair:
     t: float
 
     def __post_init__(self):
-        if not (0.0 <= self.e <= 1.0 and 0.0 <= self.t <= 1.0):
-            raise ValueOutOfRange(f"densities ({self.e},{self.t}) outside [0,1]")
+        check_unit("e", self.e)
+        check_unit("t", self.t)
 
 
 def _edge_set(n, edges) -> frozenset:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import math
 
-from .errors import ValueOutOfRange, check_integer
+from .errors import ValueOutOfRange, check_integer, check_unit
 
 CURVE_TOL = 1e-12
 
@@ -25,19 +25,14 @@ class RegionClass(enum.Enum):
     BELOW_LOWER = "BelowLower"  # on or above the envelope, below g3
 
 
-def _check_unit(x, name):
-    if not (0.0 <= x <= 1.0):
-        raise ValueOutOfRange(f"{name}={x} outside [0,1]")
-
-
 def upper_boundary(e) -> float:
-    _check_unit(e, "e")
+    check_unit("e", e)
     return e ** 1.5
 
 
 def lower_envelope(e) -> float:
     """max(0, e(2e-1)): exact for e <= 1/2 and at touch points, else a lower bound."""
-    _check_unit(e, "e")
+    check_unit("e", e)
     return max(0.0, e * (2.0 * e - 1.0))
 
 
@@ -47,7 +42,7 @@ def lower_boundary(e) -> float:
     g3(e) = (k-1)(k-2r)(k+r)^2 / (k^2 (k+1)^2): the triangle density of the
     complete (k+1)-partite graphon with k equal parts and one smaller part.
     It is 0 for e <= 1/2 and equals e(2e-1) at the touch points k/(k+1)."""
-    _check_unit(e, "e")
+    check_unit("e", e)
     if e <= 0.5:
         return 0.0
     if e == 1.0:
@@ -58,7 +53,7 @@ def lower_boundary(e) -> float:
 
 
 def er_curve(e) -> float:
-    _check_unit(e, "e")
+    check_unit("e", e)
     return e ** 3
 
 
@@ -70,8 +65,8 @@ def touch_point(k) -> float:
 
 
 def classify(e, t, tol=CURVE_TOL) -> RegionClass:
-    _check_unit(e, "e")
-    _check_unit(t, "t")
+    check_unit("e", e)
+    check_unit("t", t)
     if t > upper_boundary(e) + tol:
         return RegionClass.OUTSIDE_UPPER
     if t < lower_envelope(e) - tol:

@@ -496,6 +496,52 @@ def test_census_compare_checks_its_inputs_before_the_census(monkeypatch, tmp_pat
     assert run(["census-compare", "--n", "8", "--alpha", alpha, "--points", str(pts)]) == EXIT_USAGE
 
 
+def _count_solves(monkeypatch):
+    """The solves phase's marches start, each answered Infeasible."""
+    from graphentropy import phase
+
+    calls = []
+
+    def maximize_entropy(target, motif, config):
+        calls.append(target)
+        raise errors.Infeasible("not solved here")
+
+    monkeypatch.setattr(phase, "maximize_entropy", maximize_entropy)
+    return calls
+
+
+@pytest.mark.parametrize("e_grid", [[2.0], [0.5, -0.5]])
+def test_a_scan_e_outside_the_unit_interval_exits_before_any_solve(monkeypatch, tmp_path,
+                                                                   e_grid):
+    calls = _count_solves(monkeypatch)
+    spec = _json_file(tmp_path, "s.json", {"e_grid": e_grid, "t_grid": [-1e-3, 0.0, 0.2]})
+    assert run(["scan", "--spec", spec, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("es", ["0.3,0.5,0.7,2.0", "0.5,1e-13"])
+def test_every_crease_e_is_checked_before_the_first_scan(monkeypatch, capsys, es):
+    calls = _count_solves(monkeypatch)
+    assert run(["crease", "--e", es]) == EXIT_USAGE
+    assert calls == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"invalid input: e={float(es.split(',')[-1])} outside [")
+
+
+def test_an_ergm_grid_too_large_to_run_exits_before_any_solve(monkeypatch, capsys):
+    from graphentropy import ergm
+
+    def psi_full(params, config):
+        raise AssertionError("psi_full ran")
+
+    monkeypatch.setattr(ergm, "psi_full", psi_full)
+    # 1e20 only: numpy refuses that count before it allocates anything
+    assert run(["ergm", "--grid=0,1,1e20,0,1,1"]) == EXIT_USAGE
+    assert "cap" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["census", "--n", "9"],
     ["census-compare", "--n", "9", "--alpha", "0.1", "--points", "unread.csv"],

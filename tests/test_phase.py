@@ -72,12 +72,13 @@ _INVALID = (st.sampled_from([math.nan, math.inf, -math.inf, True, False, None, "
 @given(grid=st.lists(_FINITE | _INVALID, max_size=5) | st.tuples(_FINITE, _FINITE)
        | st.sampled_from([None, 0.5, "0.5", True]))
 def test_scan_spec_accepts_exactly_nonempty_finite_real_grids(grid):
-    # either grid is a nonempty sequence of finite reals, none a bool, and
-    # the spec keeps it as floats
-    ok = (isinstance(grid, (list, tuple)) and len(grid) > 0
-          and all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                  and math.isfinite(x) for x in grid))
+    # either grid is a nonempty sequence of finite reals, none a bool, every
+    # e in [0, 1], and the spec keeps it as floats
+    finite = (isinstance(grid, (list, tuple)) and len(grid) > 0
+              and all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                      and math.isfinite(x) for x in grid))
     for name in ("e_grid", "t_grid"):
+        ok = finite and (name == "t_grid" or all(0.0 <= x <= 1.0 for x in grid))
         values = {"e_grid": [0.5], "t_grid": [0.0], name: grid}
         if ok:
             kept = getattr(ScanSpec(**values), name)
@@ -213,6 +214,24 @@ def test_crease_offsets_must_be_finite_and_positive(deltas):
 def test_crease_scan_needs_e_inside_the_unit_interval(e):
     with pytest.raises(errors.ValueOutOfRange, match="outside"):
         crease_scan(e, Motif.triangle(), [1e-3], OptimConfig(m=4, multistart_count=0))
+
+
+@pytest.mark.parametrize("motif", [Motif.triangle(), Motif.star(2)])
+@pytest.mark.parametrize("e", [1e-13, 1.0 - 1e-13, math.nan, 2.0])
+def test_crease_report_checks_every_e_against_the_box_before_any_solve(monkeypatch, motif, e):
+    # one rule for every motif: f_minus's box [CLAMP, 1 - CLAMP]
+    calls = []
+
+    def maximize_entropy(target, motif, config):
+        calls.append(target)
+        raise errors.Infeasible("not solved here")
+
+    monkeypatch.setattr(phase, "maximize_entropy", maximize_entropy)
+    with pytest.raises(errors.ValueOutOfRange, match="outside"):
+        crease_report([0.5, e], motif, OptimConfig(m=4, multistart_count=0))
+    with pytest.raises(errors.ValueOutOfRange, match="outside"):
+        crease_scan(e, motif, [1e-3], OptimConfig(m=4, multistart_count=0))
+    assert calls == []
 
 
 @pytest.mark.parametrize("deltas", [[1e-3] * 3, [0.03125] * 3])

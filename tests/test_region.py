@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from graphentropy import errors, optimize
-from graphentropy.graphon import DensityPair, Motif
+from graphentropy.errors import check_unit
+from graphentropy.graphon import DensityPair, Motif, bipodal_graphon
 from graphentropy.region import (
     RegionClass,
     boundary_table,
@@ -86,6 +89,28 @@ def test_out_of_range_rejected():
         upper_boundary(-0.1)
     with pytest.raises(errors.ValueOutOfRange):
         touch_point(0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.floats())
+@example(x=0.0)
+@example(x=1.0)
+@example(x=-5e-324)
+@example(x=math.nextafter(1.0, 2.0))
+@example(x=math.nan)
+def test_every_unit_interval_rule_is_check_unit(x):
+    # one rule, 0 <= x <= 1 with NaN failing, and one message wherever a
+    # scalar must lie in [0, 1]
+    uses = [lambda: check_unit("x", x), lambda: upper_boundary(x), lambda: lower_boundary(x),
+            lambda: classify(0.5, x), lambda: DensityPair(e=x, t=0.0),
+            lambda: DensityPair(e=0.5, t=x), lambda: optimize.closed_form_upper(x, 4),
+            lambda: bipodal_graphon(x, 0.5, 0.5, 0.5, 4)]
+    for use in uses:
+        if 0.0 <= x <= 1.0:
+            use()
+        else:
+            with pytest.raises(errors.ValueOutOfRange, match=r"outside \[0,1\]"):
+                use()
 
 
 def test_boundary_table():

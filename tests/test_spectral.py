@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphentropy import errors
@@ -110,6 +110,20 @@ def test_trace_inequality_random_and_rank_one():
     rep = verify_trace_inequality(np.outer(v, v))
     assert rep["rank_one"]
     assert rep["gap"] < 1e-10
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 16),
+       scale=st.floats(1e1, 1e3), sign=st.sampled_from([1.0, -1.0]))
+@example(seed=4, m=3, scale=10.0, sign=1.0)
+@example(seed=1, m=8, scale=1000.0, sign=1.0)
+def test_trace_inequality_holds_on_scaled_rank_one_kernels(seed, m, scale, sign):
+    # rank one is the equality case, where lhs and rhs differ by rounding
+    # alone, at any scale of the kernel
+    v = scale * np.random.default_rng(seed).uniform(-1.0, 1.0, size=m)
+    rep = verify_trace_inequality(sign * np.outer(v, v))
+    assert rep["holds"]
+    assert rep["rank_one"]
 
 
 def test_negative_rank_one_strict_gap():

@@ -321,3 +321,45 @@ def test_the_region_precheck_has_one_definition():
     assert not _defines(modules["optimize"], "_region_precheck")
     assert [name for name, tree in modules.items()
             if _defines(tree, "region_precheck")] == ["problem"]
+
+
+def _raised_range_checks(tree, is_range):
+    """The functions with an `if` that raises and tests a comparison chain
+    is_range matches."""
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            if (isinstance(node, ast.If)
+                    and any(isinstance(n, ast.Raise) for b in node.body for n in ast.walk(b))
+                    and any(isinstance(n, ast.Compare) and is_range(n)
+                            for n in ast.walk(node.test))):
+                found.add(func.name)
+    return found
+
+
+def _is_number(node, value):
+    return (isinstance(node, ast.Constant) and type(node.value) in (int, float)
+            and node.value == value)
+
+
+def _is_unit_range(chain):
+    return (len(chain.ops) == 2 and _is_number(chain.left, 0)
+            and _is_number(chain.comparators[-1], 1))
+
+
+def _is_clamp_box(chain):
+    return isinstance(chain.left, ast.Name) and chain.left.id == "CLAMP"
+
+
+def test_each_density_domain_rule_has_one_home():
+    # a scalar in [0, 1] is errors.check_unit, and a crease's e in the box
+    # [CLAMP, 1 - CLAMP] is optimize.check_crease_e; every other module calls them
+    unit, box = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=path.name)
+        unit += [f"{path.stem}.{f}" for f in _raised_range_checks(tree, _is_unit_range)]
+        box += [f"{path.stem}.{f}" for f in _raised_range_checks(tree, _is_clamp_box)]
+    assert unit == ["errors.check_unit"]
+    assert box == ["optimize.check_crease_e"]
