@@ -497,12 +497,13 @@ def test_census_compare_checks_its_inputs_before_the_census(monkeypatch, tmp_pat
 
 
 def _count_solves(monkeypatch):
-    """The solves phase's marches start, each answered Infeasible."""
+    """The list of targets the marches of `phase` ask to solve, each answered
+    Infeasible."""
     from graphentropy import phase
 
     calls = []
 
-    def maximize_entropy(target, motif, config):
+    def maximize_entropy(target, *rest):
         calls.append(target)
         raise errors.Infeasible("not solved here")
 

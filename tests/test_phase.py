@@ -222,7 +222,7 @@ def test_crease_report_checks_every_e_against_the_box_before_any_solve(monkeypat
     # one rule for every motif: f_minus's box [CLAMP, 1 - CLAMP]
     calls = []
 
-    def maximize_entropy(target, motif, config):
+    def maximize_entropy(target, *rest):
         calls.append(target)
         raise errors.Infeasible("not solved here")
 
