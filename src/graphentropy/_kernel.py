@@ -133,16 +133,19 @@ def einsum_gradient(a, m, motif) -> np.ndarray:
     return d
 
 
-def density_gradient(motif, m):
+def density_gradient(motif, m, density=True):
     """Return dens(A) -> (t, field) for m x m matrices, dispatched on the motif
     once: t(H, A) at once, and field() -> D, its first-variation field, built
-    on demand from the intermediate both share (A^2 or the degrees).  The
-    only reader of `Motif.is_triangle` and `Motif.is_star` in this module."""
+    on demand from the intermediate both share (A^2 or the degrees).  With
+    density=False, t is None and is not computed, for a caller that wants the
+    field alone.  The only reader of `Motif.is_triangle` and `Motif.is_star`
+    in this module."""
     if motif.is_triangle:
 
         def dens(a):
             a2 = a @ a
-            return _triangle_density(a, a2, m), lambda: _triangle_gradient(a2, m)
+            t = _triangle_density(a, a2, m) if density else None
+            return t, lambda: _triangle_gradient(a2, m)
 
         return dens
     if motif.is_star:
@@ -150,12 +153,14 @@ def density_gradient(motif, m):
 
         def dens(a):
             r = _degrees(a, m)
-            return _star_density(r, k, m), lambda: _star_gradient(r, k)
+            t = _star_density(r, k, m) if density else None
+            return t, lambda: _star_gradient(r, k)
 
         return dens
 
     def dens(a):
-        return einsum_density(a, m, motif), lambda: einsum_gradient(a, m, motif)
+        t = einsum_density(a, m, motif) if density else None
+        return t, lambda: einsum_gradient(a, m, motif)
 
     return dens
 

@@ -13,7 +13,7 @@ import math
 import os
 import sys
 import traceback
-from dataclasses import fields
+from dataclasses import astuple, fields
 
 # only the standard library and the error types load with the CLI; each
 # handler imports the modules it runs, so `region` runs without numpy
@@ -68,8 +68,10 @@ def _emit_json(payload, out_path):
 
 def _emit_csv(header, rows, out_path):
     """CSV with a header line and one line per row: repr for floats (so the
-    values round-trip and nan prints as nan), str for everything else."""
-    lines = [",".join(repr(v) if isinstance(v, float) else str(v) for v in row)
+    values round-trip and nan prints as nan), 0 or 1 for bools, str for
+    everything else."""
+    lines = [",".join(repr(v) if isinstance(v, float) else str(int(v)) if isinstance(v, bool)
+                      else str(v) for v in row)
              for row in [header, *rows]]
     _emit("\n".join(lines) + "\n", out_path)
 
@@ -187,9 +189,7 @@ def _cmd_scan(args):
         config=cfg,
     )
     table = phase_mod.phase_diagram_scan(spec)
-    _emit_csv(("e", "t", "s", "beta1", "beta2", "converged", "el_residual", "status"),
-              [(r.e, r.t, r.s, r.beta1, r.beta2, int(r.converged), r.el_residual, r.status)
-               for r in table], args.out)
+    _emit_csv([f.name for f in fields(phase_mod.ScanRow)], map(astuple, table), args.out)
     if args.svg:
         _emit(phase_mod.render_svg(table, "heatmap"), args.svg)
     return EXIT_OK
@@ -202,19 +202,11 @@ def _cmd_crease(args):
     cfg = _load_config(args)
     motif = Motif.parse(args.motif)
     verdicts = phase_mod.crease_report(args.e, motif, cfg)
-    payload = []
-    for v in verdicts:
-        payload.append({
-            "e": v.e,
-            "left_quotient": v.left_quotient,
-            "right_quotient": v.right_quotient,
-            "separation_sigma": v.separation_sigma,
-            "crease_detected": v.crease_detected,
-            "one_sided": v.one_sided,
-            "left_exponent_fit": v.scan.left_exponent_fit,
-            "bounds_all_hold": None if v.scan.bound_checks is None
-            else v.scan.bound_checks["all_hold"],
-        })
+    payload = [{**{f.name: getattr(v, f.name) for f in fields(v) if f.name != "scan"},
+                "left_exponent_fit": v.scan.left_exponent_fit,
+                "bounds_all_hold": None if v.scan.bound_checks is None
+                else v.scan.bound_checks["all_hold"]}
+               for v in verdicts]
     _emit_json(payload, args.out)
     return EXIT_OK
 
@@ -265,7 +257,7 @@ def _cmd_ergm(args):
         for b2 in np.linspace(b2lo, b2hi, int(n2)):
             r = ergm_mod.psi_full(ergm_mod.ErgmParams(float(b1), float(b2)), cfg)
             d = r.maximizer_densities
-            rows.append((float(b1), float(b2), r.psi, d.e, d.t, int(r.degenerate)))
+            rows.append((float(b1), float(b2), r.psi, d.e, d.t, r.degenerate))
     _emit_csv(("beta1", "beta2", "psi", "e", "t", "degenerate"), rows, args.out)
     return EXIT_OK
 

@@ -2,6 +2,8 @@
 checks: check_integer of a whole number and check_unit of a value in [0, 1],
 here so that the leaf module `region` can use them too."""
 
+from numbers import Integral
+
 
 class GraphEntropyError(Exception):
     """Base class for all package errors."""
@@ -75,10 +77,6 @@ class FormatError(GraphEntropyError):
 
 def check_integer(name, value, low):
     """Raise ValueOutOfRange unless value is an integer >= low and not a bool."""
-    # imported here: most CLI processes never call this, and importing
-    # numbers costs each about 0.6 ms (2-CPU x86 VM)
-    from numbers import Integral
-
     if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
         raise ValueOutOfRange(f"{name} must be an integer >= {low}, got {value!r}")
 

@@ -108,7 +108,7 @@ def motif_gradient(g: Graphon, motif: Motif) -> np.ndarray:
     On a constant graphon with the triangle this is the matrix 3 e^2; in
     general it is the block average of the continuum field h(x, y).
     """
-    return _kernel.density_gradient(motif, g.m)(g.values)[1]()
+    return _kernel.density_gradient(motif, g.m, density=False)(g.values)[1]()
 
 
 def rate_value(u):

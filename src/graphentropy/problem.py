@@ -36,36 +36,48 @@ MAX_MOTIF_VERTICES = 6
 CONSTRAINT_TOL = 1e-6
 KKT_TOL = 1e-5
 MAX_INNER_ITERATIONS = 2000
+# The largest grid resolution m.  A triangle evaluation takes about 46 ms at
+# m = 1024 (2-CPU x86 VM, one BLAS thread) and grows as m^3, so about 3 s at
+# 4096, where a solve makes thousands; a larger m is invalid input, not a
+# numpy allocation error
+MAX_RESOLUTION = 4096
 
 
 @dataclass(frozen=True)
 class Motif:
     """Small simple connected graph H whose density constrains the optimization.
 
-    Every Motif that exists can be evaluated: construction checks that it has
-    1 to MAX_MOTIF_VERTICES vertices, that each edge is a pair of whole
-    numbers (i, j) with 1 <= i < j <= ell listed once, and that it is
-    connected, and stores the edges as a frozenset.  `from_edges` also
-    accepts edges in either order and names the first loop or repeated edge.
+    Every Motif that exists can be evaluated.  Construction checks each edge
+    in input order and raises on the first that is not a pair of whole
+    numbers (ValueOutOfRange), is a loop (LoopEdge), is not (i, j) with
+    1 <= i < j <= ell (ValueOutOfRange) or repeats one before it
+    (DuplicateEdge); then that ell is 1 to MAX_MOTIF_VERTICES and the motif
+    is connected.  It stores the edges as a frozenset.  `from_edges` only
+    puts each pair in (min, max) order first, so it accepts either order.
     """
 
     ell: int
     edges: frozenset  # frozenset of (i, j) with 1 <= i < j <= ell
 
     def __post_init__(self):
-        edges = list(self.edges)
-        object.__setattr__(self, "edges", frozenset(edges))
-        if len(self.edges) < len(edges):
-            raise DuplicateEdge(f"edges {edges} repeat an edge")
-        ell = self.ell
+        ell, seen = self.ell, set()
+        for e in self.edges:
+            if not (isinstance(e, tuple) and len(e) == 2
+                    and all(isinstance(v, Integral) for v in e)):
+                raise ValueOutOfRange(f"edge {e!r} is not a pair of whole numbers")
+            i, j = e
+            if i == j:
+                raise LoopEdge(f"loop at vertex {i}")
+            if not 1 <= i < j <= ell:
+                raise ValueOutOfRange(f"edge ({i},{j}) outside 1..{ell} or not i < j")
+            if e in seen:
+                raise DuplicateEdge(f"duplicate edge {e}")
+            seen.add(e)
+        object.__setattr__(self, "edges", frozenset(seen))
         if ell < 1:
             raise ValueOutOfRange(f"ell={ell}: a motif needs at least one vertex")
         if ell > MAX_MOTIF_VERTICES:
             raise MotifTooLarge(f"ell={ell} exceeds cap {MAX_MOTIF_VERTICES}")
-        for e in self.edges:
-            if not (isinstance(e, tuple) and len(e) == 2
-                    and all(isinstance(v, Integral) for v in e) and 1 <= e[0] < e[1] <= ell):
-                raise ValueOutOfRange(f"edge {e} is not (i, j) with 1 <= i < j <= {ell}")
         if not self._connected():
             raise DisconnectedMotif("motif must be connected")
 
@@ -94,7 +106,7 @@ class Motif:
 
     @classmethod
     def from_edges(cls, ell, edges):
-        return cls(ell=ell, edges=_edge_set(ell, edges))
+        return cls(ell=ell, edges=[tuple(sorted(e)) for e in edges])
 
     @classmethod
     def edge(cls):
@@ -152,25 +164,6 @@ class DensityPair:
         check_unit("t", self.t)
 
 
-def _edge_set(n, edges) -> frozenset:
-    """The edges of a simple graph on vertices 1..n, each as (min, max).
-
-    Checks the edges in input order and raises on the first loop (LoopEdge),
-    endpoint outside 1..n (ValueOutOfRange) or repeated edge (DuplicateEdge).
-    """
-    seen = set()
-    for (i, j) in edges:
-        if i == j:
-            raise LoopEdge(f"loop at vertex {i}")
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise ValueOutOfRange(f"edge ({i},{j}) outside 1..{n}")
-        e = (min(i, j), max(i, j))
-        if e in seen:
-            raise DuplicateEdge(f"duplicate edge {e}")
-        seen.add(e)
-    return frozenset(seen)
-
-
 def read_motif(path) -> Motif:
     with open(path, encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
@@ -192,12 +185,12 @@ def read_motif(path) -> Motif:
 
 @dataclass(frozen=True)
 class OptimConfig:
-    """Solver settings: the grid resolution m >= 1, the number of random
-    restarts >= 0 and their seed >= 0, each a whole number and not a bool, and
-    an optional Graphon to start from.  Construction raises ValueOutOfRange
-    on any other value.  At m >= 101 the result's last bits depend on the
-    OpenBLAS thread count, which the CLI pins to 1 and the library leaves to
-    OPENBLAS_NUM_THREADS."""
+    """Solver settings: the grid resolution 1 <= m <= MAX_RESOLUTION, the
+    number of random restarts >= 0 and their seed >= 0, each a whole number
+    and not a bool, and an optional Graphon to start from.  Construction
+    raises ValueOutOfRange on any other value.  At m >= 101 the result's last
+    bits depend on the OpenBLAS thread count, which the CLI pins to 1 and the
+    library leaves to OPENBLAS_NUM_THREADS."""
 
     m: int = 16
     multistart_count: int = 12
@@ -207,6 +200,8 @@ class OptimConfig:
     def __post_init__(self):
         for name, low in (("m", 1), ("multistart_count", 0), ("seed", 0)):
             check_integer(name, getattr(self, name), low)
+        if self.m > MAX_RESOLUTION:
+            raise ValueOutOfRange(f"m={self.m} is above the cap of {MAX_RESOLUTION:,}")
         if self.warm_start is not None:
             # only a warm start needs the graphon module, and with it numpy
             from .graphon import Graphon

@@ -248,6 +248,11 @@ FILE_INPUTS = ((ENTROPY, "--config"), (["scan"], "--spec"), (ENTROPY, "--motif")
     *[argv for command in (ENTROPY, ["ergm", "--curve"], ["ergm", "--grid=0,0,1,0,0,1"],
                            ["ergm", "--verify-thm5"])
       for argv in ([*command, "--threads", "2"], ["--threads", "2", *command])],
+    # a grid resolution above the cap is invalid input, from a flag, a config
+    # file or a scan spec; numpy refuses 10^9 unallocated, should the cap fail
+    [*ENTROPY, "--m", "1000000000"],
+    [*ENTROPY, "--config", lambda p: _json_file(p, "c.json", _config(m=10 ** 9))],
+    ["scan", "--spec", lambda p: _json_file(p, "s.json", _spec(m=10 ** 9))],
 ])
 def test_malformed_input_exits_usage(tmp_path, argv):
     argv = [a(tmp_path) if callable(a) else a for a in argv]

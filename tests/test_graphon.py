@@ -119,6 +119,11 @@ def test_motifs_and_embedded_graphs_reject_the_same_edge_lists(edges, error, mes
     with pytest.raises(errors.ValueOutOfRange, match=message) as caught:
         Motif.from_edges(4, edges)
     assert caught.type is error
+    # built directly from the same edges in (min, max) order, a motif raises
+    # the same error with the same message: both go through one check
+    with pytest.raises(errors.ValueOutOfRange) as direct:
+        Motif(ell=4, edges=[(min(i, j), max(i, j)) for (i, j) in edges])
+    assert direct.type is error and str(direct.value) == str(caught.value)
 
 
 def test_a_directly_built_motif_is_the_parsed_one():
@@ -578,6 +583,21 @@ def test_kernel_density_gradient_bit_equal_to_reference(a, motif):
     g = Graphon(values=a.copy())
     assert motif_density(g, motif) == t_ref
     assert np.array_equal(motif_gradient(g, motif), d_ref)
+
+
+def test_motif_gradient_computes_no_density(monkeypatch):
+    # the field alone, with the same bits as the field of the solver's path
+    g = _random_graphon(np.random.default_rng(3), 5)
+    motifs = [*_FAST_MOTIFS, Motif.from_edges(4, [(1, 2), (2, 3), (3, 4), (1, 4)])]
+    want = [_kernel.density_gradient(h, g.m)(g.values)[1]() for h in motifs]
+
+    def no_density(*args):
+        raise AssertionError("a density was computed")
+
+    for name in ("_triangle_density", "_star_density", "einsum_density"):
+        monkeypatch.setattr(_kernel, name, no_density)
+    for h, d in zip(motifs, want):
+        assert np.array_equal(motif_gradient(g, h), d)
 
 
 @_SETTINGS

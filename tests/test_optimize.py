@@ -297,6 +297,8 @@ def test_infeasible_region_pre_check():
     {"multistart_count": -3}, {"multistart_count": 1.0}, {"multistart_count": None},
     {"seed": -1}, {"seed": False},
     {"warm_start": np.full((4, 4), 0.5)},
+    # above the resolution cap; numpy refuses 10^9 unallocated, should the cap fail
+    {"m": 10 ** 9},
 ])
 def test_optim_config_validates_itself(bad):
     with pytest.raises(errors.ValueOutOfRange):

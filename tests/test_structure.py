@@ -315,6 +315,37 @@ def test_ergm_imports_nothing_from_the_solver_module():
     assert [name for name in imported if name.split(".")[-1] == "optimize"] == []
 
 
+def _scopes(tree):
+    """Each node's enclosing classes and functions, as a dotted prefix."""
+    scopes = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            scopes[child] = prefix
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef))
+            visit(child, f"{prefix}.{child.name}" if named else prefix)
+
+    visit(tree, "")
+    return scopes
+
+
+def test_the_motif_edge_rules_have_one_home():
+    # a loop and a repeated edge are named by Motif's one pass over its
+    # edges, which parsed, named and directly built motifs all go through
+    raised = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=path.name)
+        scopes = _scopes(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None)
+                if name in ("LoopEdge", "DuplicateEdge"):
+                    raised.append(f"{path.stem}{scopes[node]}:{name}")
+    assert sorted(raised) == ["problem.Motif.__post_init__:DuplicateEdge",
+                              "problem.Motif.__post_init__:LoopEdge"]
+
+
 def test_the_region_precheck_has_one_definition():
     modules = {path.stem: ast.parse(path.read_text(), filename=path.name)
                for path in sorted(PACKAGE.glob("*.py"))}
