@@ -45,7 +45,11 @@ of any result:
 
 The constraint dots stay numpy 2-vector dots: scalar
 `l0*c0 + l1*c1` rounds differently from `lam @ c` in the last bit for about
-one random input in seven, and that changes the iteration paths.
+one random input in seven, and that changes the iteration paths.  With
+numpy 2.4's OpenBLAS on an x86-64 CPU with FMA the dot is exactly
+fma(x1, y1, x0 * y0) (20,000 of 20,000 random draws, for `lam @ c` and for
+`c @ c`), but `math.fma` exists only from Python 3.13 and the package runs
+on 3.10 and later, so `_price` keeps the numpy dots.
 """
 
 from __future__ import annotations

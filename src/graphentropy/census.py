@@ -20,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import TooLarge, ValueOutOfRange
+from .errors import TooLarge, ValueOutOfRange, check_integer
 
 # n = 8 is 2^28 graphs, about a second on one thread
 MAX_N = 8
@@ -65,10 +65,8 @@ def _block(start, stop, triples, width):
 
 def check_census_args(n, threads):
     """Raise as `enumerate_census(n, threads)` does on its arguments, before any work."""
-    if n < 1:
-        raise ValueOutOfRange("need at least one vertex")
-    if threads < 1:
-        raise ValueOutOfRange(f"need at least one worker, got threads={threads}")
+    check_integer("n", n, 1)
+    check_integer("threads, the worker count,", threads, 1)
     if n > MAX_N:
         raise TooLarge(f"n={n} exceeds the cap {MAX_N}")
 

@@ -308,14 +308,13 @@ def _cmd_census_compare(args):
 
 
 def _cmd_verify(args):
-    import numpy as np
-
     from . import invariants
+    from ._random import Generator
     from .problem import OptimConfig
 
     _reject_flags(args, "config")
     cfg = _load_config(args)
-    rng = np.random.default_rng(cfg.seed)
+    rng = Generator(cfg.seed)
     # verify's sample counts; the acceptance suite runs the same checks with more
     checks = (
         (invariants.trace_inequality, rng, 200),

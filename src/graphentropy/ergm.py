@@ -24,6 +24,7 @@ from ._kernel import (
     project,
     spg_box,
 )
+from ._random import Generator
 from .errors import NoTransitionFound, ValueOutOfRange, check_integer
 from .graphon import Graphon, rate_value, resample
 from .problem import KKT_TOL, MAX_INNER_ITERATIONS, DensityPair, Motif, OptimConfig
@@ -126,7 +127,7 @@ def psi_full(params: ErgmParams, config: OptimConfig = OptimConfig()) -> FreeEne
     m = config.m
     objective = FreeEnergy(density_gradient(Motif.triangle(), m), b1, b2)
 
-    rng = np.random.default_rng(config.seed)
+    rng = Generator(config.seed)
     starts = []
     if config.warm_start is not None:
         starts.append(resample(config.warm_start, m).values)

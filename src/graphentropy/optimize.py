@@ -32,6 +32,7 @@ from ._kernel import (
     project,
     spg_box,
 )
+from ._random import Generator
 from .errors import (
     DegenerateFit,
     Infeasible,
@@ -163,23 +164,36 @@ def check_crease_e(e):
         raise ValueOutOfRange(f"e={e} outside [{CLAMP}, 1 - {CLAMP}]")
 
 
+def _f_minus_grid(e, k, count):
+    """Points k .. k+count-1 (those below F_MINUS_GRID_POINTS) of f_minus's
+    first grid np.linspace(-e, 1 - e, F_MINUS_GRID_POINTS), bit for bit:
+    linspace computes point k as k * step + start and sets the last to stop."""
+    n, start, stop = F_MINUS_GRID_POINTS, -e, 1.0 - e
+    xs = np.arange(k, min(k + count, n), dtype=float)
+    xs *= (stop - start) / (n - 1)
+    xs += start
+    if k + count >= n:
+        xs[-1] = stop
+    return xs
+
+
 def f_minus(e) -> CreaseBoundConstants:
     """Infimum of f(e, x) over x in [-e, 1-e], e in [CLAMP, 1-CLAMP]: a scan of
     F_MINUS_GRID_POINTS points, then of 1,001 points about 2e-8 apart (near the
     sqrt(eps) floor of a search on values) over the two cells around the best."""
     check_crease_e(e)
-    xs = np.linspace(-e, 1.0 - e, F_MINUS_GRID_POINTS)
+    n = F_MINUS_GRID_POINTS
     # a later block wins only when strictly lower: argmin's first-occurrence rule
     i, best = 0, np.inf
-    for k in range(0, F_MINUS_GRID_POINTS, F_MINUS_BLOCK):
-        fs = _f_ratio(e, xs[k:k + F_MINUS_BLOCK])
+    for k in range(0, n, F_MINUS_BLOCK):
+        fs = _f_ratio(e, _f_minus_grid(e, k, F_MINUS_BLOCK))
         j = int(np.argmin(fs))
         if fs[j] < best:
             i, best = k + j, fs[j]
-    lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, F_MINUS_GRID_POINTS - 1)]
+    lo, hi = _f_minus_grid(e, max(i - 1, 0), 1), _f_minus_grid(e, min(i + 1, n - 1), 1)
     # the first scan's best point comes last, so it wins only where no point
     # of the second scan is as low
-    xs = np.append(np.linspace(lo, hi, 1001), xs[i])
+    xs = np.append(np.linspace(lo[0], hi[0], 1001), _f_minus_grid(e, i, 1))
     fs = _f_ratio(e, xs)
     j = int(np.argmin(fs))
     fm, xmin = float(fs[j]), float(xs[j])
@@ -393,36 +407,35 @@ def _random_bipodal(rng, m):
 
 
 def _starts(target: DensityPair, motif: Motif, cfg: OptimConfig):
-    """Named starts: the warm start, the four ansatz starts (constant,
-    checkerboard, upper_corner, bipodal_random), then the random restarts,
-    each as built; `_solve_constrained` copies and projects it."""
+    """Yield the named starts in turn: the warm start, the four ansatz starts
+    (constant, checkerboard, upper_corner, bipodal_random), then the random
+    restarts, each as built; `_solve_constrained` copies and projects it.  A
+    start is drawn only when the solve asks for it, so a solve that stops at
+    the ceiling draws no random start."""
     m = cfg.m
     e, t = target.e, target.t
     k = motif.k
-    rng = np.random.default_rng(cfg.seed)
-    starts = []
+    rng = Generator(cfg.seed)
     if cfg.warm_start is not None:
-        starts.append(("warm", resample(cfg.warm_start, m).values))
-    starts.append(("constant", np.full((m, m), float(e))))
+        yield "warm", resample(cfg.warm_start, m).values
+    yield "constant", np.full((m, m), float(e))
     # rank-one bipodal perturbation of g_e; exact optimizer family at e=1/2
     x = min(abs(e ** k - t) ** (1.0 / 3.0), e - 0.01, 1.0 - e - 0.01)
     if x > 0:
         sx = -x if t <= e ** k else x
-        split = bipodal_graphon((m // 2) / m, e + sx, e - sx, e + sx, m)
-        starts.append(("checkerboard", split.values))
+        yield "checkerboard", bipodal_graphon((m // 2) / m, e + sx, e - sx, e + sx, m).values
     corner = closed_form_upper(e, m).values
     denom = e ** 1.5 - e ** k
     theta = (t - e ** k) / denom if abs(denom) > 1e-12 else 0.0
     theta = min(max(theta, 0.05), 1.0)
-    starts.append(("upper_corner", theta * corner + (1 - theta) * e))
-    starts.append(("bipodal_random", _random_bipodal(rng, m)))
+    yield "upper_corner", theta * corner + (1 - theta) * e
+    yield "bipodal_random", _random_bipodal(rng, m)
     for i in range(cfg.multistart_count):
         if i % 2 == 0:
-            starts.append((f"random{i}", _random_bipodal(rng, m)))
+            yield f"random{i}", _random_bipodal(rng, m)
         else:
             r = rng.uniform(0.05, 0.95, size=(m, m))
-            starts.append((f"random{i}", 0.5 * (r + r.T)))
-    return starts
+            yield f"random{i}", 0.5 * (r + r.T)
 
 
 # ---------------------------------------------------------------------------

@@ -47,13 +47,14 @@ MAX_RESOLUTION = 4096
 class Motif:
     """Small simple connected graph H whose density constrains the optimization.
 
-    Every Motif that exists can be evaluated.  Construction checks each edge
-    in input order and raises on the first that is not a pair of whole
-    numbers (ValueOutOfRange), is a loop (LoopEdge), is not (i, j) with
-    1 <= i < j <= ell (ValueOutOfRange) or repeats one before it
-    (DuplicateEdge); then that ell is 1 to MAX_MOTIF_VERTICES and the motif
-    is connected.  It stores the edges as a frozenset.  `from_edges` only
-    puts each pair in (min, max) order first, so it accepts either order.
+    Every Motif that exists can be evaluated.  Construction checks that ell
+    is a whole number >= 1, then each edge in input order, and raises on the
+    first that is not a pair of whole numbers (ValueOutOfRange), is a loop
+    (LoopEdge), is not (i, j) with 1 <= i < j <= ell (ValueOutOfRange) or
+    repeats one before it (DuplicateEdge); then that ell is at most
+    MAX_MOTIF_VERTICES and the motif is connected.  It stores the edges as a
+    frozenset.  `from_edges` only puts each pair in (min, max) order first,
+    so it accepts either order.
     """
 
     ell: int
@@ -61,6 +62,7 @@ class Motif:
 
     def __post_init__(self):
         ell, seen = self.ell, set()
+        check_integer("ell", ell, 1)
         for e in self.edges:
             if not (isinstance(e, tuple) and len(e) == 2
                     and all(isinstance(v, Integral) for v in e)):
@@ -74,8 +76,6 @@ class Motif:
                 raise DuplicateEdge(f"duplicate edge {e}")
             seen.add(e)
         object.__setattr__(self, "edges", frozenset(seen))
-        if ell < 1:
-            raise ValueOutOfRange(f"ell={ell}: a motif needs at least one vertex")
         if ell > MAX_MOTIF_VERTICES:
             raise MotifTooLarge(f"ell={ell} exceeds cap {MAX_MOTIF_VERTICES}")
         if not self._connected():

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import math
 
-from .errors import ValueOutOfRange, check_integer, check_unit
+from .errors import check_integer, check_unit
 
 CURVE_TOL = 1e-12
 
@@ -59,8 +59,7 @@ def er_curve(e) -> float:
 
 def touch_point(k) -> float:
     """e_k = k/(k+1), where the scalloped boundary meets the envelope."""
-    if k < 1:
-        raise ValueOutOfRange("touch point index must be >= 1")
+    check_integer("touch point index k", k, 1)
     return k / (k + 1.0)
 
 

@@ -30,9 +30,10 @@ from graphentropy.graphon import (
     validate,
     write_graphon,
 )
+from graphentropy.census import enumerate_census
 from graphentropy.optimize import closed_form_half, closed_form_upper, convexity_report
 from graphentropy.problem import OptimConfig
-from graphentropy.region import boundary_table
+from graphentropy.region import boundary_table, touch_point
 
 
 def _random_graphon(rng, m):
@@ -398,8 +399,15 @@ def test_graphon_builders_reject_bad_arguments():
     lambda: boundary_table(2.5),
     lambda: convexity_report(400.5),
     lambda: Motif.star(True),
+    lambda: Motif.from_edges(2.5, [(1, 2)]),
+    lambda: Motif(ell=True, edges=[]),
+    lambda: enumerate_census(2.5),
+    lambda: enumerate_census(3, threads=1.5),
+    lambda: enumerate_census(True),
+    lambda: touch_point(1.5),
 ], ids=["constant", "constant-bool", "bipodal", "upper", "half", "boundary_table",
-        "convexity_report", "star-bool"])
+        "convexity_report", "star-bool", "motif-float", "motif-bool", "census-float",
+        "census-threads-float", "census-bool", "touch_point"])
 def test_counts_and_resolutions_must_be_whole_numbers(call):
     # a float or a bool is invalid input, not Python's TypeError, and True is not k = 1
     with pytest.raises(errors.ValueOutOfRange, match="integer"):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from graphentropy import errors, optimize
+from graphentropy import _random, errors, optimize
 from graphentropy.graphon import (
     DensityPair,
     Graphon,
@@ -184,6 +184,14 @@ def test_f_minus_bounded_by_curvature():
         assert 0.0 < fm.f_minus <= 1.0 / (4.0 * e * (1.0 - e)) + 1e-12
 
 
+@pytest.mark.parametrize("e", [optimize.CLAMP, 0.05, 0.3, 0.5, 0.9, 1.0 - optimize.CLAMP])
+def test_f_minus_blocks_are_the_linspace_grid(e):
+    n, block = optimize.F_MINUS_GRID_POINTS, optimize.F_MINUS_BLOCK
+    grid = np.concatenate([optimize._f_minus_grid(e, k, block) for k in range(0, n, block)])
+    assert grid.tobytes() == np.linspace(-e, 1 - e, n).tobytes()
+    assert optimize._f_minus_grid(e, n - 1, 1).tolist() == [1.0 - e]
+
+
 # ---------------------------------------------------------------------------
 # Euler-Lagrange residuals
 
@@ -246,6 +254,14 @@ def test_maximize_entropy_defaults_to_the_triangle_and_the_default_config():
     assert res.g_star.m == OptimConfig().m
     assert res.converged and res.multistart_values == [res.s_value]
     assert res.s_value == pytest.approx(-rate_value(0.5), abs=1e-12)
+
+
+def test_a_solve_that_stops_at_the_ceiling_draws_no_random_start(monkeypatch):
+    drawn = []
+    monkeypatch.setattr(_random.Generator, "_raw", lambda self, n: drawn.append(n) or [0] * n)
+    res = maximize_entropy(DensityPair(e=0.5, t=0.125), Motif.triangle(), FAST)
+    assert res.converged and len(res.multistart_values) == 1
+    assert drawn == []
 
 
 def test_er_curve_hits_ceiling():

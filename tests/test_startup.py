@@ -6,6 +6,7 @@ pins OpenBLAS to one thread unless the user has chosen otherwise.
 """
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -135,6 +136,28 @@ def test_ergm_curve_runs_without_the_solver_module(tmp_path):
             "--out", str(out)]
     assert _run_reports_loaded(argv, ["graphentropy.optimize"])[0] == [f"{cli.EXIT_OK} []"]
     assert len(out.read_text().splitlines()) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["entropy", "--e", "0.5", "--t", "0.124", "--config", {"m": 4, "multistart_count": 2}],
+    ["scan", "--spec", {"e_grid": [0.5], "t_grid": [0.1],
+                        "optim": {"m": 4, "multistart_count": 2}}],
+    ["verify", "--seed", "1"],
+    ["ergm", "--verify-thm5", "--config", {"m": 4, "multistart_count": 4}],
+], ids=["entropy", "scan", "verify", "ergm-thm5"])
+def test_solving_commands_load_no_numpy_random(tmp_path, argv):
+    # the random starts come from graphentropy._random, so numpy.random and
+    # the hashing modules behind its seeding (secrets, hmac, _hashlib) stay out
+    run = []
+    for flag, arg in zip([None, *argv], argv):
+        if isinstance(arg, dict):
+            path = tmp_path / f"{len(run)}.json"
+            path.write_text(json.dumps(arg if flag == "--spec" else {"version": 1, "optim": arg}))
+            arg = str(path)
+        run.append(arg)
+    out, _ = _run_reports_loaded([*run, "--out", str(tmp_path / "out")],
+                                 ["numpy", "numpy.random", "secrets"])
+    assert out == [f"{cli.EXIT_OK} ['numpy']"]
 
 
 def _main_sees(monkeypatch):

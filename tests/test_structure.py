@@ -25,18 +25,33 @@ def test_no_module_imports_a_private_name_of_another():
     assert offenders == []
 
 
+def _absolute_names(path):
+    """The absolute module names a module imports (`from a import b` gives
+    `a` and `a.b`) and the `name.attribute` pairs it reads."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=path.name)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names += [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names.append(f"{node.value.id}.{node.attr}")
+    return names
+
+
 def test_no_module_imports_scipy():
     # the package runs on numpy alone; _kernel has the scalar searches
-    offenders = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=path.name)):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            offenders += [f"{path.name}: {n}" for n in names if n.split(".")[0] == "scipy"]
+    offenders = [f"{path.name}: {n}" for path in sorted(PACKAGE.glob("*.py"))
+                 for n in _absolute_names(path) if n.split(".")[0] == "scipy"]
+    assert offenders == []
+
+
+def test_no_module_names_numpy_random():
+    # the random starts come from _random, which loads neither numpy.random
+    # nor the hashing modules its seeding imports
+    offenders = [f"{path.name}: {n}" for path in sorted(PACKAGE.glob("*.py"))
+                 for n in _absolute_names(path)
+                 if n in ("np.random", "numpy.random") or n.startswith("numpy.random.")]
     assert offenders == []
 
 
