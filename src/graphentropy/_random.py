@@ -5,12 +5,9 @@ draw from `Generator(seed)`.  It follows numpy's default generator step for
 step: `SeedSequence(seed)` hashes the seed's 32-bit words into a pool of four
 and expands it into PCG64's 128-bit state and increment; each 64-bit output
 is PCG64's XSL-RR of the state after one LCG step; a double is
-(x >> 11) * 2**-53 of a fresh 64-bit output; `uniform(low, high)` is
-low + (high - low) * u; and `integers` is Lemire's bounded draw on 32-bit
-draws (each 64-bit output gives its low half, then keeps its high half for
-the next 32-bit draw; a double never takes the kept half), for ranges of up
-to 2**32 values.  So a seed gives the numbers `default_rng` gives, whatever
-numpy version is installed, and importing this module loads neither
+(x >> 11) * 2**-53 of a 64-bit output; and `uniform(low, high)` is
+low + (high - low) * u.  So a seed gives the doubles `default_rng` gives,
+whatever numpy version is installed, and importing this module loads neither
 `numpy.random` nor, through its `secrets` import, OpenSSL's hash module:
 about 6 MB less resident memory in a solving process.  A double costs about
 0.6 us in Python, 0.15 ms for a 16 x 16 random start.
@@ -18,7 +15,7 @@ about 6 MB less resident memory in a solving process.  A double costs about
 
 import numpy as np
 
-from .errors import ValueOutOfRange, check_integer
+from .errors import check_integer
 
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
@@ -79,13 +76,12 @@ def _pcg64_seed(seed):
 
 
 class Generator:
-    """The draws of `numpy.random.default_rng(seed)` for the call shapes the
-    package makes: `uniform(low, high[, size])` and `integers([low,] high)`."""
+    """The draws of `numpy.random.default_rng(seed)` for the one call the
+    package makes, `uniform(low, high[, size])`."""
 
     def __init__(self, seed):
         check_integer("seed", seed, 0)
         self._state, self._inc = _pcg64_seed(seed)
-        self._kept = None  # the high half of the last 64-bit output, once unused
 
     def _raw(self, n):
         """The next n 64-bit outputs."""
@@ -98,14 +94,6 @@ class Generator:
         self._state = s
         return out
 
-    def _next32(self):
-        if self._kept is not None:
-            half, self._kept = self._kept, None
-            return half
-        x = self._raw(1)[0]
-        self._kept = x >> 32
-        return x & _MASK32
-
     def uniform(self, low, high, size=None):
         """A float in [low, high), or an array of them of shape `size`."""
         low = float(low)
@@ -113,22 +101,3 @@ class Generator:
         raw = self._raw(1 if size is None else int(np.prod(size)))
         values = [low + span * ((x >> 11) * 2.0 ** -53) for x in raw]
         return values[0] if size is None else np.array(values).reshape(size)
-
-    def integers(self, *bounds):
-        """A whole number in [low, high), called as integers(high) with low 0
-        or integers(low, high); a one-number range takes no draw."""
-        low, high = (0, *bounds) if len(bounds) == 1 else bounds
-        span = high - 1 - low  # the closed range's width
-        if span < 0:
-            raise ValueOutOfRange(f"integers: low={low} >= high={high}")
-        if span == 0:
-            return low
-        if span > _MASK32:
-            raise ValueOutOfRange(f"integers: {low}..{high} spans more than 2**32 values")
-        excl = span + 1
-        m = self._next32() * excl
-        if m & _MASK32 < excl:
-            threshold = (1 << 32) % excl
-            while m & _MASK32 < threshold:
-                m = self._next32() * excl
-        return low + (m >> 32)

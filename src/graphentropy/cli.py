@@ -364,9 +364,11 @@ def _floats(text):
 
 
 def _build_parser():
+    # exact flags only: argparse's prefix matching would read `crease --m 4` as --motif
     p = argparse.ArgumentParser(
         prog="graphentropy",
         description="Entropy of large dense graphs under edge and motif constraints.",
+        allow_abbrev=False,
     )
     _global_flags(p, suppress=False)
     # accepted both before and after the subcommand; the subparser copies use
@@ -375,28 +377,31 @@ def _build_parser():
     _global_flags(shared, suppress=True)
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("entropy", parents=[shared], help="constrained entropy maximization")
+    def command(name, summary):
+        return sub.add_parser(name, parents=[shared], allow_abbrev=False, help=summary)
+
+    sp = command("entropy", "constrained entropy maximization")
     sp.add_argument("--e", type=float, required=True)
     sp.add_argument("--t", type=float, required=True)
     sp.add_argument("--motif", default="triangle")
     sp.add_argument("--m", type=int, default=None)
     sp.set_defaults(handler=_cmd_entropy)
 
-    sp = sub.add_parser("scan", parents=[shared], help="phase-diagram scan from a spec file")
+    sp = command("scan", "phase-diagram scan from a spec file")
     sp.add_argument("--spec", required=True)
     sp.add_argument("--svg", default=None)
     sp.set_defaults(handler=_cmd_scan)
 
-    sp = sub.add_parser("crease", parents=[shared], help="one-sided analysis around t = e^k")
+    sp = command("crease", "one-sided analysis around t = e^k")
     sp.add_argument("--e", type=_floats, required=True, help="comma-separated e values")
     sp.add_argument("--motif", default="triangle")
     sp.set_defaults(handler=_cmd_crease)
 
-    sp = sub.add_parser("region", parents=[shared], help="boundary curves table")
+    sp = command("region", "boundary curves table")
     sp.add_argument("--samples", type=int, required=True)
     sp.set_defaults(handler=_cmd_region)
 
-    sp = sub.add_parser("ergm", parents=[shared], help="free energy and transition curve")
+    sp = command("ergm", "free energy and transition curve")
     mode = sp.add_mutually_exclusive_group(required=True)
     mode.add_argument("--grid", type=_floats, help="b1lo,b1hi,n1,b2lo,b2hi,n2")
     mode.add_argument("--curve", action="store_true")
@@ -409,17 +414,17 @@ def _build_parser():
     sp.add_argument("--svg", default=None, help="--curve only")
     sp.set_defaults(handler=_cmd_ergm)
 
-    sp = sub.add_parser("census", parents=[shared], help="exact labeled-graph census")
+    sp = command("census", "exact labeled-graph census")
     sp.add_argument("--n", type=int, required=True)
     sp.set_defaults(handler=_cmd_census)
 
-    sp = sub.add_parser("census-compare", parents=[shared], help="finite-n entropy vs the solver")
+    sp = command("census-compare", "finite-n entropy vs the solver")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--points", required=True, help="CSV with e,t header")
     sp.set_defaults(handler=_cmd_census_compare)
 
-    sp = sub.add_parser("verify", parents=[shared], help="run the cross-module invariant suite")
+    sp = command("verify", "run the cross-module invariant suite")
     sp.set_defaults(handler=_cmd_verify)
     return p
 

@@ -15,16 +15,16 @@ from .optimize import closed_form_half, el_residual, estimate_multipliers, maxim
 
 
 def trace_inequality(rng, samples):
-    """|Tr T^3| <= (Tr T^2)^(3/2) on `samples` random symmetric kernels, and
-    equality (gap below 1e-10) on 20 random rank-one kernels."""
+    """|Tr T^3| <= (Tr T^2)^(3/2) on `samples` random symmetric kernels, and equality
+    (gap below 1e-10) on 20 random rank-one kernels; both sizes cycle through 2..16."""
     reports = []
-    for _ in range(samples):
-        m = int(rng.integers(2, 17))
+    for i in range(samples):
+        m = 2 + i % 15
         r = rng.uniform(-1, 1, size=(m, m))
         reports.append(spectral.verify_trace_inequality(0.5 * (r + r.T)))
     gaps = []
-    for _ in range(20):
-        v = rng.uniform(-1, 1, size=int(rng.integers(2, 17)))
+    for i in range(20):
+        v = rng.uniform(-1, 1, size=2 + i % 15)
         rep = spectral.verify_trace_inequality(np.outer(v, v))
         gaps.append(rep["gap"] if rep["rank_one"] else np.inf)
     ok = all(rep["holds"] for rep in reports) and all(g < 1e-10 for g in gaps)
@@ -33,17 +33,18 @@ def trace_inequality(rng, samples):
 
 
 def gradient_checks(rng, samples):
-    """motif_gradient against central differences of the density, for the
-    triangle and the 4-star, at `samples` random graphons and entries each."""
+    """motif_gradient against central differences of the density, for the triangle
+    and the 4-star, at `samples` random graphons each.  The sizes cycle through
+    3..8 and the probed entry steps through the matrix, diagonal and off it."""
     h = 1e-6
     errors = []
     for motif in (Motif.triangle(), Motif.star(4)):
-        for _ in range(samples):
-            m = int(rng.integers(3, 9))
+        for k in range(samples):
+            m = 3 + k % 6
             r = rng.uniform(0.1, 0.9, size=(m, m))
             a = 0.5 * (r + r.T)
             d = motif_gradient(Graphon(values=a), motif)
-            i, j = int(rng.integers(m)), int(rng.integers(m))
+            i, j = k % m, k // 2 % m
             ap, am = a.copy(), a.copy()
             ap[i, j] += h
             am[i, j] -= h

@@ -253,6 +253,12 @@ FILE_INPUTS = ((ENTROPY, "--config"), (["scan"], "--spec"), (ENTROPY, "--motif")
     [*ENTROPY, "--m", "1000000000"],
     [*ENTROPY, "--config", lambda p: _json_file(p, "c.json", _config(m=10 ** 9))],
     ["scan", "--spec", lambda p: _json_file(p, "s.json", _spec(m=10 ** 9))],
+    # a flag matches only its full spelling, before or after the subcommand
+    ["verify", "--se", "3"],
+    ["--se", "3", "verify"],
+    ["census", "--n", "4", "--thr", "2"],
+    ["region", "--sam", "3"],
+    ["ergm", "--cur", "--st", "2"],
 ])
 def test_malformed_input_exits_usage(tmp_path, argv):
     argv = [a(tmp_path) if callable(a) else a for a in argv]

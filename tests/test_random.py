@@ -2,56 +2,85 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from graphentropy import errors
+from graphentropy import errors, invariants
 from graphentropy._random import Generator
 
 SEEDS = [*range(200), 2 ** 32 + 5, 2 ** 64 + 7, 2 ** 128 + 3]
 
 
 def _calls(step):
-    """The call shapes the package makes, interleaved so that doubles and the
-    kept half of a 32-bit draw meet in every order."""
+    """The call shapes the package makes, interleaved: a scalar, a vector and
+    a square matrix of doubles."""
     m = 1 + step % 16
     return [
-        ("uniform", (0.15, 0.85), {}),
-        ("uniform", (0.05, 0.95), {"size": 3}),
-        ("integers", (2, 17), {}),
-        ("uniform", (-1, 1), {"size": (m, m)}),
-        ("integers", (m + 1,), {}),
-        ("integers", (m + 2,), {}),
-        ("uniform", (0.05, 0.95), {"size": (m, m)}),
-        ("integers", (3, 9), {}),
-        ("uniform", (-1, 1), {"size": 1 + step % 5}),
+        ((0.15, 0.85), None),
+        ((0.05, 0.95), 3),
+        ((-1, 1), (m, m)),
+        ((0.05, 0.95), (m, m)),
+        ((-1, 1), 1 + step % 5),
     ]
+
+
+def _assert_same_stream(seed, calls):
+    ours, numpys = Generator(seed), np.random.default_rng(seed)
+    for k, (bounds, size) in enumerate(calls):
+        got = np.asarray(ours.uniform(*bounds, size=size))
+        want = np.asarray(numpys.uniform(*bounds, size=size))
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), (seed, k)
+        assert got.tobytes() == want.tobytes(), (seed, k)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_the_stream_is_default_rngs(seed):
-    ours, numpys = Generator(seed), np.random.default_rng(seed)
-    for step in range(4):
-        for name, args, kwargs in _calls(step):
-            got = np.asarray(getattr(ours, name)(*args, **kwargs))
-            want = np.asarray(getattr(numpys, name)(*args, **kwargs))
-            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
-            assert got.tobytes() == want.tobytes(), (seed, step, name)
+    _assert_same_stream(seed, [call for step in range(4) for call in _calls(step)])
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2 ** 64 + 7])
-def test_integers_rejection_and_range_ends_follow_numpy(seed):
-    # a range just above 2**31 rejects about half its draws; a one-value
-    # range takes none, and a 2**32-value range keeps every draw
-    ours, numpys = Generator(seed), np.random.default_rng(seed)
-    for low, high in ((0, 1), (5, 6), (0, 2 ** 31 + 1), (-7, 3 * 2 ** 30), (0, 2 ** 32 - 1),
-                      (-3, 2 ** 32 - 3)):
-        for _ in range(20):
-            assert ours.integers(low, high) == numpys.integers(low, high), (low, high)
+_SHAPES = st.one_of(st.none(), st.just(3), st.integers(1, 16).map(lambda m: (m, m)))
 
 
-def test_bad_seeds_and_ranges_are_invalid_input():
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 160 - 1),
+       calls=st.lists(st.tuples(st.sampled_from([(0.15, 0.85), (0.05, 0.95), (-1, 1)]), _SHAPES),
+                      min_size=1, max_size=6))
+@example(seed=2 ** 96 + 11, calls=[((-1, 1), None), ((0.05, 0.95), 3), ((-1, 1), (5, 5))])
+def test_generated_seeds_and_call_shapes_follow_default_rng(seed, calls):
+    # seeds of one to five 32-bit words; the example has four, which no
+    # fixed seed above has, so SeedSequence's four-word pool mixing is checked
+    _assert_same_stream(seed, calls)
+
+
+def test_bad_seeds_are_invalid_input():
     for seed in (-1, 2.5, True):
         with pytest.raises(errors.ValueOutOfRange, match="integer"):
             Generator(seed)
-    for bounds in ((0,), (3, 3), (0, 2 ** 32 + 1)):
-        with pytest.raises(errors.ValueOutOfRange):
-            Generator(0).integers(*bounds)
+
+
+class _UniformOnly:
+    """An rng that records every method looked up on it and serves only
+    `uniform`, from the package's stream."""
+
+    def __init__(self, seed):
+        self._rng, self.calls = Generator(seed), []
+
+    def __getattr__(self, name):
+        def method(*args, **kwargs):
+            self.calls.append((name, kwargs.get("size")))
+            if name != "uniform":
+                raise AttributeError(f"the sampled checks called rng.{name}")
+            return self._rng.uniform(*args, **kwargs)
+        return method
+
+
+def test_the_sampled_checks_draw_only_uniform():
+    rng = _UniformOnly(3)
+    ok, detail = invariants.trace_inequality(rng, 15)
+    assert ok, detail
+    sizes = [size for _, size in rng.calls]
+    assert {m for m, _ in sizes[:15]} == set(range(2, 17))  # the kernels
+    assert set(sizes[15:]) == set(range(2, 17))  # the rank-one vectors
+    ok, detail = invariants.gradient_checks(rng, 10)
+    assert ok, detail
+    assert {name for name, _ in rng.calls} == {"uniform"}
