@@ -20,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import TooLarge, ValueOutOfRange, check_integer
+from .errors import TooLarge, ValueOutOfRange, check_integer, check_real
 
 # n = 8 is 2^28 graphs, about a second on one thread
 MAX_N = 8
@@ -120,6 +120,7 @@ def enumerate_census(n, threads=1) -> CensusTable:
 
 def check_alpha(alpha):
     """Raise ValueOutOfRange unless the density window alpha is finite and positive."""
+    check_real("alpha", alpha)
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueOutOfRange(f"alpha must be finite and positive, got {alpha}")
 

@@ -25,7 +25,7 @@ from ._kernel import (
     spg_box,
 )
 from ._random import Generator
-from .errors import NoTransitionFound, ValueOutOfRange, check_integer
+from .errors import NoTransitionFound, ValueOutOfRange, check_integer, check_real
 from .graphon import Graphon, rate_value, resample
 from .problem import KKT_TOL, MAX_INNER_ITERATIONS, DensityPair, Motif, OptimConfig
 
@@ -41,6 +41,8 @@ class ErgmParams:
     beta2: float
 
     def __post_init__(self):
+        check_real("beta1", self.beta1)
+        check_real("beta2", self.beta2)
         if not (math.isfinite(self.beta1) and math.isfinite(self.beta2)):
             raise ValueOutOfRange("parameters must be finite")
 
@@ -201,6 +203,7 @@ def find_transition(beta2) -> tuple:
     that split for every beta2 > -1/2: at its lower end phi' <= -ln(2)/2 on
     [2/3, 1), and at its upper end phi' > 18 on (0, 2/3].
     """
+    check_real("beta2", beta2)
     if not (math.isfinite(beta2) and beta2 > -0.5):
         raise ValueOutOfRange(f"beta2={beta2} outside the treated regime (> -1/2)")
 
@@ -229,6 +232,8 @@ def transition_curve(beta2_min, beta2_max, steps) -> list:
     raises NoTransitionFound only when no sampled beta2 has one.
     """
     check_integer("steps", steps, 2)
+    check_real("beta2_min", beta2_min)
+    check_real("beta2_max", beta2_max)
     if not (math.isfinite(beta2_min) and math.isfinite(beta2_max)):
         raise ValueOutOfRange(f"beta2 range [{beta2_min}, {beta2_max}] must be finite")
     if min(beta2_min, beta2_max) <= -0.5:

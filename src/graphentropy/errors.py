@@ -1,8 +1,8 @@
-"""Exception types shared across the package, and the two scalar argument
-checks: check_integer of a whole number and check_unit of a value in [0, 1],
-here so that the leaf module `region` can use them too."""
+"""Exception types shared across the package, and the argument checks, here
+so that the numpy-free modules can use them too: check_real, check_integer,
+check_unit of a value in [0, 1] and check_symmetric of a graphon or kernel."""
 
-from numbers import Integral
+from numbers import Integral, Real
 
 
 class GraphEntropyError(Exception):
@@ -81,7 +81,23 @@ def check_integer(name, value, low):
         raise ValueOutOfRange(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def check_real(name, value):
+    """Raise ValueOutOfRange unless value is a real number and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueOutOfRange(f"{name} must be a real number, got {value!r}")
+
+
 def check_unit(name, value):
-    """Raise ValueOutOfRange unless 0 <= value <= 1 (NaN fails)."""
+    """Raise ValueOutOfRange unless value is a real number with 0 <= value <= 1
+    (NaN fails)."""
+    check_real(name, value)
     if not (0.0 <= value <= 1.0):
         raise ValueOutOfRange(f"{name}={value} outside [0,1]")
+
+
+def check_symmetric(name, a):
+    """Raise AsymmetricMatrix unless a is square (empty too) and within 1e-12 of a.T."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise AsymmetricMatrix(f"{name} shape {a.shape} is not square")
+    if a.size and abs(a - a.T).max() > 1e-12:
+        raise AsymmetricMatrix(f"{name} is not symmetric")

@@ -18,26 +18,24 @@ import numpy as np
 
 from . import _kernel
 from .errors import (
-    AsymmetricMatrix,
     EmptyMatrix,
     FormatError,
     ValueOutOfRange,
     check_integer,
+    check_symmetric,
     check_unit,
 )
 # the motif, the target pair and the motif file reader are numpy-free, in
 # `problem`; they are part of this module's interface too
 from .problem import DensityPair, Motif, read_motif
 
-_SYMMETRY_TOL = 1e-12
-
 
 @dataclass(frozen=True, eq=False)
 class Graphon:
     """Symmetric step function on [0,1]^2 with values in [0,1]; compared by identity.
 
-    Construction enforces that (EmptyMatrix, AsymmetricMatrix to _SYMMETRY_TOL,
-    ValueOutOfRange, NaN included), then makes the array read-only uncopied."""
+    Construction enforces that (EmptyMatrix, ValueOutOfRange with NaN included,
+    then errors.check_symmetric), then makes the array read-only uncopied."""
 
     values: np.ndarray
 
@@ -49,13 +47,10 @@ class Graphon:
         a = self.values
         if a.size == 0:
             raise EmptyMatrix("graphon matrix is empty")
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise AsymmetricMatrix(f"matrix shape {a.shape} is not square")
         inside = (a >= 0.0) & (a <= 1.0)
         if not inside.all():
             raise ValueOutOfRange(f"graphon value {a[~inside][0]} outside [0,1]")
-        if np.max(np.abs(a - a.T)) > _SYMMETRY_TOL:
-            raise AsymmetricMatrix("matrix is not symmetric")
+        check_symmetric("matrix", a)
         a.setflags(write=False)
 
 

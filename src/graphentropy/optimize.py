@@ -39,6 +39,7 @@ from .errors import (
     SignPatternUnexpected,
     ValueOutOfRange,
     check_integer,
+    check_real,
     check_unit,
 )
 from .graphon import (
@@ -160,6 +161,7 @@ def check_crease_e(e):
     """Raise ValueOutOfRange unless CLAMP <= e <= 1 - CLAMP (NaN fails): the
     box where rate_derivative leaves I0'(e) unclamped, so f_minus is right
     there, and the e of every crease scan, whatever its motif."""
+    check_real("e", e)
     if not (CLAMP <= e <= 1.0 - CLAMP):
         raise ValueOutOfRange(f"e={e} outside [{CLAMP}, 1 - {CLAMP}]")
 
@@ -213,6 +215,7 @@ def closed_form_half(t) -> BipodalSolution:
     multipliers satisfy beta1 = -(3/4) beta2.  At epsilon = 0 and epsilon = 1/2
     the multipliers diverge and are reported as signed infinities.
     """
+    check_real("t", t)
     if not (0.0 <= t <= 0.125):
         raise ValueOutOfRange(f"t={t} outside [0, 1/8]")
     eps = (0.125 - t) ** (1.0 / 3.0)

@@ -30,8 +30,9 @@ from graphentropy.graphon import (
     validate,
     write_graphon,
 )
-from graphentropy.census import enumerate_census
-from graphentropy.optimize import closed_form_half, closed_form_upper, convexity_report
+from graphentropy.census import check_alpha, enumerate_census
+from graphentropy.ergm import ErgmParams, find_transition, transition_curve
+from graphentropy.optimize import closed_form_half, closed_form_upper, convexity_report, f_minus
 from graphentropy.problem import OptimConfig
 from graphentropy.region import boundary_table, touch_point
 
@@ -412,6 +413,33 @@ def test_counts_and_resolutions_must_be_whole_numbers(call):
     # a float or a bool is invalid input, not Python's TypeError, and True is not k = 1
     with pytest.raises(errors.ValueOutOfRange, match="integer"):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: DensityPair(e="0.5", t=0.1),
+    lambda: DensityPair(e=True, t=True),
+    lambda: f_minus("0.5"),
+    lambda: closed_form_half("0.1"),
+    lambda: closed_form_upper(None, 4),
+    lambda: bipodal_graphon("0.5", 0.1, 0.2, 0.3, 4),
+    lambda: ErgmParams("1", 0.0),
+    lambda: ErgmParams(True, 0.0),
+    lambda: find_transition("1"),
+    lambda: transition_curve(0.6, "2", 8),
+    lambda: check_alpha("1"),
+], ids=["pair-str", "pair-bool", "f_minus", "half", "upper", "bipodal", "ergm-str",
+        "ergm-bool", "find_transition", "transition_curve", "alpha"])
+def test_scalars_must_be_real_numbers(call):
+    # a string or None is invalid input, not Python's TypeError, and True is not 1
+    with pytest.raises(errors.ValueOutOfRange, match="real number"):
+        call()
+
+
+def test_numpy_scalars_pass_the_scalar_rules():
+    assert DensityPair(e=np.float64(0.5), t=np.float64(0.1)).t == 0.1
+    assert ErgmParams(np.float64(1.0), np.int64(0)).beta1 == 1.0
+    assert closed_form_half(np.float64(0.1)).epsilon == closed_form_half(0.1).epsilon
+    check_alpha(np.float64(0.05))
 
 
 def _loop_resample(g, m2):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from graphentropy import errors
+from graphentropy import errors, spectral
 from graphentropy.graphon import Graphon, constant_graphon, edge_density
 from graphentropy.spectral import (
     delta_t_decomposition,
@@ -68,6 +69,40 @@ def test_asymmetric_rejected():
     for bad in (np.nan, np.inf):
         with pytest.raises(errors.ValueOutOfRange):
             kernel_operator_spectrum(np.array([[0.0, bad], [bad, 0.0]]))
+
+
+def test_trace_power_checks_its_kernel_once(monkeypatch):
+    check, calls = spectral._check_symmetric, []
+    monkeypatch.setattr(spectral, "_check_symmetric", lambda dg: calls.append(p) or check(dg))
+    for p in (2, 3):
+        trace_power(_random_kernel(np.random.default_rng(3), 5), p)
+    assert calls == [2, 3]
+
+
+@st.composite
+def _symmetric_and_pair(draw):
+    """A symmetric matrix with entries in [0, 1] and an off-diagonal (i, j)."""
+    m = draw(st.integers(2, 6))
+    r = draw(arrays(np.float64, (m, m), elements=st.floats(0.0, 1.0)))
+    i = draw(st.integers(0, m - 1))
+    return np.triu(r) + np.triu(r, 1).T, i, (i + draw(st.integers(1, m - 1))) % m
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_symmetric_and_pair())
+def test_graphons_and_kernels_share_one_symmetry_tolerance(case):
+    # one off-diagonal pair 2e-12 apart is refused and 5e-13 apart accepted,
+    # by the graphon check and the kernel check alike
+    a, i, j = case
+    for gap, refused in ((2e-12, True), (5e-13, False)):
+        b = a.copy()
+        b[j, i] = a[i, j] + (gap if a[i, j] < 0.5 else -gap)
+        for check in (lambda: Graphon(values=b.copy()), lambda: kernel_operator_spectrum(b)):
+            if refused:
+                with pytest.raises(errors.AsymmetricMatrix, match="not symmetric"):
+                    check()
+            else:
+                check()
 
 
 @settings(max_examples=100, deadline=None)

@@ -344,9 +344,8 @@ def _scopes(tree):
     return scopes
 
 
-def test_the_motif_edge_rules_have_one_home():
-    # a loop and a repeated edge are named by Motif's one pass over its
-    # edges, which parsed, named and directly built motifs all go through
+def _raise_sites(names):
+    """`module.scope:Error` for each `raise` of an exception in names."""
     raised = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=path.name)
@@ -355,10 +354,16 @@ def test_the_motif_edge_rules_have_one_home():
             if isinstance(node, ast.Raise) and node.exc is not None:
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 name = exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None)
-                if name in ("LoopEdge", "DuplicateEdge"):
+                if name in names:
                     raised.append(f"{path.stem}{scopes[node]}:{name}")
-    assert sorted(raised) == ["problem.Motif.__post_init__:DuplicateEdge",
-                              "problem.Motif.__post_init__:LoopEdge"]
+    return sorted(raised)
+
+
+def test_the_motif_edge_rules_have_one_home():
+    # a loop and a repeated edge are named by Motif's one pass over its
+    # edges, which parsed, named and directly built motifs all go through
+    assert _raise_sites(("LoopEdge", "DuplicateEdge")) == [
+        "problem.Motif.__post_init__:DuplicateEdge", "problem.Motif.__post_init__:LoopEdge"]
 
 
 def test_the_region_precheck_has_one_definition():
@@ -409,3 +414,14 @@ def test_each_density_domain_rule_has_one_home():
         box += [f"{path.stem}.{f}" for f in _raised_range_checks(tree, _is_clamp_box)]
     assert unit == ["errors.check_unit"]
     assert box == ["optimize.check_crease_e"]
+
+
+def test_one_function_decides_symmetry():
+    # a graphon and a spectral kernel are square and symmetric by
+    # errors.check_symmetric alone, at its one tolerance; no module compares
+    # arrays with allclose
+    assert _raise_sites(("AsymmetricMatrix",)) == ["errors.check_symmetric:AsymmetricMatrix"] * 2
+    allclose = [f"{path.stem}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text(), filename=path.name))
+                if "allclose" in (getattr(node, "attr", None), getattr(node, "id", None))]
+    assert allclose == []
