@@ -56,7 +56,7 @@ def _sanitize(obj):
 
 def _emit(text, out_path):
     if out_path:
-        with open(out_path, "w") as fh:
+        with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -96,7 +96,7 @@ def _load_config(args, spec_optim=None):
     keys = [f.name for f in fields(OptimConfig) if f.name != "warm_start"]
     layers = []
     if args.config:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             doc = _table(json.load(fh), "config", ("version", "optim"))
         if doc.get("version") != 1:
             raise FormatError("config must be a JSON object with \"version\": 1")
@@ -176,7 +176,7 @@ def _cmd_scan(args):
     from . import phase as phase_mod
     from .problem import Motif
 
-    with open(args.spec) as fh:
+    with open(args.spec, encoding="utf-8") as fh:
         doc = _table(json.load(fh), "scan spec",
                      ("e_grid", "t_grid", "relative", "motif", "optim"))
     cfg = _load_config(args, doc.get("optim"))
@@ -282,7 +282,7 @@ def _cmd_census_compare(args):
     census_mod.check_census_args(args.n, _threads(args))
     census_mod.check_alpha(args.alpha)
     points = []
-    with open(args.points) as fh:
+    with open(args.points, encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         if header[:2] != ["e", "t"]:
             raise FormatError("points file needs an e,t header")

@@ -106,6 +106,16 @@ def motif_gradient(g: Graphon, motif: Motif) -> np.ndarray:
     return _kernel.density_gradient(motif, g.m, density=False)(g.values)[1]()
 
 
+def _check_rate_u(name, u):
+    """u as a float array, after raising ValueOutOfRange unless every entry
+    lies in [0, 1] (NaN fails): the domain of I0, I0' and I0''."""
+    a = np.asarray(u, dtype=float)
+    ok = (a >= 0.0) & (a <= 1.0)
+    if not ok.all():
+        raise ValueOutOfRange(f"{name} takes u in [0, 1], got {a[~ok][0]}")
+    return a
+
+
 def rate_value(u):
     """I0(u) = (1/2)[u ln u + (1-u) ln(1-u)], continuously extended to {0,1}.
     Raises ValueOutOfRange for a u outside [0, 1], NaN included."""
@@ -113,10 +123,7 @@ def rate_value(u):
         # the array path's operations on one value at a twentieth of its call
         # cost: `transition_curve(0.6, 2.0, 8)` takes a third longer without it
         return float(0.5 * (u * np.log(u) + (1.0 - u) * np.log(1.0 - u)))
-    a = np.asarray(u, dtype=float)
-    ok = (a >= 0.0) & (a <= 1.0)
-    if not ok.all():
-        raise ValueOutOfRange(f"I0 takes u in [0, 1], got {a[~ok][0]}")
+    a = _check_rate_u("I0", u)
     out = np.zeros_like(a)
     inner = (a > 0.0) & (a < 1.0)
     ai = a[inner]
@@ -125,14 +132,18 @@ def rate_value(u):
 
 
 def rate_derivative(u):
-    """I0'(u) = (1/2) ln(u / (1-u)), evaluated with the boundary clamp."""
-    out = _kernel.rate_derivative(np.asarray(u, dtype=float))
+    """I0'(u) = (1/2) ln(u / (1-u)) for u in [0, 1], evaluated with the
+    boundary clamp; ValueOutOfRange elsewhere, NaN included."""
+    out = _kernel.rate_derivative(_check_rate_u("I0'", u))
     return float(out) if out.ndim == 0 else out
 
 
 def rate_second_derivative(u):
-    a = np.asarray(u, dtype=float)
-    out = 0.5 * (1.0 / a + 1.0 / (1.0 - a))
+    """I0''(u) = (1/2) (1/u + 1/(1-u)) for u in [0, 1], +inf at 0 and 1;
+    ValueOutOfRange elsewhere, NaN included."""
+    a = _check_rate_u("I0''", u)
+    with np.errstate(divide="ignore"):
+        out = 0.5 * (1.0 / a + 1.0 / (1.0 - a))
     return float(out) if out.ndim == 0 else out
 
 

@@ -237,9 +237,20 @@ def closed_form_upper(e, m) -> Graphon:
 # Convexity of the e = 1/2 entropy slice
 
 
+def _check_slice_t(t):
+    """t as a float array, after raising ValueOutOfRange unless every entry
+    lies in (0, 1/8) (NaN fails): the open interval where s''(1/2, t) exists."""
+    a = np.asarray(t, dtype=float)
+    ok = (a > 0.0) & (a < 0.125)
+    if not ok.all():
+        raise ValueOutOfRange(f"s''(1/2, t) takes t in (0, 1/8), got {a[~ok][0]}")
+    return a
+
+
 def slice_second_derivative(t):
-    """Exact s''(1/2, t) for the closed-form slice s = -I0(1/2 + eps(t))."""
-    t = np.asarray(t, dtype=float)
+    """Exact s''(1/2, t) for the closed-form slice s = -I0(1/2 + eps(t)), t in
+    (0, 1/8), a number or an array."""
+    t = _check_slice_t(t)
     eps = (0.125 - t) ** (1.0 / 3.0)
     u = 0.5 + eps
     return -(eps * rate_second_derivative(u) - 2.0 * rate_derivative(u)) / (9.0 * eps ** 5)
@@ -247,7 +258,10 @@ def slice_second_derivative(t):
 
 def slice_second_derivative_fd(t):
     """Fourth-order central-difference s''(1/2, t) of closed_form_half's s
-    values, with step h = min(1e-4, 0.4 t, 0.4 (1/8 - t)); validation path."""
+    values, with step h = min(1e-4, 0.4 t, 0.4 (1/8 - t)), for one t in
+    (0, 1/8); validation path."""
+    check_real("t", t)
+    _check_slice_t(t)
     h = min(1e-4, 0.4 * t, 0.4 * (0.125 - t))
     s = [closed_form_half(t + k * h).s_value for k in (-2, -1, 0, 1, 2)]
     return (-s[0] + 16 * s[1] - 30 * s[2] + 16 * s[3] - s[4]) / (12 * h ** 2)

@@ -165,7 +165,11 @@ class DensityPair:
 
 
 def read_motif(path) -> Motif:
-    with open(path, encoding="utf-8") as fh:
+    try:
+        fh = open(path, encoding="utf-8")
+    except ValueError as exc:  # a null byte or a character no file name can hold
+        raise ValueOutOfRange(f"motif path {path!r} cannot name a file: {exc}") from None
+    with fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or not lines[0].startswith("motif v1 ell="):
         raise FormatError("missing 'motif v1 ell=<int>' header")

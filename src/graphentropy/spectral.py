@@ -35,11 +35,30 @@ def _check_symmetric(dg):
     return 0.5 * (dg + dg.T)
 
 
+def _decompose(dg):
+    """Check dg once; return T = dg/m, symmetrized, and its eigenvalues sorted
+    by descending magnitude, from one eigvalsh call."""
+    dg = _check_symmetric(dg)
+    t = dg / dg.shape[0]
+    mu = np.linalg.eigvalsh(t)
+    return t, mu[np.argsort(-np.abs(mu), kind="stable")]
+
+
+def _traces(t, mu, powers):
+    """Tr T^p for each p in powers (a subset of {2, 3}), each taken from T's
+    matrix products and cross-checked against the eigenvalues' power sums."""
+    t2 = t @ t
+    traces = [float(np.trace(t2 if p == 2 else t2 @ t)) for p in powers]
+    for p, direct in zip(powers, traces):
+        spectral = float(np.sum(mu ** p))
+        if abs(direct - spectral) > 1e-10 * max(1.0, abs(direct)):
+            raise ArithmeticError(f"trace path mismatch: direct={direct} spectral={spectral}")
+    return traces
+
+
 def kernel_operator_spectrum(dg) -> np.ndarray:
     """All m eigenvalues of dg/m, sorted by descending magnitude."""
-    dg = _check_symmetric(dg)
-    mu = np.linalg.eigvalsh(dg / dg.shape[0])
-    return mu[np.argsort(-np.abs(mu), kind="stable")]
+    return _decompose(dg)[1]
 
 
 def numerical_rank(eigenvalues) -> int:
@@ -54,16 +73,7 @@ def trace_power(dg, p) -> float:
     """Tr (dg/m)^p for p in {2,3}; direct and spectral paths cross-checked."""
     if p not in (2, 3):
         raise UnsupportedPower(f"only p in {{2,3}} supported, got {p}")
-    dg = _check_symmetric(dg)
-    t = dg / dg.shape[0]
-    t2 = t @ t
-    direct = float(np.trace(t2)) if p == 2 else float(np.trace(t2 @ t))
-    spectral = float(np.sum(np.linalg.eigvalsh(t) ** p))
-    if abs(direct - spectral) > 1e-10 * max(1.0, abs(direct)):
-        raise ArithmeticError(
-            f"trace path mismatch: direct={direct} spectral={spectral}"
-        )
-    return direct
+    return _traces(*_decompose(dg), (p,))[0]
 
 
 def delta_t_decomposition(g: Graphon, e) -> SpectralReport:
@@ -75,8 +85,8 @@ def delta_t_decomposition(g: Graphon, e) -> SpectralReport:
     if abs(de) > 1e-8:
         raise EdgeDensityMismatch(f"edge density off target by {de}")
     dg = g.values - e
-    mu = kernel_operator_spectrum(dg)
-    trace2, trace3 = trace_power(dg, 2), trace_power(dg, 3)
+    t, mu = _decompose(dg)
+    trace2, trace3 = _traces(t, mu, (2, 3))
     row_means = np.mean(dg, axis=1)
     quad = 3.0 * e * float(np.mean(row_means ** 2))
     return SpectralReport(

@@ -234,6 +234,10 @@ FILE_INPUTS = ((ENTROPY, "--config"), (["scan"], "--spec"), (ENTROPY, "--motif")
     # a points file is headed e,t
     ["census-compare", "--n", "3", "--alpha", "0.1",
      "--points", _text_file("p.csv", "x,y\n0.5,0.1\n")],
+    # a spec's motif path that no file can have: a null byte, a lone surrogate
+    *[["scan", "--spec",
+       lambda p, motif=motif: _json_file(p, "s.json", {**_spec(), "motif": motif})]
+      for motif in ("a\u0000b", "\ud800.txt")],
     # a motif file's header is version 1 with a whole vertex count
     *[["entropy", "--e", "0.5", "--t", "0.1", "--motif", _text_file("motif.txt", text)]
       for text in ("motif v2 ell=2\n1 2\n", "motif v1 ell=x\n1 2\n")],

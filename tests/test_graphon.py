@@ -32,7 +32,14 @@ from graphentropy.graphon import (
 )
 from graphentropy.census import check_alpha, enumerate_census
 from graphentropy.ergm import ErgmParams, find_transition, transition_curve
-from graphentropy.optimize import closed_form_half, closed_form_upper, convexity_report, f_minus
+from graphentropy.optimize import (
+    closed_form_half,
+    closed_form_upper,
+    convexity_report,
+    f_minus,
+    slice_second_derivative,
+    slice_second_derivative_fd,
+)
 from graphentropy.problem import OptimConfig
 from graphentropy.region import boundary_table, touch_point
 
@@ -67,6 +74,11 @@ def test_motif_parse_reads_files_and_rejects_bad_counts(tmp_path):
         Motif.parse("star:0")
     with pytest.raises(FileNotFoundError):
         Motif.parse(str(tmp_path / "missing.txt"))
+    # a path no file can have, with a null byte or a lone surrogate, is
+    # invalid input, not Python's ValueError or UnicodeEncodeError
+    for path in ("a\u0000b", "\ud800.txt"):
+        with pytest.raises(errors.ValueOutOfRange, match="cannot name a file"):
+            Motif.parse(path)
 
 
 @pytest.mark.parametrize("text", [3, None, True, ["triangle"], b"triangle"])
@@ -442,6 +454,38 @@ def test_numpy_scalars_pass_the_scalar_rules():
     check_alpha(np.float64(0.05))
 
 
+@pytest.mark.parametrize("function, argument, named", [
+    (rate_value, 2.0, "2.0"),
+    (rate_derivative, 2.0, "2.0"),
+    (rate_derivative, math.nan, "nan"),
+    (rate_derivative, np.array([0.5, -0.1]), "-0.1"),
+    (rate_second_derivative, 2.0, "2.0"),
+    (rate_second_derivative, math.nan, "nan"),
+    (slice_second_derivative, -0.1, "-0.1"),
+    (slice_second_derivative, 0.2, "0.2"),
+    (slice_second_derivative, 0.0, "0.0"),
+    (slice_second_derivative, 0.125, "0.125"),
+    (slice_second_derivative, np.array([0.05, 0.2]), "0.2"),
+    (slice_second_derivative_fd, 0.0, "0.0"),
+    (slice_second_derivative_fd, 0.125, "0.125"),
+    (slice_second_derivative_fd, 0.2, "0.2"),
+    (slice_second_derivative_fd, math.nan, "nan"),
+])
+def test_rate_and_slice_derivatives_refuse_points_outside_their_domain(function, argument, named):
+    # I0, I0' and I0'' take u in [0, 1]; the e = 1/2 slice's s'' takes t in
+    # (0, 1/8); the error names the point given, not a shifted one
+    with pytest.raises(errors.ValueOutOfRange, match=rf"takes .* got {named}$"):
+        function(argument)
+
+
+def test_rate_derivatives_take_the_faces_of_the_unit_interval():
+    # I0' is clamped there and I0'' is infinite, with no divide warning
+    faces = np.array([0.0, 1.0])
+    assert np.array_equal(rate_derivative(faces), _kernel.rate_derivative(faces))
+    assert rate_second_derivative(faces).tolist() == [math.inf, math.inf]
+    assert rate_second_derivative(0.0) == rate_second_derivative(1.0) == math.inf
+
+
 def _loop_resample(g, m2):
     """resample's averaging path as a Python double loop over the overlap
     matrix, the reference for the array form."""
@@ -737,10 +781,14 @@ def test_kernel_free_energy_bit_equal_to_reference(a, motif, seed):
 @_SETTINGS
 @given(a=_box_graphons(), shift=st.floats(-0.5, 0.5))
 def test_rate_derivative_and_projection_bit_equal_to_reference(a, shift):
-    # shifted entries leave the box, so the clamp is exercised
+    # shifted entries leave the box, so the clamp is exercised; the public I0'
+    # takes u in [0, 1] only, so it sees them clipped to [0, 1], whose faces
+    # lie outside the box too
     x = a + shift
-    assert np.array_equal(rate_derivative(x), _ref_rate_derivative(x))
-    assert rate_derivative(float(x[0, 0])) == _ref_rate_derivative(float(x[0, 0]))
+    assert np.array_equal(_kernel.rate_derivative(x), _ref_rate_derivative(x))
+    u = np.clip(x, 0.0, 1.0)
+    assert np.array_equal(rate_derivative(u), _ref_rate_derivative(u))
+    assert rate_derivative(float(u[0, 0])) == _ref_rate_derivative(float(u[0, 0]))
     assert np.array_equal(_kernel.project(x), np.clip(x, _REF_CLAMP, 1.0 - _REF_CLAMP))
 
 

@@ -79,6 +79,23 @@ def test_trace_power_checks_its_kernel_once(monkeypatch):
     assert calls == [2, 3]
 
 
+def test_each_spectral_function_checks_and_diagonalizes_its_kernel_once(monkeypatch):
+    calls = []
+    for module, name in ((spectral, "_check_symmetric"), (np.linalg, "eigvalsh")):
+        wrapped = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda a, name=name, wrapped=wrapped: calls.append(name) or wrapped(a))
+    r = np.random.default_rng(5).uniform(0.0, 1.0, size=(6, 6))
+    g = Graphon(values=0.5 * (r + r.T))
+    dg = g.values - edge_density(g)
+    for run in (lambda: delta_t_decomposition(g, edge_density(g)),
+                lambda: trace_power(dg, 2), lambda: trace_power(dg, 3),
+                lambda: verify_trace_inequality(dg)):
+        calls.clear()
+        run()
+        assert calls == ["_check_symmetric", "eigvalsh"]
+
+
 @st.composite
 def _symmetric_and_pair(draw):
     """A symmetric matrix with entries in [0, 1] and an off-diagonal (i, j)."""

@@ -425,3 +425,13 @@ def test_one_function_decides_symmetry():
                 for node in ast.walk(ast.parse(path.read_text(), filename=path.name))
                 if "allclose" in (getattr(node, "attr", None), getattr(node, "id", None))]
     assert allclose == []
+
+
+def test_every_open_call_names_its_encoding():
+    # files are read and written as UTF-8 whatever the locale
+    offenders = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text(), filename=path.name))
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                 and node.func.id == "open"
+                 and "encoding" not in {k.arg for k in node.keywords}]
+    assert offenders == []
