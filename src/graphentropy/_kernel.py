@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
+from ._numpy import np
 
 # Keeps I0' finite on the closed box; iterates live in [CLAMP, 1-CLAMP].
 CLAMP = 1e-12

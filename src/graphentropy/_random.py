@@ -13,8 +13,7 @@ about 6 MB less resident memory in a solving process.  A double costs about
 0.6 us in Python, 0.15 ms for a 16 x 16 random start.
 """
 
-import numpy as np
-
+from ._numpy import np
 from .errors import check_integer
 
 _MASK32 = (1 << 32) - 1

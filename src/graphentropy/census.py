@@ -18,8 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
-import numpy as np
-
+from ._numpy import np
 from .errors import TooLarge, ValueOutOfRange, check_integer, check_real
 
 # n = 8 is 2^28 graphs, about a second on one thread

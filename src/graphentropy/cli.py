@@ -250,7 +250,7 @@ def _cmd_ergm(args):
     if n1 * n2 > ERGM_GRID_MAX_POINTS:
         raise ValueOutOfRange(f"--grid has {n1:g} x {n2:g} points, above the cap of "
                               f"{ERGM_GRID_MAX_POINTS:,}")
-    import numpy as np
+    from ._numpy import np
 
     rows = []
     for b1 in np.linspace(b1lo, b1hi, int(n1)):
@@ -456,15 +456,10 @@ def run(argv=None) -> int:
 def main():
     """Entry point of the `graphentropy` command and `python -m graphentropy.cli`.
 
-    Pins OpenBLAS to one thread unless OPENBLAS_NUM_THREADS is already set,
-    before numpy loads: the command's only parallelism is --threads, the step
-    graphons are too small to gain from BLAS threads, and starting OpenBLAS's
-    thread pool costs each process tens of milliseconds.  Up to m = 100 the
-    results are the same bits either way; above it, threaded matrix products
-    can round differently with the thread count, and pinned they do not.
-    `run` leaves the environment alone.
+    The command follows the library's one rule for BLAS threads: numpy loads
+    on one OpenBLAS thread unless OPENBLAS_NUM_THREADS is set (see
+    `graphentropy._numpy`).  `--threads` stays the command's only parallelism.
     """
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(run())
 
 

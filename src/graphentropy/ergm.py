@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._kernel import (
     CLAMP,
     FreeEnergy,
@@ -24,6 +22,7 @@ from ._kernel import (
     project,
     spg_box,
 )
+from ._numpy import np
 from ._random import Generator
 from .errors import NoTransitionFound, ValueOutOfRange, check_integer, check_real
 from .graphon import Graphon, rate_value, resample

@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the argument checks, here
 so that the numpy-free modules can use them too: check_real, check_integer,
-check_unit of a value in [0, 1] and check_symmetric of a graphon or kernel."""
+check_unit of a value in [0, 1], check_symmetric of a graphon or kernel and
+open_path of a file path."""
 
 from numbers import Integral, Real
 
@@ -101,3 +102,12 @@ def check_symmetric(name, a):
         raise AsymmetricMatrix(f"{name} shape {a.shape} is not square")
     if a.size and abs(a - a.T).max() > 1e-12:
         raise AsymmetricMatrix(f"{name} is not symmetric")
+
+
+def open_path(name, path, mode="r"):
+    """open(path, mode) in UTF-8; raise ValueOutOfRange for a path that cannot
+    name a file (a null byte, or a character the file system cannot encode)."""
+    try:
+        return open(path, mode, encoding="utf-8")
+    except ValueError as exc:  # UnicodeEncodeError is one
+        raise ValueOutOfRange(f"{name} path {path!r} cannot name a file: {exc}") from None

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import _kernel
+from ._numpy import np
 from .errors import (
     EmptyMatrix,
     FormatError,
@@ -24,6 +23,7 @@ from .errors import (
     check_integer,
     check_symmetric,
     check_unit,
+    open_path,
 )
 # the motif, the target pair and the motif file reader are numpy-free, in
 # `problem`; they are part of this module's interface too
@@ -186,7 +186,7 @@ def resample(g: Graphon, m2) -> Graphon:
 
 
 def write_graphon(g: Graphon, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_path("graphon", path, "w") as fh:
         fh.write(graphon_text(g))
 
 
@@ -198,7 +198,7 @@ def graphon_text(g: Graphon) -> str:
 
 
 def read_graphon(path) -> Graphon:
-    with open(path, encoding="utf-8") as fh:
+    with open_path("graphon", path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or not lines[0].startswith("graphon v1 m="):
         raise FormatError("missing 'graphon v1 m=<int>' header")

@@ -7,9 +7,8 @@ config) and returns (ok, detail): whether the invariant held, and the worst
 figure it measured.
 """
 
-import numpy as np
-
 from . import census, optimize, region, spectral
+from ._numpy import np
 from .graphon import DensityPair, Graphon, Motif, motif_density, motif_gradient, rate_value
 from .optimize import closed_form_half, el_residual, estimate_multipliers, maximize_entropy
 

@@ -22,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._kernel import (
     CLAMP,
     AugmentedLagrangian,
@@ -32,6 +30,7 @@ from ._kernel import (
     project,
     spg_box,
 )
+from ._numpy import np
 from ._random import Generator
 from .errors import (
     DegenerateFit,

@@ -14,9 +14,8 @@ import math
 from dataclasses import dataclass, field, replace
 from numbers import Real
 
-import numpy as np
-
 from . import region
+from ._numpy import np
 from .errors import DegenerateFit, EmptyTable, Infeasible, ValueOutOfRange, check_unit
 from .graphon import DensityPair, Motif, rate_value
 from .optimize import OptimConfig, check_crease_e, f_minus, maximize_entropy

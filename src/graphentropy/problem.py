@@ -23,6 +23,7 @@ from .errors import (
     ValueOutOfRange,
     check_integer,
     check_unit,
+    open_path,
 )
 
 if TYPE_CHECKING:
@@ -165,11 +166,7 @@ class DensityPair:
 
 
 def read_motif(path) -> Motif:
-    try:
-        fh = open(path, encoding="utf-8")
-    except ValueError as exc:  # a null byte or a character no file name can hold
-        raise ValueOutOfRange(f"motif path {path!r} cannot name a file: {exc}") from None
-    with fh:
+    with open_path("motif", path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or not lines[0].startswith("motif v1 ell="):
         raise FormatError("missing 'motif v1 ell=<int>' header")
@@ -193,8 +190,8 @@ class OptimConfig:
     number of random restarts >= 0 and their seed >= 0, each a whole number
     and not a bool, and an optional Graphon to start from.  Construction
     raises ValueOutOfRange on any other value.  At m >= 101 the result's last
-    bits depend on the OpenBLAS thread count, which the CLI pins to 1 and the
-    library leaves to OPENBLAS_NUM_THREADS."""
+    bits depend on the OpenBLAS thread count, which is 1 unless
+    OPENBLAS_NUM_THREADS is set or numpy was loaded before the package."""
 
     m: int = 16
     multistart_count: int = 12

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .errors import EdgeDensityMismatch, UnsupportedPower, ValueOutOfRange, check_symmetric
 from .graphon import Graphon, Motif, edge_density, motif_density
 

@@ -552,6 +552,15 @@ def test_graphon_file_errors(tmp_path):
             read_graphon(path)
 
 
+@pytest.mark.parametrize("path", ["a\u0000b", "\ud800.txt"], ids=["null-byte", "surrogate"])
+def test_graphon_files_refuse_a_path_no_file_can_have(path):
+    # as read_motif does: invalid input, not Python's ValueError or UnicodeEncodeError
+    with pytest.raises(errors.ValueOutOfRange, match="graphon path .* cannot name a file"):
+        read_graphon(path)
+    with pytest.raises(errors.ValueOutOfRange, match="graphon path .* cannot name a file"):
+        write_graphon(constant_graphon(0.5, 2), path)
+
+
 def test_motif_file_roundtrip(tmp_path):
     path = tmp_path / "m.txt"
     path.write_text("motif v1 ell=4\n1 2\n1 3\n1 4\n")

@@ -1,8 +1,8 @@
 """Start-up contract: a process loads only what it uses.
 
 `import graphentropy` and `import graphentropy.cli` load no numpy, the package
-resolves its public names on first access, and the command-line entry point
-pins OpenBLAS to one thread unless the user has chosen otherwise.
+resolves its public names on first access, and the package loads numpy on one
+OpenBLAS thread unless the user has chosen otherwise.
 """
 
 import importlib
@@ -36,18 +36,24 @@ SUBMODULES = {"census", "ergm", "errors", "graphon", "optimize", "phase", "probl
               "spectral"}
 
 
-def _fresh_process(code):
-    """`code` run to completion in a new interpreter that imports this checkout."""
+def _fresh_process(code, **variables):
+    """`code` run to completion in a new interpreter that imports this checkout,
+    with each of `variables` set in its environment, or unset where None."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(graphentropy.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    for name, value in variables.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
 
 
-def _fresh(code):
+def _fresh(code, **variables):
     """stdout lines of `code` run in a new interpreter that imports this checkout."""
-    return _fresh_process(code).stdout.splitlines()
+    return _fresh_process(code, **variables).stdout.splitlines()
 
 
 def test_import_loads_no_numpy_and_no_submodule():
@@ -160,22 +166,59 @@ def test_solving_commands_load_no_numpy_random(tmp_path, argv):
     assert out == [f"{cli.EXIT_OK} ['numpy']"]
 
 
-def _main_sees(monkeypatch):
-    """OPENBLAS_NUM_THREADS as cli.run sees it when cli.main calls it."""
-    seen = []
-    monkeypatch.setattr(cli, "run", lambda: seen.append(os.environ.get("OPENBLAS_NUM_THREADS")))
-    with pytest.raises(SystemExit):
-        cli.main()
-    return seen
+def _openblas_is_threaded():
+    """Whether this machine can show OpenBLAS's thread pool: OS threads are
+    listed in /proc, the process may run on 2 CPUs or more, and numpy's BLAS
+    is OpenBLAS."""
+    import numpy
+
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return (os.path.isdir("/proc/self/task") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2 and "openblas" in blas["name"].lower())
 
 
-def test_main_pins_openblas_to_one_thread_only_when_unset(monkeypatch):
-    # set first so that the teardown restores the variable's original state
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "")
-    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
-    assert _main_sees(monkeypatch) == ["1"]
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-    assert _main_sees(monkeypatch) == ["2"]
+def _threads_after(imports, openblas):
+    """The OS threads and OPENBLAS_NUM_THREADS of a fresh interpreter after
+    `imports`, started with OPENBLAS_NUM_THREADS set to `openblas` (None: unset)."""
+    out = _fresh(f"import os, {imports}\n"
+                 "print(len(os.listdir('/proc/self/task')), "
+                 "os.environ.get('OPENBLAS_NUM_THREADS'))", OPENBLAS_NUM_THREADS=openblas)
+    threads, variable = out[0].split()
+    return int(threads), variable
+
+
+threaded = pytest.mark.skipif(not _openblas_is_threaded(),
+                              reason="needs /proc, 2 CPUs and numpy on OpenBLAS")
+
+
+@threaded
+def test_the_package_loads_numpy_on_one_openblas_thread_and_unsets_the_variable():
+    assert _threads_after("graphentropy.optimize", None) == (1, "None")
+
+
+@threaded
+def test_a_chosen_openblas_thread_count_wins():
+    assert _threads_after("graphentropy.optimize", "2") == (2, "2")
+
+
+@threaded
+def test_a_numpy_loaded_first_is_left_alone():
+    threads, variable = _threads_after("numpy", None)
+    assert threads >= 2
+    assert _threads_after("numpy, graphentropy.optimize", None) == (threads, variable)
+
+
+def test_results_at_m_101_do_not_depend_on_the_openblas_thread_count():
+    # above m = 100, threaded OpenBLAS sums some matrix products in another
+    # order; with the variable unset the package loads numpy on one thread,
+    # so both runs give the one-thread bits
+    code = ("import hashlib\n"
+            "from graphentropy import Graphon, Motif, motif_gradient\n"
+            "from graphentropy._random import Generator\n"
+            "u = Generator(101).uniform(0.05, 0.95, (101, 101))\n"
+            "g = Graphon(values=(u + u.T) / 2)\n"
+            "print(hashlib.sha256(motif_gradient(g, Motif.triangle()).tobytes()).hexdigest())")
+    assert _fresh(code, OPENBLAS_NUM_THREADS=None) == _fresh(code, OPENBLAS_NUM_THREADS="1")
 
 
 def test_the_module_runs_as_the_command(capsys):

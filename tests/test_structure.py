@@ -46,6 +46,14 @@ def test_no_module_imports_scipy():
     assert offenders == []
 
 
+def test_numpy_is_imported_in_one_module():
+    # every other module takes np from _numpy, so none can load numpy around
+    # its OpenBLAS thread rule
+    importers = {path.name for path in sorted(PACKAGE.glob("*.py"))
+                 for n in _absolute_names(path) if n.split(".")[0] == "numpy"}
+    assert importers == {"_numpy.py"}
+
+
 def test_no_module_names_numpy_random():
     # the random starts come from _random, which loads neither numpy.random
     # nor the hashing modules its seeding imports
