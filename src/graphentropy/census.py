@@ -14,7 +14,6 @@ the entropy definition.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -76,7 +75,8 @@ def enumerate_census(n, threads=1) -> CensusTable:
     1 <= n <= MAX_N.  Each (block of H, neighbourhood S) item is counted into
     an int64 histogram; threads >= 1 workers, at most one per item, take a
     fixed partition of the items and their histograms are summed exactly, so
-    the result is independent of threads.
+    the result is independent of threads.  A single worker is the calling
+    thread: no pool is started.
     """
     check_census_args(n, threads)
     m = n - 1
@@ -105,12 +105,17 @@ def enumerate_census(n, threads=1) -> CensusTable:
         return acc
 
     workers = min(threads, len(items))
-    parts = [items[i * len(items) // workers:(i + 1) * len(items) // workers]
-             for i in range(workers)]
-    acc = np.zeros(size, dtype=np.int64)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(work, parts):
-            acc += part
+    if workers == 1:  # the calling thread: no pool, and no concurrent.futures
+        acc = work(items)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        parts = [items[i * len(items) // workers:(i + 1) * len(items) // workers]
+                 for i in range(workers)]
+        acc = np.zeros(size, dtype=np.int64)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for part in pool.map(work, parts):
+                acc += part
     counts = {}
     for flat in np.flatnonzero(acc):
         counts[(int(flat) // width, int(flat) % width)] = int(acc[flat])

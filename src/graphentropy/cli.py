@@ -457,8 +457,8 @@ def main():
     """Entry point of the `graphentropy` command and `python -m graphentropy.cli`.
 
     The command follows the library's one rule for BLAS threads: numpy loads
-    on one OpenBLAS thread unless OPENBLAS_NUM_THREADS is set (see
-    `graphentropy._numpy`).  `--threads` stays the command's only parallelism.
+    on one OpenBLAS thread unless OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
+    OMP_NUM_THREADS is set (see `graphentropy._numpy`).  `--threads` stays the command's only parallelism.
     """
     sys.exit(run())
 

@@ -11,6 +11,7 @@ rest on phi, for psi and for the t <= e^3 bound verification.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -68,19 +69,21 @@ def _dphi(u, beta1, beta2):
     return -0.5 * math.log(u / (1.0 - u)) + beta1 + 3.0 * beta2 * u * u
 
 
-# the grid of _scalar_maximizers and the parts of phi on it that do not depend
-# on beta, so that phi there is _phi's operations in _phi's order
-_GRID_US = np.linspace(CLAMP, 1.0 - CLAMP, SCALAR_GRID_POINTS)
-_GRID_NEG_I0 = -rate_value(_GRID_US)
-_GRID_US3 = _GRID_US ** 3
+@functools.cache
+def _grid():
+    """The grid of _scalar_maximizers and the parts of phi on it that do not
+    depend on beta, (u, -I0(u), u^3), so that phi there is _phi's operations
+    in _phi's order; built on first use, not at import."""
+    us = np.linspace(CLAMP, 1.0 - CLAMP, SCALAR_GRID_POINTS)
+    return us, -rate_value(us), us ** 3
 
 
 def _scalar_maximizers(beta1, beta2, tie_tol=1e-8):
     """All local maximizers of phi on [0,1] within tie_tol of the global max:
     each local maximum on the grid, refined by bisecting the sign of phi' over
     its two cells to a width of 1e-14 (one at a grid end goes to that end)."""
-    us = _GRID_US
-    ph = _GRID_NEG_I0 + beta1 * us + beta2 * _GRID_US3
+    us, neg_i0, us3 = _grid()
+    ph = neg_i0 + beta1 * us + beta2 * us3
     # local maxima on the grid, endpoints included
     padded = np.concatenate(([-np.inf], ph, [-np.inf]))
     inner = (ph >= padded[:-2]) & (ph >= padded[2:])

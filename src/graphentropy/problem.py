@@ -191,7 +191,8 @@ class OptimConfig:
     and not a bool, and an optional Graphon to start from.  Construction
     raises ValueOutOfRange on any other value.  At m >= 101 the result's last
     bits depend on the OpenBLAS thread count, which is 1 unless
-    OPENBLAS_NUM_THREADS is set or numpy was loaded before the package."""
+    OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS is set or numpy
+    was loaded before the package."""
 
     m: int = 16
     multistart_count: int = 12

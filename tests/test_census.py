@@ -1,5 +1,6 @@
 """Exact small-graph census tests."""
 
+import concurrent.futures
 import hashlib
 import math
 from collections import Counter
@@ -7,7 +8,7 @@ from itertools import combinations
 
 import pytest
 
-from graphentropy import census, errors
+from graphentropy import errors
 from graphentropy.census import (
     compare_to_variational,
     empirical_entropy,
@@ -137,14 +138,18 @@ class _RecordingPool:
                                                 (4, 10 ** 6, 8), (5, 5, 16), (5, 100, 16)])
 def test_census_starts_no_more_workers_than_items(monkeypatch, n, threads, items):
     # every part is nonempty, and together they hold each item once; the
-    # counts do not depend on the split
+    # counts do not depend on the split; a single worker is the calling
+    # thread, with no pool
     _RecordingPool.made.clear()
-    monkeypatch.setattr(census, "ThreadPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _RecordingPool)
     table = enumerate_census(n, threads=threads)
-    pool, = _RecordingPool.made
-    assert pool.max_workers == len(pool.parts) == min(threads, items)
-    assert all(pool.parts)
-    assert sum(len(part) for part in pool.parts) == items
+    if min(threads, items) == 1:
+        assert _RecordingPool.made == []
+    else:
+        pool, = _RecordingPool.made
+        assert pool.max_workers == len(pool.parts) == min(threads, items)
+        assert all(pool.parts)
+        assert sum(len(part) for part in pool.parts) == items
     assert table.counts == enumerate_census(n, threads=1).counts
 
 

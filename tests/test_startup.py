@@ -109,6 +109,38 @@ def test_census_runs_without_the_solver_modules(tmp_path):
     assert out.read_text().splitlines()[-1] == "3,3,1,1"
 
 
+def test_importing_the_free_energy_module_builds_no_grid():
+    assert _fresh("from graphentropy import ergm\n"
+                  "print(ergm._grid.cache_info().currsize)") == ["0"]
+
+
+def test_psi_constant_builds_the_grid_once_and_gives_the_same_bits():
+    assert _fresh(
+        "from graphentropy import ergm\n"
+        "p = ergm.ErgmParams(0.3, 0.8)\n"
+        "a, b = ergm.psi_constant(p), ergm.psi_constant(p)\n"
+        "bits = lambda r: [r['psi_er'].hex()] + [u.hex() for u in r['u_star']]\n"
+        "print(bits(a) == bits(b), ergm._grid.cache_info().misses)"
+    ) == ["True 1"]
+
+
+@pytest.mark.parametrize("argv", [["verify", "--seed", "5"],
+                                  ["census", "--n", "5", "--threads", "1"]], ids=["verify", "census"])
+def test_one_worker_loads_no_thread_pool(tmp_path, argv):
+    out, _ = _run_reports_loaded([*argv, "--out", str(tmp_path / "out")], ["concurrent.futures"])
+    assert out == [f"{cli.EXIT_OK} []"]
+
+
+def test_a_one_worker_census_makes_no_executor_and_counts_as_two_do():
+    assert _fresh(
+        "import sys\n"
+        "from graphentropy.census import enumerate_census\n"
+        "one = [enumerate_census(n, threads=1).counts for n in range(1, 7)]\n"
+        "loaded = 'concurrent.futures' in sys.modules\n"
+        "print(loaded, one == [enumerate_census(n, threads=2).counts for n in range(1, 7)])"
+    ) == ["False True"]
+
+
 def _run_reports_loaded(argv, modules):
     """The exit code of cli.run(argv) in a fresh interpreter, which of
     `modules` it loaded, and its stderr."""
@@ -177,12 +209,19 @@ def _openblas_is_threaded():
             and len(os.sched_getaffinity(0)) >= 2 and "openblas" in blas["name"].lower())
 
 
-def _threads_after(imports, openblas):
-    """The OS threads and OPENBLAS_NUM_THREADS of a fresh interpreter after
-    `imports`, started with OPENBLAS_NUM_THREADS set to `openblas` (None: unset)."""
+# the variables OpenBLAS reads for its thread count, in the order it reads them
+OPENBLAS_THREAD_VARIABLES = ["OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"]
+
+
+def _threads_after(imports, name="OPENBLAS_NUM_THREADS", value=None):
+    """The OS threads and the variable `name` of a fresh interpreter after
+    `imports`, started with `name` set to `value` (None: unset) and the other
+    variables OpenBLAS reads for its thread count unset."""
+    variables = dict.fromkeys(OPENBLAS_THREAD_VARIABLES)
+    variables[name] = value
     out = _fresh(f"import os, {imports}\n"
                  "print(len(os.listdir('/proc/self/task')), "
-                 "os.environ.get('OPENBLAS_NUM_THREADS'))", OPENBLAS_NUM_THREADS=openblas)
+                 f"os.environ.get({name!r}))", **variables)
     threads, variable = out[0].split()
     return int(threads), variable
 
@@ -193,19 +232,25 @@ threaded = pytest.mark.skipif(not _openblas_is_threaded(),
 
 @threaded
 def test_the_package_loads_numpy_on_one_openblas_thread_and_unsets_the_variable():
-    assert _threads_after("graphentropy.optimize", None) == (1, "None")
+    assert _threads_after("graphentropy.optimize") == (1, "None")
 
 
 @threaded
 def test_a_chosen_openblas_thread_count_wins():
-    assert _threads_after("graphentropy.optimize", "2") == (2, "2")
+    assert _threads_after("graphentropy.optimize", value="2") == (2, "2")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+@pytest.mark.parametrize("name", OPENBLAS_THREAD_VARIABLES)
+def test_any_variable_openblas_reads_for_its_thread_count_is_left_to_numpy(name):
+    assert _threads_after("graphentropy.optimize", name, "2") == _threads_after("numpy", name, "2")
 
 
 @threaded
 def test_a_numpy_loaded_first_is_left_alone():
-    threads, variable = _threads_after("numpy", None)
+    threads, variable = _threads_after("numpy")
     assert threads >= 2
-    assert _threads_after("numpy, graphentropy.optimize", None) == (threads, variable)
+    assert _threads_after("numpy, graphentropy.optimize") == (threads, variable)
 
 
 def test_results_at_m_101_do_not_depend_on_the_openblas_thread_count():
