@@ -43,10 +43,7 @@ of any result:
 - lam_eff = lam - rho c entry by entry on floats, which round each entry
   as numpy's 2-vector operations do;
 - in `spg_box`, the first line-search trial A + D rather than A + 1.0 D:
-  multiplying by 1.0 is exact;
-- in `spg_box`, where the step scale w is 1.0 in every entry, the scalar
-  step in place of the per-entry steps, which all equal it, and s in place
-  of s / w.
+  multiplying by 1.0 is exact.
 
 The constraint dots stay numpy 2-vector dots: scalar
 `l0*c0 + l1*c1` rounds differently from `lam @ c` in the last bit for about
@@ -312,9 +309,7 @@ def _step_scale(a):
 def _entry_steps(w, step):
     """Per-entry step lengths: step where w = 1, and min(step, 2/C) w where
     w < 1, which never exceeds 2a(1-a) = 1/I0''(a), the Newton step of the
-    entropy alone.  w None stands for w = 1 in every entry: the scalar step."""
-    if w is None:
-        return step
+    entropy alone."""
     return np.where(w < 1.0, min(step, 2.0 / CURVATURE_SCALE) * w, step)
 
 
@@ -363,8 +358,6 @@ def spg_box(a, objective, tol, max_iter, start=None):
         if pg <= tol:
             break
         w = _step_scale(a)
-        if np.minimum.reduce(w, None) == 1.0:
-            w = None  # unscaled: the scalar step, with the same bits
         d = project(a - _entry_steps(w, step) * g) - a
         gd = _dot(g, d)
         if gd >= 0.0:
@@ -386,8 +379,7 @@ def spg_box(a, objective, tol, max_iter, start=None):
         s = an - a
         y = gn - g
         sy = _dot(s, y)
-        sw = s if w is None else s / w
-        step = min(max(_dot(s, sw) / sy, 1e-8), 1e8) if sy > 1e-18 else 1.0
+        step = min(max(_dot(s, s / w) / sy, 1e-8), 1e8) if sy > 1e-18 else 1.0
         a, f, g = an, fn, gn
         hist.append(f)
     else:  # out of iterations: measure the norm at the iterate returned

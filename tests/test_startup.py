@@ -15,6 +15,7 @@ import pytest
 
 import graphentropy
 from graphentropy import cli
+from graphentropy._numpy import THREAD_VARIABLES
 
 # the public names of the package: its nine modules and what they export
 PUBLIC_NAMES = [
@@ -209,15 +210,11 @@ def _openblas_is_threaded():
             and len(os.sched_getaffinity(0)) >= 2 and "openblas" in blas["name"].lower())
 
 
-# the variables OpenBLAS reads for its thread count, in the order it reads them
-OPENBLAS_THREAD_VARIABLES = ["OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"]
-
-
 def _threads_after(imports, name="OPENBLAS_NUM_THREADS", value=None):
     """The OS threads and the variable `name` of a fresh interpreter after
     `imports`, started with `name` set to `value` (None: unset) and the other
     variables OpenBLAS reads for its thread count unset."""
-    variables = dict.fromkeys(OPENBLAS_THREAD_VARIABLES)
+    variables = dict.fromkeys(THREAD_VARIABLES)
     variables[name] = value
     out = _fresh(f"import os, {imports}\n"
                  "print(len(os.listdir('/proc/self/task')), "
@@ -241,7 +238,7 @@ def test_a_chosen_openblas_thread_count_wins():
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
-@pytest.mark.parametrize("name", OPENBLAS_THREAD_VARIABLES)
+@pytest.mark.parametrize("name", THREAD_VARIABLES)
 def test_any_variable_openblas_reads_for_its_thread_count_is_left_to_numpy(name):
     assert _threads_after("graphentropy.optimize", name, "2") == _threads_after("numpy", name, "2")
 
@@ -255,15 +252,16 @@ def test_a_numpy_loaded_first_is_left_alone():
 
 def test_results_at_m_101_do_not_depend_on_the_openblas_thread_count():
     # above m = 100, threaded OpenBLAS sums some matrix products in another
-    # order; with the variable unset the package loads numpy on one thread,
-    # so both runs give the one-thread bits
+    # order; with every thread variable unset the package loads numpy on one
+    # thread, so both runs give the one-thread bits
     code = ("import hashlib\n"
             "from graphentropy import Graphon, Motif, motif_gradient\n"
             "from graphentropy._random import Generator\n"
             "u = Generator(101).uniform(0.05, 0.95, (101, 101))\n"
             "g = Graphon(values=(u + u.T) / 2)\n"
             "print(hashlib.sha256(motif_gradient(g, Motif.triangle()).tobytes()).hexdigest())")
-    assert _fresh(code, OPENBLAS_NUM_THREADS=None) == _fresh(code, OPENBLAS_NUM_THREADS="1")
+    unset = dict.fromkeys(THREAD_VARIABLES)
+    assert _fresh(code, **unset) == _fresh(code, **{**unset, "OPENBLAS_NUM_THREADS": "1"})
 
 
 def test_the_module_runs_as_the_command(capsys):
