@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from ._numpy import np
-from .errors import TooLarge, ValueOutOfRange, check_integer, check_real
+from .errors import ValueOutOfRange, check_integer, check_real
 
 # n = 8 is 2^28 graphs, about a second on one thread
 MAX_N = 8
@@ -63,10 +63,8 @@ def _block(start, stop, triples, width):
 
 def check_census_args(n, threads):
     """Raise as `enumerate_census(n, threads)` does on its arguments, before any work."""
-    check_integer("n", n, 1)
+    check_integer("n", n, 1, MAX_N)
     check_integer("threads, the worker count,", threads, 1)
-    if n > MAX_N:
-        raise TooLarge(f"n={n} exceeds the cap {MAX_N}")
 
 
 def enumerate_census(n, threads=1) -> CensusTable:

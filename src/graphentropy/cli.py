@@ -18,12 +18,15 @@ from dataclasses import astuple, fields
 # only the standard library and the error types load with the CLI; each
 # handler imports the modules it runs, so `region` runs without numpy
 from .errors import (
+    MAX_POINTS,
     EmptyTable,
     FormatError,
     GraphEntropyError,
     Infeasible,
     NoTransitionFound,
     ValueOutOfRange,
+    check_integer,
+    open_path,
 )
 
 EXIT_OK = 0
@@ -36,9 +39,6 @@ EXIT_INVARIANT = 5
 # --steps is not given
 CURVE_BETA2 = (0.6, 2.0)
 CURVE_STEPS = 8
-# ergm --grid's largest point count, over five hours at about 20 ms per
-# psi_full; a larger count is invalid input, not a numpy allocation error
-ERGM_GRID_MAX_POINTS = 10 ** 6
 
 
 def _sanitize(obj):
@@ -56,7 +56,7 @@ def _sanitize(obj):
 
 def _emit(text, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with open_path("output", out_path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -96,7 +96,7 @@ def _load_config(args, spec_optim=None):
     keys = [f.name for f in fields(OptimConfig) if f.name != "warm_start"]
     layers = []
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
+        with open_path("--config", args.config) as fh:
             doc = _table(json.load(fh), "config", ("version", "optim"))
         if doc.get("version") != 1:
             raise FormatError("config must be a JSON object with \"version\": 1")
@@ -176,7 +176,7 @@ def _cmd_scan(args):
     from . import phase as phase_mod
     from .problem import Motif
 
-    with open(args.spec, encoding="utf-8") as fh:
+    with open_path("--spec", args.spec) as fh:
         doc = _table(json.load(fh), "scan spec",
                      ("e_grid", "t_grid", "relative", "motif", "optim"))
     cfg = _load_config(args, doc.get("optim"))
@@ -245,16 +245,16 @@ def _cmd_ergm(args):
     if len(args.grid) != 6:
         raise ValueOutOfRange("--grid needs b1lo,b1hi,n1,b2lo,b2hi,n2")
     b1lo, b1hi, n1, b2lo, b2hi, n2 = args.grid
-    if not all(n.is_integer() and n >= 1 for n in (n1, n2)):
-        raise ValueOutOfRange(f"--grid counts must be positive integers, got {n1}, {n2}")
-    if n1 * n2 > ERGM_GRID_MAX_POINTS:
-        raise ValueOutOfRange(f"--grid has {n1:g} x {n2:g} points, above the cap of "
-                              f"{ERGM_GRID_MAX_POINTS:,}")
+    # a whole count becomes an int; NaN, an infinity or a fraction stays a float
+    n1, n2 = (int(n) if n.is_integer() else n for n in (n1, n2))
+    check_integer("--grid count n1", n1, 1)
+    check_integer("--grid count n2", n2, 1)
+    check_integer("--grid point count n1*n2", n1 * n2, 1, MAX_POINTS)
     from ._numpy import np
 
     rows = []
-    for b1 in np.linspace(b1lo, b1hi, int(n1)):
-        for b2 in np.linspace(b2lo, b2hi, int(n2)):
+    for b1 in np.linspace(b1lo, b1hi, n1):
+        for b2 in np.linspace(b2lo, b2hi, n2):
             r = ergm_mod.psi_full(ergm_mod.ErgmParams(float(b1), float(b2)), cfg)
             d = r.maximizer_densities
             rows.append((float(b1), float(b2), r.psi, d.e, d.t, r.degenerate))
@@ -282,7 +282,7 @@ def _cmd_census_compare(args):
     census_mod.check_census_args(args.n, _threads(args))
     census_mod.check_alpha(args.alpha)
     points = []
-    with open(args.points, encoding="utf-8") as fh:
+    with open_path("--points", args.points) as fh:
         header = fh.readline().strip().split(",")
         if header[:2] != ["e", "t"]:
             raise FormatError("points file needs an e,t header")
@@ -321,7 +321,7 @@ def _cmd_verify(args):
         (invariants.gradient_checks, rng, 10),
         (invariants.closed_form_agreement,),
         (invariants.region_geometry,),
-        (invariants.census_hand_enumeration,),
+        (invariants.census_hand_enumeration, _threads(args)),
         (invariants.convexity_derivative_paths, 200),
         (invariants.er_curve_ceiling, OptimConfig(m=8, multistart_count=2, seed=cfg.seed)),
     )
@@ -349,7 +349,7 @@ def _global_flags(p, suppress):
     p.add_argument("--seed", type=int, default=d, help="RNG seed (u64)")
     p.add_argument("--threads", type=_thread_count, default=d,
                    help="census worker count, or 'auto' for every available CPU; "
-                   "scan, crease and verify accept it and run on one thread")
+                   "verify's census check reads it; scan and crease accept it, on one thread")
     p.add_argument("--out", default=d, help="machine-output file (default stdout)")
     p.add_argument("--config", default=d, help="JSON config file, version 1")
 

@@ -25,7 +25,7 @@ from ._kernel import (
 )
 from ._numpy import np
 from ._random import Generator
-from .errors import NoTransitionFound, ValueOutOfRange, check_integer, check_real
+from .errors import MAX_POINTS, NoTransitionFound, ValueOutOfRange, check_integer, check_real
 from .graphon import Graphon, rate_value, resample
 from .problem import KKT_TOL, MAX_INNER_ITERATIONS, DensityPair, Motif, OptimConfig
 
@@ -233,7 +233,7 @@ def transition_curve(beta2_min, beta2_max, steps) -> list:
     beta2 values without a jump are skipped (reported by absence, not error);
     raises NoTransitionFound only when no sampled beta2 has one.
     """
-    check_integer("steps", steps, 2)
+    check_integer("steps", steps, 2, MAX_POINTS)
     check_real("beta2_min", beta2_min)
     check_real("beta2_max", beta2_max)
     if not (math.isfinite(beta2_min) and math.isfinite(beta2_max)):

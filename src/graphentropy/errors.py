@@ -1,9 +1,12 @@
 """Exception types shared across the package, and the argument checks, here
-so that the numpy-free modules can use them too: check_real, check_integer,
-check_unit of a value in [0, 1], check_symmetric of a graphon or kernel and
-open_path of a file path."""
+so that the numpy-free modules can use them too: check_real, check_integer
+(with its optional cap), check_unit of a value in [0, 1], check_symmetric of
+a graphon or kernel and open_path of a file path."""
 
 from numbers import Integral, Real
+
+# the largest sample, step or point count a table, curve or grid takes
+MAX_POINTS = 10 ** 6
 
 
 class GraphEntropyError(Exception):
@@ -55,7 +58,7 @@ class DegenerateFit(GraphEntropyError):
     pass
 
 
-# a census above its size cap is invalid input too
+# a size above its cap (check_integer's high) is invalid input too
 class TooLarge(ValueOutOfRange):
     pass
 
@@ -76,10 +79,13 @@ class FormatError(GraphEntropyError):
     """Malformed graphon/motif file."""
 
 
-def check_integer(name, value, low):
-    """Raise ValueOutOfRange unless value is an integer >= low and not a bool."""
+def check_integer(name, value, low, high=None):
+    """Raise ValueOutOfRange unless value is an integer >= low and not a bool,
+    and TooLarge, a ValueOutOfRange, for a size above its cap high."""
     if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
         raise ValueOutOfRange(f"{name} must be an integer >= {low}, got {value!r}")
+    if high is not None and value > high:
+        raise TooLarge(f"{name}={value} exceeds the cap {high}")
 
 
 def check_real(name, value):

@@ -81,10 +81,10 @@ def region_geometry():
     return ok and abs(touch - 0.5) < 1e-15, f"touch point {touch!r}"
 
 
-def census_hand_enumeration():
-    """The n = 3 census by hand: one empty graph, three with one edge, three
-    with two, one triangle."""
-    counts = census.enumerate_census(3).counts
+def census_hand_enumeration(threads):
+    """The n = 3 census by hand, counted on `threads` workers: one empty
+    graph, three with one edge, three with two, one triangle."""
+    counts = census.enumerate_census(3, threads).counts
     return counts == {(0, 0): 1, (1, 0): 3, (2, 0): 3, (3, 1): 1}, f"counts {counts}"
 
 

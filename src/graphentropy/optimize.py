@@ -33,6 +33,7 @@ from ._kernel import (
 from ._numpy import np
 from ._random import Generator
 from .errors import (
+    MAX_POINTS,
     DegenerateFit,
     Infeasible,
     SignPatternUnexpected,
@@ -268,7 +269,7 @@ def slice_second_derivative_fd(t):
 
 def convexity_report(samples=400) -> ConvexityReport:
     """Locate the concave-to-convex change of s(1/2, t) on (0, 1/8)."""
-    check_integer("samples", samples, 100)
+    check_integer("samples", samples, 100, MAX_POINTS)
     ts = np.linspace(1e-4, 0.125 - 1e-6, samples)
     d2 = slice_second_derivative(ts)
     signs = np.sign(d2)

@@ -44,6 +44,11 @@ MAX_INNER_ITERATIONS = 2000
 MAX_RESOLUTION = 4096
 
 
+def _check_vertex_cap(ell):
+    if ell > MAX_MOTIF_VERTICES:
+        raise MotifTooLarge(f"ell={ell} exceeds cap {MAX_MOTIF_VERTICES}")
+
+
 @dataclass(frozen=True)
 class Motif:
     """Small simple connected graph H whose density constrains the optimization.
@@ -77,8 +82,7 @@ class Motif:
                 raise DuplicateEdge(f"duplicate edge {e}")
             seen.add(e)
         object.__setattr__(self, "edges", frozenset(seen))
-        if ell > MAX_MOTIF_VERTICES:
-            raise MotifTooLarge(f"ell={ell} exceeds cap {MAX_MOTIF_VERTICES}")
+        _check_vertex_cap(ell)
         if not self._connected():
             raise DisconnectedMotif("motif must be connected")
 
@@ -120,6 +124,7 @@ class Motif:
     @classmethod
     def star(cls, k):
         check_integer("star edge count k", k, 1)
+        _check_vertex_cap(k + 1)  # before any of the k edges is built
         return cls.from_edges(k + 1, [(1, j) for j in range(2, k + 2)])
 
     @classmethod
@@ -135,7 +140,11 @@ class Motif:
         if text.startswith("star:"):
             if not text[5:].isdecimal():
                 raise ValueOutOfRange(f"star needs a whole edge count, got {text!r}")
-            return cls.star(int(text[5:]))
+            try:
+                k = int(text[5:])
+            except ValueError:  # more digits than int() reads: far above the cap
+                raise MotifTooLarge(f"a {len(text) - 5}-digit star exceeds the cap") from None
+            return cls.star(k)
         return read_motif(text)
 
     def _connected(self):
@@ -189,10 +198,10 @@ class OptimConfig:
     """Solver settings: the grid resolution 1 <= m <= MAX_RESOLUTION, the
     number of random restarts >= 0 and their seed >= 0, each a whole number
     and not a bool, and an optional Graphon to start from.  Construction
-    raises ValueOutOfRange on any other value.  At m >= 101 the result's last
-    bits depend on the OpenBLAS thread count, which is 1 unless
-    OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS is set or numpy
-    was loaded before the package."""
+    raises ValueOutOfRange on any other value, TooLarge for m above its cap.
+    At m >= 101 the result's last bits depend on the OpenBLAS thread count,
+    which is 1 unless OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
+    OMP_NUM_THREADS is set or numpy was loaded before the package."""
 
     m: int = 16
     multistart_count: int = 12
@@ -200,10 +209,9 @@ class OptimConfig:
     warm_start: Graphon | None = None
 
     def __post_init__(self):
-        for name, low in (("m", 1), ("multistart_count", 0), ("seed", 0)):
-            check_integer(name, getattr(self, name), low)
-        if self.m > MAX_RESOLUTION:
-            raise ValueOutOfRange(f"m={self.m} is above the cap of {MAX_RESOLUTION:,}")
+        for name, low, high in (("m", 1, MAX_RESOLUTION), ("multistart_count", 0, None),
+                                ("seed", 0, None)):
+            check_integer(name, getattr(self, name), low, high)
         if self.warm_start is not None:
             # only a warm start needs the graphon module, and with it numpy
             from .graphon import Graphon

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import math
 
-from .errors import check_integer, check_unit
+from .errors import MAX_POINTS, check_integer, check_unit
 
 CURVE_TOL = 1e-12
 
@@ -82,7 +82,7 @@ def classify(e, t, tol=CURVE_TOL) -> RegionClass:
 
 def boundary_table(samples) -> list:
     """Rows (e, upper, er, envelope) at uniform e for the CLI region command."""
-    check_integer("samples", samples, 2)
+    check_integer("samples", samples, 2, MAX_POINTS)
     rows = []
     for i in range(samples):
         e = i / (samples - 1)

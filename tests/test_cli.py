@@ -1,5 +1,6 @@
 """Command-line interface tests (in-process via cli.run)."""
 
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ import sys
 
 import pytest
 
-from graphentropy import census, errors, invariants, region
+from graphentropy import census, ergm, errors, invariants, region
 from graphentropy.cli import (
     EXIT_INFEASIBLE,
     EXIT_INVARIANT,
@@ -263,11 +264,24 @@ FILE_INPUTS = ((ENTROPY, "--config"), (["scan"], "--spec"), (ENTROPY, "--motif")
     ["census", "--n", "4", "--thr", "2"],
     ["region", "--sam", "3"],
     ["ergm", "--cur", "--st", "2"],
+    # a path no file can have, for any file flag: a null byte, a lone surrogate
+    *[[*command, flag, path]
+      for command, flag in ((["region", "--samples", "3"], "--out"), *FILE_INPUTS[:2],
+                            FILE_INPUTS[3])
+      for path in ("a\u0000b", "\ud800.txt")],
 ])
 def test_malformed_input_exits_usage(tmp_path, argv):
     argv = [a(tmp_path) if callable(a) else a for a in argv]
-    assert run([*argv, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    # given first, so an --out in argv, after the command, overrides it
+    assert run(["--out", str(tmp_path / "out"), *argv]) == EXIT_USAGE
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("path", ["a\u0000b", "\ud800.svg"])
+def test_an_svg_path_no_file_can_have_exits_usage(tmp_path, path):
+    # the CSV is written by then, as for an --svg into a missing directory
+    assert run(["ergm", "--curve", "--steps", "2", "--svg", path,
+                "--out", str(tmp_path / "curve.csv")]) == EXIT_USAGE
 
 
 def test_an_out_path_that_is_a_directory_exits_usage(tmp_path, capsys):
@@ -558,6 +572,22 @@ def test_an_ergm_grid_too_large_to_run_exits_before_any_solve(monkeypatch, capsy
     assert "cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("module, point, argv", [
+    (region, "upper_boundary", ["region", "--samples"]),
+    (ergm, "find_transition", ["ergm", "--curve", "--steps"]),
+], ids=["region", "ergm-curve"])
+def test_a_point_count_above_the_cap_exits_before_any_point(monkeypatch, capsys, module,
+                                                            point, argv):
+    def no_point(*args):
+        raise AssertionError("a point was computed")
+
+    monkeypatch.setattr(module, point, no_point)
+    cap = errors.MAX_POINTS
+    assert run([*argv, str(cap + 1)]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"invalid input: {argv[-1][2:]}={cap + 1} exceeds "
+                                       f"the cap {cap}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["census", "--n", "9"],
     ["census-compare", "--n", "9", "--alpha", "0.1", "--points", "unread.csv"],
@@ -580,6 +610,24 @@ def test_verify_passes(tmp_path):
     text = out.read_text()
     assert "PASS overall" in text
     assert "FAIL" not in text
+
+
+def test_verify_counts_its_census_on_the_threads_given(monkeypatch, capsys):
+    # the n = 3 census has 4 items, so --threads 4 starts a pool of 4 real
+    # workers, and the report is byte for byte the one-thread report
+    pools = []
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    assert run(["verify", "--seed", "7", "--threads", "1"]) == EXIT_OK
+    one = capsys.readouterr().out
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    assert run(["verify", "--seed", "7", "--threads", "4"]) == EXIT_OK
+    assert capsys.readouterr().out == one
+    assert pools == [4]
 
 
 def test_verify_reports_failing_checks_and_runs_the_rest(tmp_path, monkeypatch, capsys):

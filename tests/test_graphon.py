@@ -1,6 +1,7 @@
 """Core graphon, motif density and rate-function tests."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from graphentropy import _kernel, errors
+from graphentropy import _kernel, ergm, errors, optimize, region
 from graphentropy.graphon import (
     DensityPair,
     Graphon,
@@ -107,6 +108,17 @@ def test_motif_validation():
         Motif.from_edges(7, [(1, 2), (3, 3)])
     with pytest.raises(errors.MotifTooLarge):
         Motif.from_edges(7, [(i + 1, i) for i in range(1, 7)])
+
+
+def test_a_star_above_the_vertex_cap_is_refused_before_its_edges():
+    # the star's 10^6 edges are never built: the parse takes microseconds
+    start = time.perf_counter()
+    with pytest.raises(errors.MotifTooLarge):
+        Motif.parse("star:1000000")
+    assert time.perf_counter() - start < 0.1
+    # a count of more digits than int() reads is too large, not a ValueError
+    with pytest.raises(errors.MotifTooLarge):
+        Motif.parse("star:" + "9" * 5000)
 
 
 @pytest.mark.parametrize("ell, edges, error", [
@@ -425,6 +437,23 @@ def test_counts_and_resolutions_must_be_whole_numbers(call):
     # a float or a bool is invalid input, not Python's TypeError, and True is not k = 1
     with pytest.raises(errors.ValueOutOfRange, match="integer"):
         call()
+
+
+def _no_point(*args):
+    raise AssertionError("a point was computed")
+
+
+@pytest.mark.parametrize("module, point, call", [
+    (region, "upper_boundary", boundary_table),
+    (ergm, "find_transition", lambda n: transition_curve(0.6, 2.0, n)),
+    (optimize, "slice_second_derivative", convexity_report),
+], ids=["boundary_table", "transition_curve", "convexity_report"])
+def test_a_point_count_above_the_cap_is_refused_before_any_point(monkeypatch, module, point,
+                                                                 call):
+    monkeypatch.setattr(module, point, _no_point)
+    cap = errors.MAX_POINTS
+    with pytest.raises(errors.TooLarge, match=f"^[a-z]+={cap + 1} exceeds the cap {cap}$"):
+        call(cap + 1)
 
 
 @pytest.mark.parametrize("call", [

@@ -435,6 +435,24 @@ def test_one_function_decides_symmetry():
     assert allclose == []
 
 
+def test_one_function_opens_files():
+    # every file, from the CLI or the library, is opened by errors.open_path,
+    # so a path no file can have is ValueOutOfRange everywhere
+    opened = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=path.name)
+        scopes = _scopes(tree)
+        opened += [f"{path.stem}{scopes[node]}" for node in ast.walk(tree)
+                   if _call_name(node) == "open"]
+    assert opened == ["errors.open_path"]
+
+
+def test_one_function_decides_a_size_cap():
+    # census n, the resolution m and every point count meet their caps in
+    # errors.check_integer, with one message
+    assert _raise_sites(("TooLarge",)) == ["errors.check_integer:TooLarge"]
+
+
 def test_every_open_call_names_its_encoding():
     # files are read and written as UTF-8 whatever the locale
     offenders = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
