@@ -8,6 +8,7 @@ converged (only from `entropy`), 5 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -54,26 +55,28 @@ def _sanitize(obj):
     return obj
 
 
-def _emit(text, out_path):
+def _emit(chunks, out_path):
+    """Write each string of chunks, in turn, to the file at out_path, or to
+    stdout when none is given."""
     if out_path:
         with open_path("output", out_path, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _emit_json(payload, out_path):
-    _emit(json.dumps(_sanitize(payload), indent=2, sort_keys=True) + "\n", out_path)
+    _emit([json.dumps(_sanitize(payload), indent=2, sort_keys=True) + "\n"], out_path)
 
 
 def _emit_csv(header, rows, out_path):
     """CSV with a header line and one line per row: repr for floats (so the
     values round-trip and nan prints as nan), 0 or 1 for bools, str for
-    everything else."""
-    lines = [",".join(repr(v) if isinstance(v, float) else str(int(v)) if isinstance(v, bool)
-                      else str(v) for v in row)
-             for row in [header, *rows]]
-    _emit("\n".join(lines) + "\n", out_path)
+    everything else.  Each line is written as it is formatted, so the text
+    of a long table is never held whole."""
+    _emit((",".join(repr(v) if isinstance(v, float) else str(int(v)) if isinstance(v, bool)
+                    else str(v) for v in row) + "\n"
+           for row in itertools.chain([header], rows)), out_path)
 
 
 def _table(doc, name, keys):
@@ -191,7 +194,7 @@ def _cmd_scan(args):
     table = phase_mod.phase_diagram_scan(spec)
     _emit_csv([f.name for f in fields(phase_mod.ScanRow)], map(astuple, table), args.out)
     if args.svg:
-        _emit(phase_mod.render_svg(table, "heatmap"), args.svg)
+        _emit([phase_mod.render_svg(table, "heatmap")], args.svg)
     return EXIT_OK
 
 
@@ -233,7 +236,7 @@ def _cmd_ergm(args):
         if args.svg:
             from . import phase as phase_mod
 
-            _emit(phase_mod.render_svg(rows, "curves"), args.svg)
+            _emit([phase_mod.render_svg(rows, "curves")], args.svg)
         return EXIT_OK
     _reject_flags(args, "svg", "beta2_min", "beta2_max", "steps", "threads",
                   mode=" --verify-thm5" if args.verify_thm5 else " --grid")
@@ -336,7 +339,7 @@ def _cmd_verify(args):
         all_ok &= bool(ok)
         lines.append(f"PASS {check.__name__}\n" if ok else f"FAIL {check.__name__} ({detail})\n")
     lines.append(f"{'PASS' if all_ok else 'FAIL'} overall\n")
-    _emit("".join(lines), args.out)
+    _emit(lines, args.out)
     return EXIT_OK if all_ok else EXIT_INVARIANT
 
 

@@ -3,9 +3,10 @@
 The solver maximizes -I(g) subject to e(g) = e and t(H, g) = t by an
 augmented-Lagrangian outer loop with a spectral projected-gradient inner loop
 on the symmetric box [CLAMP, 1-CLAMP]^(m x m).  Closed forms for the e = 1/2
-family, its entropy slice's convexity and the upper boundary, f_-(e),
-Euler-Lagrange residuals and multiplier fits live alongside it.  The marches
-off the t = e^k ridge that drive the solver are in `phase`.  What a solve is
+family, the upper boundary and the crease constant f_-(e) = atanh(1 - 2e) /
+(1 - 2e), the e = 1/2 entropy slice's convexity, Euler-Lagrange residuals
+and multiplier fits live alongside it.  The marches off the t = e^k ridge
+that drive the solver are in `phase`.  What a solve is
 asked (the target, the motif, the settings) and the region precheck that
 rejects a target outside the proven region are in `problem`, which needs no numpy.
 
@@ -135,76 +136,41 @@ class CreaseBoundConstants:
 # f_-(e) and closed forms
 
 
-def _f_ratio(e, x):
-    """f(e, x) = [I0(e+x) - x I0'(e) - I0(e)] / x^2 with a stable small-x path."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    small = np.abs(x) < 1e-4
-    xs = x[~small]
-    out[~small] = (rate_value(e + xs) - xs * rate_derivative(e) - rate_value(e)) / xs ** 2
-    if np.any(small):
-        d2 = rate_second_derivative(e)
-        d3 = 0.5 * (-1.0 / e ** 2 + 1.0 / (1.0 - e) ** 2)
-        d4 = 1.0 / e ** 3 + 1.0 / (1.0 - e) ** 3
-        xt = x[small]
-        out[small] = d2 / 2.0 + d3 * xt / 6.0 + d4 * xt ** 2 / 24.0
-    return out
-
-
-# f_minus scans f(e, x) on this many points of [-e, 1-e] before refining
-F_MINUS_GRID_POINTS = 100_000
-# ... in blocks of this many points, so the scan's temporaries stay small
-F_MINUS_BLOCK = 4096
-
-
 def check_crease_e(e):
     """Raise ValueOutOfRange unless CLAMP <= e <= 1 - CLAMP (NaN fails): the
-    box where rate_derivative leaves I0'(e) unclamped, so f_minus is right
-    there, and the e of every crease scan, whatever its motif."""
+    box of the solver's step-graphon values, where rate_derivative leaves
+    I0'(e) unclamped, and the e of every crease scan, whatever its motif.
+    It is the crease rule, not a limit of f_minus, whose closed form holds
+    on all of (0, 1)."""
     check_real("e", e)
     if not (CLAMP <= e <= 1.0 - CLAMP):
         raise ValueOutOfRange(f"e={e} outside [{CLAMP}, 1 - {CLAMP}]")
 
 
-def _f_minus_grid(e, k, count):
-    """Points k .. k+count-1 (those below F_MINUS_GRID_POINTS) of f_minus's
-    first grid np.linspace(-e, 1 - e, F_MINUS_GRID_POINTS), bit for bit:
-    linspace computes point k as k * step + start and sets the last to stop."""
-    n, start, stop = F_MINUS_GRID_POINTS, -e, 1.0 - e
-    xs = np.arange(k, min(k + count, n), dtype=float)
-    xs *= (stop - start) / (n - 1)
-    xs += start
-    if k + count >= n:
-        xs[-1] = stop
-    return xs
-
-
 def f_minus(e) -> CreaseBoundConstants:
-    """Infimum of f(e, x) over x in [-e, 1-e], e in [CLAMP, 1-CLAMP]: a scan of
-    F_MINUS_GRID_POINTS points, then of 1,001 points about 2e-8 apart (near the
-    sqrt(eps) floor of a search on values) over the two cells around the best."""
+    """Infimum of f(e, x) = [I0(e+x) - x I0'(e) - I0(e)] / x^2 over x in
+    [-e, 1-e], e in [CLAMP, 1-CLAMP]: atanh(1 - 2e) / (1 - 2e), at x = 1 - 2e.
+
+    Proof: Taylor's integral remainder gives f(e, x) = int_0^1 (1-s)
+    I0''(e + s x) ds, and I0''(u) = 1/(2u(1-u)) is convex, so f(e, .) is
+    convex.  At x = 1 - 2e, I0(e+x) = I0(e) and I0'(e+x) = -I0'(e), so f's
+    x-derivative vanishes there and f = -I0'(e)/(1 - 2e); at e = 1/2 the
+    minimum is f(1/2, 0) = I0''(1/2)/2 = 1.
+    """
     check_crease_e(e)
-    n = F_MINUS_GRID_POINTS
-    # a later block wins only when strictly lower: argmin's first-occurrence rule
-    i, best = 0, np.inf
-    for k in range(0, n, F_MINUS_BLOCK):
-        fs = _f_ratio(e, _f_minus_grid(e, k, F_MINUS_BLOCK))
-        j = int(np.argmin(fs))
-        if fs[j] < best:
-            i, best = k + j, fs[j]
-    lo, hi = _f_minus_grid(e, max(i - 1, 0), 1), _f_minus_grid(e, min(i + 1, n - 1), 1)
-    # the first scan's best point comes last, so it wins only where no point
-    # of the second scan is as low
-    xs = np.append(np.linspace(lo[0], hi[0], 1001), _f_minus_grid(e, i, 1))
-    fs = _f_ratio(e, xs)
-    j = int(np.argmin(fs))
-    fm, xmin = float(fs[j]), float(xs[j])
+    y = 1.0 - 2.0 * e
+    if e == 0.5:
+        fm = 1.0
+    elif 0.25 <= e <= 0.75:  # y is exact here
+        fm = math.atanh(y) / y
+    else:  # y rounds below e = 1/4, and atanh(y) would magnify that error
+        fm = (math.log1p(-e) - math.log(e)) / (2.0 * y)
     return CreaseBoundConstants(
         e=e,
         f_minus=fm,
         linear_constant_below=fm / e,
         linear_constant_above=fm / (3.0 * e + 1.0),
-        x_argmin=xmin,
+        x_argmin=y,
     )
 
 

@@ -181,9 +181,10 @@ def crease_scan(e, motif: Motif = Motif.triangle(), deltas=DEFAULT_OFFSETS,
     +d, so each side is marched away from the curve with warm-started
     continuation.  Reports difference quotients, the power fit of each side's
     drop, a log-log exponent fit for the lower branch, and the f_-(e)
-    lower-bound checks (triangle motif only).  e must lie in f_minus's box
-    [CLAMP, 1 - CLAMP], for every motif.  The offsets (DEFAULT_OFFSETS by
-    default) must be finite positive numbers, and there must be at least one.
+    lower-bound checks (triangle motif only).  e must lie in the crease box
+    [CLAMP, 1 - CLAMP] (check_crease_e), for every motif.  The offsets
+    (DEFAULT_OFFSETS by default) must be finite positive numbers, and there
+    must be at least one.
     """
     check_crease_e(e)
     offsets = sorted(_finite_floats(deltas, "offsets"))

@@ -1,6 +1,7 @@
 """Command-line interface tests (in-process via cli.run)."""
 
 import concurrent.futures
+import io
 import json
 import os
 import subprocess
@@ -65,6 +66,28 @@ def test_region_csv(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "e,upper,er,envelope"
     assert len(lines) == 4
+
+
+class _Writes(io.TextIOBase):
+    """A stdout that records each string written to it."""
+    def __init__(self):
+        super().__init__()
+        self.strings = []
+
+    def write(self, s):
+        self.strings.append(s)
+        return len(s)
+
+
+def test_csv_reaches_stdout_one_line_per_write(monkeypatch):
+    # each line is written as it is formatted: with the whole text built
+    # first, `region --samples 1000000` peaked at 468 MB
+    stdout = _Writes()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert run(["region", "--samples", "3"]) == EXIT_OK
+    assert stdout.strings[0] == "e,upper,er,envelope\n"
+    assert [w.count("\n") for w in stdout.strings] == [1] * 4
+    assert all(w.endswith("\n") for w in stdout.strings)
 
 
 def test_census_csv(tmp_path):

@@ -1,11 +1,12 @@
 """Constrained entropy solver and closed-form tests."""
 
 import contextlib
+import decimal
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -184,12 +185,46 @@ def test_f_minus_bounded_by_curvature():
         assert 0.0 < fm.f_minus <= 1.0 / (4.0 * e * (1.0 - e)) + 1e-12
 
 
-@pytest.mark.parametrize("e", [optimize.CLAMP, 0.05, 0.3, 0.5, 0.9, 1.0 - optimize.CLAMP])
-def test_f_minus_blocks_are_the_linspace_grid(e):
-    n, block = optimize.F_MINUS_GRID_POINTS, optimize.F_MINUS_BLOCK
-    grid = np.concatenate([optimize._f_minus_grid(e, k, block) for k in range(0, n, block)])
-    assert grid.tobytes() == np.linspace(-e, 1 - e, n).tobytes()
-    assert optimize._f_minus_grid(e, n - 1, 1).tolist() == [1.0 - e]
+def _f_decimal(e, x):
+    """f(e, x) = [I0(e+x) - x I0'(e) - I0(e)] / x^2 for Decimal e and x, in
+    the current decimal context; at x = 0 its limit I0''(e)/2."""
+    def i0(u):
+        return sum((v * v.ln() for v in (u, 1 - u) if v), decimal.Decimal(0)) / 2
+
+    if x == 0:
+        return (1 / e + 1 / (1 - e)) / 4
+    return (i0(e + x) - x * (e / (1 - e)).ln() / 2 - i0(e)) / (x * x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(e=st.floats(optimize.CLAMP, 1.0 - optimize.CLAMP))
+# at 0.4999 a search on f's direct formula loses 1.6e-9 relative to cancellation
+@example(e=0.4999)
+def test_f_minus_is_the_closed_form_to_1e_15(e):
+    # f(e, 1 - 2e) = atanh(1 - 2e)/(1 - 2e) = (1/2) ln((1-e)/e) / (1 - 2e)
+    with decimal.localcontext(decimal.Context(prec=80)):
+        d = decimal.Decimal(e)
+        f_min = float(_f_decimal(d, 1 - 2 * d))
+    c = f_minus(e)
+    assert abs(c.f_minus - f_min) <= 1e-15 * f_min
+    assert c.f_minus >= 1.0
+    assert c.x_argmin == 1 - 2 * e
+    # f_-(e) = f_-(1 - e) on a pair whose sum is exactly 1: hi >= 1/2 and
+    # 1 - hi, which is in the box unless 1 - e rounded up to above 1 - CLAMP
+    hi = max(e, 1.0 - e)
+    if 1.0 - hi >= optimize.CLAMP:
+        assert abs(f_minus(1.0 - hi).f_minus - f_minus(hi).f_minus) <= 2 * math.ulp(c.f_minus)
+
+
+@pytest.mark.parametrize("e", [optimize.CLAMP, 0.05, 0.3, 0.5, 0.7, 0.95, 1.0 - optimize.CLAMP])
+def test_f_minus_point_is_below_its_neighbours_and_the_ends(e):
+    with decimal.localcontext(decimal.Context(prec=80)):
+        d = decimal.Decimal(e)
+        x, step = 1 - 2 * d, decimal.Decimal("1e-3")
+        f_min = _f_decimal(d, x)
+        for other in (x - step, x + step, -d, 1 - d):
+            if -d <= other <= 1 - d:
+                assert _f_decimal(d, other) >= f_min, (e, other)
 
 
 # ---------------------------------------------------------------------------
