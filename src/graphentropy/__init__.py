@@ -21,6 +21,7 @@ _EXPORTS = {
     "ergm": ("ErgmParams", "FreeEnergyResult", "find_transition", "psi_constant", "psi_full",
              "transition_curve", "verify_t_le_e_cubed"),
     "errors": ("GraphEntropyError", "Infeasible", "NoTransitionFound", "TooLarge"),
+    "figures": ("heatmap_svg", "transition_curve_svg"),
     "graphon": ("Graphon", "bipodal_graphon", "constant_graphon", "edge_density",
                 "graphon_distance", "motif_density", "motif_gradient", "rate_function",
                 "rate_value", "read_graphon", "resample", "write_graphon"),
@@ -28,7 +29,7 @@ _EXPORTS = {
                  "closed_form_upper", "convexity_report", "el_residual",
                  "estimate_multipliers", "f_minus", "maximize_entropy"),
     "phase": ("CreaseScanResult", "ScanSpec", "crease_report", "crease_scan",
-              "phase_diagram_scan", "render_svg"),
+              "phase_diagram_scan"),
     "problem": ("DensityPair", "Motif", "OptimConfig"),
     "region": ("RegionClass", "classify", "er_curve", "lower_boundary", "lower_envelope",
                "upper_boundary"),

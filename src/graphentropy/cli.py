@@ -194,7 +194,9 @@ def _cmd_scan(args):
     table = phase_mod.phase_diagram_scan(spec)
     _emit_csv([f.name for f in fields(phase_mod.ScanRow)], map(astuple, table), args.out)
     if args.svg:
-        _emit([phase_mod.render_svg(table, "heatmap")], args.svg)
+        from .figures import heatmap_svg
+
+        _emit([heatmap_svg(table)], args.svg)
     return EXIT_OK
 
 
@@ -234,9 +236,9 @@ def _cmd_ergm(args):
             CURVE_STEPS if args.steps is None else args.steps)
         _emit_csv(("beta2", "beta1_critical", "u_low", "u_high"), rows, args.out)
         if args.svg:
-            from . import phase as phase_mod
+            from .figures import transition_curve_svg
 
-            _emit([phase_mod.render_svg(rows, "curves")], args.svg)
+            _emit([transition_curve_svg(rows)], args.svg)
         return EXIT_OK
     _reject_flags(args, "svg", "beta2_min", "beta2_max", "steps", "threads",
                   mode=" --verify-thm5" if args.verify_thm5 else " --grid")

@@ -1,7 +1,7 @@
-"""Experiment drivers: phase-diagram scans, crease scans and reports, SVG figures.
+"""Experiment drivers: phase-diagram scans, crease scans and crease reports.
 
-These assemble the solver, region geometry and closed forms into the headline
-reproductions.  Every march starts in `phase_diagram_scan`, through
+These assemble the solver and the closed forms into the headline
+reproductions; `figures` draws a scan's rows.  Every march starts in `phase_diagram_scan`, through
 `continuation_march`: a scan marches away from the t = e^k ridge on each side
 with warm-started continuation, so the crease is always approached by
 refinement from one side, never jumped across.  A crease scan is a scan of one
@@ -14,9 +14,8 @@ import math
 from dataclasses import dataclass, field, replace
 from numbers import Real
 
-from . import region
 from ._numpy import np
-from .errors import DegenerateFit, EmptyTable, Infeasible, ValueOutOfRange, check_unit
+from .errors import DegenerateFit, Infeasible, ValueOutOfRange, check_unit
 from .graphon import DensityPair, Motif, rate_value
 from .optimize import OptimConfig, check_crease_e, f_minus, maximize_entropy
 
@@ -305,83 +304,3 @@ def crease_report(e_values, motif: Motif = Motif.triangle(),
             one_sided=one_sided,
         ))
     return out
-
-
-# ---------------------------------------------------------------------------
-# SVG rendering
-
-
-_W, _H, _PAD = 640, 480, 50
-
-
-def _sx(x, x0, x1):
-    return _PAD + (x - x0) / (x1 - x0) * (_W - 2 * _PAD)
-
-
-def _sy(y, y0, y1):
-    return _H - _PAD - (y - y0) / (y1 - y0) * (_H - 2 * _PAD)
-
-
-def _color(v):
-    """Blue-to-red ramp on [0,1]."""
-    v = min(max(v, 0.0), 1.0)
-    r = int(round(255 * v))
-    b = int(round(255 * (1.0 - v)))
-    g = int(round(96 * (1.0 - abs(2 * v - 1.0))))
-    return f"#{r:02x}{g:02x}{b:02x}"
-
-
-def _svg(elements):
-    """The SVG document holding the given element lines, on a white page."""
-    return "\n".join([
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-        f'viewBox="0 0 {_W} {_H}">',
-        f'<rect width="{_W}" height="{_H}" fill="white"/>',
-        *elements,
-        "</svg>",
-    ])
-
-
-def _boundary_paths():
-    table = region.boundary_table(201)
-    parts = []
-    for name, col in (("upper", 1), ("er", 2), ("envelope", 3)):
-        pts = " ".join(
-            f"{_sx(row[0], 0, 1):.2f},{_sy(row[col], 0, 1):.2f}" for row in table
-        )
-        dash = ' stroke-dasharray="4 3"' if name == "er" else ""
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="black"{dash}/>')
-    return parts
-
-
-def render_svg(table, kind) -> str:
-    """Self-contained deterministic SVG: the s-heatmap of a scan table, or the
-    transition curve of ergm.transition_curve rows."""
-    if kind == "heatmap":
-        rows = [r for r in table if isinstance(r, ScanRow) and math.isfinite(r.s)]
-        if not rows:
-            raise EmptyTable("no finite scan rows to render")
-        smin = min(r.s for r in rows)
-        smax = max(r.s for r in rows)
-        rng = smax - smin or 1.0
-        parts = []
-        for r in rows:
-            c = _color((r.s - smin) / rng)
-            parts.append(
-                f'<rect x="{_sx(r.e, 0, 1) - 3:.2f}" y="{_sy(r.t, 0, 1) - 3:.2f}" '
-                f'width="6" height="6" fill="{c}"/>'
-            )
-        return _svg(parts + _boundary_paths())
-    if kind == "curves":
-        rows = list(table)
-        if not rows:
-            raise EmptyTable("no transition points to render")
-        b2s = [r[0] for r in rows]
-        b1s = [r[1] for r in rows]
-        x0, x1 = min(b1s) - 0.5, max(b1s) + 0.5
-        y0, y1 = min(b2s) - 0.5, max(b2s) + 0.5
-        pts = " ".join(
-            f"{_sx(b1, x0, x1):.2f},{_sy(b2, y0, y1):.2f}" for b2, b1, *_ in rows
-        )
-        return _svg([f'<polyline points="{pts}" fill="none" stroke="black"/>'])
-    raise ValueOutOfRange(f"unknown render kind {kind!r}")

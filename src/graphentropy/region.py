@@ -80,11 +80,9 @@ def classify(e, t, tol=CURVE_TOL) -> RegionClass:
     return RegionClass.ON_ER
 
 
-def boundary_table(samples) -> list:
-    """Rows (e, upper, er, envelope) at uniform e for the CLI region command."""
+def boundary_table(samples):
+    """Rows (e, upper, er, envelope) at uniform e for the CLI region command,
+    made one at a time as they are read; samples is checked at the call."""
     check_integer("samples", samples, 2, MAX_POINTS)
-    rows = []
-    for i in range(samples):
-        e = i / (samples - 1)
-        rows.append((e, upper_boundary(e), er_curve(e), lower_envelope(e)))
-    return rows
+    return ((e, upper_boundary(e), er_curve(e), lower_envelope(e))
+            for e in (i / (samples - 1) for i in range(samples)))

@@ -68,6 +68,14 @@ def test_region_csv(tmp_path):
     assert len(lines) == 4
 
 
+@pytest.mark.parametrize("samples", ["1", str(errors.MAX_POINTS + 1)])
+def test_region_checks_the_sample_count_before_it_opens_the_out_file(tmp_path, samples):
+    # the rows are made as they are written, but the count is checked first
+    out = tmp_path / "region.csv"
+    assert run(["region", "--samples", samples, "--out", str(out)]) == EXIT_USAGE
+    assert not out.exists()
+
+
 class _Writes(io.TextIOBase):
     """A stdout that records each string written to it."""
     def __init__(self):

@@ -179,7 +179,7 @@ def test_f_minus_half_is_one():
 
 
 def test_f_minus_bounded_by_curvature():
-    # at e = 1/2 the bound is met at x = 0, 5e-6 from the first scan's best point
+    # at e = 1/2 the bound is met with equality: f_-(1/2) = I0''(1/2)/2 = 1
     for e in (0.2, 0.4, 0.5, 0.6, 0.8):
         fm = f_minus(e)
         assert 0.0 < fm.f_minus <= 1.0 / (4.0 * e * (1.0 - e)) + 1e-12

@@ -1,4 +1,4 @@
-"""Phase-diagram drivers and SVG rendering tests."""
+"""Phase-diagram drivers and the figures of their rows."""
 
 import math
 from dataclasses import replace
@@ -9,16 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from graphentropy import errors, phase
+from graphentropy import errors, figures, phase
+from graphentropy.figures import heatmap_svg, transition_curve_svg
 from graphentropy.graphon import Graphon, Motif, rate_value
 from graphentropy.optimize import OptimConfig
-from graphentropy.phase import (
-    ScanSpec,
-    crease_report,
-    crease_scan,
-    phase_diagram_scan,
-    render_svg,
-)
+from graphentropy.phase import ScanRow, ScanSpec, crease_report, crease_scan, phase_diagram_scan
+from graphentropy.region import lower_boundary, lower_envelope
 
 FAST = OptimConfig(m=8, multistart_count=2)
 
@@ -260,22 +256,31 @@ def test_crease_report_fits_each_side_once(monkeypatch):
 def test_svg_renders_deterministically():
     spec = ScanSpec(e_grid=[0.5], t_grid=[0.0, -1e-2], relative=True, config=FAST)
     table = phase_diagram_scan(spec)
-    svg1 = render_svg(table, "heatmap")
-    svg2 = render_svg(table, "heatmap")
+    svg1 = heatmap_svg(table)
+    svg2 = heatmap_svg(table)
     assert svg1 == svg2
     assert svg1.startswith("<svg") and svg1.endswith("</svg>")
 
 
-def test_svg_curves_kind():
+def test_svg_transition_curve():
     rows = [(1.0, -0.9, 0.15, 0.98), (2.0, -2.0, 0.02, 0.999)]
-    svg = render_svg(rows, "curves")
+    svg = transition_curve_svg(rows)
     assert "polyline" in svg
 
 
 def test_svg_empty_rejected():
     with pytest.raises(errors.EmptyTable):
-        render_svg([], "heatmap")
+        heatmap_svg([])
     with pytest.raises(errors.EmptyTable):
-        render_svg([], "curves")
-    with pytest.raises(errors.ValueOutOfRange):
-        render_svg([], "unknown")
+        transition_curve_svg([])
+
+
+def test_heatmap_lower_outline_is_razborovs_boundary():
+    # above e = 1/2 the envelope e(2e - 1) lies below the region between the
+    # touch points: at e = 0.7 it is 0.28, where g3 is 0.2871
+    row = ScanRow(0.7, 0.3, -0.6, 0.0, 0.0, True, 0.0, "ok")
+    lower = heatmap_svg([row]).splitlines()[-2]
+    assert lower.startswith("<polyline")
+    points = lower.split('"')[1].split()
+    for t, drawn in ((lower_boundary(0.7), True), (lower_envelope(0.7), False)):
+        assert ("{:.2f},{:.2f}".format(*figures._page(0.7, t)) in points) is drawn

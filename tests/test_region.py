@@ -114,7 +114,7 @@ def test_every_unit_interval_rule_is_check_unit(x):
 
 
 def test_boundary_table():
-    rows = boundary_table(5)
+    rows = list(boundary_table(5))
     assert len(rows) == 5
     assert rows[0] == (0.0, 0.0, 0.0, 0.0)
     assert rows[-1] == (1.0, 1.0, 1.0, 1.0)

@@ -18,7 +18,7 @@ from graphentropy.optimize import convexity_report, f_minus
 # bisecting the sign of phi' to a width of 1e-14; every bit must be
 # reproduced.  beta1_critical has the same bits as at commit b5acaf7, where
 # the maximizers came from scipy.optimize.minimize_scalar(method="bounded").
-F_MINUS_FROM_TWO_SCANS = {  # e: (f_minus, x_argmin)
+F_MINUS_RECORDED = {  # e: (f_minus, x_argmin)
     0.2: ("0x1.27be27f25daf2p+0", "0x1.3333333333333p-1"),
     0.3: ("0x1.0f22a4066ad20p+0", "0x1.999999999999ap-2"),
     0.5: ("0x1.0000000000000p+0", "0x0.0p+0"),
@@ -36,7 +36,7 @@ C1_AT_B5ACAF7 = float.fromhex("0x1.fac7e0b7eed76p-5")
 
 
 def test_f_minus_bit_identical_to_recorded_values():
-    for e, (fm, x) in F_MINUS_FROM_TWO_SCANS.items():
+    for e, (fm, x) in F_MINUS_RECORDED.items():
         c = f_minus(e)
         assert (c.f_minus.hex(), c.x_argmin.hex()) == (float.fromhex(fm).hex(),
                                                         float.fromhex(x).hex())
@@ -55,8 +55,8 @@ def test_f_minus_rejects_e_outside_the_box(e):
 
 
 @pytest.mark.parametrize("e", [0.05, 0.5, 0.95])
-def test_f_minus_scan_peak_memory_below_one_and_a_half_mib(e):
-    # the one-pass scan's temporaries peaked at 7.82 MiB
+def test_f_minus_peak_memory_below_one_and_a_half_mib(e):
+    # f_minus is a scalar formula: it allocates no grid of x
     tracemalloc.start()
     try:
         f_minus(e)

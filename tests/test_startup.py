@@ -17,7 +17,7 @@ import graphentropy
 from graphentropy import cli
 from graphentropy._numpy import THREAD_VARIABLES
 
-# the public names of the package: its nine modules and what they export
+# the public names of the package: its ten modules and what they export
 PUBLIC_NAMES = [
     "BipodalSolution", "CensusTable", "ConvexityReport", "CreaseScanResult", "DensityPair",
     "EntropyResult", "ErgmParams", "FreeEnergyResult", "GraphEntropyError", "Graphon",
@@ -26,15 +26,16 @@ PUBLIC_NAMES = [
     "closed_form_upper", "compare_to_variational", "constant_graphon", "convexity_report",
     "crease_report", "crease_scan", "delta_t_decomposition", "edge_density", "el_residual",
     "empirical_entropy", "enumerate_census", "er_curve", "ergm", "errors",
-    "estimate_multipliers", "f_minus", "find_transition", "graphon", "graphon_distance",
-    "kernel_operator_spectrum", "lower_boundary", "lower_envelope", "maximize_entropy",
-    "motif_density", "motif_gradient", "optimize", "phase", "phase_diagram_scan",
-    "problem", "psi_constant", "psi_full", "rate_function", "rate_value", "read_graphon",
-    "region", "render_svg", "resample", "spectral", "trace_power", "transition_curve",
-    "upper_boundary", "verify_t_le_e_cubed", "verify_trace_inequality", "write_graphon",
+    "estimate_multipliers", "f_minus", "figures", "find_transition", "graphon",
+    "graphon_distance", "heatmap_svg", "kernel_operator_spectrum", "lower_boundary",
+    "lower_envelope", "maximize_entropy", "motif_density", "motif_gradient", "optimize",
+    "phase", "phase_diagram_scan", "problem", "psi_constant", "psi_full", "rate_function",
+    "rate_value", "read_graphon", "region", "resample", "spectral", "trace_power",
+    "transition_curve", "transition_curve_svg", "upper_boundary", "verify_t_le_e_cubed",
+    "verify_trace_inequality", "write_graphon",
 ]
-SUBMODULES = {"census", "ergm", "errors", "graphon", "optimize", "phase", "problem", "region",
-              "spectral"}
+SUBMODULES = {"census", "ergm", "errors", "figures", "graphon", "optimize", "phase", "problem",
+              "region", "spectral"}
 
 
 def _fresh_process(code, **variables):
@@ -65,7 +66,7 @@ def test_import_loads_no_numpy_and_no_submodule():
 
 
 def test_public_names_resolve_to_what_their_modules_define():
-    assert len(PUBLIC_NAMES) == 66
+    assert len(PUBLIC_NAMES) == 68
     assert graphentropy.__all__ == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         obj = getattr(graphentropy, name)
@@ -97,6 +98,29 @@ def test_region_runs_without_numpy(tmp_path):
         "print(code, 'numpy' in sys.modules)"
     ) == [f"{cli.EXIT_OK} False"]
     assert out.read_text().splitlines()[0] == "e,upper,er,envelope"
+
+
+def test_the_figures_module_loads_no_numpy():
+    assert _fresh("import sys, graphentropy.figures\n"
+                  "print('numpy' in sys.modules)") == ["False"]
+
+
+def test_region_memory_does_not_grow_with_the_sample_count(tmp_path):
+    # each row is written as it is made; with the row list held whole, the
+    # Python heap of 100,000 samples peaked about 15 MiB above that of 101
+    out = str(tmp_path / "region.csv")
+    peaks = []
+    for samples in ("101", "100000"):
+        code, peak = _fresh(
+            "import tracemalloc, graphentropy.cli as cli\n"
+            "tracemalloc.start()\n"
+            f"code = cli.run(['region', '--samples', {samples!r}, '--out', {out!r}])\n"
+            "print(code, tracemalloc.get_traced_memory()[1])")[0].split()
+        assert int(code) == cli.EXIT_OK
+        peaks.append(int(peak))
+    assert peaks[1] - peaks[0] < 2 ** 20
+    with open(out) as fh:
+        assert sum(1 for _ in fh) == 100_001
 
 
 def test_census_runs_without_the_solver_modules(tmp_path):
@@ -175,6 +199,14 @@ def test_ergm_curve_runs_without_the_solver_module(tmp_path):
             "--out", str(out)]
     assert _run_reports_loaded(argv, ["graphentropy.optimize"])[0] == [f"{cli.EXIT_OK} []"]
     assert len(out.read_text().splitlines()) == 3
+
+
+def test_ergm_curve_svg_runs_without_the_scan_and_solver_modules(tmp_path):
+    svg = tmp_path / "curve.svg"
+    argv = ["ergm", "--curve", "--steps", "2", "--svg", str(svg), "--out", str(tmp_path / "c")]
+    out, _ = _run_reports_loaded(argv, ["graphentropy.phase", "graphentropy.optimize"])
+    assert out == [f"{cli.EXIT_OK} []"]
+    assert svg.read_text().startswith("<svg")
 
 
 @pytest.mark.parametrize("argv", [
