@@ -19,14 +19,12 @@ from dataclasses import astuple, fields
 # only the standard library and the error types load with the CLI; each
 # handler imports the modules it runs, so `region` runs without numpy
 from .errors import (
-    MAX_POINTS,
     EmptyTable,
     FormatError,
     GraphEntropyError,
     Infeasible,
     NoTransitionFound,
     ValueOutOfRange,
-    check_integer,
     open_path,
 )
 
@@ -196,7 +194,7 @@ def _cmd_scan(args):
     if args.svg:
         from .figures import heatmap_svg
 
-        _emit([heatmap_svg(table)], args.svg)
+        _emit([heatmap_svg(table, spec.motif)], args.svg)
     return EXIT_OK
 
 
@@ -252,17 +250,11 @@ def _cmd_ergm(args):
     b1lo, b1hi, n1, b2lo, b2hi, n2 = args.grid
     # a whole count becomes an int; NaN, an infinity or a fraction stays a float
     n1, n2 = (int(n) if n.is_integer() else n for n in (n1, n2))
-    check_integer("--grid count n1", n1, 1)
-    check_integer("--grid count n2", n2, 1)
-    check_integer("--grid point count n1*n2", n1 * n2, 1, MAX_POINTS)
-    from ._numpy import np
-
     rows = []
-    for b1 in np.linspace(b1lo, b1hi, n1):
-        for b2 in np.linspace(b2lo, b2hi, n2):
-            r = ergm_mod.psi_full(ergm_mod.ErgmParams(float(b1), float(b2)), cfg)
-            d = r.maximizer_densities
-            rows.append((float(b1), float(b2), r.psi, d.e, d.t, r.degenerate))
+    for p in ergm_mod.parameter_grid(b1lo, b1hi, n1, b2lo, b2hi, n2):
+        r = ergm_mod.psi_full(p, cfg)
+        d = r.maximizer_densities
+        rows.append((p.beta1, p.beta2, r.psi, d.e, d.t, r.degenerate))
     _emit_csv(("beta1", "beta2", "psi", "e", "t", "degenerate"), rows, args.out)
     return EXIT_OK
 

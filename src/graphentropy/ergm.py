@@ -159,10 +159,20 @@ def psi_full(params: ErgmParams, config: OptimConfig = OptimConfig()) -> FreeEne
     )
 
 
+def parameter_grid(b1lo, b1hi, n1, b2lo, b2hi, n2):
+    """The n1 x n2 parameters at uniform beta1 in [b1lo, b1hi] and beta2 in
+    [b2lo, b2hi], beta1 the outer loop, made one at a time as they are read;
+    the counts are checked at the call, their product against MAX_POINTS."""
+    check_integer("grid count n1", n1, 1)
+    check_integer("grid count n2", n2, 1)
+    check_integer("grid point count n1*n2", n1 * n2, 1, MAX_POINTS)
+    return (ErgmParams(float(b1), float(b2))
+            for b1 in np.linspace(b1lo, b1hi, n1) for b2 in np.linspace(b2lo, b2hi, n2))
+
+
 # the grid on which `ergm --verify-thm5` and the acceptance suite check t <= e^3:
 # 7 x 7 points of [-3, 3]^2
-THEOREM5_GRID = tuple(ErgmParams(float(b1), float(b2))
-                      for b1 in np.linspace(-3, 3, 7) for b2 in np.linspace(-3, 3, 7))
+THEOREM5_GRID = tuple(parameter_grid(-3, 3, 7, -3, 3, 7))
 
 
 def verify_t_le_e_cubed(grid, config: OptimConfig = OptimConfig()) -> dict:

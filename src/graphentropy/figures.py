@@ -1,6 +1,6 @@
 """The paper's two figures as self-contained, deterministic SVG documents:
-s(e, t) over the triangle model's region, and the free-energy transition
-curve.  Like `region`, whose outline functions it draws, it loads no numpy.
+s(e, t) over the scanned motif's region, and the free-energy transition
+curve.  Like `region`, whose proven bounds it draws, it loads no numpy.
 """
 
 from __future__ import annotations
@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 
 from .errors import EmptyTable
-from .region import er_curve, lower_boundary, upper_boundary
+from .region import motif_bounds
 
 _W, _H, _PAD = 640, 480, 50
 
@@ -45,18 +45,25 @@ def _polyline(points, dash=""):
     return f'<polyline points="{pts}" fill="none" stroke="black"{dash}/>'
 
 
-def _outlines():
-    """The region's upper boundary, the Erdos-Renyi curve (dashed) and
-    Razborov's lower boundary g3, each a polyline through 201 uniform e."""
+def _outlines(motif):
+    """The motif's proven upper bound, its Erdos-Renyi ridge e^k (dashed)
+    and its proven lower bound, each a polyline through 201 uniform e; the
+    ridge alone where `region.motif_bounds` proves nothing."""
     es = [i / 200 for i in range(201)]
-    return [_polyline((_page(e, curve(e)) for e in es), dash)
-            for curve, dash in ((upper_boundary, ""), (er_curve, ' stroke-dasharray="4 3"'),
-                                (lower_boundary, ""))]
+    ridge = (lambda e: e ** motif.k), ' stroke-dasharray="4 3"'
+    bounds = motif_bounds(motif)
+    if bounds is None:
+        curves = [ridge]
+    else:
+        lower, upper, _ = bounds
+        curves = [(upper, ""), ridge, (lower, "")]
+    return [_polyline((_page(e, curve(e)) for e in es), dash) for curve, dash in curves]
 
 
-def heatmap_svg(rows) -> str:
+def heatmap_svg(rows, motif) -> str:
     """s(e, t) of a phase_diagram_scan's rows with finite s, one colored
-    square each, over the region's outline."""
+    square each, over the outline of the motif the scan constrained: its
+    proven bounds solid and its Erdos-Renyi ridge e^k dashed."""
     rows = [r for r in rows if math.isfinite(r.s)]
     if not rows:
         raise EmptyTable("no finite scan rows to render")
@@ -64,7 +71,7 @@ def heatmap_svg(rows) -> str:
     rng = max(r.s for r in rows) - smin or 1.0
     squares = [(*_page(r.e, r.t), _color((r.s - smin) / rng)) for r in rows]
     return _svg([f'<rect x="{x - 3:.2f}" y="{y - 3:.2f}" width="6" height="6" fill="{c}"/>'
-                 for x, y, c in squares] + _outlines())
+                 for x, y, c in squares] + _outlines(motif))
 
 
 def transition_curve_svg(rows) -> str:

@@ -222,10 +222,10 @@ class OptimConfig:
 
 
 def region_precheck(target: DensityPair, motif: Motif) -> str:
-    """Raise Infeasible for a target outside the motif's proven region, by
-    more than CONSTRAINT_TOL; else return where it lies, for the message of a
-    later Infeasible.  A k-star's degree r(x) lies in [0, 1] with mean e, so
-    e^k <= t (Jensen) <= e (r^k <= r).
+    """Raise Infeasible for a target outside the motif's proven region
+    (`region.motif_bounds`), by more than CONSTRAINT_TOL; else return where
+    it lies, for the message of a later Infeasible.  The triangle's region is
+    told by `region.classify`.
     """
     e, t, tol = target.e, target.t, CONSTRAINT_TOL
     if motif.is_triangle:
@@ -234,9 +234,10 @@ def region_precheck(target: DensityPair, motif: Motif) -> str:
                    region.RegionClass.BELOW_LOWER):
             raise Infeasible(f"target ({e},{t}) classified {cls.value} for the triangle model")
         return f"; region class {cls.value}"
-    if motif.is_star:
-        k = motif.k
-        if not (e ** k - tol <= t <= e + tol):
-            raise Infeasible(f"target ({e},{t}) outside e^{k} <= t <= e for the {motif.name} model")
-        return f"; inside e^{k} <= t <= e"
-    return ""
+    bounds = region.motif_bounds(motif)
+    if bounds is None:
+        return ""
+    lower, upper, text = bounds
+    if not (lower(e) - tol <= t <= upper(e) + tol):
+        raise Infeasible(f"target ({e},{t}) outside {text} for the {motif.name} model")
+    return f"; inside {text}"

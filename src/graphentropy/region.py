@@ -1,9 +1,11 @@
-"""Geometry of the achievable (e, t) region for the triangle model.
+"""Geometry of the achievable (e, t) region, and each motif's proven bounds.
 
-The region is bounded above by e^(3/2) and below by Razborov's scalloped
-curve g3(e), which is t = 0 for e <= 1/2 and meets the lower envelope
-e(2e - 1) at the touch points e_k = k/(k+1); the Erdos-Renyi curve t = e^3
-runs between them.
+For the triangle the region is bounded above by e^(3/2) and below by
+Razborov's scalloped curve g3(e), which is t = 0 for e <= 1/2 and meets the
+lower envelope e(2e - 1) at the touch points e_k = k/(k+1); the Erdos-Renyi
+curve t = e^3 runs between them.  `motif_bounds` is the one place a motif's
+proven bounds are written: the triangle's curves, e^k <= t <= e for a k-star,
+and none for any other motif.  The region precheck and the heatmap read it.
 """
 
 from __future__ import annotations
@@ -55,6 +57,21 @@ def lower_boundary(e) -> float:
 def er_curve(e) -> float:
     check_unit("e", e)
     return e ** 3
+
+
+def motif_bounds(motif):
+    """(lower, upper, text) for a motif's proven region lower(e) <= t <=
+    upper(e), text naming it, or None where nothing is proved.  The motif is
+    read by its `is_triangle`, `is_star` and `k`.  The triangle's are g3 and
+    e^(3/2).  A k-star's density is the mean of r(x)^k over the degree r(x),
+    which lies in [0, 1] with mean e, so e^k <= t (Jensen) <= e (r^k <= r).
+    """
+    if motif.is_triangle:
+        return lower_boundary, upper_boundary, "g3(e) <= t <= e^(3/2)"
+    if motif.is_star:
+        k = motif.k
+        return (lambda e: e ** k), (lambda e: e), f"e^{k} <= t <= e"
+    return None
 
 
 def touch_point(k) -> float:

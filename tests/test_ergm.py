@@ -39,6 +39,21 @@ PSI_FULL_FROM_PHI_PRIME_BISECTION = ("0x1.74951e36fdbcep-1", "0x1.18d861877be01p
                                      "0x1.5200e8be14187p-3")
 
 
+def test_parameter_grid():
+    # beta1 the outer loop, each axis np.linspace's points
+    grid = list(ergm.parameter_grid(-1, 1, 3, 0, 2, 2))
+    assert [(p.beta1, p.beta2) for p in grid] == [
+        (-1.0, 0.0), (-1.0, 2.0), (0.0, 0.0), (0.0, 2.0), (1.0, 0.0), (1.0, 2.0)]
+    assert THEOREM5_GRID == tuple(ErgmParams(float(b1), float(b2)) for b1 in np.linspace(-3, 3, 7)
+                                  for b2 in np.linspace(-3, 3, 7))
+    # the counts are checked at the call, before a point is made
+    for counts in ((0, 1), (1, 2.5), (1, math.nan)):
+        with pytest.raises(errors.ValueOutOfRange, match="grid count"):
+            ergm.parameter_grid(0, 1, counts[0], 0, 1, counts[1])
+    with pytest.raises(errors.TooLarge, match="grid point count"):
+        ergm.parameter_grid(0, 1, 1001, 0, 1, 1000)
+
+
 def test_psi_full_bit_identical_to_recorded_values():
     params = THEOREM5_GRID[30]
     assert (params.beta1, params.beta2) == (1.0, -1.0)

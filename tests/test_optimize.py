@@ -306,13 +306,18 @@ def test_er_curve_hits_ceiling():
         assert res.s_value == pytest.approx(-rate_value(e), abs=1e-6)
 
 
-def test_below_crease_matches_closed_form():
-    res = maximize_entropy(DensityPair(e=0.5, t=0.124), Motif.triangle(), FAST)
-    sol = closed_form_half(0.124)
+@pytest.mark.parametrize("delta", [1e-4, 1e-3, 1e-2, 3e-2], ids=["1e-4", "1e-3", "1e-2", "3e-2"])
+def test_below_crease_matches_closed_form(delta):
+    # below the ridge on the e = 1/2 slice the solver reaches the exact
+    # optimizer, and its multipliers are the exact ones: by the envelope
+    # theorem ds/dt = -beta2, the slope the crease is read from
+    t = 0.125 - delta
+    res = maximize_entropy(DensityPair(e=0.5, t=t), Motif.triangle(), FAST)
+    sol = closed_form_half(t)
     assert res.converged
-    assert res.s_value == pytest.approx(sol.s_value, abs=1e-4)
-    assert res.beta1 == pytest.approx(sol.beta1, abs=1e-3)
-    assert res.beta2 == pytest.approx(sol.beta2, abs=1e-3)
+    assert res.s_value == pytest.approx(sol.s_value, rel=0, abs=1e-12)
+    assert res.beta1 == pytest.approx(sol.beta1, rel=1e-12, abs=0)
+    assert res.beta2 == pytest.approx(sol.beta2, rel=1e-12, abs=0)
 
 
 def test_solution_never_beats_ceiling():
@@ -370,7 +375,10 @@ def test_star_region_rejected_before_any_start(monkeypatch, motif, e, t):
         raise AssertionError("a start ran for a target outside the region")
 
     monkeypatch.setattr(optimize, "_solve_constrained", no_solve)
-    with pytest.raises(errors.Infeasible):
+    # the message names the bounds region.motif_bounds gives
+    k = motif.k
+    message = rf"^target \({e},{t}\) outside e\^{k} <= t <= e for the star:{k} model$"
+    with pytest.raises(errors.Infeasible, match=message):
         maximize_entropy(DensityPair(e=e, t=t), motif, FAST)
 
 

@@ -1,5 +1,6 @@
 """Phase-diagram drivers and the figures of their rows."""
 
+import hashlib
 import math
 from dataclasses import replace
 from types import SimpleNamespace
@@ -256,8 +257,8 @@ def test_crease_report_fits_each_side_once(monkeypatch):
 def test_svg_renders_deterministically():
     spec = ScanSpec(e_grid=[0.5], t_grid=[0.0, -1e-2], relative=True, config=FAST)
     table = phase_diagram_scan(spec)
-    svg1 = heatmap_svg(table)
-    svg2 = heatmap_svg(table)
+    svg1 = heatmap_svg(table, spec.motif)
+    svg2 = heatmap_svg(table, spec.motif)
     assert svg1 == svg2
     assert svg1.startswith("<svg") and svg1.endswith("</svg>")
 
@@ -270,7 +271,7 @@ def test_svg_transition_curve():
 
 def test_svg_empty_rejected():
     with pytest.raises(errors.EmptyTable):
-        heatmap_svg([])
+        heatmap_svg([], Motif.triangle())
     with pytest.raises(errors.EmptyTable):
         transition_curve_svg([])
 
@@ -279,8 +280,49 @@ def test_heatmap_lower_outline_is_razborovs_boundary():
     # above e = 1/2 the envelope e(2e - 1) lies below the region between the
     # touch points: at e = 0.7 it is 0.28, where g3 is 0.2871
     row = ScanRow(0.7, 0.3, -0.6, 0.0, 0.0, True, 0.0, "ok")
-    lower = heatmap_svg([row]).splitlines()[-2]
+    lower = heatmap_svg([row], Motif.triangle()).splitlines()[-2]
     assert lower.startswith("<polyline")
     points = lower.split('"')[1].split()
     for t, drawn in ((lower_boundary(0.7), True), (lower_envelope(0.7), False)):
         assert ("{:.2f},{:.2f}".format(*figures._page(0.7, t)) in points) is drawn
+
+
+# sha256 of the triangle heatmap of a fixed five-row table, as drawn when the
+# figure always drew the triangle's outline: reading the outline from
+# region.motif_bounds moved no byte
+TRIANGLE_HEATMAP_SHA256 = "c9763acd64b63a211333ed121829ee552e2d0cff9d9c2d222fe911d054733e02"
+
+
+def test_triangle_heatmap_bytes_are_pinned():
+    rows = [ScanRow(e, t, -0.6 + 0.01 * i, 0.0, 0.0, True, 0.0, "ok") for i, (e, t)
+            in enumerate([(0.3, 0.02), (0.5, 0.1), (0.7, 0.3), (0.9, 0.7), (0.5, 0.125)])]
+    svg = heatmap_svg(rows, Motif.triangle())
+    assert hashlib.sha256(svg.encode()).hexdigest() == TRIANGLE_HEATMAP_SHA256
+
+
+def _polylines(svg):
+    """(points, dashed) of each polyline in an SVG document."""
+    return [(line.split('"')[1].split(), "stroke-dasharray" in line)
+            for line in svg.splitlines() if line.startswith("<polyline")]
+
+
+def test_star_heatmap_point_sits_on_its_ridge():
+    # a 2-star scan at e = 1/2, t = e^2: its square is centred on the dashed
+    # ridge e^2, and the solid bounds are e (above) and e^2 (below, Jensen)
+    spec = ScanSpec(e_grid=[0.5], t_grid=[0.0], relative=True, motif=Motif.star(2), config=FAST)
+    table = phase_diagram_scan(spec)
+    assert [(r.e, r.t) for r in table] == [(0.5, 0.25)]
+    svg = heatmap_svg(table, spec.motif)
+    assert '<rect x="317.00" y="332.00" width="6" height="6"' in svg
+    (upper, upper_dashed), (ridge, ridge_dashed), (lower, lower_dashed) = _polylines(svg)
+    assert (upper_dashed, ridge_dashed, lower_dashed) == (False, True, False)
+    assert "320.00,335.00" in ridge and "320.00,335.00" in lower
+    assert "320.00,240.00" in upper
+    assert "320.00,382.50" not in ridge  # the triangle's e^3
+
+
+def test_heatmap_of_a_motif_with_no_proven_bounds_draws_the_ridge_alone():
+    c4 = Motif.from_edges(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+    row = ScanRow(0.5, 0.0625, -0.3, 0.0, 0.0, True, 0.0, "ok")
+    (ridge, dashed), = _polylines(heatmap_svg([row], c4))
+    assert dashed and "{:.2f},{:.2f}".format(*figures._page(0.5, 0.5 ** 4)) in ridge

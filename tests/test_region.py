@@ -17,6 +17,7 @@ from graphentropy.region import (
     er_curve,
     lower_boundary,
     lower_envelope,
+    motif_bounds,
     touch_point,
     upper_boundary,
 )
@@ -137,3 +138,14 @@ def test_solver_rejects_the_strip_below_the_lower_boundary(monkeypatch):
         optimize.maximize_entropy(DensityPair(e=0.7, t=g3 - 2e-6), Motif.triangle(), cfg)
     with pytest.raises(AssertionError, match="a start was solved"):
         optimize.maximize_entropy(DensityPair(e=0.7, t=g3 - 5e-7), Motif.triangle(), cfg)
+
+
+def test_motif_bounds():
+    lower, upper, text = motif_bounds(Motif.triangle())
+    assert (lower, upper, text) == (lower_boundary, upper_boundary, "g3(e) <= t <= e^(3/2)")
+    for k in (1, 2, 4):
+        lower, upper, text = motif_bounds(Motif.star(k))
+        assert (lower(0.3), upper(0.3), text) == (0.3 ** k, 0.3, f"e^{k} <= t <= e")
+    c4 = Motif.from_edges(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+    assert motif_bounds(c4) is None
+

@@ -7,7 +7,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from graphentropy import errors, spectral
-from graphentropy.graphon import Graphon, constant_graphon, edge_density
+from graphentropy.graphon import (
+    Graphon,
+    Motif,
+    constant_graphon,
+    edge_density,
+    motif_density,
+    rate_function,
+    rate_value,
+)
 from graphentropy.spectral import (
     delta_t_decomposition,
     kernel_operator_spectrum,
@@ -185,3 +193,34 @@ def test_negative_rank_one_strict_gap():
     rep = verify_trace_inequality(-np.outer(v, v))
     assert rep["holds"]
     assert rep["gap"] < 1e-10
+
+
+CYCLES = {ell: Motif.from_edges(ell, [(i, i % ell + 1) for i in range(1, ell + 1)])
+          for ell in range(3, 7)}
+
+
+@st.composite
+def _step_graphons(draw):
+    """Symmetric m x m step graphons with m = 2..11, a third of them 0/1."""
+    m = draw(st.integers(2, 11))
+    binary = draw(st.integers(0, 2)) == 0
+    elements = st.sampled_from([0.0, 1.0]) if binary else st.floats(0.0, 1.0)
+    r = draw(arrays(np.float64, (m, m), elements=elements))
+    return Graphon(values=np.triu(r) + np.triu(r, 1).T)
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=_step_graphons())
+def test_cycle_densities_meet_their_spectral_bounds(g):
+    # t(C_ell, W) is the sum of lambda_i^ell over W's eigenvalues; the top one
+    # is at least e, so the others' squares sum to at most |W - e|_2^2, and
+    # |W|_2^2 <= e.  Hence e^ell - |W - e|_2^ell <= t for odd ell, e^ell <= t
+    # for even ell, and t <= e^(ell/2).  I0'' >= 2 and the mean of W - e
+    # being 0 give I(W) - I0(e) >= |W - e|_2^2.
+    e = edge_density(g)
+    dist = float(np.sqrt(np.mean((g.values - e) ** 2)))
+    for ell, cycle in CYCLES.items():
+        t = motif_density(g, cycle)
+        assert t <= e ** (ell / 2) + 1e-12, ell
+        assert t >= e ** ell - (dist ** ell if ell % 2 else 0.0) - 1e-12, ell
+    assert rate_function(g) - rate_value(e) >= dist ** 2 - 1e-12

@@ -382,6 +382,33 @@ def test_the_region_precheck_has_one_definition():
             if _defines(tree, "region_precheck")] == ["problem"]
 
 
+def test_a_motifs_proven_bounds_have_one_home():
+    # region.motif_bounds writes each motif's bound formulas: the precheck
+    # reads them there, so in problem only Motif.name asks whether a motif is
+    # a star, and the heatmap takes its curves from motif_bounds alone
+    problem = _tree("problem")
+    scopes = _scopes(problem)
+    assert {scopes[node] for node in ast.walk(problem)
+            if isinstance(node, ast.Attribute) and node.attr == "is_star"} == {".Motif.name"}
+    assert _calls(_function(problem, "region_precheck"), "motif_bounds")
+    figures = _tree("figures")
+    relative = {f"{node.module}.{alias.name}" for node in ast.walk(figures)
+                if isinstance(node, ast.ImportFrom) and node.level > 0 for alias in node.names}
+    assert relative == {"errors.EmptyTable", "region.motif_bounds"}
+
+
+def test_cli_imports_no_numpy_module():
+    # the CLI hands numbers to the modules it runs; `ergm --grid` takes its
+    # parameters from ergm.parameter_grid
+    imported = []
+    for node in ast.walk(_tree("cli")):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += [node.module or ""] + [alias.name for alias in node.names]
+    assert [name for name in imported if name.split(".")[-1] in ("_numpy", "numpy")] == []
+
+
 def _raised_range_checks(tree, is_range):
     """The functions with an `if` that raises and tests a comparison chain
     is_range matches."""
