@@ -97,9 +97,9 @@ class Motif:
 
     @property
     def is_star(self) -> bool:
-        return self.ell >= 2 and self.edges == frozenset(
-            (1, j) for j in range(2, self.ell + 1)
-        )
+        """The k-star under any labelling: ell >= 2 vertices, ell - 1 edges (a
+        tree, as a Motif is connected) and one vertex on every edge."""
+        return self.ell - 1 == self.k >= 1 and bool(set.intersection(*map(set, self.edges)))
 
     @property
     def name(self) -> str:

@@ -1,5 +1,7 @@
 """Core graphon, motif density and rate-function tests."""
 
+import collections
+import itertools
 import math
 import time
 
@@ -155,6 +157,91 @@ def test_motifs_and_embedded_graphs_reject_the_same_edge_lists(edges, error, mes
 def test_a_directly_built_motif_is_the_parsed_one():
     motif = Motif(ell=3, edges={(1, 2), (1, 3), (2, 3)})
     assert motif == Motif.triangle() and hash(motif) == hash(Motif.triangle())
+
+
+def _connected_labelled_motifs(ell):
+    pairs = list(itertools.combinations(range(1, ell + 1), 2))
+    for chosen in itertools.product((False, True), repeat=len(pairs)):
+        try:
+            yield Motif(ell=ell, edges=[p for p, on in zip(pairs, chosen) if on])
+        except errors.DisconnectedMotif:
+            pass
+
+
+def _graph_class(motif):
+    """The least sorted edge list over all relabellings: equal exactly for
+    isomorphic motifs."""
+    return min(tuple(sorted(tuple(sorted((perm[i - 1], perm[j - 1]))) for (i, j) in motif.edges))
+               for perm in itertools.permutations(range(1, motif.ell + 1)))
+
+
+def _facts(motif):
+    bounds = region.motif_bounds(motif)
+    return (motif.is_triangle, motif.is_star, motif.name, bounds and bounds[2])
+
+
+def test_motif_facts_depend_only_on_the_graph():
+    motifs = [h for ell in range(2, 6) for h in _connected_labelled_motifs(ell)]
+    assert len(motifs) == 1 + 4 + 38 + 728
+    facts = {}
+    for h in motifs:
+        assert facts.setdefault((h.ell, _graph_class(h)), _facts(h)) == _facts(h), h
+        degrees = collections.Counter(v for edge in h.edges for v in edge)
+        # a star is a tree with a vertex on every edge
+        assert h.is_star == (h.k == h.ell - 1 and h.ell - 1 in degrees.values()), h
+        if h.is_star:
+            assert _facts(h) == _facts(Motif.star(h.k))
+    assert sum(star for (_, star, _, _) in facts.values()) == 4
+
+
+def _star_centred_at_the_last_vertex(k):
+    return Motif.from_edges(k + 1, [(j, k + 1) for j in range(1, k + 1)])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_a_relabelled_star_has_the_stars_density_and_gradient(monkeypatch, k):
+    def refuse(*args):
+        raise AssertionError("an einsum kernel ran")
+
+    for name in ("einsum_density", "einsum_gradient"):
+        monkeypatch.setattr(_kernel, name, refuse)
+    star, other = Motif.star(k), _star_centred_at_the_last_vertex(k)
+    rng = np.random.default_rng(k)
+    for m in (1, 3, 8, 16):
+        g = _random_graphon(rng, m)
+        assert motif_density(g, other) == motif_density(g, star)
+        assert np.array_equal(motif_gradient(g, other), motif_gradient(g, star))
+
+
+_NON_STARS = {
+    "p4": Motif.from_edges(4, [(1, 2), (2, 3), (3, 4)]),
+    "c4": Motif.from_edges(4, [(1, 2), (2, 3), (3, 4), (1, 4)]),
+    "c5": Motif.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]),
+    "k4": Motif.from_edges(4, list(itertools.combinations(range(1, 5), 2))),
+    "paw": Motif.from_edges(4, [(1, 2), (2, 3), (1, 3), (3, 4)]),
+}
+
+
+def _recorded(ran, name, kernel):
+    def call(*args):
+        ran.append(name)
+        return kernel(*args)
+
+    return call
+
+
+@pytest.mark.parametrize("motif", _NON_STARS.values(), ids=_NON_STARS)
+def test_other_motifs_take_the_einsum_kernel(monkeypatch, motif):
+    ran = []
+    for name in ("einsum_density", "einsum_gradient"):
+        monkeypatch.setattr(_kernel, name, _recorded(ran, name, getattr(_kernel, name)))
+    assert not (motif.is_triangle or motif.is_star)
+    assert motif.name == f"motif(ell={motif.ell},k={motif.k})"
+    assert region.motif_bounds(motif) is None
+    g = _random_graphon(np.random.default_rng(5), 6)
+    motif_density(g, motif)
+    motif_gradient(g, motif)
+    assert ran == ["einsum_density", "einsum_gradient"]
 
 
 def test_density_pair_range():

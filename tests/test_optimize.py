@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from graphentropy import _random, errors, optimize
+from graphentropy import _kernel, _random, errors, optimize
 from graphentropy.graphon import (
     DensityPair,
     Graphon,
@@ -414,10 +414,12 @@ def test_warm_start_used():
 
 
 PATH3 = Motif.from_edges(3, [(1, 2), (2, 3)])
+# the one motif here on the einsum kernel: path3 is the 2-star relabelled
+C4 = Motif.from_edges(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
 
 
-@pytest.mark.parametrize("motif", [Motif.triangle(), Motif.star(2), Motif.star(3), PATH3],
-                         ids=["triangle", "star2", "star3", "path3"])
+@pytest.mark.parametrize("motif", [Motif.triangle(), Motif.star(2), Motif.star(3), PATH3, C4],
+                         ids=["triangle", "star2", "star3", "path3", "c4"])
 @settings(max_examples=20, deadline=None)
 @given(g=_step_graphons([1, 2, 4, 8], 0.05, 0.95))
 def test_value_is_a_lower_bound_at_a_known_feasible_point(motif, g):
@@ -432,17 +434,52 @@ def test_value_is_a_lower_bound_at_a_known_feasible_point(motif, g):
     assert abs(res.achieved.t - target.t) <= optimize.CONSTRAINT_TOL
 
 
-def test_path_motif_agrees_with_the_2_star():
-    # the path 1-2-3 is the 2-star relabelled; the solver evaluates it with
-    # the general einsum kernel, and no region precheck applies to it
+def _facts(res):
+    return (res.s_value, res.beta1, res.beta2, res.g_star.values.tobytes(),
+            res.multistart_values)
+
+
+def _no_einsum(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an einsum kernel ran")
+
+    for name in ("einsum_density", "einsum_gradient"):
+        monkeypatch.setattr(_kernel, name, refuse)
+
+
+def test_path_motif_agrees_with_the_2_star(monkeypatch):
+    # the path 1-2-3 is the 2-star relabelled, so it is the 2-star: its name,
+    # its degree kernel, its proven region and every bit of its solve
+    _no_einsum(monkeypatch)
     target = DensityPair(e=0.5, t=0.3)
-    assert not (PATH3.is_triangle or PATH3.is_star)
-    assert region_precheck(target, PATH3) == ""
+    assert PATH3.is_star and PATH3.name == "star:2"
+    assert region_precheck(target, PATH3) == region_precheck(target, Motif.star(2))
+    with pytest.raises(errors.Infeasible, match=r"outside e\^2 <= t <= e for the star:2 model"):
+        region_precheck(DensityPair(0.5, 0.6), PATH3)
     cfg = OptimConfig(m=8, multistart_count=0)
     path = maximize_entropy(target, PATH3, cfg)
     star = maximize_entropy(target, Motif.star(2), cfg)
     assert path.converged and star.converged
-    assert path.s_value == pytest.approx(star.s_value, abs=1e-6)
+    assert _facts(path) == _facts(star)
+
+
+def _star_centred_at_2(k):
+    # vertex 2 is the centre; for k = 1 this is the one labelling of an edge
+    return Motif.from_edges(k + 1, [(2, j) for j in range(1, k + 2) if j != 2])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_a_relabelled_star_solves_as_the_star(monkeypatch, k):
+    star, other = Motif.star(k), _star_centred_at_2(k)
+    assert other.name == star.name and (k == 1 or other != star)
+    _no_einsum(monkeypatch)
+    cfg = OptimConfig(m=8, multistart_count=0)
+    target = DensityPair(0.5, min(1.2 * 0.5 ** k, 0.5))  # inside e^k <= t <= e
+    assert _facts(maximize_entropy(target, other, cfg)) == _facts(
+        maximize_entropy(target, star, cfg))
+    with pytest.raises(errors.Infeasible,
+                       match=rf"outside e\^{k} <= t <= e for the star:{k} model"):
+        region_precheck(DensityPair(0.5, 0.6), other)
 
 
 # ---------------------------------------------------------------------------

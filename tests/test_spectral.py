@@ -224,3 +224,27 @@ def test_cycle_densities_meet_their_spectral_bounds(g):
         assert t <= e ** (ell / 2) + 1e-12, ell
         assert t >= e ** ell - (dist ** ell if ell % 2 else 0.0) - 1e-12, ell
     assert rate_function(g) - rate_value(e) >= dist ** 2 - 1e-12
+
+
+# Densities of the rank-one witness W = e + x aa^T, a = +1 on one half and -1
+# on the other: expanding t_H(W) over edge subsets F of H leaves the subsets
+# whose vertices all have even F-degree, each giving e^(|E|-|F|) x^|F|.
+RANK_ONE_DENSITIES = {
+    "c4": (CYCLES[4], lambda e, x: e ** 4 + x ** 4),
+    "c5": (CYCLES[5], lambda e, x: e ** 5 + x ** 5),
+    "c6": (CYCLES[6], lambda e, x: e ** 6 + x ** 6),
+    "k4": (Motif.from_edges(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]),
+           lambda e, x: e ** 6 + 4 * e ** 3 * x ** 3 + 3 * e ** 2 * x ** 4),
+    "paw": (Motif.from_edges(4, [(1, 2), (1, 3), (2, 3), (3, 4)]),
+            lambda e, x: e ** 4 + e * x ** 3),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(e=st.floats(0.2, 0.8), share=st.floats(-1.0, 1.0), m=st.sampled_from([2, 4, 6, 8, 16]))
+def test_rank_one_witness_densities_are_exact(e, share, m):
+    x = share * min(e, 1.0 - e) / 2
+    alpha = np.where(np.arange(m) < m // 2, 1.0, -1.0)
+    g = Graphon(values=e + x * np.outer(alpha, alpha))
+    for name, (motif, density) in RANK_ONE_DENSITIES.items():
+        assert abs(motif_density(g, motif) - density(e, x)) <= 1e-13, name

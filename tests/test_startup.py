@@ -177,11 +177,18 @@ def _run_reports_loaded(argv, modules):
     return proc.stdout.splitlines(), proc.stderr
 
 
-def test_entropy_rejects_an_out_of_region_target_without_numpy():
+def test_entropy_rejects_an_out_of_region_target_without_numpy(tmp_path):
     out, err = _run_reports_loaded(["entropy", "--e", "0.5", "--t", "0.4"],
                                    ["numpy", "graphentropy.optimize"])
     assert out == [f"{cli.EXIT_INFEASIBLE} []"]
     assert err == "infeasible: target (0.5,0.4) classified OutsideUpper for the triangle model\n"
+    # a star centred at vertex 2 is the 2-star, with the 2-star's bounds
+    motif = tmp_path / "path.txt"
+    motif.write_text("motif v1 ell=3\n1 2\n2 3\n")
+    out, err = _run_reports_loaded(["entropy", "--e", "0.5", "--t", "0.6", "--motif", str(motif)],
+                                   ["numpy", "graphentropy.optimize"])
+    assert out == [f"{cli.EXIT_INFEASIBLE} []"]
+    assert err == "infeasible: target (0.5,0.6) outside e^2 <= t <= e for the star:2 model\n"
 
 
 def test_entropy_checks_the_config_before_the_region(tmp_path):
