@@ -222,18 +222,12 @@ class OptimConfig:
 
 
 def region_precheck(target: DensityPair, motif: Motif) -> str:
-    """Raise Infeasible for a target outside the motif's proven region
-    (`region.motif_bounds`), by more than CONSTRAINT_TOL; else return where
-    it lies, for the message of a later Infeasible.  The triangle's region is
-    told by `region.classify`.
+    """One rule for every motif, on (lower, upper, text) = `region.motif_bounds`:
+    raise Infeasible("target (e,t) outside <text> for the <name> model") for t
+    outside [lower(e) - CONSTRAINT_TOL, upper(e) + CONSTRAINT_TOL]; else return
+    "; inside <text>" ("" without bounds) for the message of a later Infeasible.
     """
     e, t, tol = target.e, target.t, CONSTRAINT_TOL
-    if motif.is_triangle:
-        cls = region.classify(e, t, tol=tol)
-        if cls in (region.RegionClass.OUTSIDE_UPPER, region.RegionClass.BELOW_ENVELOPE,
-                   region.RegionClass.BELOW_LOWER):
-            raise Infeasible(f"target ({e},{t}) classified {cls.value} for the triangle model")
-        return f"; region class {cls.value}"
     bounds = region.motif_bounds(motif)
     if bounds is None:
         return ""

@@ -80,19 +80,20 @@ def touch_point(k) -> float:
     return k / (k + 1.0)
 
 
-def classify(e, t, tol=CURVE_TOL) -> RegionClass:
+def classify(e, t) -> RegionClass:
+    """The RegionClass of (e, t), each curve taken to CURVE_TOL."""
     check_unit("e", e)
     check_unit("t", t)
-    if t > upper_boundary(e) + tol:
+    if t > upper_boundary(e) + CURVE_TOL:
         return RegionClass.OUTSIDE_UPPER
-    if t < lower_envelope(e) - tol:
+    if t < lower_envelope(e) - CURVE_TOL:
         return RegionClass.BELOW_ENVELOPE
-    if t < lower_boundary(e) - tol:
+    if t < lower_boundary(e) - CURVE_TOL:
         return RegionClass.BELOW_LOWER
     cube = er_curve(e)
-    if t > cube + tol:
+    if t > cube + CURVE_TOL:
         return RegionClass.ABOVE_ER
-    if t < cube - tol:
+    if t < cube - CURVE_TOL:
         return RegionClass.BELOW_ER
     return RegionClass.ON_ER
 

@@ -482,6 +482,24 @@ def test_a_relabelled_star_solves_as_the_star(monkeypatch, k):
         region_precheck(DensityPair(0.5, 0.6), other)
 
 
+def test_a_failed_start_loop_keeps_the_bound_in_its_message(monkeypatch):
+    # a target inside the proven region that no start reaches is no proof:
+    # the message gives the best violation and the bounds the target is in,
+    # or the violation alone for a motif with no proven bounds
+    def infeasible(a0, target, dens):
+        return optimize._RunRecord(lam=np.zeros(2), viol=0.25, converged=False,
+                                   best_s=-math.inf, best_a=None)
+
+    monkeypatch.setattr(optimize, "_solve_constrained", infeasible)
+    cfg = OptimConfig(m=4, multistart_count=0)
+    failed = r"^no start reached constraint tolerance \(best violation 0.25\)"
+    with pytest.raises(errors.Infeasible,
+                       match=failed + r"; inside g3\(e\) <= t <= e\^\(3/2\)$"):
+        maximize_entropy(DensityPair(0.5, 0.1), Motif.triangle(), cfg)
+    with pytest.raises(errors.Infeasible, match=failed + "$"):
+        maximize_entropy(DensityPair(0.5, 0.1), C4, cfg)
+
+
 # ---------------------------------------------------------------------------
 # Crease scan
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from graphentropy import errors, optimize
 from graphentropy.errors import check_unit
 from graphentropy.graphon import DensityPair, Motif, bipodal_graphon
+from graphentropy.problem import region_precheck
 from graphentropy.region import (
     RegionClass,
     boundary_table,
@@ -123,6 +124,9 @@ def test_boundary_table():
         boundary_table(1)
 
 
+G3_BOUNDS = r"outside g3\(e\) <= t <= e\^\(3/2\) for the triangle model$"
+
+
 def test_solver_rejects_the_strip_below_the_lower_boundary(monkeypatch):
     # no start is run for a target below g3 by more than CONSTRAINT_TOL; one
     # on g3 is not rejected by the region
@@ -131,13 +135,58 @@ def test_solver_rejects_the_strip_below_the_lower_boundary(monkeypatch):
 
     monkeypatch.setattr(optimize, "_solve_constrained", no_solve)
     cfg = optimize.OptimConfig(m=8, multistart_count=0)
-    with pytest.raises(errors.Infeasible, match="BelowLower"):
+    with pytest.raises(errors.Infeasible, match=G3_BOUNDS):
         optimize.maximize_entropy(DensityPair(e=0.7, t=0.285), Motif.triangle(), cfg)
     g3 = lower_boundary(0.7)
-    with pytest.raises(errors.Infeasible, match="BelowLower"):
+    with pytest.raises(errors.Infeasible, match=G3_BOUNDS):
         optimize.maximize_entropy(DensityPair(e=0.7, t=g3 - 2e-6), Motif.triangle(), cfg)
     with pytest.raises(AssertionError, match="a start was solved"):
         optimize.maximize_entropy(DensityPair(e=0.7, t=g3 - 5e-7), Motif.triangle(), cfg)
+
+
+_OUTSIDE = {RegionClass.OUTSIDE_UPPER, RegionClass.BELOW_ENVELOPE, RegionClass.BELOW_LOWER}
+
+
+@st.composite
+def _triangle_targets(draw):
+    """(e, t) with e uniform or a touch point, and t uniform or within 1e-12
+    of a tolerance edge of g3(e) <= t <= e^(3/2), clipped to [0, 1]."""
+    tol = optimize.CONSTRAINT_TOL
+    e = draw(st.one_of(st.floats(0.0, 1.0), st.integers(1, 2000).map(touch_point)))
+    edge = draw(st.sampled_from([lower_boundary(e) - tol, upper_boundary(e) + tol, None]))
+    t = draw(st.floats(0.0, 1.0)) if edge is None else edge + draw(st.floats(-1e-12, 1e-12))
+    return e, min(max(t, 0.0), 1.0)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(target=_triangle_targets())
+@example(target=(0.7, 0.285))  # above the envelope, below g3
+@example(target=(0.7, 0.2))  # below the envelope
+@example(target=(0.5, 0.4))  # above e^(3/2)
+def test_the_g3_bounds_reject_what_classify_puts_outside(target):
+    # the precheck's one rule, g3(e) <= t <= e^(3/2) to CONSTRAINT_TOL,
+    # rejects where classify's three outside classes would at that
+    # tolerance, as the envelope lies below g3; only within a few ulps of a
+    # touch point, where the rounded envelope lies above the rounded g3,
+    # does it accept what g3 allows
+    e, t = target
+    tol = optimize.CONSTRAINT_TOL
+    bounds = "g3(e) <= t <= e^(3/2)"
+    try:
+        note = region_precheck(DensityPair(e, t), Motif.triangle())
+    except errors.Infeasible as exc:
+        assert str(exc) == f"target ({e},{t}) outside {bounds} for the triangle model"
+        assert classify(e, t) in _OUTSIDE
+        rejected = True
+    else:
+        assert note == f"; inside {bounds}"
+        rejected = False
+    outside = (t > upper_boundary(e) + tol or t < lower_envelope(e) - tol
+               or t < lower_boundary(e) - tol)
+    sliver = lower_boundary(e) - tol <= t < lower_envelope(e) - tol
+    assert rejected == (outside and not sliver)
+    if sliver:
+        assert lower_envelope(e) - lower_boundary(e) <= 1e-15
 
 
 def test_motif_bounds():

@@ -42,7 +42,7 @@ def test_f_minus_bit_identical_to_recorded_values():
                                                         float.fromhex(x).hex())
 
 
-@pytest.mark.parametrize("e", [0.0, 5e-324, 1e-200, 1e-100, 1e-13,
+@pytest.mark.parametrize("e", [0.0, 5e-324, 1e-323, 1e-200, 1e-100, 1e-13,
                                math.nextafter(_kernel.CLAMP, 0.0),
                                math.nextafter(1.0 - _kernel.CLAMP, 1.0), 1.0 - 1e-13, 1.0,
                                math.nan])

@@ -181,7 +181,8 @@ def test_entropy_rejects_an_out_of_region_target_without_numpy(tmp_path):
     out, err = _run_reports_loaded(["entropy", "--e", "0.5", "--t", "0.4"],
                                    ["numpy", "graphentropy.optimize"])
     assert out == [f"{cli.EXIT_INFEASIBLE} []"]
-    assert err == "infeasible: target (0.5,0.4) classified OutsideUpper for the triangle model\n"
+    assert err == ("infeasible: target (0.5,0.4) outside g3(e) <= t <= e^(3/2)"
+                   " for the triangle model\n")
     # a star centred at vertex 2 is the 2-star, with the 2-star's bounds
     motif = tmp_path / "path.txt"
     motif.write_text("motif v1 ell=3\n1 2\n2 3\n")

@@ -384,13 +384,24 @@ def test_the_region_precheck_has_one_definition():
 
 def test_a_motifs_proven_bounds_have_one_home():
     # region.motif_bounds writes each motif's bound formulas: the precheck
-    # reads them there, so in problem only Motif.name asks whether a motif is
-    # a star, and the heatmap takes its curves from motif_bounds alone
+    # reads them there, for the triangle as for every other motif, so in
+    # problem only Motif.name asks whether a motif is a star or a triangle,
+    # the precheck takes nothing else from region (no classify, no
+    # RegionClass) and raises in one place; the heatmap takes its curves from
+    # motif_bounds alone
     problem = _tree("problem")
     scopes = _scopes(problem)
-    assert {scopes[node] for node in ast.walk(problem)
-            if isinstance(node, ast.Attribute) and node.attr == "is_star"} == {".Motif.name"}
-    assert _calls(_function(problem, "region_precheck"), "motif_bounds")
+    for shape in ("is_star", "is_triangle"):
+        assert {scopes[node] for node in ast.walk(problem)
+                if isinstance(node, ast.Attribute) and node.attr == shape} == {".Motif.name"}
+    precheck = _function(problem, "region_precheck")
+    assert _calls(precheck, "motif_bounds")
+    assert {node.attr for node in ast.walk(precheck) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "region"} == {"motif_bounds"}
+    assert {node.id for node in ast.walk(precheck) if isinstance(node, ast.Name)}.isdisjoint(
+        {"classify", "RegionClass"})
+    assert [site for site in _raise_sites(("Infeasible",))
+            if site.startswith("problem.")] == ["problem.region_precheck:Infeasible"]
     figures = _tree("figures")
     relative = {f"{node.module}.{alias.name}" for node in ast.walk(figures)
                 if isinstance(node, ast.ImportFrom) and node.level > 0 for alias in node.names}
