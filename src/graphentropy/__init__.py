@@ -31,8 +31,7 @@ _EXPORTS = {
     "phase": ("CreaseScanResult", "ScanSpec", "crease_report", "crease_scan",
               "phase_diagram_scan"),
     "problem": ("DensityPair", "Motif", "OptimConfig"),
-    "region": ("RegionClass", "classify", "er_curve", "lower_boundary", "lower_envelope",
-               "upper_boundary"),
+    "region": ("RegionClass", "classify", "er_curve", "lower_boundary", "upper_boundary"),
     "spectral": ("SpectralReport", "delta_t_decomposition", "kernel_operator_spectrum",
                  "trace_power", "verify_trace_inequality"),
 }

@@ -87,11 +87,12 @@ def _table(doc, name, keys):
     return doc
 
 
-def _load_config(args, spec_optim=None):
+def _load_config(args, spec=None):
     """OptimConfig from, in order: the defaults, the --config file's optim
     table, the scan spec's optim table, --m, then --seed.  Each layer must
     make a valid OptimConfig by itself, so a bad value is an error even where
-    a later layer overrides it.  A file cannot set warm_start."""
+    a later layer overrides it.  Each file's optim, if present, must be a
+    table.  A file cannot set warm_start."""
     from .problem import OptimConfig
 
     keys = [f.name for f in fields(OptimConfig) if f.name != "warm_start"]
@@ -102,8 +103,8 @@ def _load_config(args, spec_optim=None):
         if doc.get("version") != 1:
             raise FormatError("config must be a JSON object with \"version\": 1")
         layers.append(doc.get("optim", {}))
-    if spec_optim is not None:
-        layers.append(spec_optim)
+    if spec is not None:
+        layers.append(spec.get("optim", {}))
     flags = {"m": getattr(args, "m", None), "seed": args.seed}
     layers.append({k: v for k, v in flags.items() if v is not None})
     values = {}
@@ -180,7 +181,7 @@ def _cmd_scan(args):
     with open_path("--spec", args.spec) as fh:
         doc = _table(json.load(fh), "scan spec",
                      ("e_grid", "t_grid", "relative", "motif", "optim"))
-    cfg = _load_config(args, doc.get("optim"))
+    cfg = _load_config(args, doc)
     # ScanSpec and Motif.parse check the values; a missing grid is None
     spec = phase_mod.ScanSpec(
         e_grid=doc.get("e_grid"),

@@ -72,13 +72,13 @@ def closed_form_agreement():
 
 
 def region_geometry():
-    """(0.7, 0.2) lies below the envelope, the ER curve lies between the
-    envelope and the upper boundary, and the first scallop touches at 1/2."""
-    ok = region.classify(0.7, 0.2) is region.RegionClass.BELOW_ENVELOPE
+    """On the triangle's bounds from `region.motif_bounds`, g3 <= e^3 <=
+    e^(3/2) at e = 0.2, 0.5, 0.8 and g3(1/2) = 0; (0.7, 0.2) lies below g3."""
+    lower, upper, _ = region.motif_bounds(Motif.triangle())
+    ok = region.classify(0.7, 0.2) is region.RegionClass.BELOW_LOWER
     for e in (0.2, 0.5, 0.8):
-        ok &= region.lower_envelope(e) <= region.er_curve(e) <= region.upper_boundary(e)
-    touch = region.touch_point(1)
-    return ok and abs(touch - 0.5) < 1e-15, f"touch point {touch!r}"
+        ok &= lower(e) <= region.er_curve(e) <= upper(e)
+    return ok and lower(0.5) == 0.0, f"g3(1/2) = {lower(0.5)!r}"
 
 
 def census_hand_enumeration(threads):

@@ -1,11 +1,11 @@
 """Geometry of the achievable (e, t) region, and each motif's proven bounds.
 
 For the triangle the region is bounded above by e^(3/2) and below by
-Razborov's scalloped curve g3(e), which is t = 0 for e <= 1/2 and meets the
-lower envelope e(2e - 1) at the touch points e_k = k/(k+1); the Erdos-Renyi
-curve t = e^3 runs between them.  `motif_bounds` is the one place a motif's
-proven bounds are written: the triangle's curves, e^k <= t <= e for a k-star,
-and none for any other motif.  The region precheck and the heatmap read it.
+Razborov's scalloped curve g3(e), which is t = 0 for e <= 1/2; the
+Erdos-Renyi curve t = e^3 runs between them.  `motif_bounds` is the one
+place a motif's proven bounds are written: the triangle's curves, e^k <= t
+<= e for a k-star, and none for any other motif.  The region precheck, the
+heatmap and verify's region check read it.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ class RegionClass(enum.Enum):
     ON_ER = "On_ER"
     BELOW_ER = "Below_ER"
     OUTSIDE_UPPER = "OutsideUpper"
-    BELOW_ENVELOPE = "BelowEnvelope"
-    BELOW_LOWER = "BelowLower"  # on or above the envelope, below g3
+    BELOW_LOWER = "BelowLower"  # below g3
 
 
 def upper_boundary(e) -> float:
@@ -32,18 +31,12 @@ def upper_boundary(e) -> float:
     return e ** 1.5
 
 
-def lower_envelope(e) -> float:
-    """max(0, e(2e-1)): exact for e <= 1/2 and at touch points, else a lower bound."""
-    check_unit("e", e)
-    return max(0.0, e * (2.0 * e - 1.0))
-
-
 def lower_boundary(e) -> float:
     """Razborov's minimal triangle density g3(e) (Combin. Probab. Comput. 17,
     603, 2008).  For e in [1-1/k, 1-1/(k+1)] and r = sqrt(k(k - e(k+1))),
     g3(e) = (k-1)(k-2r)(k+r)^2 / (k^2 (k+1)^2): the triangle density of the
     complete (k+1)-partite graphon with k equal parts and one smaller part.
-    It is 0 for e <= 1/2 and equals e(2e-1) at the touch points k/(k+1)."""
+    It is 0 for e <= 1/2 and equals e(2e-1) at e = k/(k+1)."""
     check_unit("e", e)
     if e <= 0.5:
         return 0.0
@@ -74,20 +67,12 @@ def motif_bounds(motif):
     return None
 
 
-def touch_point(k) -> float:
-    """e_k = k/(k+1), where the scalloped boundary meets the envelope."""
-    check_integer("touch point index k", k, 1)
-    return k / (k + 1.0)
-
-
 def classify(e, t) -> RegionClass:
     """The RegionClass of (e, t), each curve taken to CURVE_TOL."""
     check_unit("e", e)
     check_unit("t", t)
     if t > upper_boundary(e) + CURVE_TOL:
         return RegionClass.OUTSIDE_UPPER
-    if t < lower_envelope(e) - CURVE_TOL:
-        return RegionClass.BELOW_ENVELOPE
     if t < lower_boundary(e) - CURVE_TOL:
         return RegionClass.BELOW_LOWER
     cube = er_curve(e)
@@ -100,7 +85,9 @@ def classify(e, t) -> RegionClass:
 
 def boundary_table(samples):
     """Rows (e, upper, er, envelope) at uniform e for the CLI region command,
-    made one at a time as they are read; samples is checked at the call."""
+    made one at a time as they are read; samples is checked at the call.
+    The envelope max(0, e(2e - 1)) is a lower bound for g3, equal to it only
+    for e <= 1/2 and at e = k/(k+1); it is kept as the table's format."""
     check_integer("samples", samples, 2, MAX_POINTS)
-    return ((e, upper_boundary(e), er_curve(e), lower_envelope(e))
+    return ((e, upper_boundary(e), er_curve(e), max(0.0, e * (2.0 * e - 1.0)))
             for e in (i / (samples - 1) for i in range(samples)))

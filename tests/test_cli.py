@@ -300,6 +300,9 @@ FILE_INPUTS = ((ENTROPY, "--config"), (["scan"], "--spec"), (ENTROPY, "--motif")
       for command, flag in ((["region", "--samples", "3"], "--out"), *FILE_INPUTS[:2],
                             FILE_INPUTS[3])
       for path in ("a\u0000b", "\ud800.txt")],
+    # a spec's optim, like a config's, is a table if present
+    ["scan", "--spec", lambda p: _json_file(p, "s.json", {**_spec(), "optim": None})],
+    [*ENTROPY, "--config", lambda p: _json_file(p, "c.json", {"version": 1, "optim": None})],
 ])
 def test_malformed_input_exits_usage(tmp_path, argv):
     argv = [a(tmp_path) if callable(a) else a for a in argv]
@@ -325,7 +328,7 @@ def test_config_layers_in_order(tmp_path):
         ["scan", "--spec", "unused", "--seed", "5",
          "--config", _json_file(tmp_path, "c.json", _config(m=4, multistart_count=3, seed=1))])
     assert _load_config(args) == OptimConfig(m=4, multistart_count=3, seed=5)
-    cfg = _load_config(args, {"m": 8, "seed": 2})
+    cfg = _load_config(args, {"optim": {"m": 8, "seed": 2}})
     assert cfg == OptimConfig(m=8, multistart_count=3, seed=5)
     args = _build_parser().parse_args(["entropy", "--e", "0.5", "--t", "0.1", "--m", "6"])
     assert _load_config(args) == OptimConfig(m=6)

@@ -44,7 +44,7 @@ from graphentropy.optimize import (
     slice_second_derivative_fd,
 )
 from graphentropy.problem import OptimConfig
-from graphentropy.region import boundary_table, touch_point
+from graphentropy.region import boundary_table
 
 
 def _random_graphon(rng, m):
@@ -516,10 +516,9 @@ def test_graphon_builders_reject_bad_arguments():
     lambda: enumerate_census(2.5),
     lambda: enumerate_census(3, threads=1.5),
     lambda: enumerate_census(True),
-    lambda: touch_point(1.5),
 ], ids=["constant", "constant-bool", "bipodal", "upper", "half", "boundary_table",
         "convexity_report", "star-bool", "motif-float", "motif-bool", "census-float",
-        "census-threads-float", "census-bool", "touch_point"])
+        "census-threads-float", "census-bool"])
 def test_counts_and_resolutions_must_be_whole_numbers(call):
     # a float or a bool is invalid input, not Python's TypeError, and True is not k = 1
     with pytest.raises(errors.ValueOutOfRange, match="integer"):

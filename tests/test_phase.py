@@ -15,7 +15,7 @@ from graphentropy.figures import heatmap_svg, transition_curve_svg
 from graphentropy.graphon import Graphon, Motif, rate_value
 from graphentropy.optimize import OptimConfig
 from graphentropy.phase import ScanRow, ScanSpec, crease_report, crease_scan, phase_diagram_scan
-from graphentropy.region import lower_boundary, lower_envelope
+from graphentropy.region import lower_boundary
 
 FAST = OptimConfig(m=8, multistart_count=2)
 
@@ -277,13 +277,13 @@ def test_svg_empty_rejected():
 
 
 def test_heatmap_lower_outline_is_razborovs_boundary():
-    # above e = 1/2 the envelope e(2e - 1) lies below the region between the
-    # touch points: at e = 0.7 it is 0.28, where g3 is 0.2871
+    # above e = 1/2 the outline is g3, not e(2e - 1): at e = 0.7 g3 is
+    # 0.2871, and the outline does not pass through t = 0.28
     row = ScanRow(0.7, 0.3, -0.6, 0.0, 0.0, True, 0.0, "ok")
     lower = heatmap_svg([row], Motif.triangle()).splitlines()[-2]
     assert lower.startswith("<polyline")
     points = lower.split('"')[1].split()
-    for t, drawn in ((lower_boundary(0.7), True), (lower_envelope(0.7), False)):
+    for t, drawn in ((lower_boundary(0.7), True), (0.28, False)):
         assert ("{:.2f},{:.2f}".format(*figures._page(0.7, t)) in points) is drawn
 
 

@@ -17,9 +17,7 @@ from graphentropy.region import (
     classify,
     er_curve,
     lower_boundary,
-    lower_envelope,
     motif_bounds,
-    touch_point,
     upper_boundary,
 )
 
@@ -27,17 +25,21 @@ from graphentropy.region import (
 def test_boundary_values():
     assert upper_boundary(0.25) == pytest.approx(0.125, abs=1e-15)
     assert er_curve(0.5) == pytest.approx(0.125, abs=1e-15)
-    assert lower_envelope(0.4) == 0.0
-    assert lower_envelope(0.75) == pytest.approx(0.375, abs=1e-15)
-    assert touch_point(1) == 0.5
-    assert touch_point(3) == pytest.approx(0.75, abs=1e-15)
 
 
 def test_boundary_ordering():
     for i in range(1, 100):
         e = i / 100
-        assert lower_envelope(e) <= er_curve(e) <= upper_boundary(e) + 1e-15
-        assert lower_envelope(e) - 1e-15 <= lower_boundary(e) <= er_curve(e)
+        assert lower_boundary(e) <= er_curve(e) <= upper_boundary(e) + 1e-15
+    # the region table's envelope column is a lower bound for g3, below the
+    # ER curve, equal to g3 = 0 up to e = 1/2 and to g3 at e = 3/4
+    for e, upper, er, envelope in boundary_table(101):
+        assert envelope <= lower_boundary(e) + 1e-15
+        assert envelope <= er <= upper
+        if e <= 0.5:
+            assert envelope == lower_boundary(e) == 0.0
+        if e == 0.75:
+            assert envelope == pytest.approx(0.375, abs=1e-15)
 
 
 def _partite_triangle_density(e):
@@ -71,8 +73,8 @@ def test_classification():
     assert classify(0.5, 0.2) is RegionClass.ABOVE_ER
     assert classify(0.5, 0.1) is RegionClass.BELOW_ER
     assert classify(0.5, 0.4) is RegionClass.OUTSIDE_UPPER
-    assert classify(0.7, 0.2) is RegionClass.BELOW_ENVELOPE
-    # above the envelope 0.28 and below g3(0.7) = 0.28709...
+    # below g3(0.7) = 0.28709..., far below and above e(2e - 1) = 0.28
+    assert classify(0.7, 0.2) is RegionClass.BELOW_LOWER
     assert classify(0.7, 0.285) is RegionClass.BELOW_LOWER
     assert classify(0.7, 0.3) is RegionClass.BELOW_ER
     assert classify(0.0, 0.0) is RegionClass.ON_ER
@@ -80,7 +82,7 @@ def test_classification():
 
 
 def test_classification_enum_values():
-    assert RegionClass.BELOW_ENVELOPE.value == "BelowEnvelope"
+    assert RegionClass.BELOW_LOWER.value == "BelowLower"
     assert RegionClass.OUTSIDE_UPPER.value == "OutsideUpper"
 
 
@@ -89,8 +91,6 @@ def test_out_of_range_rejected():
         classify(1.2, 0.5)
     with pytest.raises(errors.ValueOutOfRange):
         upper_boundary(-0.1)
-    with pytest.raises(errors.ValueOutOfRange):
-        touch_point(0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -144,15 +144,15 @@ def test_solver_rejects_the_strip_below_the_lower_boundary(monkeypatch):
         optimize.maximize_entropy(DensityPair(e=0.7, t=g3 - 5e-7), Motif.triangle(), cfg)
 
 
-_OUTSIDE = {RegionClass.OUTSIDE_UPPER, RegionClass.BELOW_ENVELOPE, RegionClass.BELOW_LOWER}
+_OUTSIDE = {RegionClass.OUTSIDE_UPPER, RegionClass.BELOW_LOWER}
 
 
 @st.composite
 def _triangle_targets(draw):
-    """(e, t) with e uniform or a touch point, and t uniform or within 1e-12
+    """(e, t) with e uniform or k/(k+1), and t uniform or within 1e-12
     of a tolerance edge of g3(e) <= t <= e^(3/2), clipped to [0, 1]."""
     tol = optimize.CONSTRAINT_TOL
-    e = draw(st.one_of(st.floats(0.0, 1.0), st.integers(1, 2000).map(touch_point)))
+    e = draw(st.one_of(st.floats(0.0, 1.0), st.integers(1, 2000).map(lambda k: k / (k + 1.0))))
     edge = draw(st.sampled_from([lower_boundary(e) - tol, upper_boundary(e) + tol, None]))
     t = draw(st.floats(0.0, 1.0)) if edge is None else edge + draw(st.floats(-1e-12, 1e-12))
     return e, min(max(t, 0.0), 1.0)
@@ -160,15 +160,13 @@ def _triangle_targets(draw):
 
 @settings(max_examples=1000, deadline=None)
 @given(target=_triangle_targets())
-@example(target=(0.7, 0.285))  # above the envelope, below g3
-@example(target=(0.7, 0.2))  # below the envelope
+@example(target=(0.7, 0.285))  # above e(2e - 1), below g3
+@example(target=(0.7, 0.2))  # below e(2e - 1)
 @example(target=(0.5, 0.4))  # above e^(3/2)
 def test_the_g3_bounds_reject_what_classify_puts_outside(target):
     # the precheck's one rule, g3(e) <= t <= e^(3/2) to CONSTRAINT_TOL,
-    # rejects where classify's three outside classes would at that
-    # tolerance, as the envelope lies below g3; only within a few ulps of a
-    # touch point, where the rounded envelope lies above the rounded g3,
-    # does it accept what g3 allows
+    # rejects exactly where classify's two outside classes would at that
+    # tolerance
     e, t = target
     tol = optimize.CONSTRAINT_TOL
     bounds = "g3(e) <= t <= e^(3/2)"
@@ -181,12 +179,7 @@ def test_the_g3_bounds_reject_what_classify_puts_outside(target):
     else:
         assert note == f"; inside {bounds}"
         rejected = False
-    outside = (t > upper_boundary(e) + tol or t < lower_envelope(e) - tol
-               or t < lower_boundary(e) - tol)
-    sliver = lower_boundary(e) - tol <= t < lower_envelope(e) - tol
-    assert rejected == (outside and not sliver)
-    if sliver:
-        assert lower_envelope(e) - lower_boundary(e) <= 1e-15
+    assert rejected == (t > upper_boundary(e) + tol or t < lower_boundary(e) - tol)
 
 
 def test_motif_bounds():

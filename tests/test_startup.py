@@ -28,8 +28,8 @@ PUBLIC_NAMES = [
     "empirical_entropy", "enumerate_census", "er_curve", "ergm", "errors",
     "estimate_multipliers", "f_minus", "figures", "find_transition", "graphon",
     "graphon_distance", "heatmap_svg", "kernel_operator_spectrum", "lower_boundary",
-    "lower_envelope", "maximize_entropy", "motif_density", "motif_gradient", "optimize",
-    "phase", "phase_diagram_scan", "problem", "psi_constant", "psi_full", "rate_function",
+    "maximize_entropy", "motif_density", "motif_gradient", "optimize", "phase",
+    "phase_diagram_scan", "problem", "psi_constant", "psi_full", "rate_function",
     "rate_value", "read_graphon", "region", "resample", "spectral", "trace_power",
     "transition_curve", "transition_curve_svg", "upper_boundary", "verify_t_le_e_cubed",
     "verify_trace_inequality", "write_graphon",
@@ -66,7 +66,7 @@ def test_import_loads_no_numpy_and_no_submodule():
 
 
 def test_public_names_resolve_to_what_their_modules_define():
-    assert len(PUBLIC_NAMES) == 68
+    assert len(PUBLIC_NAMES) == 67
     assert graphentropy.__all__ == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         obj = getattr(graphentropy, name)

@@ -387,8 +387,10 @@ def test_a_motifs_proven_bounds_have_one_home():
     # reads them there, for the triangle as for every other motif, so in
     # problem only Motif.name asks whether a motif is a star or a triangle,
     # the precheck takes nothing else from region (no classify, no
-    # RegionClass) and raises in one place; the heatmap takes its curves from
-    # motif_bounds alone
+    # RegionClass) and raises in one place; the heatmap and verify's
+    # region_geometry take the triangle's curves from motif_bounds alone; the
+    # envelope e(2e - 1) is written only as the region table's column, and
+    # no name is left of it or of its touch points
     problem = _tree("problem")
     scopes = _scopes(problem)
     for shape in ("is_star", "is_triangle"):
@@ -396,8 +398,7 @@ def test_a_motifs_proven_bounds_have_one_home():
                 if isinstance(node, ast.Attribute) and node.attr == shape} == {".Motif.name"}
     precheck = _function(problem, "region_precheck")
     assert _calls(precheck, "motif_bounds")
-    assert {node.attr for node in ast.walk(precheck) if isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name) and node.value.id == "region"} == {"motif_bounds"}
+    assert _region_names(precheck) == {"motif_bounds"}
     assert {node.id for node in ast.walk(precheck) if isinstance(node, ast.Name)}.isdisjoint(
         {"classify", "RegionClass"})
     assert [site for site in _raise_sites(("Infeasible",))
@@ -406,6 +407,56 @@ def test_a_motifs_proven_bounds_have_one_home():
     relative = {f"{node.module}.{alias.name}" for node in ast.walk(figures)
                 if isinstance(node, ast.ImportFrom) and node.level > 0 for alias in node.names}
     assert relative == {"errors.EmptyTable", "region.motif_bounds"}
+    geometry = _function(_tree("invariants"), "region_geometry")
+    assert _calls(geometry, "motif_bounds")
+    assert _region_names(geometry) == {"motif_bounds", "classify", "RegionClass", "er_curve"}
+    envelopes, names = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=path.name)
+        scopes = _scopes(tree)
+        envelopes += [f"{path.stem}{scopes[node]}" for node in ast.walk(tree)
+                      if _is_envelope(node)]
+        names += [name for node in ast.walk(tree) for name in _names_bound(node)
+                  if "envelope" in name.lower() or "touch_point" in name.lower()]
+    assert envelopes == ["region.boundary_table"]
+    assert names == []
+
+
+def _region_names(func):
+    """The `region.name` attributes func reads."""
+    return {node.attr for node in ast.walk(func) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "region"}
+
+
+def _is_envelope(node):
+    """Whether node is x * (2x - 1), in either order of each product."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)):
+        return False
+    for x, factor in ((node.left, node.right), (node.right, node.left)):
+        if (isinstance(x, ast.Name) and isinstance(factor, ast.BinOp)
+                and isinstance(factor.op, ast.Sub) and _is_number(factor.right, 1)
+                and isinstance(factor.left, ast.BinOp) and isinstance(factor.left.op, ast.Mult)):
+            pair = (factor.left.left, factor.left.right)
+            if any(_is_number(two, 2) and isinstance(y, ast.Name) and y.id == x.id
+                   for two, y in (pair, pair[::-1])):
+                return True
+    return False
+
+
+def _names_bound(node):
+    """The names node defines or reads: functions, classes, arguments,
+    variables, attributes and imported aliases."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.arg):
+        return [node.arg]
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.alias):
+        return [node.asname or node.name]
+    return []
 
 
 def test_cli_imports_no_numpy_module():
