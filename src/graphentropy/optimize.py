@@ -159,12 +159,15 @@ def f_minus(e) -> CreaseBoundConstants:
     """
     check_crease_e(e)
     y = 1.0 - 2.0 * e
-    if e == 0.5:
+    # f_-(e) = f_-(1 - e); 1 - e is exact for e >= 1/2, so the pair shares its bits
+    lo = min(e, 1.0 - e)
+    z = 1.0 - 2.0 * lo
+    if lo == 0.5:
         fm = 1.0
-    elif 0.25 <= e <= 0.75:  # y is exact here
-        fm = math.atanh(y) / y
-    else:  # y rounds below e = 1/4, and atanh(y) would magnify that error
-        fm = (math.log1p(-e) - math.log(e)) / (2.0 * y)
+    elif lo >= 0.25:  # z is exact here
+        fm = math.atanh(z) / z
+    else:  # z rounds below e = 1/4, and atanh(z) would magnify that error
+        fm = (math.log1p(-lo) - math.log(lo)) / (2.0 * z)
     return CreaseBoundConstants(
         e=e,
         f_minus=fm,
