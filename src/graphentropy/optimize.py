@@ -271,7 +271,8 @@ def el_residual(g: Graphon, beta1, beta2, motif: Motif = Motif.triangle()) -> fl
 def estimate_multipliers(g: Graphon) -> dict:
     """Least-squares (beta1, beta2) minimizing the triangle model's
     Euler-Lagrange residual over the interior blocks (boundary blocks carry
-    box multipliers); the residual norm is `el_residual`'s, over every block."""
+    box multipliers), by the solver's closed-form fit; the residual norm is
+    `el_residual`'s, over every block.  DegenerateFit where that fit is None."""
     coef = _ls_multipliers(g.values, motif_gradient(g, Motif.triangle()),
                            rate_derivative(g.values))
     if coef is None:
@@ -282,24 +283,26 @@ def estimate_multipliers(g: Graphon) -> dict:
 
 def _ls_multipliers(a, d, i0_prime):
     """Least-squares (lam1, lam2) solving I0'(a) = lam1 + lam2 * d over the
-    interior blocks, given i0_prime = I0'(a); None when too few interior
-    blocks or d is constant."""
+    interior blocks, given i0_prime = I0'(a), in closed form from centred
+    sums; None when there are fewer than 3 interior blocks, d is constant on
+    them, or a coefficient is not finite."""
     interior = (a > 1e-6) & (a < 1.0 - 1e-6)
     hv = d[interior]
     n = hv.size
     if n < 3:
         return None
     # np.std and np.mean written out, with numpy's order of operations
-    dev = hv - float(hv.sum()) / n
-    std = math.sqrt(float((dev * dev).sum()) / n)
-    if std < 1e-8 * max(1.0, float(np.abs(hv).sum()) / n):
+    hbar = float(hv.sum()) / n
+    dev = hv - hbar
+    sxx = float((dev * dev).sum())
+    if math.sqrt(sxx / n) < 1e-8 * max(1.0, float(np.abs(hv).sum()) / n):
         return None
     y = i0_prime[interior]
-    x = np.column_stack([np.ones_like(hv), hv])
-    coef, *_ = np.linalg.lstsq(x, y, rcond=None)
-    if not np.all(np.isfinite(coef)):
+    ybar = float(y.sum()) / n
+    if not math.isfinite(ybar):  # y - ybar would be inf - inf
         return None
-    return coef
+    slope = float(dev @ (y - ybar)) / sxx
+    return np.array([ybar - slope * hbar, slope]) if math.isfinite(slope) else None
 
 
 # ---------------------------------------------------------------------------

@@ -146,19 +146,33 @@ def power_fit(xs, ys):
 
     Returns (coef, cov): coef = [c0, c1] (so C = exp(c0), p = c1) and cov the
     OLS covariance s^2 (X^T X)^-1 of coef, with s^2 = RSS / (n - 2); the
-    standard errors are the square roots of its diagonal.
+    standard errors are the square roots of its diagonal.  Both are written
+    in closed form, from centred sums of u = log x and v = log y.  Every x
+    and y must be finite and positive (ValueOutOfRange names the first that
+    is not), and there must be at least 3 points at 2 distinct x
+    (DegenerateFit).
     """
-    lx = np.log(np.asarray(xs, dtype=float))
-    ly = np.log(np.asarray(ys, dtype=float))
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    for name, values in (("x", xs), ("y", ys)):
+        bad = values[~((values > 0.0) & (values < math.inf))]
+        if bad.size:
+            raise ValueOutOfRange(f"power fit needs finite positive {name}, "
+                                  f"got {name} = {float(bad[0])!r}")
+    lx, ly = np.log(xs), np.log(ys)
     n = len(lx)
     if n < 3 or lx.min() == lx.max():
         raise DegenerateFit(f"power fit needs at least 3 points and 2 distinct x, got {n} "
                             f"points and {np.unique(lx).size} distinct x")
-    x = np.column_stack([np.ones(n), lx])
-    coef, *_ = np.linalg.lstsq(x, ly, rcond=None)
-    resid = ly - x @ coef
-    cov = float(resid @ resid) / (n - 2) * np.linalg.inv(x.T @ x)
-    return coef, cov
+    ubar, vbar = float(lx.sum()) / n, float(ly.sum()) / n
+    dev = lx - ubar
+    suu = float(dev @ dev)
+    slope = float(dev @ (ly - vbar)) / suu
+    intercept = vbar - slope * ubar
+    resid = ly - intercept - slope * lx
+    s2 = float(resid @ resid) / (n - 2)
+    cov = s2 * np.array([[1.0 / n + ubar * ubar / suu, -ubar / suu], [-ubar / suu, 1.0 / suu]])
+    return np.array([intercept, slope]), cov
 
 
 def side_power_fit(points, s0):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from graphentropy import _kernel, _random, errors, optimize
+from graphentropy.ergm import ErgmParams, psi_full
 from graphentropy.graphon import (
     DensityPair,
     Graphon,
@@ -18,6 +19,7 @@ from graphentropy.graphon import (
     constant_graphon,
     edge_density,
     motif_density,
+    rate_derivative,
     rate_function,
     rate_value,
 )
@@ -72,6 +74,26 @@ def test_power_fit_standard_errors_match_closed_form():
     for x in (1e-3, 0.03125):  # three points at one x: singular, or a negative variance
         with pytest.raises(errors.DegenerateFit):
             power_fit([x] * 3, ys[:3])
+    # the LAPACK fit the closed form replaced: lstsq for coef, inv for cov
+    x = np.column_stack([np.ones(n), lx])
+    ref, *_ = np.linalg.lstsq(x, ly, rcond=None)
+    ref_cov = float(np.sum((ly - x @ ref) ** 2)) / (n - 2) * np.linalg.inv(x.T @ x)
+    np.testing.assert_allclose(coef, ref, rtol=1e-12)
+    np.testing.assert_allclose(cov, ref_cov, rtol=1e-10)
+
+
+@pytest.mark.parametrize("xs, ys, named", [
+    ([0.0, 1.0, 2.0], [1.0, 2.0, 3.0], "x = 0.0"),
+    ([-1.0, 1.0, 2.0], [1.0, 2.0, 3.0], "x = -1.0"),
+    ([math.nan, 1.0, 2.0], [1.0, 2.0, 3.0], "x = nan"),
+    ([1.0, 2.0, 3.0], [0.0, 2.0, 3.0], "y = 0.0"),
+    ([1.0, 2.0, 3.0], [1.0, math.inf, 3.0], "y = inf"),
+], ids=["zero-x", "negative-x", "nan-x", "zero-y", "inf-y"])
+def test_power_fit_rejects_a_value_that_is_not_finite_and_positive(xs, ys, named, capfd):
+    # a package error before any log is taken, and nothing printed to stderr
+    with pytest.raises(errors.ValueOutOfRange, match=named):
+        power_fit(xs, ys)
+    assert capfd.readouterr().err == ""
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +298,37 @@ def test_multiplier_fit_is_none_on_non_finite_coefficients():
     i0_prime = np.zeros((3, 3))
     i0_prime[0, 0] = np.inf
     assert optimize._ls_multipliers(a, d + d.T, i0_prime) is None
+
+
+@st.composite
+def _multiplier_fit_inputs(draw):
+    """A symmetric a with some entries at the box faces, I0'(a), and a
+    symmetric field d on a grid of step >= 0.05, so that d is either constant
+    on the interior blocks or well spread over them."""
+    m = draw(st.integers(2, 16))
+    entry = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(1e-3, 1.0 - 1e-3))
+    upper = draw(arrays(np.float64, (m, m), elements=entry))
+    a = np.triu(upper) + np.triu(upper, 1).T
+    k = draw(arrays(np.int64, (m, m), elements=st.integers(-8, 8)))
+    d = draw(st.floats(-2.0, 2.0)) + draw(st.floats(0.05, 3.0)) * (k + k.T)
+    return a, d, rate_derivative(a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_multiplier_fit_inputs())
+def test_multiplier_fit_is_the_least_squares_fit(inputs):
+    # the closed form against LAPACK's least squares over the interior blocks,
+    # and None exactly where the degeneracy rule says so
+    a, d, i0_prime = inputs
+    interior = (a > 1e-6) & (a < 1.0 - 1e-6)
+    hv = d[interior]
+    fit = optimize._ls_multipliers(a, d, i0_prime)
+    if hv.size < 3 or np.std(hv) < 1e-8 * max(1.0, float(np.mean(np.abs(hv)))):
+        assert fit is None
+        return
+    x = np.column_stack([np.ones(hv.size), hv])
+    ref, *_ = np.linalg.lstsq(x, i0_prime[interior], rcond=None)
+    assert np.max(np.abs(fit - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
 
 
 # ---------------------------------------------------------------------------
@@ -706,6 +759,37 @@ def test_penalty_ceiling_keeps_ridge_scan_values(e):
 
 
 # ---------------------------------------------------------------------------
+# No LAPACK on the solve path
+
+
+def test_the_solve_path_calls_no_lapack_routine(monkeypatch):
+    # every numpy.linalg function but norm (a BLAS dot) raises; spectral's
+    # eigvalsh, the trace step of `verify`, is the one LAPACK call left
+    called = []
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            called.append(name)
+            raise AssertionError(f"numpy.linalg.{name} called")
+        return call
+
+    for name in np.linalg.__all__:
+        obj = getattr(np.linalg, name)
+        if name != "norm" and callable(obj) and not isinstance(obj, type):
+            monkeypatch.setattr(np.linalg, name, refuse(name))
+    cfg = OptimConfig(m=8, multistart_count=0)
+    c4 = Motif.from_edges(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+    for motif, e, t in ((Motif.triangle(), 0.3, 0.04), (Motif.star(4), 0.5, 0.0725),
+                        (c4, 0.5, 0.07)):
+        assert maximize_entropy(DensityPair(e=e, t=t), motif, cfg).s_value > 0
+    scan = crease_scan(0.5, deltas=[1e-3, 3e-3, 1e-2], config=cfg)
+    assert scan.below_fit is not None and scan.above_fit is not None
+    assert estimate_multipliers(closed_form_half(0.124).graphon(8))["beta2"] < 0
+    assert psi_full(ErgmParams(1.0, 2.0), cfg).converged
+    assert called == []
+
+
+# ---------------------------------------------------------------------------
 # Bit identity
 
 # (s_value, beta1, beta2, el_residual_norm) and multistart_values of
@@ -713,32 +797,35 @@ def test_penalty_ceiling_keeps_ridge_scan_values(e):
 # every line-search trial built its gradient; the solver must reproduce every
 # bit.  el_residual_norm is now that of the reported (beta1, beta2), not of a
 # second least-squares fit at g_star, so its two values that differ were
-# re-recorded, for (0.3, 0.04) and (0.5, 0.0725, star:4).
+# re-recorded, for (0.3, 0.04) and (0.5, 0.0725, star:4).  Every value that
+# the closed-form multiplier fit moved was re-recorded with it: all but the
+# s and multistart_values of (0.5, 0.124).
 MAXIMIZE_AT_D15F377 = {
     (0.5, 0.124, "triangle"): (
-        ("0x1.5894fc37432c5p-2", "0x1.445f410f5af02p+2", "-0x1.b07f0169ce94fp+2",
-         "0x1.0000000000000p-48"),
+        ("0x1.5894fc37432c5p-2", "0x1.445f410f5af03p+2", "-0x1.b07f0169ce955p+2",
+         "0x1.0000000000000p-50"),
         ("-inf", "0x1.5894fc37432c5p-2", "-inf", "-inf", "-inf", "-inf", "-inf", "-inf")),
     (0.3, 0.04, "triangle"): (
-        ("0x1.195f1874e58f8p-2", "-0x1.251e3d8e6acaap+0", "0x1.1f253adf1e852p+1",
-         "0x1.775d7c9220000p-15"),
-        ("-inf", "0x1.dc95b0280950cp-3", "0x1.182099f851252p-2", "0x1.176e1b71f09bdp-2",
-         "-inf", "-inf", "0x1.19463e18c99f2p-2", "0x1.195f1874e58f8p-2")),
+        ("0x1.195ef759ea39dp-2", "-0x1.251e29b2dd734p+0", "0x1.1f25299454af8p+1",
+         "0x1.57b17bd9b0000p-12"),
+        ("-inf", "0x1.dc95b0280950cp-3", "0x1.182099f85123ep-2", "0x1.176e1b71ef493p-2",
+         "-inf", "-inf", "0x1.19463e1897b40p-2", "0x1.195ef759ea39dp-2")),
     (0.5, 0.0725, "star:4"): (
-        ("0x1.586815f63f454p-2", "-0x1.fb54581aafff5p-2", "0x1.e2c0a49238f8ep-1",
-         "0x1.a03ba81dfa000p-10"),
-        ("-inf", "-inf", "0x1.53a343144f1d8p-2", "-inf", "0x1.52e6cc96af144p-2",
-         "0x1.586815f63f454p-2", "0x1.55c574851615cp-2", "0x1.578a42e56cabbp-2")),
+        ("0x1.586815f63f23ap-2", "-0x1.fb54587531550p-2", "0x1.e2c0a4a20e6a1p-1",
+         "0x1.a03b87254b400p-10"),
+        ("-inf", "-inf", "0x1.53a343144c9b0p-2", "-inf", "0x1.52e6cc963399ep-2",
+         "0x1.586815f63f23ap-2", "0x1.55c57484e4b2ep-2", "0x1.578a42e56cbd9p-2")),
 }
 
 
 # (status, s) of each point below, then above, the ridge of the continuation
 # marches of crease_scan(0.5, deltas=[1e-3, 1e-2]) with m = 8 and 2 restarts,
 # recorded at commit 2f23108, where the first point of each march also ran
-# the constant graphon as a warm start
+# the constant graphon as a warm start; the last three were re-recorded when
+# the multiplier fit became closed form
 CREASE_SCAN_AT_2F23108 = (
-    ("ok", "0x1.5894fc37432c7p-2"), ("ok", "0x1.31c5a0372ba43p-2"),
-    ("ok", "0x1.61870110f0c6ep-2"), ("ok", "0x1.5533d2cab72dcp-2"),
+    ("ok", "0x1.5894fc37432c7p-2"), ("ok", "0x1.31c5a0372baa0p-2"),
+    ("ok", "0x1.6186d91c9d74ep-2"), ("ok", "0x1.5533ce67202c3p-2"),
 )
 
 
