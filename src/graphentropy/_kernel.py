@@ -26,32 +26,32 @@ The one scalar search the rest of the package needs, `bisect`, lives here
 too.
 
 At the sizes the solvers use (m = 8..32) one numpy call costs more than the
-arithmetic behind it, so the objectives avoid calls without changing a bit
-of any result:
+arithmetic behind it, so each valued A is touched once:
 
-- `float(np.add.reduce(x, None)) / x.size` in place of `np.mean(x)`, which
-  sums the same way but costs three times as much to call, and
-  `np.add.reduce` in place of `ndarray.sum`, the same reduction without its
-  Python wrapper;
-- `np.minimum(np.maximum(x, lo), hi)` in place of `np.clip`, the same
-  operation at half the call cost;
-- I0 without the boundary mask of `graphon.rate_value`: SPG iterates lie in
-  the box [CLAMP, 1-CLAMP] up to rounding far below CLAMP, so the mask would
-  select every entry;
-- the factor 1/2 of I0 applied to the mean rather than to every entry: a
-  power-of-two scaling is exact, so the bits are the same;
-- lam_eff = lam - rho c entry by entry on floats, which round each entry
-  as numpy's 2-vector operations do;
-- in `spg_box`, the first line-search trial A + D rather than A + 1.0 D:
-  multiplying by 1.0 is exact.
+- value(A) computes 1 - A, ln A, ln(1 - A) and the motif intermediate (A^2
+  or the degrees) once, sums I(A) = (1/2) mean(A ln A + (1 - A) ln(1 - A))
+  as two BLAS dots, and prices f from I, e and t in Python floats;
+- gradient() builds I0'(A) = (1/2)(ln A - ln(1 - A)) from the two logs that
+  value kept, with no second log and no projection: SPG iterates lie in the
+  box [CLAMP, 1-CLAMP] up to rounding far below CLAMP, so a clamp would
+  move no entry and 1 - A stays positive;
+- the triangle's t = <A^2, A>/m^3 is one dot and its field (3/m) A^2 one
+  multiply;
+- `spg_box` takes each inner product as one dot and, where no entry lies in
+  the scaled band, steps with the scalar step length, so it builds neither
+  the per-entry steps nor s/w.
 
-The constraint dots stay numpy 2-vector dots: scalar
-`l0*c0 + l1*c1` rounds differently from `lam @ c` in the last bit for about
-one random input in seven, and that changes the iteration paths.  With
-numpy 2.4's OpenBLAS on an x86-64 CPU with FMA the dot is exactly
-fma(x1, y1, x0 * y0) (20,000 of 20,000 random draws, for `lam @ c` and for
-`c @ c`), but `math.fma` exists only from Python 3.13 and the package runs
-on 3.10 and later, so `_price` keeps the numpy dots.
+These are the formulas of the longer formulation `tests/test_graphon.py`
+keeps as a closeness oracle, summed in another order: a dot sums in the
+order of the BLAS kernel numpy links, not pairwise, ln(1 - A) rounds
+1 - A first where log1p did not, and f is priced in Python floats rather
+than with numpy 2-vector dots.  So values and gradients agree with the old
+ones to a few ulps of their largest term, not bit for bit, and the solver's
+outputs move at the rounding level, or above the ridge by up to about
+CONSTRAINT_TOL, where the stopping rule fixes s only to that.  A dot sums
+in the same order on every call on one machine, so the solver stays
+deterministic there; the star and einsum kernels and the public
+`rate_value` and `rate_derivative` keep their earlier bits.
 """
 
 from __future__ import annotations
@@ -78,11 +78,11 @@ _IDX = "abcdef"
 
 
 def _triangle_density(a, a2, m):
-    return float(np.add.reduce(a2 * a, None)) / m ** 3
+    return float(np.vdot(a2, a)) / m ** 3
 
 
 def _triangle_gradient(a2, m):
-    return 3.0 * a2 / m
+    return (3.0 / m) * a2
 
 
 def _degrees(a, m):
@@ -186,16 +186,6 @@ def rate_derivative(a):
     return 0.5 * (np.log(a) - np.log1p(-a))
 
 
-def _mean(x):
-    return float(np.add.reduce(x, None)) / x.size
-
-
-def _mean_rate(a):
-    """I(A) for A inside the open unit box, where I0 needs no boundary case."""
-    b = 1.0 - a
-    return 0.5 * _mean(a * np.log(a) + b * np.log(b))
-
-
 # ---------------------------------------------------------------------------
 # Objectives
 
@@ -203,19 +193,27 @@ def _mean_rate(a):
 class _Objective:
     """An objective in the two parts `spg_box` calls: value(A) -> f keeps what
     the gradient shares with f, and gradient() -> G builds G at the last A
-    valued.  After a solve, e and t are the densities of the last A valued,
-    and i0_prime its I0'(A) and d its motif field, which gradient() built."""
+    valued.  After a solve, a is the last A valued and e and t its
+    densities, and i0_prime its I0'(A) and d its motif field, which
+    gradient() built."""
 
     def __init__(self, dens):
         self._dens = dens
 
-    def _densities(self, a):
+    def _rate(self, a):
+        """I(A) for A inside the open unit box, where I0 needs no boundary
+        case; sets a, e and t, and keeps ln A, ln(1 - A) and the motif field
+        for gradient()."""
+        b = 1.0 - a
+        self._log_a, self._log_b = log_a, log_b = np.log(a), np.log(b)
+        n = a.size
         self.a = a
-        self.e = _mean(a)
+        self.e = float(np.add.reduce(a, None)) / n
         self.t, self._field = self._dens(a)
+        return 0.5 * (float(np.vdot(a, log_a)) + float(np.vdot(b, log_b))) / n
 
     def _fields(self):
-        self.i0_prime = rate_derivative(self.a)
+        self.i0_prime = 0.5 * (self._log_a - self._log_b)
         self.d = self._field()
 
 
@@ -237,12 +235,15 @@ class AugmentedLagrangian(_Objective):
     def __init__(self, dens, target_e, target_t, lam, rho, tol):
         super().__init__(dens)
         self._target = (target_e, target_t)
-        self._lam, self._rho, self._tol = lam, rho, tol
+        self._tol = tol
+        self._set_prices(lam, rho)
         self.best_s, self.best_a = -math.inf, None
 
+    def _set_prices(self, lam, rho):
+        self._lam, self._rho = (float(lam[0]), float(lam[1])), rho
+
     def value(self, a):
-        self._i = i_val = _mean_rate(a)
-        self._densities(a)
+        self._i = i_val = self._rate(a)
         c0, c1 = self._c = (self.e - self._target[0], self.t - self._target[1])
         if max(abs(c0), abs(c1)) <= self._tol and -i_val > self.best_s:
             self.best_s, self.best_a = -i_val, a.copy()
@@ -255,17 +256,15 @@ class AugmentedLagrangian(_Objective):
     def reprice(self, lam, rho):
         """Set new multipliers and penalty and return (f, G) at the last A
         valued and differentiated, from the I(A), c, I0'(A) and D it holds."""
-        self._lam, self._rho = lam, rho
+        self._set_prices(lam, rho)
         return self._price(), self._combine()
 
     def _price(self):
-        c = np.array(self._c)
-        return self._i - float(self._lam @ c) + 0.5 * self._rho * float(c @ c)
+        (c0, c1), (l0, l1) = self._c, self._lam
+        return self._i - (l0 * c0 + l1 * c1) + 0.5 * self._rho * (c0 * c0 + c1 * c1)
 
     def _combine(self):
-        # lam_eff = lam - rho c entry by entry, as numpy would round it
-        (c0, c1), rho = self._c, self._rho
-        l0, l1 = self._lam.tolist()
+        (c0, c1), (l0, l1), rho = self._c, self._lam, self._rho
         return self.i0_prime - (l0 - rho * c0) - (l1 - rho * c1) * self.d
 
 
@@ -279,8 +278,7 @@ class FreeEnergy(_Objective):
         self._beta1, self._beta2 = beta1, beta2
 
     def value(self, a):
-        self._densities(a)
-        return _mean_rate(a) - self._beta1 * self.e - self._beta2 * self.t
+        return self._rate(a) - self._beta1 * self.e - self._beta2 * self.t
 
     def gradient(self):
         self._fields()
@@ -293,11 +291,11 @@ class FreeEnergy(_Objective):
 
 def projected_gradient_norm(a, g):
     """Sup norm of the projected-gradient step A - P(A - G)."""
-    return float(np.abs(a - project(a - g)).max())
+    return float(np.maximum.reduce(np.abs(a - project(a - g)), None))
 
 
 def _dot(x, y):
-    return _mean(x * y)
+    return float(np.vdot(x, y)) / x.size
 
 
 def _step_scale(a):
@@ -331,7 +329,10 @@ def spg_box(a, objective, tol, max_iter, start=None):
     step; a fixed margin below 0 would stop it where scaled steps are small.
 
     Where every entry of the iterate has C a(1-a) >= 1, w is exactly 1.0 and
-    the step is the unscaled one bit for bit.  The stopping test (the
+    the step is the unscaled one bit for bit.  That is the flat branch: the
+    loop then moves every entry by the scalar step and measures the
+    Barzilai-Borwein step with <s, s>, and so builds neither the per-entry
+    steps nor s/w, which would give the same bits.  The stopping test (the
     unscaled projected-gradient sup norm against tol), the Armijo rule, the
     10-value nonmonotone window and the [1e-8, 1e8] step clamp do not depend
     on w.
@@ -357,12 +358,15 @@ def spg_box(a, objective, tol, max_iter, start=None):
         pg = projected_gradient_norm(a, g)
         if pg <= tol:
             break
-        w = _step_scale(a)
-        d = project(a - _entry_steps(w, step) * g) - a
+        # w = `_step_scale(a)` is 1.0 in every entry when C a(1-a) >= 1 at the
+        # least a(1-a), since C x rounds monotonically in x
+        flat = CURVATURE_SCALE * float(np.minimum.reduce(a * (1.0 - a), None)) >= 1.0
+        w = None if flat else _step_scale(a)
+        d = project(a - (step if flat else _entry_steps(w, step)) * g) - a
         gd = _dot(g, d)
         if gd >= 0.0:
             step = 1.0
-            d = project(a - _entry_steps(w, step) * g) - a
+            d = project(a - (step if flat else _entry_steps(w, step)) * g) - a
             gd = _dot(g, d)
             if gd >= 0.0:
                 break
@@ -379,7 +383,7 @@ def spg_box(a, objective, tol, max_iter, start=None):
         s = an - a
         y = gn - g
         sy = _dot(s, y)
-        step = min(max(_dot(s, s / w) / sy, 1e-8), 1e8) if sy > 1e-18 else 1.0
+        step = min(max(_dot(s, s if flat else s / w) / sy, 1e-8), 1e8) if sy > 1e-18 else 1.0
         a, f, g = an, fn, gn
         hist.append(f)
     else:  # out of iterations: measure the norm at the iterate returned

@@ -318,6 +318,7 @@ def _cmd_verify(args):
         (invariants.trace_inequality, rng, 200),
         (invariants.gradient_checks, rng, 10),
         (invariants.closed_form_agreement,),
+        (invariants.slice_multipliers,),
         (invariants.region_geometry,),
         (invariants.census_hand_enumeration, _threads(args)),
         (invariants.convexity_derivative_paths, 200),

@@ -11,6 +11,7 @@ from . import census, optimize, region, spectral
 from ._numpy import np
 from .graphon import DensityPair, Graphon, Motif, motif_density, motif_gradient, rate_value
 from .optimize import closed_form_half, el_residual, estimate_multipliers, maximize_entropy
+from .problem import OptimConfig
 
 
 def trace_inequality(rng, samples):
@@ -69,6 +70,20 @@ def closed_form_agreement():
         misfits += [abs(fit["beta1"] - sol.beta1), abs(fit["beta2"] - sol.beta2)]
     ok = all(x <= 1e-10 for x in residuals) and all(x <= 1e-6 for x in misfits)
     return ok, f"max EL residual {max(residuals):.1e}, max multiplier error {max(misfits):.1e}"
+
+
+def slice_multipliers():
+    """The envelope theorem on the e = 1/2 slice: the solver's multipliers at
+    t = 0.02, 0.08 and 0.124 (m = 8, no restarts) are the closed form's beta1
+    and beta2, with ds/dt = -beta2, to 1e-12 relative."""
+    config = OptimConfig(m=8, multistart_count=0)
+    gaps = []
+    for t in (0.02, 0.08, 0.124):
+        res = maximize_entropy(DensityPair(e=0.5, t=t), Motif.triangle(), config)
+        sol = closed_form_half(t)
+        gaps += [abs(res.beta1 - sol.beta1) / abs(sol.beta1),
+                 abs(res.beta2 - sol.beta2) / abs(sol.beta2)]
+    return all(x <= 1e-12 for x in gaps), f"max relative multiplier gap {max(gaps):.1e}"
 
 
 def region_geometry():

@@ -109,7 +109,8 @@ def test_criterion_06_gradient_checks():
 
 def test_criterion_07_euler_lagrange_closed_form():
     ok, detail = invariants.closed_form_agreement()
-    assert _verdict(7, ok, f" ({detail})")
+    slice_ok, slice_detail = invariants.slice_multipliers()
+    assert _verdict(7, ok and slice_ok, f" ({detail}; {slice_detail})")
 
 
 def test_criterion_08_maximizer_triangle_bound():

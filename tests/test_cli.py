@@ -679,6 +679,7 @@ def test_verify_reports_failing_checks_and_runs_the_rest(tmp_path, monkeypatch, 
         "PASS trace_inequality",
         "FAIL gradient_checks (max relative error 1.0e+00)",
         "PASS closed_form_agreement",
+        "PASS slice_multipliers",
         "FAIL region_geometry (boundary out of order)",
         "PASS census_hand_enumeration",
         "PASS convexity_derivative_paths",

@@ -690,11 +690,13 @@ def test_graphon_text_full_precision():
 # ---------------------------------------------------------------------------
 # Solver kernels against a reference copy
 #
-# The functions below are the solver's density/gradient fast paths, its
+# The functions below state the solver's density/gradient fast paths, its
 # augmented-Lagrangian and free-energy objectives and the rate function as
-# they were written before `_kernel` replaced them with fewer numpy calls.
-# The rewrite is meant to keep every bit, so triangle and star results must
-# be equal, not close.
+# plain formulas, in the order `_kernel` sums them: I(A) and t as dots, I0'
+# from the same two logs, f priced in Python floats.  They are the kernel's
+# formulas written out, so triangle and star results must be equal, not
+# close.  The longer, pairwise formulation the kernel had before it shared
+# one log pair per iterate follows them, as a closeness oracle.
 
 _REF_CLAMP = 1e-12
 
@@ -720,7 +722,7 @@ def _ref_make_problem(motif, m):
 
         def dens_grad(a):
             a2 = a @ a
-            return float(np.sum(a2 * a)) / m ** 3, 3.0 * a2 / m
+            return float(np.vdot(a2, a)) / m ** 3, (3.0 / m) * a2
 
         return dens_grad
     assert motif.edges == frozenset((1, j) for j in range(2, motif.ell + 1))
@@ -735,7 +737,57 @@ def _ref_make_problem(motif, m):
     return dens_grad
 
 
+def _ref_rate(a):
+    """I(A) as two dots, and I0'(A) from the same two logs."""
+    b = 1.0 - a
+    log_a, log_b = np.log(a), np.log(b)
+    i_val = 0.5 * (float(np.vdot(a, log_a)) + float(np.vdot(b, log_b))) / a.size
+    return i_val, 0.5 * (log_a - log_b)
+
+
 def _ref_al_objective(dens_grad, te, tt, lam, rho, tol, best):
+    def obj_grad(a):
+        i_val, i0_prime = _ref_rate(a)
+        t_val, d = dens_grad(a)
+        c0, c1 = float(np.mean(a)) - te, t_val - tt
+        l0, l1 = float(lam[0]), float(lam[1])
+        f = i_val - (l0 * c0 + l1 * c1) + 0.5 * rho * (c0 * c0 + c1 * c1)
+        g = i0_prime - (l0 - rho * c0) - (l1 - rho * c1) * d
+        if max(abs(c0), abs(c1)) <= tol and -i_val > best["s"]:
+            best["s"] = -i_val
+            best["a"] = a.copy()
+        return f, g
+
+    return obj_grad
+
+
+def _ref_free_energy(dens_grad, b1, b2):
+    def obj_grad(a):
+        i_val, i0_prime = _ref_rate(a)
+        t_val, d = dens_grad(a)
+        f = i_val - b1 * float(np.mean(a)) - b2 * t_val
+        return f, i0_prime - b1 - b2 * d
+
+    return obj_grad
+
+
+# The pairwise formulation: I(A) as the mean of the masked rate, t as a
+# pairwise sum, I0' from log and log1p of the clamped A, and f priced with
+# numpy 2-vector dots.
+
+
+def _pairwise_make_problem(motif, m):
+    if motif == Motif.triangle():
+
+        def dens_grad(a):
+            a2 = a @ a
+            return float(np.sum(a2 * a)) / m ** 3, 3.0 * a2 / m
+
+        return dens_grad
+    return _ref_make_problem(motif, m)
+
+
+def _pairwise_al_objective(dens_grad, te, tt, lam, rho, tol, best):
     def obj_grad(a):
         i_val = float(np.mean(_ref_rate_value(a)))
         e_val = float(np.mean(a))
@@ -752,7 +804,7 @@ def _ref_al_objective(dens_grad, te, tt, lam, rho, tol, best):
     return obj_grad
 
 
-def _ref_free_energy(dens_grad, b1, b2):
+def _pairwise_free_energy(dens_grad, b1, b2):
     def obj_grad(a):
         t_val, d = dens_grad(a)
         f = float(np.mean(_ref_rate_value(a))) - b1 * float(np.mean(a)) - b2 * t_val
@@ -891,6 +943,53 @@ def test_kernel_al_reprice_bit_equal_to_a_fresh_objective(a, motif, seed):
         assert g.tobytes() == fresh.gradient().tobytes()
 
 
+# The kernel sums the pairwise formulation's terms in another order and
+# takes ln(1 - A) where it took log1p(-A).  f and each entry of G are sums of
+# at most four terms (I, lam0 c0, lam1 c1 and (rho/2) |c|^2; I0', lam_eff0
+# and lam_eff1 D), and each formulation rounds each term a few times: a log,
+# a product, and a sum of m^2 <= 256 same-signed entries that a pairwise or
+# a BLAS sum rounds by a few ulps at these sizes.  So 4 terms x 2
+# formulations x 2 ulps bounds their difference, 16 ulps of the largest
+# term; 20,000 draws like these gave at most 6.
+_PAIRWISE_ULPS = 16 * 2.0 ** -53
+
+
+@_SETTINGS
+@given(
+    a=st.one_of(_box_graphons(), _near_face_graphons()),
+    motif=st.sampled_from(_FAST_MOTIFS),
+    seed=_SEEDS,
+)
+def test_kernel_objectives_close_to_the_pairwise_formulation(a, motif, seed):
+    m = a.shape[0]
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(-50.0, 50.0, size=2)
+    rho = 10.0 ** float(rng.uniform(-2.0, 8.0))
+    te, tt = rng.uniform(0.0, 1.0, size=2).tolist()
+    b1, b2 = rng.uniform(-20.0, 20.0, size=2).tolist()
+    best = {"s": -math.inf, "a": None}
+    f_al, g_al = _pairwise_al_objective(
+        _pairwise_make_problem(motif, m), te, tt, lam, rho, 1e-6, best)(a)
+    f_fe, g_fe = _pairwise_free_energy(_pairwise_make_problem(motif, m), b1, b2)(a)
+    dens = _kernel.density_gradient(motif, m)
+    al = _kernel.AugmentedLagrangian(dens, te, tt, lam, rho, 1e-6)
+    fe = _kernel.FreeEnergy(dens, b1, b2)
+    f, g = al.value(a), al.gradient()
+    e, t, d, i_val = al.e, al.t, al.d, float(np.mean(_ref_rate_value(a)))
+    # the terms' sizes, with c's two parts apart: c = e - te can cancel
+    l0, l1 = np.abs(lam).tolist()
+    ce, ct = e + te, t + tt
+    half_logs = 0.5 * np.maximum(np.abs(np.log(a)), np.abs(np.log1p(-a)))
+    assert abs(f - f_al) <= _PAIRWISE_ULPS * max(
+        abs(i_val), l0 * ce, l1 * ct, 0.5 * rho * (ce * ce + ct * ct))
+    assert np.all(np.abs(g - g_al) <= _PAIRWISE_ULPS * np.maximum(
+        half_logs, np.maximum(l0 + rho * ce, (l1 + rho * ct) * np.abs(d))))
+    f, g = fe.value(a), fe.gradient()
+    assert abs(f - f_fe) <= _PAIRWISE_ULPS * max(abs(i_val), abs(b1) * e, abs(b2) * t)
+    assert np.all(np.abs(g - g_fe) <= _PAIRWISE_ULPS * np.maximum(
+        half_logs, np.maximum(abs(b1), abs(b2) * np.abs(d))))
+
+
 @_SETTINGS
 @given(a=_box_graphons(), motif=st.sampled_from(_FAST_MOTIFS), seed=_SEEDS)
 def test_kernel_free_energy_bit_equal_to_reference(a, motif, seed):
@@ -900,6 +999,66 @@ def test_kernel_free_energy_bit_equal_to_reference(a, motif, seed):
     objective = _kernel.FreeEnergy(_kernel.density_gradient(motif, m), b1, b2)
     f = objective.value(a)
     assert f == f_ref and np.array_equal(objective.gradient(), g_ref)
+
+
+class _CountingNumpy:
+    """numpy, with the calls of the functions named counted; a counted ufunc
+    keeps its methods, whose calls are not counted."""
+
+    def __init__(self, names):
+        self.calls = dict.fromkeys(names, 0)
+
+    def __getattr__(self, name):
+        return _CountedCall(self, name) if name in self.calls else getattr(np, name)
+
+
+class _CountedCall:
+    def __init__(self, counter, name):
+        self._counter, self._name = counter, name
+
+    def __call__(self, *args, **kwargs):
+        self._counter.calls[self._name] += 1
+        return getattr(np, self._name)(*args, **kwargs)
+
+    def __getattr__(self, attr):
+        return getattr(getattr(np, self._name), attr)
+
+
+_BUDGETED = ("log", "log1p", "minimum", "maximum", "where")
+
+
+def _interior_triangle_objective(m=16):
+    """An augmented-Lagrangian objective for the triangle and an m x m iterate
+    with entries in [0.1, 0.9], where C a(1-a) >= 9: no entry in the scaled
+    band."""
+    r = np.random.default_rng(5).uniform(0.1, 0.9, size=(m, m))
+    objective = _kernel.AugmentedLagrangian(_kernel.density_gradient(Motif.triangle(), m),
+                                            0.5, 0.1, np.array([0.3, -1.2]), 10.0, 1e-6)
+    return 0.5 * (r + r.T), objective
+
+
+def test_one_value_and_gradient_take_one_log_pair(monkeypatch):
+    # I(A) and I0'(A) share ln A and ln(1 - A), and an iterate of the box
+    # needs no clamp
+    a, objective = _interior_triangle_objective()
+    counting = _CountingNumpy(_BUDGETED)
+    monkeypatch.setattr(_kernel, "np", counting)
+    objective.value(a)
+    objective.gradient()
+    assert counting.calls == {"log": 2, "log1p": 0, "minimum": 0, "maximum": 0, "where": 0}
+
+
+def test_an_spg_step_outside_the_scaled_band_builds_no_entry_steps(monkeypatch):
+    a, objective = _interior_triangle_objective()
+    counting = _CountingNumpy(_BUDGETED)
+    monkeypatch.setattr(_kernel, "np", counting)
+    a_next, _, _, _ = _kernel.spg_box(a, objective, 0.0, 1)
+    assert a_next is not a
+    assert counting.calls["where"] == 0
+    # one entry in the band, and the per-entry steps are built
+    a[0, 0] = 1e-3
+    _kernel.spg_box(a, objective, 0.0, 1)
+    assert counting.calls["where"] > 0
 
 
 @_SETTINGS
