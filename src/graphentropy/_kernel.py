@@ -37,9 +37,7 @@ arithmetic behind it, so each valued A is touched once:
   move no entry and 1 - A stays positive;
 - the triangle's t = <A^2, A>/m^3 is one dot and its field (3/m) A^2 one
   multiply;
-- `spg_box` takes each inner product as one dot and, where no entry lies in
-  the scaled band, steps with the scalar step length, so it builds neither
-  the per-entry steps nor s/w.
+- `spg_box` takes each inner product as one dot.
 
 These are the formulas of the longer formulation `tests/test_graphon.py`
 keeps as a closeness oracle, summed in another order: a dot sums in the
@@ -329,10 +327,7 @@ def spg_box(a, objective, tol, max_iter, start=None):
     step; a fixed margin below 0 would stop it where scaled steps are small.
 
     Where every entry of the iterate has C a(1-a) >= 1, w is exactly 1.0 and
-    the step is the unscaled one bit for bit.  That is the flat branch: the
-    loop then moves every entry by the scalar step and measures the
-    Barzilai-Borwein step with <s, s>, and so builds neither the per-entry
-    steps nor s/w, which would give the same bits.  The stopping test (the
+    the step is the unscaled one bit for bit.  The stopping test (the
     unscaled projected-gradient sup norm against tol), the Armijo rule, the
     10-value nonmonotone window and the [1e-8, 1e8] step clamp do not depend
     on w.
@@ -358,15 +353,12 @@ def spg_box(a, objective, tol, max_iter, start=None):
         pg = projected_gradient_norm(a, g)
         if pg <= tol:
             break
-        # w = `_step_scale(a)` is 1.0 in every entry when C a(1-a) >= 1 at the
-        # least a(1-a), since C x rounds monotonically in x
-        flat = CURVATURE_SCALE * float(np.minimum.reduce(a * (1.0 - a), None)) >= 1.0
-        w = None if flat else _step_scale(a)
-        d = project(a - (step if flat else _entry_steps(w, step)) * g) - a
+        w = _step_scale(a)
+        d = project(a - _entry_steps(w, step) * g) - a
         gd = _dot(g, d)
         if gd >= 0.0:
             step = 1.0
-            d = project(a - (step if flat else _entry_steps(w, step)) * g) - a
+            d = project(a - _entry_steps(w, step) * g) - a
             gd = _dot(g, d)
             if gd >= 0.0:
                 break
@@ -383,7 +375,7 @@ def spg_box(a, objective, tol, max_iter, start=None):
         s = an - a
         y = gn - g
         sy = _dot(s, y)
-        step = min(max(_dot(s, s if flat else s / w) / sy, 1e-8), 1e8) if sy > 1e-18 else 1.0
+        step = min(max(_dot(s, s / w) / sy, 1e-8), 1e8) if sy > 1e-18 else 1.0
         a, f, g = an, fn, gn
         hist.append(f)
     else:  # out of iterations: measure the norm at the iterate returned

@@ -36,7 +36,8 @@ FAST = OptimConfig(m=8, multistart_count=4)
 # (1, -1), with FAST, where the constant start psi_constant gives is refined
 # by bisecting the sign of phi' to 1e-14; every bit must be reproduced.  t
 # was re-recorded (one ulp lower) when the triangle density became one BLAS
-# dot, whose bits hold on a CPU whose OpenBLAS picks the same ddot kernel.
+# dot, whose bits hold on a CPU whose OpenBLAS picks the same ddot kernel
+# (SkylakeX, on x86-64 with AVX-512).
 PSI_FULL_FROM_PHI_PRIME_BISECTION = ("0x1.74951e36fdbcep-1", "0x1.18d861877be01p-1",
                                      "0x1.5200e8be14186p-3")
 

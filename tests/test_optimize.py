@@ -818,8 +818,12 @@ def test_the_solve_path_calls_no_lapack_routine(monkeypatch):
 # s and multistart_values of (0.5, 0.124).  Every value that moved when the
 # objectives came to share one log pair per iterate and to sum I, t and the
 # SPG inner products as BLAS dots was re-recorded again.  A dot sums in the
-# order of the ddot kernel OpenBLAS picks for the CPU, so these bits hold on
-# a CPU that picks the same kernel (x86-64 with AVX2 and FMA here).
+# order of the ddot kernel OpenBLAS picks for the CPU, and np.log rounds as
+# the SIMD code numpy dispatches for the CPU does, so these bits hold on an
+# x86-64 CPU with AVX-512, where OpenBLAS picks its SkylakeX kernel, as on
+# the CPU they were recorded on.  So did the pairwise pins before them: with
+# OpenBLAS's AVX2 (Haswell) kernel these pins and the crease_scan pin below
+# fail at either formulation.
 MAXIMIZE_AT_D15F377 = {
     (0.5, 0.124, "triangle"): (
         ("0x1.5894fc37432c6p-2", "0x1.445f410f5af03p+2", "-0x1.b07f0169ce955p+2",
@@ -844,7 +848,8 @@ MAXIMIZE_AT_D15F377 = {
 # the constant graphon as a warm start; the last three were re-recorded when
 # the multiplier fit became closed form, and all four when the objectives
 # came to share one log pair per iterate and to sum as BLAS dots, whose bits
-# hold on a CPU whose OpenBLAS picks the same ddot kernel.  The last point,
+# hold on a CPU whose OpenBLAS picks the same ddot kernel (SkylakeX, on
+# x86-64 with AVX-512).  The last point,
 # above the ridge, rose by 5.2e-6 then: its warm-started run reached another
 # of the near-tied local optima there.
 CREASE_SCAN_AT_2F23108 = (
