@@ -1,4 +1,4 @@
-"""Motif densities, their gradients and the two solver objectives on step graphons.
+"""Motif densities, their gradients and the solvers' one objective on step graphons.
 
 Each motif's density and first-variation field is computed here once: a
 matmul for the triangle, row degrees for the k-stars and an einsum
@@ -6,22 +6,23 @@ contraction for any other motif.  `density_gradient` is the one place that
 chooses among them; it returns a motif's density at once and its field on
 demand, from the intermediate both share (A^2 or the degrees).
 `graphon.motif_density` and `motif_gradient` call it as the solvers do, so
-every caller gets the same bits.  `AugmentedLagrangian` (the subproblem of
-the entropy solver) and `FreeEnergy` (the ERGM free energy) are built on it,
-and `spg_box` is the projected-gradient loop both minimize with.  Each
-objective comes in two parts: a value part that computes f with the
+every caller gets the same bits.  `AugmentedLagrangian`, the subproblem of
+the entropy solver, is built on it; at target (0, 0) with no penalty and
+lam = (beta1, beta2) it is the negated ERGM free energy, so both solvers
+minimize the one objective, with `spg_box`, the projected-gradient loop.
+The objective comes in two parts: a value part that computes f with the
 densities and keeps the intermediates, and a gradient part that builds
 G = I0'(A) - lam_eff (1, D) from them.  `spg_box` values every line-search
 trial but builds G only at the steps it accepts, so the trials it rejects
-cost no gradient.  The augmented-Lagrangian objective also keeps I(A) and
-I0'(A) of the last A it valued and differentiated, so the solver's outer
-loop reprices it to each round's multipliers and penalty and starts the
-round's `spg_box` from that (f, G), the same formulas on the same parts and
-so the same bits, instead of valuing and differentiating again the iterate
-the last round returned.  Its steps are scaled by the entropy's inverse
-curvature within about 1/CURVATURE_SCALE of a face of the box, where the
-optimizers of the upper boundary sit; every other step is the plain spectral
-step, bit for bit.  Matrices follow the gradient convention of `graphon`.
+cost no gradient.  The objective also keeps I(A) and I0'(A) of the last A
+it valued and differentiated, so the entropy solver's outer loop reprices it
+to each round's multipliers and penalty and starts the round's `spg_box`
+from that (f, G), the same formulas on the same parts and so the same bits,
+instead of valuing and differentiating again the iterate the last round
+returned.  `spg_box`'s steps are scaled by the entropy's inverse curvature
+within about 1/CURVATURE_SCALE of a face of the box, where the optimizers of
+the upper boundary sit; every other step is the plain spectral step, bit for
+bit.  Matrices follow the gradient convention of `graphon`.
 The one scalar search the rest of the package needs, `bisect`, lives here
 too.
 
@@ -188,50 +189,30 @@ def rate_derivative(a):
 # Objectives
 
 
-class _Objective:
-    """An objective in the two parts `spg_box` calls: value(A) -> f keeps what
-    the gradient shares with f, and gradient() -> G builds G at the last A
-    valued.  After a solve, a is the last A valued and e and t its
-    densities, and i0_prime its I0'(A) and d its motif field, which
-    gradient() built."""
-
-    def __init__(self, dens):
-        self._dens = dens
-
-    def _rate(self, a):
-        """I(A) for A inside the open unit box, where I0 needs no boundary
-        case; sets a, e and t, and keeps ln A, ln(1 - A) and the motif field
-        for gradient()."""
-        b = 1.0 - a
-        self._log_a, self._log_b = log_a, log_b = np.log(a), np.log(b)
-        n = a.size
-        self.a = a
-        self.e = float(np.add.reduce(a, None)) / n
-        self.t, self._field = self._dens(a)
-        return 0.5 * (float(np.vdot(a, log_a)) + float(np.vdot(b, log_b))) / n
-
-    def _fields(self):
-        self.i0_prime = 0.5 * (self._log_a - self._log_b)
-        self.d = self._field()
-
-
-class AugmentedLagrangian(_Objective):
+class AugmentedLagrangian:
     """Augmented-Lagrangian subproblem of max -I subject to e = target_e, t = target_t.
 
-    An objective for `spg_box` with value f = I(A) - lam . c + (rho/2) |c|^2,
-    c = (e(A) - target_e, t(A) - target_t), and gradient
-    G = I0'(A) - lam_eff[0] - lam_eff[1] D with lam_eff = lam - rho c and D the
-    motif field.  Every valued A whose violation max|c| is within tol and
-    whose -I beats best_s is kept in best_s and best_a (-inf and None until
-    one is), line search trials included.  reprice(lam, rho) sets new
-    multipliers and penalty and returns (f, G) at the last A valued and
-    differentiated without valuing it again: the same formulas on the I(A),
-    c, I0'(A) and D it holds, so the same bits as a fresh objective's
-    value(A) and gradient().
+    An objective for `spg_box` in the two parts it calls: value(A) -> f,
+    with f = I(A) - lam . c + (rho/2) |c|^2 and
+    c = (e(A) - target_e, t(A) - target_t), keeps what the gradient shares
+    with f, and gradient() -> G = I0'(A) - lam_eff[0] - lam_eff[1] D, with
+    lam_eff = lam - rho c and D the motif field, builds G at the last A
+    valued.  At target (0, 0), rho = 0 and lam = (beta1, beta2), f is
+    I(A) - beta1 e(A) - beta2 t(A), the negated ERGM free-energy functional,
+    and G = I0'(A) - beta1 - beta2 D, which `ergm.psi_full` minimizes.
+    Every valued A whose violation max|c| is within tol and whose -I beats
+    best_s is kept in best_s and best_a (-inf and None until one is), line
+    search trials included.  reprice(lam, rho) sets new multipliers and
+    penalty and returns (f, G) at the last A valued and differentiated
+    without valuing it again: the same formulas on the I(A), c, I0'(A) and
+    D it holds, so the same bits as a fresh objective's value(A) and
+    gradient().  After a solve, a is the last A valued and e and t its
+    densities, and i0_prime its I0'(A) and d its motif field, which
+    gradient() built.
     """
 
     def __init__(self, dens, target_e, target_t, lam, rho, tol):
-        super().__init__(dens)
+        self._dens = dens
         self._target = (target_e, target_t)
         self._tol = tol
         self._set_prices(lam, rho)
@@ -241,14 +222,23 @@ class AugmentedLagrangian(_Objective):
         self._lam, self._rho = (float(lam[0]), float(lam[1])), rho
 
     def value(self, a):
-        self._i = i_val = self._rate(a)
+        # I(A) for A inside the open unit box, where I0 needs no boundary
+        # case; keeps ln A, ln(1 - A) and the motif field for gradient()
+        b = 1.0 - a
+        self._log_a, self._log_b = log_a, log_b = np.log(a), np.log(b)
+        n = a.size
+        self.a = a
+        self.e = float(np.add.reduce(a, None)) / n
+        self.t, self._field = self._dens(a)
+        self._i = i_val = 0.5 * (float(np.vdot(a, log_a)) + float(np.vdot(b, log_b))) / n
         c0, c1 = self._c = (self.e - self._target[0], self.t - self._target[1])
         if max(abs(c0), abs(c1)) <= self._tol and -i_val > self.best_s:
             self.best_s, self.best_a = -i_val, a.copy()
         return self._price()
 
     def gradient(self):
-        self._fields()
+        self.i0_prime = 0.5 * (self._log_a - self._log_b)
+        self.d = self._field()
         return self._combine()
 
     def reprice(self, lam, rho):
@@ -264,23 +254,6 @@ class AugmentedLagrangian(_Objective):
     def _combine(self):
         (c0, c1), (l0, l1), rho = self._c, self._lam, self._rho
         return self.i0_prime - (l0 - rho * c0) - (l1 - rho * c1) * self.d
-
-
-class FreeEnergy(_Objective):
-    """An objective for `spg_box` with value f = I(A) - beta1 e(A) - beta2 t(A),
-    the negated ERGM free-energy functional, and gradient
-    G = I0'(A) - beta1 - beta2 D."""
-
-    def __init__(self, dens, beta1, beta2):
-        super().__init__(dens)
-        self._beta1, self._beta2 = beta1, beta2
-
-    def value(self, a):
-        return self._rate(a) - self._beta1 * self.e - self._beta2 * self.t
-
-    def gradient(self):
-        self._fields()
-        return self.i0_prime - self._beta1 - self._beta2 * self.d
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +305,8 @@ def spg_box(a, objective, tol, max_iter, start=None):
     10-value nonmonotone window and the [1e-8, 1e8] step clamp do not depend
     on w.
 
-    The objective comes in two parts, as `AugmentedLagrangian` and
-    `FreeEnergy` define it: objective.value(A) -> f, and
+    The objective comes in two parts, as `AugmentedLagrangian` defines
+    them: objective.value(A) -> f, and
     objective.gradient() -> G, the mean-convention gradient at the last A
     valued.  Every line-search trial is valued, but G is built only at each
     accepted step, which is always the last trial valued, so a trial the

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from ._kernel import (
     CLAMP,
-    FreeEnergy,
+    AugmentedLagrangian,
     bisect,
     density_gradient,
     project,
@@ -129,7 +129,11 @@ def psi_full(params: ErgmParams, config: OptimConfig = OptimConfig()) -> FreeEne
     """
     b1, b2 = params.beta1, params.beta2
     m = config.m
-    objective = FreeEnergy(density_gradient(Motif.triangle(), m), b1, b2)
+    # At target (0, 0), no penalty and multipliers (b1, b2) the Lagrangian's
+    # f is I - (b1 e + b2 t), the negated free-energy functional; no iterate
+    # meets the tolerance -1, since the free energy has no constraint.
+    objective = AugmentedLagrangian(density_gradient(Motif.triangle(), m),
+                                    0.0, 0.0, (b1, b2), 0.0, -1.0)
 
     rng = Generator(config.seed)
     starts = []

@@ -346,6 +346,17 @@ def _solve_constrained(a0, target: DensityPair, dens):
     prev_viol = math.inf
     stall = 0
     for outer in range(MAX_OUTER_ITERATIONS):
+        # spg_box keeps a constant iterate constant (its D is constant, so
+        # the fit is None), and the t of a constant graphon c grows with c.
+        # So a run at one with no feasible iterate yet stops when no c within
+        # CONSTRAINT_TOL of te has t within it of tt, up to a few ulps of
+        # the rounding of e and t.
+        if fit is None and objective.best_a is None and a.min() == a.max():
+            slack = CONSTRAINT_TOL + 16 * 2.0 ** -52
+            t_lo, t_hi = (dens(project(np.full(a.shape, te + dc)))[0] for dc in (-slack, slack))
+            if not t_lo - slack <= tt <= t_hi + slack:
+                viol = max(abs(objective.e - te), abs(objective.t - tt))
+                break
         inner_tol = max(0.3 * KKT_TOL, min(1e-2, 0.5 ** outer))
         start = objective.reprice(lam, rho)
         a_next, _, _, pg = spg_box(a, objective, inner_tol, MAX_INNER_ITERATIONS, start)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpu_pair import pin_message
 from graphentropy import _kernel, ergm, errors
 from graphentropy.ergm import (
     THEOREM5_GRID,
@@ -37,8 +38,12 @@ FAST = OptimConfig(m=8, multistart_count=4)
 # by bisecting the sign of phi' to 1e-14; every bit must be reproduced.  t
 # was re-recorded (one ulp lower) when the triangle density became one BLAS
 # dot, whose bits hold on a CPU whose OpenBLAS picks the same ddot kernel
-# (SkylakeX, on x86-64 with AVX-512).
-PSI_FULL_FROM_PHI_PRIME_BISECTION = ("0x1.74951e36fdbcep-1", "0x1.18d861877be01p-1",
+# (SkylakeX, on x86-64 with AVX-512).  psi was re-recorded (one ulp higher,
+# from 0x1.74951e36fdbcep-1) when psi_full came to minimize the augmented
+# Lagrangian at zero penalty, which sums f as I - (b1 e + b2 t) where the
+# free-energy objective before it summed (I - b1 e) - b2 t; e and t did not
+# move.
+PSI_FULL_FROM_PHI_PRIME_BISECTION = ("0x1.74951e36fdbcfp-1", "0x1.18d861877be01p-1",
                                      "0x1.5200e8be14186p-3")
 
 
@@ -63,14 +68,22 @@ def test_psi_full_bit_identical_to_recorded_values():
     res = psi_full(params, FAST)
     got = (res.psi, res.maximizer_densities.e, res.maximizer_densities.t)
     expected = PSI_FULL_FROM_PHI_PRIME_BISECTION
-    assert [float(x).hex() for x in got] == [float.fromhex(h).hex() for h in expected]
+    assert [float(x).hex() for x in got] == [float.fromhex(h).hex() for h in expected], (
+        pin_message())
+
+
+def _free_energy(params, m):
+    """The negated free energy, built as psi_full builds it: the Lagrangian at
+    target (0, 0), no penalty and multipliers (beta1, beta2), with a
+    tolerance no iterate meets."""
+    return _kernel.AugmentedLagrangian(_kernel.density_gradient(Motif.triangle(), m),
+                                       0.0, 0.0, (params.beta1, params.beta2), 0.0, -1.0)
 
 
 def _spg_constant_start_runs(params, m):
     """spg_box from each psi_constant maximizer u_star and from 0.1, 0.5 and
     0.9, each as (psi, e, t, pg)."""
-    objective = _kernel.FreeEnergy(_kernel.density_gradient(Motif.triangle(), m),
-                                   params.beta1, params.beta2)
+    objective = _free_energy(params, m)
     runs = []
     for u in [*psi_constant(params)["u_star"], 0.1, 0.5, 0.9]:
         _, f, _, pg = _kernel.spg_box(_kernel.project(np.full((m, m), u)), objective,
@@ -85,8 +98,7 @@ def _psi_full_with_spg_constant_starts(params, config):
     random restarts (config has no warm start)."""
     m = config.m
     runs = _spg_constant_start_runs(params, m)
-    objective = _kernel.FreeEnergy(_kernel.density_gradient(Motif.triangle(), m),
-                                   params.beta1, params.beta2)
+    objective = _free_energy(params, m)
     rng = np.random.default_rng(config.seed)
     for _ in range(max(config.multistart_count // 2, 2)):
         r = rng.uniform(0.05, 0.95, size=(m, m))
@@ -105,8 +117,7 @@ def test_spg_from_each_constant_maximizer_returns_its_start(m):
     # psi_full's constant candidates take no step: u_star is a zero of phi'
     # to rounding, so spg_box stops at its first projected-gradient test
     for params in THEOREM5_GRID:
-        objective = _kernel.FreeEnergy(_kernel.density_gradient(Motif.triangle(), m),
-                                       params.beta1, params.beta2)
+        objective = _free_energy(params, m)
         for u in psi_constant(params)["u_star"]:
             start = _kernel.project(np.full((m, m), u))
             a, _, _, pg = _kernel.spg_box(start, objective, 0.3 * KKT_TOL, MAX_INNER_ITERATIONS)

@@ -691,8 +691,8 @@ def test_graphon_text_full_precision():
 # Solver kernels against a reference copy
 #
 # The functions below state the solver's density/gradient fast paths, its
-# augmented-Lagrangian and free-energy objectives and the rate function as
-# plain formulas, in the order `_kernel` sums them: I(A) and t as dots, I0'
+# augmented-Lagrangian objective (the free energy's too, at zero penalty) and
+# the rate function as plain formulas, in the order `_kernel` sums them: I(A) and t as dots, I0'
 # from the same two logs, f priced in Python floats.  They are the kernel's
 # formulas written out, so triangle and star results must be equal, not
 # close.  The longer, pairwise formulation the kernel had before it shared
@@ -757,16 +757,6 @@ def _ref_al_objective(dens_grad, te, tt, lam, rho, tol, best):
             best["s"] = -i_val
             best["a"] = a.copy()
         return f, g
-
-    return obj_grad
-
-
-def _ref_free_energy(dens_grad, b1, b2):
-    def obj_grad(a):
-        i_val, i0_prime = _ref_rate(a)
-        t_val, d = dens_grad(a)
-        f = i_val - b1 * float(np.mean(a)) - b2 * t_val
-        return f, i0_prime - b1 - b2 * d
 
     return obj_grad
 
@@ -882,13 +872,20 @@ _SEEDS = st.integers(0, 2 ** 32 - 1)
     motif=st.sampled_from(_FAST_MOTIFS),
     seed=_SEEDS,
     tol=st.sampled_from([1e-6, 2.0]),
+    free_energy=st.booleans(),
 )
-def test_kernel_al_objective_bit_equal_to_reference(a, motif, seed, tol):
+def test_kernel_al_objective_bit_equal_to_reference(a, motif, seed, tol, free_energy):
     m = a.shape[0]
     rng = np.random.default_rng(seed)
-    lam = rng.uniform(-50.0, 50.0, size=2)
-    rho = 10.0 ** float(rng.uniform(-2.0, 8.0))
-    te, tt = rng.uniform(0.0, 1.0, size=2).tolist()
+    if free_energy:
+        # the negated ERGM free energy, as ergm.psi_full prices it: target
+        # (0, 0), no penalty and lam = (beta1, beta2)
+        lam = rng.uniform(-20.0, 20.0, size=2)
+        rho, te, tt = 0.0, 0.0, 0.0
+    else:
+        lam = rng.uniform(-50.0, 50.0, size=2)
+        rho = 10.0 ** float(rng.uniform(-2.0, 8.0))
+        te, tt = rng.uniform(0.0, 1.0, size=2).tolist()
     best_ref = {"s": -math.inf, "a": None}
     f_ref, g_ref = _ref_al_objective(
         _ref_make_problem(motif, m), te, tt, lam, rho, tol, best_ref)(a)
@@ -973,7 +970,8 @@ def test_kernel_objectives_close_to_the_pairwise_formulation(a, motif, seed):
     f_fe, g_fe = _pairwise_free_energy(_pairwise_make_problem(motif, m), b1, b2)(a)
     dens = _kernel.density_gradient(motif, m)
     al = _kernel.AugmentedLagrangian(dens, te, tt, lam, rho, 1e-6)
-    fe = _kernel.FreeEnergy(dens, b1, b2)
+    # the free energy is the Lagrangian at target (0, 0) with no penalty
+    fe = _kernel.AugmentedLagrangian(dens, 0.0, 0.0, (b1, b2), 0.0, -1.0)
     f, g = al.value(a), al.gradient()
     e, t, d, i_val = al.e, al.t, al.d, float(np.mean(_ref_rate_value(a)))
     # the terms' sizes, with c's two parts apart: c = e - te can cancel
@@ -988,17 +986,6 @@ def test_kernel_objectives_close_to_the_pairwise_formulation(a, motif, seed):
     assert abs(f - f_fe) <= _PAIRWISE_ULPS * max(abs(i_val), abs(b1) * e, abs(b2) * t)
     assert np.all(np.abs(g - g_fe) <= _PAIRWISE_ULPS * np.maximum(
         half_logs, np.maximum(abs(b1), abs(b2) * np.abs(d))))
-
-
-@_SETTINGS
-@given(a=_box_graphons(), motif=st.sampled_from(_FAST_MOTIFS), seed=_SEEDS)
-def test_kernel_free_energy_bit_equal_to_reference(a, motif, seed):
-    m = a.shape[0]
-    b1, b2 = np.random.default_rng(seed).uniform(-20.0, 20.0, size=2).tolist()
-    f_ref, g_ref = _ref_free_energy(_ref_make_problem(motif, m), b1, b2)(a)
-    objective = _kernel.FreeEnergy(_kernel.density_gradient(motif, m), b1, b2)
-    f = objective.value(a)
-    assert f == f_ref and np.array_equal(objective.gradient(), g_ref)
 
 
 class _CountingNumpy:

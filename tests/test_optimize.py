@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from cpu_pair import pin_message
 from graphentropy import _kernel, _random, errors, invariants, optimize
 from graphentropy.ergm import ErgmParams, psi_full
 from graphentropy.graphon import (
@@ -715,6 +716,46 @@ def test_each_round_starts_from_what_the_objective_holds(monkeypatch):
     assert fits[0] == 1 + sum(rounds[:-1])
 
 
+@pytest.mark.parametrize("t, stops", [
+    (0.124, True),  # the target of the MAXIMIZE_AT_D15F377 pin at e = 1/2
+    (0.125 + 2e-6, True),  # above (1/2 + CONSTRAINT_TOL)^3 + CONSTRAINT_TOL
+    (0.125 - 2e-6, True),  # below (1/2 - CONSTRAINT_TOL)^3 - CONSTRAINT_TOL
+    (0.125 + 1.5e-6, False),  # a constant within CONSTRAINT_TOL of 1/2 may reach these
+    (0.125 - 1.5e-6, False),
+])
+def test_a_constant_run_off_its_reach_values_only_its_start(monkeypatch, t, stops):
+    # spg_box keeps a constant iterate constant, so from the constant 1/2 the
+    # run reaches only t = c^3 with c near 1/2; where no such c is within
+    # CONSTRAINT_TOL of the target, it ends before its first round (at
+    # (0.5, 0.124) it valued 58 iterates before), and elsewhere it goes on
+    valued, rounds = [], []
+    objective_class, spg_box = optimize.AugmentedLagrangian, optimize.spg_box
+
+    def counted_objective(*args):
+        objective = objective_class(*args)
+        value = objective.value
+
+        def counted_value(a):
+            valued.append(a)
+            return value(a)
+
+        objective.value = counted_value
+        return objective
+
+    def counted_spg(*args):
+        rounds.append(args[0])
+        return spg_box(*args)
+
+    monkeypatch.setattr(optimize, "AugmentedLagrangian", counted_objective)
+    monkeypatch.setattr(optimize, "spg_box", counted_spg)
+    rec = optimize._solve_constrained(np.full((16, 16), 0.5), DensityPair(0.5, t),
+                                      _kernel.density_gradient(Motif.triangle(), 16))
+    assert (rounds == []) == stops
+    if stops:
+        assert len(valued) == 1
+        assert rec.best_a is None and not rec.converged and rec.viol == abs(0.125 - t)
+
+
 # ---------------------------------------------------------------------------
 # Penalty ceiling
 
@@ -861,7 +902,8 @@ CREASE_SCAN_AT_2F23108 = (
 def test_crease_scan_bit_identical_to_recorded_values():
     scan = crease_scan(0.5, deltas=[1e-3, 1e-2], config=OptimConfig(m=8, multistart_count=2))
     got = [(p.status, float(p.s).hex()) for p in scan.below + scan.above]
-    assert got == [(status, float.fromhex(h).hex()) for status, h in CREASE_SCAN_AT_2F23108]
+    assert got == [(status, float.fromhex(h).hex()) for status, h in CREASE_SCAN_AT_2F23108], (
+        pin_message())
 
 
 @pytest.mark.parametrize("key", sorted(MAXIMIZE_AT_D15F377))
@@ -871,6 +913,7 @@ def test_maximize_entropy_bit_identical_to_recorded_values(key):
                            OptimConfig(m=16, multistart_count=4, seed=0))
     scalars, starts = MAXIMIZE_AT_D15F377[key]
     got = (res.s_value, res.beta1, res.beta2, res.el_residual_norm)
-    assert [float(x).hex() for x in got] == [float.fromhex(h).hex() for h in scalars]
+    assert [float(x).hex() for x in got] == [float.fromhex(h).hex() for h in scalars], (
+        pin_message())
     assert [float(x).hex() for x in res.multistart_values] == [
-        float.fromhex(h).hex() for h in starts]
+        float.fromhex(h).hex() for h in starts], pin_message()

@@ -140,9 +140,11 @@ def _call_name(node):
 
 
 def test_every_spg_box_objective_comes_from_the_kernel():
-    # spg_box minimizes only the kernel's two objectives, so one evaluation
-    # protocol (value, then the gradient at accepted steps) serves every solve
-    makers = {"AugmentedLagrangian", "FreeEnergy"}
+    # spg_box minimizes only the kernel's one objective, the augmented
+    # Lagrangian (the ERGM free energy is it at zero penalty), so one
+    # evaluation protocol (value, then the gradient at accepted steps) serves
+    # every solve
+    makers = {"AugmentedLagrangian"}
     calls, offenders = [], []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=path.name)
