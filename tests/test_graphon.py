@@ -872,20 +872,13 @@ _SEEDS = st.integers(0, 2 ** 32 - 1)
     motif=st.sampled_from(_FAST_MOTIFS),
     seed=_SEEDS,
     tol=st.sampled_from([1e-6, 2.0]),
-    free_energy=st.booleans(),
 )
-def test_kernel_al_objective_bit_equal_to_reference(a, motif, seed, tol, free_energy):
+def test_kernel_al_objective_bit_equal_to_reference(a, motif, seed, tol):
     m = a.shape[0]
     rng = np.random.default_rng(seed)
-    if free_energy:
-        # the negated ERGM free energy, as ergm.psi_full prices it: target
-        # (0, 0), no penalty and lam = (beta1, beta2)
-        lam = rng.uniform(-20.0, 20.0, size=2)
-        rho, te, tt = 0.0, 0.0, 0.0
-    else:
-        lam = rng.uniform(-50.0, 50.0, size=2)
-        rho = 10.0 ** float(rng.uniform(-2.0, 8.0))
-        te, tt = rng.uniform(0.0, 1.0, size=2).tolist()
+    lam = rng.uniform(-50.0, 50.0, size=2)
+    rho = 10.0 ** float(rng.uniform(-2.0, 8.0))
+    te, tt = rng.uniform(0.0, 1.0, size=2).tolist()
     best_ref = {"s": -math.inf, "a": None}
     f_ref, g_ref = _ref_al_objective(
         _ref_make_problem(motif, m), te, tt, lam, rho, tol, best_ref)(a)
@@ -986,6 +979,24 @@ def test_kernel_objectives_close_to_the_pairwise_formulation(a, motif, seed):
     assert abs(f - f_fe) <= _PAIRWISE_ULPS * max(abs(i_val), abs(b1) * e, abs(b2) * t)
     assert np.all(np.abs(g - g_fe) <= _PAIRWISE_ULPS * np.maximum(
         half_logs, np.maximum(abs(b1), abs(b2) * np.abs(d))))
+
+
+@_SETTINGS
+@given(a=_box_graphons(), motif=st.sampled_from(_FAST_MOTIFS), seed=_SEEDS)
+def test_kernel_free_energy_bit_equal_to_reference(a, motif, seed):
+    # the negated ERGM free energy, as ergm.psi_full prices it: the
+    # Lagrangian at target (0, 0), no penalty, lam = (beta1, beta2) and a
+    # tolerance no iterate meets
+    m = a.shape[0]
+    lam = np.random.default_rng(seed).uniform(-20.0, 20.0, size=2)
+    best_ref = {"s": -math.inf, "a": None}
+    f_ref, g_ref = _ref_al_objective(
+        _ref_make_problem(motif, m), 0.0, 0.0, lam, 0.0, -1.0, best_ref)(a)
+    objective = _kernel.AugmentedLagrangian(
+        _kernel.density_gradient(motif, m), 0.0, 0.0, tuple(lam), 0.0, -1.0)
+    f = objective.value(a)
+    assert f == f_ref and np.array_equal(objective.gradient(), g_ref)
+    assert objective.best_a is None and objective.best_s == -math.inf
 
 
 class _CountingNumpy:
