@@ -49,8 +49,9 @@ ones to a few ulps of their largest term, not bit for bit, and the solver's
 outputs move at the rounding level, or above the ridge by up to about
 CONSTRAINT_TOL, where the stopping rule fixes s only to that.  A dot sums
 in the same order on every call on one machine, so the solver stays
-deterministic there; the star and einsum kernels and the public
-`rate_value` and `rate_derivative` keep their earlier bits.
+deterministic there.  The star and einsum kernels keep their earlier bits,
+as do I0 and I0' of `graphon` (`rate_value`, `rate_derivative`), which this
+objective does not call.
 """
 
 from __future__ import annotations
@@ -171,18 +172,12 @@ def density_gradient(motif, m, density=True):
 
 
 # ---------------------------------------------------------------------------
-# Rate function on the box
+# The box
 
 
 def project(a):
     """Clamp onto the box [CLAMP, 1-CLAMP]."""
     return np.minimum(np.maximum(a, CLAMP), _HI)
-
-
-def rate_derivative(a):
-    """I0'(a) = (1/2) ln(a / (1-a)) with a clamped onto the box."""
-    a = project(a)
-    return 0.5 * (np.log(a) - np.log1p(-a))
 
 
 # ---------------------------------------------------------------------------

@@ -134,7 +134,8 @@ def rate_value(u):
 def rate_derivative(u):
     """I0'(u) = (1/2) ln(u / (1-u)) for u in [0, 1], evaluated with the
     boundary clamp; ValueOutOfRange elsewhere, NaN included."""
-    out = _kernel.rate_derivative(_check_rate_u("I0'", u))
+    a = _kernel.project(_check_rate_u("I0'", u))
+    out = 0.5 * (np.log(a) - np.log1p(-a))
     return float(out) if out.ndim == 0 else out
 
 

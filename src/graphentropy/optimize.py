@@ -127,7 +127,6 @@ class ConvexityReport:
 class CreaseBoundConstants:
     e: float
     f_minus: float
-    linear_constant_below: float
     linear_constant_above: float
     x_argmin: float
 
@@ -171,7 +170,6 @@ def f_minus(e) -> CreaseBoundConstants:
     return CreaseBoundConstants(
         e=e,
         f_minus=fm,
-        linear_constant_below=fm / e,
         linear_constant_above=fm / (3.0 * e + 1.0),
         x_argmin=y,
     )

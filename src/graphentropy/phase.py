@@ -194,7 +194,12 @@ def crease_scan(e, motif: Motif = Motif.triangle(), deltas=DEFAULT_OFFSETS,
     +d, so each side is marched away from the curve with warm-started
     continuation.  Reports difference quotients, the power fit of each side's
     drop, a log-log exponent fit for the lower branch, and the f_-(e)
-    lower-bound checks (triangle motif only).  e must lie in the crease box
+    lower-bound checks (triangle motif only), each with 1e-6 of slack:
+    s0 - s >= f_-(e) d^(2/3), the rigorous bound, below the ridge, and
+    s0 - s >= f_-(e)/(3e + 1) d above it.  Below, the linear bound
+    (f_-(e)/e) d needs no check of its own: a solved point has
+    t = e^3 - d >= 0, and d <= e^3 => d^(1/3) <= e => (f_-/e) d <= f_- d^(2/3).
+    e must lie in the crease box
     [CLAMP, 1 - CLAMP] (check_crease_e), for every motif.  The offsets
     (DEFAULT_OFFSETS by default) must be finite positive numbers, and there
     must be at least one.
@@ -231,8 +236,7 @@ def crease_scan(e, motif: Motif = Motif.triangle(), deltas=DEFAULT_OFFSETS,
     if motif.is_triangle:
         fm = f_minus(e)
         checks_below = [
-            (p.delta, (s0 - p.s) + 1e-6 >= fm.f_minus * p.delta ** (2.0 / 3.0)
-             and (s0 - p.s) + 1e-6 >= fm.linear_constant_below * p.delta)
+            (p.delta, (s0 - p.s) + 1e-6 >= fm.f_minus * p.delta ** (2.0 / 3.0))
             for p in below if p.s is not None
         ]
         checks_above = [

@@ -1,12 +1,20 @@
 """The OpenBLAS core and the numpy SIMD flag that the hex bit pins depend on.
 
 A dot sums in the order of the ddot kernel numpy's bundled OpenBLAS picks for
-the CPU, and np.log rounds as the SIMD code numpy dispatches does.  The pins
-in test_optimize.py (MAXIMIZE_AT_D15F377, CREASE_SCAN_AT_2F23108) and
-test_ergm.py (PSI_FULL_FROM_PHI_PRIME_BISECTION) were recorded where OpenBLAS
-picks its SkylakeX kernel and numpy runs its AVX512_SKX code, and hold only
-there; their failure messages name that pair and the running one.  Run as a
-script, this prints the running pair: python tests/cpu_pair.py
+the CPU, and np.log rounds as the SIMD code numpy dispatches does.  So the
+pins in test_optimize.py (MAXIMIZE_AT_D15F377, CREASE_SCAN_AT_2F23108) and
+test_ergm.py (PSI_FULL_FROM_PHI_PRIME_BISECTION) hold one record per
+(OpenBLAS core, numpy AVX512_SKX) pair, and a test reads the record of the
+pair it runs on.  The four pairs of RECORDED are those an x86-64 CPU with
+AVX-512 runs: its native pair, and the pairs it runs under
+OPENBLAS_CORETYPE=Haswell, under
+NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4", and under both.  A
+CPU with AVX2 and FMA but no AVX-512 should run the last pair under those
+two variables.  On a pair with no record the pins fail, with a message that
+names the recorded pairs and the running one.  To record a new pair, run
+the pinned calls there, add their hex values under the pair's name to each
+pin, and add the name to RECORDED.  Run as a script, this prints the
+running pair: python tests/cpu_pair.py
 """
 
 import ctypes
@@ -15,7 +23,11 @@ import pathlib
 import numpy as np
 from numpy._core._multiarray_umath import __cpu_features__
 
-RECORDED = "OpenBLAS core SkylakeX, numpy AVX512_SKX True"
+SKYLAKEX_AVX512 = "OpenBLAS core SkylakeX, numpy AVX512_SKX True"
+HASWELL_AVX512 = "OpenBLAS core Haswell, numpy AVX512_SKX True"
+SKYLAKEX_AVX2 = "OpenBLAS core SkylakeX, numpy AVX512_SKX False"
+HASWELL_AVX2 = "OpenBLAS core Haswell, numpy AVX512_SKX False"
+RECORDED = (SKYLAKEX_AVX512, HASWELL_AVX512, SKYLAKEX_AVX2, HASWELL_AVX2)
 
 
 def openblas_core():
@@ -40,7 +52,16 @@ def running_pair():
 
 def pin_message():
     """The failure message of a hex bit pin."""
-    return f"bit pins recorded on {RECORDED}; running on {running_pair()}"
+    return f"bit pins recorded on {'; '.join(RECORDED)}; running on {running_pair()}"
+
+
+def pinned(records):
+    """The record of the running pair in records, a pin's dict keyed by pair;
+    an AssertionError with pin_message() where the pair has none."""
+    pair = running_pair()
+    if pair not in records:
+        raise AssertionError(pin_message())
+    return records[pair]
 
 
 if __name__ == "__main__":

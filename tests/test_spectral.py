@@ -58,10 +58,12 @@ def test_numerical_rank_of_no_eigenvalues_is_zero():
 
 def test_trace_power_raises_where_its_two_paths_disagree():
     # eigenvalues +-1e6 cancel in Tr T^3; the rounding of the matrix product
-    # and of the eigenvalues leaves residues far apart on that scale
-    c, s = np.cos(0.3), np.sin(0.3)
-    r = np.array([[c, -s], [s, c]])
-    dg = r @ np.diag([1e6, -1e6]) @ r.T
+    # and of the eigenvalues leaves residues far apart on that scale.  Turned
+    # by a fixed 4 x 4 orthogonal Q, they read direct 40 against spectral 54
+    # on all four kernel pairs of cpu_pair.py, where a 2-D rotation reads 0
+    # against 0 under numpy's AVX2 code
+    q, _ = np.linalg.qr(np.cos(1.7 * np.arange(16.0).reshape(4, 4) + 0.3))
+    dg = q @ np.diag([1e6, -1e6, 0.0, 0.0]) @ q.T
     with pytest.raises(ArithmeticError, match="trace path mismatch"):
         trace_power(0.5 * (dg + dg.T), 3)
 
