@@ -273,8 +273,12 @@ def _step_scale(a):
 def _entry_steps(w, step):
     """Per-entry step lengths: step where w = 1, and min(step, 2/C) w where
     w < 1, which never exceeds 2a(1-a) = 1/I0''(a), the Newton step of the
-    entropy alone."""
-    return np.where(w < 1.0, min(step, 2.0 / CURVATURE_SCALE) * w, step)
+    entropy alone.  At step <= 2/C that is step w in every entry, bit for
+    bit, since w = 1 exactly where it is not below 1."""
+    cap = 2.0 / CURVATURE_SCALE
+    if step <= cap:
+        return step * w
+    return np.where(w < 1.0, cap * w, step)
 
 
 def spg_box(a, objective, tol, max_iter, start=None):

@@ -14,8 +14,11 @@ The reported entropy value is -I of an iterate whose densities are within
 CONSTRAINT_TOL of the target's, so it is a lower bound for s at that
 iterate's own densities, not at the target: near a corner where s falls
 fast it can exceed s at the target (at (1, 1) with m = 4 it is 2.42e-6,
-while s(1, 1) = 0).  The ceiling -I0(e) (constant graphon) is used both as a
-sanity invariant and as an early-exit test on the Erdos-Renyi curve.
+while s(1, 1) = 0).  A solve ends at the first converged start whose value
+reaches a proven upper bound on s at the target: the ceiling -I0(e) of the
+constant graphon, which no graphon of edge density e beats and which is also
+a sanity invariant, and for the triangle at e = 1/2 with 0 <= t <= 1/8 the
+closed form -I0(1/2 + (1/8 - t)^(1/3)), proved in `closed_form_half`.
 """
 
 from __future__ import annotations
@@ -88,7 +91,9 @@ class EntropyResult:
     blocks are 8.5e-7 and 1 - 2.3e-6, none at a bound, and the residual is
     2.99 with `converged` False.  `converged` is the projected-gradient
     test: the run's last iterate was feasible and its projected gradient
-    within KKT_TOL."""
+    within KKT_TOL.  multistart_values has one entry per start run, in
+    order, the best feasible -I of that run (-inf if none); a solve that
+    reaches a proven bound runs fewer starts."""
 
     g_star: Graphon
     s_value: float
@@ -181,6 +186,13 @@ def closed_form_half(t) -> BipodalSolution:
     epsilon = (1/8 - t)^(1/3); the entropy value is -I0(1/2 + epsilon) and the
     multipliers satisfy beta1 = -(3/4) beta2.  At epsilon = 0 and epsilon = 1/2
     the multipliers diverge and are reported as signed infinities.
+
+    The value bounds s(1/2, t) from above.  For W = 1/2 + U with int U = 0
+    and d(x) = int U(x, y) dy, t - 1/8 = (3/2)|d|^2 + t(U), so
+    delta = 1/8 - t <= -t(U) <= sum |lambda_i|^3 <= |U|_2^3.  I0(1/2 + sqrt(y))
+    has nonnegative Taylor coefficients in y, so it is convex and increasing
+    on [0, 1/4], and Jensen gives I(W) >= I0(1/2 + |U|_2) >= I0(1/2 + epsilon).
+    The bipodal graphons 1/2 -/+ epsilon attain it.
     """
     check_real("t", t)
     if not (0.0 <= t <= 0.125):
@@ -409,7 +421,7 @@ def _starts(target: DensityPair, motif: Motif, cfg: OptimConfig):
     (constant, checkerboard, upper_corner, bipodal_random), then the random
     restarts, each as built; `_solve_constrained` copies and projects it.  A
     start is drawn only when the solve asks for it, so a solve that stops at
-    the ceiling draws no random start."""
+    a proven bound before the random starts draws none."""
     m = cfg.m
     e, t = target.e, target.t
     k = motif.k
@@ -445,11 +457,19 @@ def maximize_entropy(target: DensityPair, motif: Motif = Motif.triangle(),
     """Maximize -I(g) subject to e(g) = target.e and t(H, g) = target.t.
 
     Runs the warm start, the ansatz starts and the random restarts, and
-    returns the best feasible iterate.  Raises Infeasible when no start
-    reaches an iterate within CONSTRAINT_TOL of the target.
+    returns the best feasible iterate.  A solve stops at a proven bound: it
+    runs no start after the first converged one whose value reaches, less
+    1e-9, the ceiling -I0(e), which the constant graphon attains and no
+    graphon of edge density e beats whatever t, or for the triangle at
+    e = 1/2 with 0 <= t <= 1/8 the closed form, proved in `closed_form_half`.
+    Raises Infeasible when no start reaches an iterate within CONSTRAINT_TOL
+    of the target.
     """
     region_note = region_precheck(target, motif)
-    ceiling = -rate_value(target.e)
+    if motif.is_triangle and target.e == 0.5 and 0.0 <= target.t <= 0.125:
+        bound = closed_form_half(target.t).s_value
+    else:
+        bound = -rate_value(target.e)
     dens = density_gradient(motif, config.m)
     multistart_values = []
     best = None  # (s, record)
@@ -460,9 +480,7 @@ def maximize_entropy(target: DensityPair, motif: Motif = Motif.triangle(),
         multistart_values.append(rec.best_s)
         if rec.best_a is not None and (best is None or rec.best_s > best[0] + 1e-15):
             best = (rec.best_s, rec)
-        # the constant graphon is the unconstrained-in-t maximizer at fixed e,
-        # so nothing can beat the ceiling; stop once it is hit
-        if rec.converged and rec.best_s >= ceiling - 1e-9:
+        if rec.converged and rec.best_s >= bound - 1e-9:
             break
     if best is None:
         raise Infeasible(
