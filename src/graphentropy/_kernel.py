@@ -40,18 +40,13 @@ arithmetic behind it, so each valued A is touched once:
   multiply;
 - `spg_box` takes each inner product as one dot.
 
-These are the formulas of the longer formulation `tests/test_graphon.py`
-keeps as a closeness oracle, summed in another order: a dot sums in the
-order of the BLAS kernel numpy links, not pairwise, ln(1 - A) rounds
-1 - A first where log1p did not, and f is priced in Python floats rather
-than with numpy 2-vector dots.  So values and gradients agree with the old
-ones to a few ulps of their largest term, not bit for bit, and the solver's
-outputs move at the rounding level, or above the ridge by up to about
-CONSTRAINT_TOL, where the stopping rule fixes s only to that.  A dot sums
-in the same order on every call on one machine, so the solver stays
-deterministic there.  The star and einsum kernels keep their earlier bits,
-as do I0 and I0' of `graphon` (`rate_value`, `rate_derivative`), which this
-objective does not call.
+`tests/test_graphon.py` keeps a pairwise formulation of these formulas as
+a closeness oracle.  It sums in another order: a dot sums in the order of
+the BLAS kernel numpy links, not pairwise, ln(1 - A) rounds 1 - A first
+where the oracle takes log1p, and f is priced in Python floats rather than
+with numpy 2-vector dots.  So values and gradients agree with the oracle's
+to a few ulps of their largest term, not bit for bit.  A dot sums in the
+same order on every call on one machine, so a solve is deterministic there.
 """
 
 from __future__ import annotations
@@ -75,27 +70,6 @@ _IDX = "abcdef"
 
 # ---------------------------------------------------------------------------
 # Per-motif density and gradient
-
-
-def _triangle_density(a, a2, m):
-    return float(np.vdot(a2, a)) / m ** 3
-
-
-def _triangle_gradient(a2, m):
-    return (3.0 / m) * a2
-
-
-def _degrees(a, m):
-    return np.add.reduce(a, 1) / m
-
-
-def _star_density(r, k, m):
-    return float(np.add.reduce(r ** k, None)) / m
-
-
-def _star_gradient(r, k):
-    rp = r ** (k - 1)
-    return 0.5 * k * (rp[:, None] + rp[None, :])
 
 
 def _subscripts(edges):
@@ -150,17 +124,22 @@ def density_gradient(motif, m, density=True):
 
         def dens(a):
             a2 = a @ a
-            t = _triangle_density(a, a2, m) if density else None
-            return t, lambda: _triangle_gradient(a2, m)
+            t = float(np.vdot(a2, a)) / m ** 3 if density else None
+            return t, lambda: (3.0 / m) * a2
 
         return dens
     if motif.is_star:
         k = motif.k
 
         def dens(a):
-            r = _degrees(a, m)
-            t = _star_density(r, k, m) if density else None
-            return t, lambda: _star_gradient(r, k)
+            r = np.add.reduce(a, 1) / m
+            t = float(np.add.reduce(r ** k, None)) / m if density else None
+
+            def field():
+                rp = r ** (k - 1)
+                return 0.5 * k * (rp[:, None] + rp[None, :])
+
+            return t, field
 
         return dens
 

@@ -13,12 +13,14 @@ rejects a target outside the proven region are in `problem`, which needs no nump
 The reported entropy value is -I of an iterate whose densities are within
 CONSTRAINT_TOL of the target's, so it is a lower bound for s at that
 iterate's own densities, not at the target: near a corner where s falls
-fast it can exceed s at the target (at (1, 1) with m = 4 it is 2.42e-6,
-while s(1, 1) = 0).  A solve ends at the first converged start whose value
-reaches a proven upper bound on s at the target: the ceiling -I0(e) of the
-constant graphon, which no graphon of edge density e beats and which is also
-a sanity invariant, and for the triangle at e = 1/2 with 0 <= t <= 1/8 the
-closed form -I0(1/2 + (1/8 - t)^(1/3)), proved in `closed_form_half`.
+fast it can exceed s at the target.  With m = 4 it is 5.01e-6 at (0, 0),
+from an iterate at e = 6.6e-7, and 2.42e-6 at (1, 1), from one at
+e = 0.9999997, while s is 0 at both corners.  A solve ends at the first
+converged start whose value reaches a proven upper bound on s at the target:
+the ceiling -I0(e) of the constant graphon, which no graphon of edge density
+e beats and which is also a sanity invariant, and for the triangle at
+e = 1/2 with 0 <= t <= 1/8 the closed form -I0(1/2 + (1/8 - t)^(1/3)),
+proved in `closed_form_half`.
 """
 
 from __future__ import annotations

@@ -270,20 +270,6 @@ def test_complete_graph_triangle_density():
     assert motif_density(g, Motif.triangle()) == pytest.approx(t, abs=1e-15)
 
 
-def test_fast_paths_match_einsum():
-    rng = np.random.default_rng(7)
-    square = Motif.from_edges(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
-    for m in (3, 5, 8):
-        g = _random_graphon(rng, m)
-        for motif in (Motif.triangle(), Motif.star(3), Motif.star(4), square):
-            fast = motif_density(g, motif)
-            ref = _kernel.einsum_density(g.values, m, motif)
-            assert fast == pytest.approx(ref, rel=1e-12)
-            gf = motif_gradient(g, motif)
-            gr = _kernel.einsum_gradient(g.values, m, motif)
-            assert np.allclose(gf, gr, atol=1e-12)
-
-
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(11)
     h = 1e-6
@@ -808,15 +794,51 @@ _BOX = st.floats(_REF_CLAMP, 1.0 - _REF_CLAMP)
 
 
 @st.composite
-def _box_graphons(draw, elements=_BOX):
-    """Symmetric m x m matrices with entries drawn from elements, by default
-    [CLAMP, 1-CLAMP] with the box ends included."""
-    m = draw(st.sampled_from([1, 2, 7, 16]))
+def _box_graphons(draw, elements=_BOX, sizes=st.sampled_from([1, 2, 7, 16])):
+    """Symmetric m x m matrices, m drawn from sizes, with entries drawn from
+    elements, by default [CLAMP, 1-CLAMP] with the box ends included."""
+    m = draw(sizes)
     r = draw(arrays(np.float64, (m, m), elements=elements))
     return np.triu(r) + np.triu(r, 1).T
 
 
 _SETTINGS = settings(max_examples=60, deadline=None)
+
+
+_C4 = Motif.from_edges(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+_PAW = Motif.from_edges(4, [(1, 2), (1, 3), (2, 3), (3, 4)])
+
+
+@st.composite
+def _relabelled_stars(draw):
+    """star:1 to star:5 with their vertices in a drawn order."""
+    k = draw(st.integers(1, 5))
+    centre, *leaves = draw(st.permutations(range(1, k + 2)))
+    return Motif.from_edges(k + 1, [(centre, v) for v in leaves])
+
+
+def _seed_7_examples(test):
+    # the fixed cases this test ran before it drew its inputs
+    rng = np.random.default_rng(7)
+    for m in (3, 5, 8):
+        a = _random_graphon(rng, m).values
+        for motif in (Motif.triangle(), Motif.star(3), Motif.star(4), _C4):
+            test = example(a=a, motif=motif)(test)
+    return test
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=_box_graphons(sizes=st.integers(1, 12)),
+    motif=st.one_of(st.sampled_from([Motif.triangle(), _C4, _PAW]), _relabelled_stars()),
+)
+@_seed_7_examples
+def test_fast_paths_match_einsum(a, motif):
+    m = a.shape[0]
+    g = Graphon(values=a)
+    ref = _kernel.einsum_density(a, m, motif)
+    assert motif_density(g, motif) == pytest.approx(ref, rel=1e-12)
+    assert np.allclose(motif_gradient(g, motif), _kernel.einsum_gradient(a, m, motif), atol=1e-12)
 
 
 @_SETTINGS
@@ -834,15 +856,32 @@ def test_kernel_density_gradient_bit_equal_to_reference(a, motif):
 def test_motif_gradient_computes_no_density(monkeypatch):
     # the field alone, with the same bits as the field of the solver's path
     g = _random_graphon(np.random.default_rng(3), 5)
-    motifs = [*_FAST_MOTIFS, Motif.from_edges(4, [(1, 2), (2, 3), (3, 4), (1, 4)])]
+    motifs = [*_FAST_MOTIFS, _C4]
     want = [_kernel.density_gradient(h, g.m)(g.values)[1]() for h in motifs]
 
-    def no_density(*args):
+    def no_density(*args, **kwargs):
         raise AssertionError("a density was computed")
 
-    for name in ("_triangle_density", "_star_density", "einsum_density"):
-        monkeypatch.setattr(_kernel, name, no_density)
+    class NoDensityNumpy:
+        # numpy, save the sums that only a density takes: the triangle's
+        # dot and the stars' add reduction over every axis
+        vdot = staticmethod(no_density)
+
+        class add:
+            @staticmethod
+            def reduce(x, axis=0, *args, **kwargs):
+                if axis is None:
+                    no_density()
+                return np.add.reduce(x, axis, *args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    monkeypatch.setattr(_kernel, "np", NoDensityNumpy())
+    monkeypatch.setattr(_kernel, "einsum_density", no_density)
     for h, d in zip(motifs, want):
+        with pytest.raises(AssertionError, match="a density was computed"):
+            _kernel.density_gradient(h, g.m)(g.values)
         assert np.array_equal(motif_gradient(g, h), d)
 
 
@@ -907,9 +946,6 @@ def _near_face_graphons(draw):
     face = np.where(rng.random((m, m)) < 0.5, gap, 1.0 - gap)
     r = np.where(rng.random((m, m)) < near_share, face, r)
     return np.triu(r) + np.triu(r, 1).T
-
-
-_C4 = Motif.from_edges(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
 
 
 @_SETTINGS
